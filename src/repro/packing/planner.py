@@ -4,7 +4,12 @@ The performance model needs one number per weight matrix: how many bits
 cross the DRAM interface when the matrix is fetched packed. Measuring it
 means generating the synthetic matrix and running the packer — cheap once
 but wasteful inside bandwidth sweeps, so the planner caches results keyed
-by (shape, distribution, packing config).
+by everything that determines the matrix and its packing: (shape,
+distribution, packing config, the matrix's own RNG seed). The seed
+matters because matrices of one depth often share shape and distribution
+(Q, K, V and OUT under multi-head attention) yet are different draws.
+The cross-process disk cache adds :data:`STATS_VERSION` to that key, so
+entries written under an older keying are never read back.
 
 Because the synthetic profile varies smoothly with layer depth, large
 models can optionally quantize depth into a few buckets (default 4),
@@ -31,7 +36,12 @@ from ..quant.synthetic import (
 )
 from .pipeline import PackingConfig, packed_size_bits
 
-__all__ = ["WeightTransferStats", "PackingPlanner"]
+__all__ = ["STATS_VERSION", "WeightTransferStats", "PackingPlanner"]
+
+#: Version of the statistics' disk-cache keys; bump whenever the key or
+#: the statistic itself changes meaning. Version 2 keys each matrix by
+#: its own RNG seed (version 1 let same-shape matrices share one entry).
+STATS_VERSION = 2
 
 _STATS_CACHE: Dict[Tuple, "WeightTransferStats"] = {}
 
@@ -126,6 +136,7 @@ class PackingPlanner:
         rep_layer = self._representative_layer(layer_index, model.n_layers)
         shape = weight_shape_for_op(model, kind)
         profile = profile_for_op(kind, rep_layer, model.n_layers)
+        seed = stable_seed(model.name, kind.value, rep_layer, self.base_seed)
         cfg = self.config
         key = (
             shape,
@@ -135,18 +146,17 @@ class PackingPlanner:
             cfg.level,
             cfg.n_modes,
             cfg.optimize_modes,
-            self.base_seed,
+            seed,
         )
         cached = _STATS_CACHE.get(key)
         if cached is not None:
             return cached
-        disk_key = repr(key)
+        disk_key = repr((STATS_VERSION,) + key)
         disk_hit = _disk_cache().get(disk_key)
         if disk_hit is not None:
             stats = WeightTransferStats(raw_bits=disk_hit[0], packed_bits=disk_hit[1])
             _STATS_CACHE[key] = stats
             return stats
-        seed = stable_seed(model.name, kind.value, rep_layer, self.base_seed)
         w = generate_int8_weights(shape, profile, seed=seed)
         stats = WeightTransferStats(
             raw_bits=w.size * 8, packed_bits=packed_size_bits(w, cfg)

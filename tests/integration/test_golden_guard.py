@@ -43,6 +43,19 @@ _PLANS = {
 #: Bandwidth corners of the paper's sweep (Gbps).
 _BANDWIDTHS = (1.0, 12.0)
 
+#: (stage, tokens, batch) points pinned at every corner: short and long
+#: prompts, shallow and deep decode contexts, and batched decode.
+#: Batched prefill is left out: it is not a TPHS shape.
+_POINTS = (
+    ("prefill", 32, 1),
+    ("prefill", 128, 1),
+    ("prefill", 512, 1),
+    ("decode", 192, 1),
+    ("decode", 576, 1),
+    ("decode", 320, 4),
+    ("decode", 192, 16),
+)
+
 
 def compute_goldens():
     """Current modeled numbers for every (plan, bandwidth) corner."""
@@ -50,14 +63,14 @@ def compute_goldens():
     for plan_name, plan_factory in sorted(_PLANS.items()):
         for bw in _BANDWIDTHS:
             engine = MeadowEngine(OPT_125M, zcu102_config(bw), plan_factory())
-            prefill = engine.surface.prefill(128)
-            decode = engine.surface.decode(192)
-            out[f"{plan_name}@{bw:g}gbps"] = {
-                "prefill128_latency_s": prefill.latency_s,
-                "prefill128_energy_uj": prefill.energy_uj,
-                "decode192_latency_s": decode.latency_s,
-                "decode192_energy_uj": decode.energy_uj,
-            }
+            block = {}
+            for stage, tokens, batch in _POINTS:
+                lookup = getattr(engine.surface, stage)
+                point = lookup(tokens, batch)
+                name = f"{stage}{tokens}" + (f"x{batch}" if batch > 1 else "")
+                block[f"{name}_latency_s"] = point.latency_s
+                block[f"{name}_energy_uj"] = point.energy_uj
+            out[f"{plan_name}@{bw:g}gbps"] = block
     return out
 
 

@@ -50,14 +50,18 @@ def _run(plan: ExecutionPlan, planner=None) -> FleetMetrics:
 # planner-stat batching had shifted packed-bit rounding by ~3e-5 rel
 # without updating these values), and again with the event-calendar
 # fleet core (a PR 5 surface change had drifted it ~6e-5 rel, stale
-# in the same way — the gemm block was unaffected both times).
+# in the same way — the gemm block was unaffected both times). It was
+# re-pinned once more when the packing statistics were keyed by each
+# matrix's own seed: before that, same-shape Q/K/V/OUT matrices shared
+# whichever statistic was computed first, which depended on the hash
+# seed and on the state of the on-disk statistics cache.
 GOLDEN = {
     "meadow": {
-        "throughput_tok_s": 2622.1640723950195,
-        "ttft_p99_s": 0.002631578869196346,
-        "tbt_p50_s": 0.001073872,
-        "e2e_p95_s": 0.028697541779126007,
-        "duration_s": 0.07551014907284262,
+        "throughput_tok_s": 2622.0957334436757,
+        "ttft_p99_s": 0.0026751652580712182,
+        "tbt_p50_s": 0.0010581439999999987,
+        "e2e_p95_s": 0.028744162579126008,
+        "duration_s": 0.07551211707284262,
         "total_generated_tokens": 198,
     },
     "gemm": {

@@ -1,8 +1,14 @@
 """Tests for packing statistics and the planner cache."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import ConfigError
 from repro.models import OPT_125M, OpKind, TransformerConfig
 from repro.packing import (
@@ -12,8 +18,25 @@ from repro.packing import (
     id_histogram,
     layer_reduction_ratios,
     model_reduction_ratio_table,
+    packed_size_bits,
     reduction_ratio,
 )
+from repro.quant import (
+    generate_int8_weights,
+    profile_for_op,
+    stable_seed,
+    weight_shape_for_op,
+)
+
+#: Prints one model's effective-bits table as sorted JSON.
+_BITS_TABLE_SCRIPT = """
+import json
+from repro.models import TransformerConfig
+from repro.packing import PackingPlanner
+model = TransformerConfig("hash-seed-probe", 2, 128, 4, 256, max_seq_len=256)
+table = PackingPlanner(depth_buckets=None).effective_bits_table(model)
+print(json.dumps({k.value: v for k, v in table.items()}, sort_keys=True))
+"""
 
 
 class TestStats:
@@ -91,6 +114,45 @@ class TestPlanner:
     def test_bad_bucket_count_rejected(self):
         with pytest.raises(ConfigError):
             PackingPlanner(depth_buckets=0)
+
+    def test_same_shape_matrices_keep_their_own_stats(self, small_model):
+        """Q, K, V and OUT share shape and profile at one depth but are
+        different draws: each is priced from its own matrix, never from
+        whichever same-shape matrix happened to be cached first."""
+        planner = PackingPlanner(depth_buckets=None)
+        n_layers = small_model.n_layers
+        for kind in (OpKind.Q_PROJ, OpKind.K_PROJ, OpKind.V_PROJ, OpKind.OUT_PROJ):
+            w = generate_int8_weights(
+                weight_shape_for_op(small_model, kind),
+                profile_for_op(kind, 0, n_layers),
+                seed=stable_seed(small_model.name, kind.value, 0, 0),
+            )
+            stats = planner.stats_for(small_model, kind, 0)
+            assert stats.packed_bits == packed_size_bits(w, planner.config), kind
+
+    def test_effective_bits_table_independent_of_hash_seed(self, tmp_path):
+        """Same table under two hash seeds, each from an empty disk cache.
+
+        Set iteration order follows ``PYTHONHASHSEED``; a statistic that
+        depends on which kind is computed first differs between the two
+        processes. Each gets a fresh cache file so that no earlier run
+        can mask the difference.
+        """
+        src = Path(repro.__file__).resolve().parent.parent
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=str(src),
+                REPRO_PACKING_CACHE=str(tmp_path / f"stats-{hash_seed}.json"),
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", _BITS_TABLE_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_opt125m_model_compression_in_band(self, shared_planner):
         """Whole-model packing ~1.5-1.9x (implied by the decode gains)."""

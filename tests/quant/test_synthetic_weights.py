@@ -5,6 +5,8 @@ tests pin it to the chunk statistics the paper reports (DESIGN.md,
 calibration notes).
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,28 @@ class TestGenerator:
         w = generate_int8_weights((128, 128), p, seed=0)
         big = np.mean(np.abs(w.astype(np.int32)) >= 100)
         assert big == pytest.approx(0.01, abs=0.003)
+
+    def test_weights_of_a_fixed_seed_are_pinned(self):
+        """Weight-level golden: the draws behind every packed statistic.
+
+        The packing statistics, and so every modeled packed-weight
+        number, derive from numpy's ``laplace`` / ``choice`` /
+        ``integers`` streams. A numpy release that changes one of them
+        fails here, naming the cause, rather than as a drift in the
+        model-level goldens.
+        """
+        profile = profile_for_op(OpKind.Q_PROJ, 0, 12)
+        w = generate_int8_weights(
+            (64, 96), profile, seed=stable_seed("opt-125m", "q_proj", 0, 0)
+        )
+        assert w.ravel()[:64].tolist() == [
+            -1, -6, 2, 22, 2, 0, 3, -2, 7, 7, -6, 1, 0, -2, 1, -4,
+            3, -7, 9, 0, 1, 0, 0, -2, -6, -1, 7, -4, 2, 1, 0, 0,
+            18, 1, 0, 2, 0, -4, 8, -1, 1, -8, -2, -11, 9, -2, -4, 6,
+            -3, 1, -2, 2, -1, -1, 3, 7, -4, -1, 1, 3, 4, 0, 7, -7,
+        ]
+        # The whole matrix, outlier positions and magnitudes included.
+        assert zlib.crc32(w.tobytes()) == 460110202
 
     def test_rejects_bad_profile(self):
         with pytest.raises(ConfigError):
