@@ -7,23 +7,34 @@ a full workload simulation, and a functional forward pass. Regressions
 here make every other bench slower.
 
 This file is also the tracked before/after evidence for the analytical
-fast path (layer-class deduplication + schedule memoization + the
-:class:`~repro.sim.surface.LatencySurface`): the *serving-shaped
-workload mix* below replays the (stage, context, batch) sequence a
-continuous-batching scheduler issues — repeats included, exactly as
-``ctx_bucket`` quantization produces them — through both the reference
-per-layer walk and the fast path, asserting bit-identical numbers and a
->= 10x sims/sec speedup. Run it standalone for the JSON artifact CI
-tracks::
+fast path (two-step pricing in :class:`~repro.sim.WorkloadSimulator` +
+the :class:`~repro.sim.surface.LatencySurface`), measured against the
+layer-by-layer walk kept in ``tests/oracles/layer_walk.py``:
+
+* the *serving-shaped workload mix* replays the (stage, context, batch)
+  sequence a continuous-batching scheduler issues — repeats included,
+  exactly as ``ctx_bucket`` quantization produces them — through both
+  the walk and the fast path, asserting bit-identical numbers and a
+  >= 10x sims/sec speedup;
+* the *cold fill* (``--cold-fill``) fills a fresh surface with every
+  point a short-prompt serving run needs — prefill 64-256 at batch 1,
+  decode contexts 80-352 in steps of 16 at batch 1-16, 12 Gbps — and
+  reports filled points/s, the speedup over the walk and exact match.
+  Its record is the committed ``BENCH_sim_throughput.json`` baseline.
+
+Run it standalone for the JSON artifacts CI tracks::
 
     PYTHONPATH=src python benchmarks/bench_simulator_throughput.py \
         --quick --json results/sim_throughput.json
+    PYTHONPATH=src python benchmarks/bench_simulator_throughput.py \
+        --cold-fill --json results/sim_cold_fill.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Dict, List, Tuple
@@ -31,7 +42,10 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pytest
 
-from bench_meta import stamp
+from bench_meta import REPO_ROOT, stamp, write_bench_record
+
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles.layer_walk import simulate_reference  # noqa: E402
 
 from repro import ExecutionPlan, MeadowEngine, OPT_125M, zcu102_config
 from repro.functional import TinyTransformer, quantize_static
@@ -43,7 +57,7 @@ from repro.models import (
 )
 from repro.packing import pack_weights, spread_mode_table, pack_ids, unpack_ids_fast
 from repro.quant import WeightProfile, generate_int8_weights
-from repro.sim import WorkloadSimulator
+from repro.sim import LatencySurface, WorkloadSimulator
 from repro.utils import ceil_div
 
 # --------------------------------------------------------------------------
@@ -100,7 +114,7 @@ def run_serving_mix(
     # schedules) through the reference path so neither timed loop pays
     # for them; the surface itself stays cold.
     for wl in distinct.values():
-        reference.simulate_reference(wl)
+        simulate_reference(reference, wl)
 
     # Fast path first, on a cold surface: the timing honestly includes
     # simulating every distinct point, not just the repeat lookups.
@@ -111,28 +125,28 @@ def run_serving_mix(
 
     t0 = time.perf_counter()
     for wl in mix:
-        reference.simulate_reference(wl)
+        simulate_reference(reference, wl)
     ref_s = time.perf_counter() - t0
 
     # Correctness gate: fast == reference, bit for bit, on every point.
     for wl in distinct.values():
-        ref = reference.simulate_reference(wl)
+        ref = simulate_reference(reference, wl)
         point = engine.simulate_fast(wl)
         assert point.latency_s == ref.latency_s, wl
         assert point.energy_uj == ref.energy.total_uj, wl
         assert point.total_cycles == ref.total_cycles, wl
 
     # Core speedup on distinct points only (no surface repeats): what the
-    # layer-class dedup + memoization deliver on a cold sweep.
+    # two-step pricing delivers on a cold sweep.
     fresh = WorkloadSimulator(engine.model, engine.config, engine.plan, engine.planner)
     t0 = time.perf_counter()
     for wl in distinct.values():
         fresh.simulate(wl)
-    dedup_s = time.perf_counter() - t0
+    distinct_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     for wl in distinct.values():
-        reference.simulate_reference(wl)
-    dedup_ref_s = time.perf_counter() - t0
+        simulate_reference(reference, wl)
+    distinct_ref_s = time.perf_counter() - t0
 
     return {
         "model": engine.model.name,
@@ -142,7 +156,7 @@ def run_serving_mix(
         "ref_sims_per_s": len(mix) / ref_s,
         "fast_sims_per_s": len(mix) / fast_s,
         "mix_speedup": ref_s / fast_s,
-        "distinct_speedup": dedup_ref_s / dedup_s,
+        "distinct_speedup": distinct_ref_s / distinct_s,
         "exact_match": True,
     }
 
@@ -151,48 +165,139 @@ def _default_engine() -> MeadowEngine:
     return MeadowEngine(OPT_125M, zcu102_config(12.0), ExecutionPlan.meadow())
 
 
+# --------------------------------------------------------------------------
+# Cold surface fill (the first-run cost of a new config)
+# --------------------------------------------------------------------------
+
+
+def cold_fill_points(model: TransformerConfig) -> List[Workload]:
+    """Every point a short-prompt serving run asks a fresh surface for.
+
+    Prompts of 64-256 tokens at batch 1, and decode contexts 80-352 in
+    16-token buckets at every batch size 1-16.
+    """
+    points = [prefill_workload(model, tokens) for tokens in range(64, 257)]
+    points += [
+        decode_workload(model, context, batch)
+        for context in range(80, 353, 16)
+        for batch in range(1, 17)
+    ]
+    return points
+
+
+def run_cold_fill(engine: MeadowEngine, repeats: int = 3) -> Dict[str, object]:
+    """Time filling a fresh surface against the layer-by-layer walk.
+
+    Each timing starts from a fresh :class:`LatencySurface` on a
+    simulator whose one-time tables are already built; the best of
+    ``repeats`` timings is kept for both paths (the runs are
+    deterministic, so the minimum is the least-noise estimate). Every
+    filled point must equal the walk's scalars exactly, or this raises
+    ``AssertionError``.
+    """
+    sim = WorkloadSimulator(engine.model, engine.config, engine.plan, engine.planner)
+    points = cold_fill_points(engine.model)
+    sim.simulate(points[0])  # build the simulator's tables once
+
+    fill_s = math.inf
+    for _ in range(repeats):
+        surface = LatencySurface(sim)
+        t0 = time.perf_counter()
+        for wl in points:
+            surface.point(wl)
+        fill_s = min(fill_s, time.perf_counter() - t0)
+
+    oracle_s = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        refs = [simulate_reference(sim, wl) for wl in points]
+        oracle_s = min(oracle_s, time.perf_counter() - t0)
+
+    for wl, ref in zip(points, refs):
+        point = surface.point(wl)
+        assert point.latency_s == ref.latency_s, wl
+        assert point.total_cycles == ref.total_cycles, wl
+        assert point.energy_uj == ref.energy.total_uj, wl
+
+    return {
+        "model": engine.model.name,
+        "plan": engine.plan.name,
+        "bandwidth_gbps": engine.config.dram_bandwidth_gbps,
+        "n_points": len(points),
+        "fill_points_per_s": len(points) / fill_s,
+        "oracle_points_per_s": len(points) / oracle_s,
+        "speedup": oracle_s / fill_s,
+        "exact_match": True,
+    }
+
+
 def main(argv=None) -> int:
     """Standalone mode: emit the JSON record and enforce regression floors."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="small CI-sized mix")
+    parser.add_argument(
+        "--cold-fill", action="store_true",
+        help="time a cold surface fill against the layer-by-layer walk "
+             "instead of the serving mix",
+    )
     parser.add_argument("--json", type=str, default=None, help="write record here")
     parser.add_argument(
-        "--min-speedup", type=float, default=10.0,
-        help="fail when fast/reference mix speedup drops below this",
+        "--bench-record", action="store_true",
+        help="also refresh the committed BENCH_sim_throughput.json "
+             "perf-trajectory record at the repo root (--cold-fill only)",
+    )
+    parser.add_argument(
+        "--min-speedup", type=float, default=None,
+        help="fail when the speedup over the walk drops below this "
+             "(default 10 for the mix, 5 for --cold-fill)",
     )
     parser.add_argument(
         "--min-sims-per-sec", type=float, default=0.0,
-        help="fail when fast-path sims/sec drops below this floor",
+        help="fail when fast-path sims/sec (mix) or filled points/sec "
+             "(--cold-fill) drops below this floor",
     )
     args = parser.parse_args(argv)
 
     engine = _default_engine()
-    record = stamp(
-        run_serving_mix(engine, serving_mix(engine.model, quick=args.quick)),
-        "repro.bench.sim_throughput",
-    )
-    print(
-        f"serving mix ({record['n_items']} sims, {record['n_distinct']} distinct) "
-        f"on {record['model']} plan={record['plan']}:\n"
-        f"  reference: {record['ref_sims_per_s']:.1f} sims/s\n"
-        f"  fast path: {record['fast_sims_per_s']:.1f} sims/s "
-        f"({record['mix_speedup']:.1f}x; {record['distinct_speedup']:.1f}x on "
-        f"distinct points)"
-    )
+    if args.cold_fill:
+        record = stamp(run_cold_fill(engine), "repro.bench.sim_throughput")
+        speedup, rate = record["speedup"], record["fill_points_per_s"]
+        min_speedup = 5.0 if args.min_speedup is None else args.min_speedup
+        print(
+            f"cold surface fill ({record['n_points']} points) on "
+            f"{record['model']} plan={record['plan']} @ "
+            f"{record['bandwidth_gbps']:g} Gbps:\n"
+            f"  layer walk: {record['oracle_points_per_s']:.1f} points/s\n"
+            f"  fill:       {rate:.1f} points/s ({speedup:.1f}x)"
+        )
+    else:
+        record = stamp(
+            run_serving_mix(engine, serving_mix(engine.model, quick=args.quick)),
+            "repro.bench.sim_throughput",
+        )
+        speedup, rate = record["mix_speedup"], record["fast_sims_per_s"]
+        min_speedup = 10.0 if args.min_speedup is None else args.min_speedup
+        print(
+            f"serving mix ({record['n_items']} sims, {record['n_distinct']} distinct) "
+            f"on {record['model']} plan={record['plan']}:\n"
+            f"  reference: {record['ref_sims_per_s']:.1f} sims/s\n"
+            f"  fast path: {rate:.1f} sims/s "
+            f"({speedup:.1f}x; {record['distinct_speedup']:.1f}x on "
+            f"distinct points)"
+        )
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2)
         print(f"wrote {args.json}")
+    if args.bench_record and args.cold_fill:
+        print(f"wrote {write_bench_record(record, 'sim_throughput')}")
 
     ok = True
-    if record["mix_speedup"] < args.min_speedup:
-        print(f"FAIL: mix speedup {record['mix_speedup']:.1f}x < {args.min_speedup}x")
+    if speedup < min_speedup:
+        print(f"FAIL: speedup {speedup:.1f}x < {min_speedup}x")
         ok = False
-    if record["fast_sims_per_s"] < args.min_sims_per_sec:
-        print(
-            f"FAIL: {record['fast_sims_per_s']:.1f} sims/s "
-            f"< floor {args.min_sims_per_sec}"
-        )
+    if rate < args.min_sims_per_sec:
+        print(f"FAIL: {rate:.1f}/s < floor {args.min_sims_per_sec}")
         ok = False
     return 0 if ok else 1
 
@@ -209,6 +314,16 @@ def test_serving_mix_fast_path_speedup(results_dir):
     )
     assert record["exact_match"]
     assert record["mix_speedup"] >= 10.0, record
+
+
+def test_cold_fill_speedup(results_dir):
+    """A cold surface fill >= 5x the layer walk, every point identical."""
+    record = stamp(run_cold_fill(_default_engine()), "repro.bench.sim_throughput")
+    (results_dir / "sim_cold_fill.json").write_text(
+        json.dumps(record, indent=2) + "\n", encoding="utf-8"
+    )
+    assert record["exact_match"]
+    assert record["speedup"] >= 5.0, record
 
 
 # --------------------------------------------------------------------------
@@ -256,12 +371,12 @@ def test_perf_workload_simulation(benchmark, planner):
 
 
 def test_perf_workload_simulation_reference(benchmark, planner):
-    """The same prefill through the reference walk (dedup disabled)."""
+    """The same prefill through the layer-by-layer walk (test oracle)."""
     sim = WorkloadSimulator(
         OPT_125M, zcu102_config(12.0), ExecutionPlan.meadow(), planner
     )
     wl = prefill_workload(OPT_125M, 512)
-    report = benchmark(sim.simulate_reference, wl)
+    report = benchmark(simulate_reference, sim, wl)
     assert report.total_cycles > 0
 
 

@@ -15,6 +15,7 @@ overheads when desired.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import ConfigError
 from .config import HardwareConfig
@@ -47,7 +48,7 @@ class DramModel:
             burst_efficiency=config.dram_burst_efficiency,
         )
 
-    @property
+    @cached_property
     def bits_per_cycle(self) -> float:
         """Effective DRAM bits deliverable per core cycle."""
         return self.bandwidth_gbps * 1e9 / self.clock_hz * self.burst_efficiency

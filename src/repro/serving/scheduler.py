@@ -22,8 +22,9 @@ instead of ``k`` full Python iterations — and is **bit-identical** to
 the per-token walk (same records, same events, same clock: the clock
 series is reproduced by the very float additions the walk would issue).
 The per-token walk is retained as the property-tested reference path
-(``coalesce=False``), mirroring how the simulator keeps
-``simulate_reference`` next to its fast path. Long streams where nobody
+(``coalesce=False``); the simulator's own layer-by-layer reference walk
+lives in the test suite as an oracle (``tests/oracles/layer_walk.py``).
+Long streams where nobody
 reads per-token events can additionally pass ``token_events=False`` to
 elide DECODE_STEP / FIRST_TOKEN event materialization; records, metrics
 and the peak-KV accounting are unaffected (KV only changes at ADMIT /

@@ -11,7 +11,7 @@ overlaps tile compute, so the op finishes in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..hardware import EnergyLedger, HardwareConfig
 from ..models import OpKind, Workload
@@ -29,9 +29,11 @@ class LatencyBreakdown:
     store: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("weight_fetch", "input_fetch", "compute", "store"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} cycles must be non-negative")
+        # One chained test on the hot path; name the field only on failure.
+        if self.weight_fetch < 0 or self.input_fetch < 0 or self.compute < 0 or self.store < 0:
+            for name in ("weight_fetch", "input_fetch", "compute", "store"):
+                if getattr(self, name) < 0:
+                    raise ValueError(f"{name} cycles must be non-negative")
 
     @property
     def fetch(self) -> float:
@@ -89,13 +91,19 @@ class OpLatency:
 
 @dataclass
 class StageReport:
-    """Aggregated result of simulating one workload on one config."""
+    """Aggregated result of simulating one workload on one config.
+
+    ``layer_totals`` optionally carries each layer's cycle total, summed
+    by the producer exactly as :meth:`layer_total_cycles` would sum it
+    (the simulator sums each layer class once); ``None`` sums on demand.
+    """
 
     workload: Workload
     config: HardwareConfig
     plan_name: str
     layer_ops: List[List[OpLatency]]  # [n_layers][ops]
     energy: EnergyLedger = field(default_factory=EnergyLedger)
+    layer_totals: Optional[List[float]] = field(default=None, repr=False, compare=False)
 
     @property
     def n_layers(self) -> int:
@@ -104,12 +112,16 @@ class StageReport:
 
     def layer_total_cycles(self, layer: int) -> float:
         """Latency of one block (ops execute back to back)."""
+        if self.layer_totals is not None:
+            return self.layer_totals[layer]
         db = self.config.double_buffered
         return sum(op.total(db) for op in self.layer_ops[layer])
 
     @property
     def total_cycles(self) -> float:
         """End-to-end cycles of the whole stack."""
+        if self.layer_totals is not None:
+            return sum(self.layer_totals)
         return sum(self.layer_total_cycles(i) for i in range(self.n_layers))
 
     @property

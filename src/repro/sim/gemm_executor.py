@@ -8,11 +8,19 @@ has four components: weight fetch, activation fetch, compute, store.
 
 Vector ops (layer norm, softmax, activation) run on their dedicated
 units but follow the same DRAM round-trip pattern in GEMM mode.
+
+Every op is priced in two parts. :class:`OpTerms` holds everything that
+does not depend on the op's weights — activation traffic, compute
+cycles, MAC and on-chip energy — and :meth:`OpTerms.breakdown` /
+:meth:`OpTerms.charge` add a weight transfer on top. The simulator
+prices the terms once per workload and the weight transfer once per
+layer class; :func:`gemm_op_latency` and :func:`vector_op_latency` do
+both for a single op.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..errors import SimulationError
 from ..hardware import (
@@ -27,7 +35,50 @@ from ..hardware import (
 from ..models import LayerOp, OpKind
 from .breakdown import LatencyBreakdown
 
-__all__ = ["gemm_op_latency", "vector_op_latency", "matmul_compute_cycles"]
+__all__ = [
+    "OpTerms",
+    "gemm_op_terms",
+    "vector_op_terms",
+    "gemm_op_latency",
+    "vector_op_latency",
+    "matmul_compute_cycles",
+]
+
+
+class OpTerms(NamedTuple):
+    """The weight-independent terms of one op on one config.
+
+    ``in_bits`` / ``out_bits`` are the activation bits the op moves over
+    DRAM, ``input_fetch`` / ``compute`` / ``store`` its cycle counts, and
+    ``macs`` / ``rf_bytes`` / ``noc_bytes`` the amounts its MAC, register
+    file and NoC energy is charged on.
+    """
+
+    in_bits: float
+    out_bits: float
+    input_fetch: float
+    compute: float
+    store: float
+    macs: float
+    rf_bytes: float
+    noc_bytes: float
+
+    def breakdown(self, weight_fetch: float = 0.0) -> LatencyBreakdown:
+        """The op's latency record given its weight-fetch cycles."""
+        return LatencyBreakdown(weight_fetch, self.input_fetch, self.compute, self.store)
+
+    def dram_bits(self, w_bits: float = 0.0) -> float:
+        """Bits crossing DRAM: weights, then activations in, then out."""
+        return w_bits + self.in_bits + self.out_bits
+
+    def charge(self, energy: EnergyLedger, w_bits: float = 0.0) -> None:
+        """Deposit the op's energy, moving ``w_bits`` weight bits."""
+        moved = self.dram_bits(w_bits)
+        energy.add_macs(self.macs)
+        energy.add_dram_bits(moved)
+        energy.add_bram_bytes(moved / 8.0)
+        energy.add_rf_bytes(self.rf_bytes)
+        energy.add_noc_bytes(self.noc_bytes)
 
 
 def matmul_compute_cycles(
@@ -44,6 +95,35 @@ def matmul_compute_cycles(
         raise SimulationError(f"{op.kind} is not a matmul op")
     per_instance = gemm_compute_cycles(config, op.rows, op.reduce, op.cols)
     return op.batch * per_instance * compute_scale
+
+
+def gemm_op_terms(
+    config: HardwareConfig,
+    op: LayerOp,
+    dram: DramModel,
+    fetch_input: bool = True,
+    store_output: bool = True,
+    compute_scale: float = 1.0,
+    input_refetch: float = 1.0,
+) -> OpTerms:
+    """Weight-independent terms of one matmul op in GEMM mode.
+
+    See :func:`gemm_op_latency` for the arguments.
+    """
+    act = config.act_bits
+    in_bits = float(op.input_elements * act) * input_refetch if fetch_input else 0.0
+    out_bits = float(op.output_elements * act) if store_output else 0.0
+    onchip_bytes = (op.input_elements + op.output_elements) * act / 8.0
+    return OpTerms(
+        in_bits=in_bits,
+        out_bits=out_bits,
+        input_fetch=dram.transfer_cycles(in_bits) if in_bits else 0.0,
+        compute=matmul_compute_cycles(config, op, compute_scale),
+        store=dram.transfer_cycles(out_bits) if out_bits else 0.0,
+        macs=op.macs * compute_scale,
+        rf_bytes=onchip_bytes,
+        noc_bytes=onchip_bytes,
+    )
 
 
 def gemm_op_latency(
@@ -77,6 +157,9 @@ def gemm_op_latency(
     if weight_refetch < 1.0 or input_refetch < 1.0:
         raise SimulationError("refetch factors must be >= 1")
     dram = DramModel.from_config(config)
+    terms = gemm_op_terms(
+        config, op, dram, fetch_input, store_output, compute_scale, input_refetch
+    )
     w_bits = 0.0
     if op.has_weights:
         w_bits = (
@@ -84,37 +167,23 @@ def gemm_op_latency(
             if weight_bits_total is not None
             else float(op.weight_elements * config.weight_bits)
         ) * weight_refetch
-    in_bits = (
-        float(op.input_elements * config.act_bits) * input_refetch
-        if fetch_input
-        else 0.0
-    )
-    out_bits = float(op.output_elements * config.act_bits) if store_output else 0.0
-
-    breakdown = LatencyBreakdown(
-        weight_fetch=dram.transfer_cycles(w_bits) if w_bits else 0.0,
-        input_fetch=dram.transfer_cycles(in_bits) if in_bits else 0.0,
-        compute=matmul_compute_cycles(config, op, compute_scale),
-        store=dram.transfer_cycles(out_bits) if out_bits else 0.0,
-    )
     if energy is not None:
-        energy.add_macs(op.macs * compute_scale)
-        energy.add_dram_bits(w_bits + in_bits + out_bits)
-        energy.add_bram_bytes((w_bits + in_bits + out_bits) / 8.0)
-        energy.add_rf_bytes((op.input_elements + op.output_elements) * config.act_bits / 8.0)
-        energy.add_noc_bytes((op.input_elements + op.output_elements) * config.act_bits / 8.0)
-    return breakdown
+        terms.charge(energy, w_bits)
+    return terms.breakdown(dram.transfer_cycles(w_bits))
 
 
-def vector_op_latency(
+def vector_op_terms(
     config: HardwareConfig,
     op: LayerOp,
+    dram: DramModel,
     fetch_input: bool = True,
     store_output: bool = True,
-    energy: Optional[EnergyLedger] = None,
-) -> LatencyBreakdown:
-    """Latency of a LN / softmax / activation op in GEMM (unfused) mode."""
-    dram = DramModel.from_config(config)
+) -> OpTerms:
+    """Terms of a LN / softmax / activation op in GEMM (unfused) mode.
+
+    Vector ops carry no weights, run no MACs and bypass the register
+    files: only their DRAM round trip and NoC traffic cost energy.
+    """
     if op.kind is OpKind.SOFTMAX:
         compute = float(
             softmax_module_cycles(op.batch * op.rows, op.cols, config.n_softmax_units)
@@ -128,14 +197,29 @@ def vector_op_latency(
 
     in_bits = float(op.input_elements * config.act_bits) if fetch_input else 0.0
     out_bits = float(op.output_elements * config.act_bits) if store_output else 0.0
-    breakdown = LatencyBreakdown(
-        weight_fetch=0.0,
+    return OpTerms(
+        in_bits=in_bits,
+        out_bits=out_bits,
         input_fetch=dram.transfer_cycles(in_bits) if in_bits else 0.0,
         compute=compute,
         store=dram.transfer_cycles(out_bits) if out_bits else 0.0,
+        macs=0,
+        rf_bytes=0.0,
+        noc_bytes=(op.input_elements + op.output_elements) * config.act_bits / 8.0,
+    )
+
+
+def vector_op_latency(
+    config: HardwareConfig,
+    op: LayerOp,
+    fetch_input: bool = True,
+    store_output: bool = True,
+    energy: Optional[EnergyLedger] = None,
+) -> LatencyBreakdown:
+    """Latency of a LN / softmax / activation op in GEMM (unfused) mode."""
+    terms = vector_op_terms(
+        config, op, DramModel.from_config(config), fetch_input, store_output
     )
     if energy is not None:
-        energy.add_dram_bits(in_bits + out_bits)
-        energy.add_bram_bytes((in_bits + out_bits) / 8.0)
-        energy.add_noc_bytes((op.input_elements + op.output_elements) * config.act_bits / 8.0)
-    return breakdown
+        terms.charge(energy)
+    return terms.breakdown()

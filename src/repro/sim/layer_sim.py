@@ -1,11 +1,11 @@
 """Workload simulator: turns (model, hardware, plan) into latency reports.
 
-For every block of the model the simulator walks the op sequence of
-:func:`repro.models.decoder_layer_ops`, dispatches each op according to
-the :class:`~repro.core.plan.ExecutionPlan` (GEMM / TPHS / vector units),
-charges DRAM traffic per the plan's packing or sparsity policy, and
-collects per-op :class:`~repro.sim.breakdown.OpLatency` records into a
-:class:`~repro.sim.breakdown.StageReport`.
+For every block of the model the simulator prices the op sequence of
+:func:`repro.models.decoder_layer_ops`: it dispatches each op according
+to the :class:`~repro.core.plan.ExecutionPlan` (GEMM / TPHS / vector
+units), charges DRAM traffic per the plan's packing or sparsity policy,
+and collects per-op :class:`~repro.sim.breakdown.OpLatency` records into
+a :class:`~repro.sim.breakdown.StageReport`.
 
 Baseline behaviours implemented here (Table 2 semantics):
 
@@ -16,30 +16,43 @@ Baseline behaviours implemented here (Table 2 semantics):
   compute; during decode the attention intermediates (scores, softmax
   outputs, the current token's Q) stay on chip.
 
-**Fast path (layer-class deduplication).** All decoder blocks of one
-model run the *same* op geometry for a given workload; the only
-layer-dependent inputs to the latency model are the per-layer packed
-weight-transfer bits. :meth:`WorkloadSimulator.simulate` therefore
-groups layers into classes by their weight-bit signature, simulates one
-template layer per class, and replays the template's latency records and
-energy deltas for every member — O(n_classes x n_ops + n_layers) Python
-work instead of O(n_layers x n_ops), bit-identical to the reference walk
-(:meth:`WorkloadSimulator.simulate_reference`, property-tested in
-``tests/sim/test_fast_path_equivalence.py``). Plans whose layers are
-genuinely heterogeneous (e.g. exact per-layer packing statistics)
-degrade transparently: every distinct signature gets its own template,
-so the fast path never changes a modeled number, only skips repeats.
+**Two-step pricing.** Every block of a model runs the same op geometry
+for a given workload; the only layer-dependent input to the latency
+model is how many weight bits each block fetches. Layers that fetch the
+same bits for every weight kind form one *layer class* (a packing
+planner's depth bucket; the whole stack for unpacked plans; one layer
+each for exact per-layer statistics). :meth:`WorkloadSimulator.simulate`
+works in two steps:
+
+1. once per call, it builds the block's op list (after the CTA and
+   FlightLLM shims) and prices every weight-independent term: compute
+   cycles, activation fetch and store cycles, the vector-unit ops, the
+   TPHS schedule, and their energy;
+2. once per layer class, it prices only the weight transfers — the
+   weight-fetch cycles and the DRAM/BRAM energy of the weight GEMMs and
+   of TPHS's ``W_Q`` — and sums the class's layer total.
+
+Weight bits per layer come from a table built once per simulator
+(:meth:`~repro.packing.PackingPlanner.effective_bits_table` for packed
+plans), as do the DRAM rate and each weight shape's BRAM refetch model.
+Energy is accumulated per category in exactly the order a
+layer-by-layer walk deposits it, so every number is bit-identical to
+that walk, which ``tests/oracles/layer_walk.py`` keeps as the
+equivalence oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import Dict, Hashable, List, Optional, Tuple
+from functools import reduce
+from itertools import chain
+from operator import add
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.plan import DataflowMode, ExecutionPlan
 from ..errors import SimulationError
-from ..hardware import EnergyLedger, HardwareConfig
+from ..hardware import DramModel, EnergyLedger, HardwareConfig
 from ..models import (
     LayerOp,
     OpKind,
@@ -47,12 +60,13 @@ from ..models import (
     TPHS_ELIGIBLE_OPS,
     TransformerConfig,
     Workload,
+    decoder_layer_ops,
 )
 from ..packing import PackingPlanner
 from .breakdown import LatencyBreakdown, OpLatency, StageReport
-from .gemm_executor import gemm_op_latency, vector_op_latency
-from .tiling import plan_tiled_gemm
-from .tphs_executor import tphs_block_latency
+from .gemm_executor import OpTerms, gemm_op_terms, vector_op_terms
+from .tiling import RefetchModel, plan_tiled_gemm
+from .tphs_executor import tphs_block_terms
 
 __all__ = ["WorkloadSimulator", "simulate"]
 
@@ -66,57 +80,53 @@ def _compressed_tokens(count: int, keep_ratio: float) -> int:
     return max(1, math.ceil(count * keep_ratio))
 
 
-class _TapeLedger(EnergyLedger):
-    """Energy ledger that records every deposit it receives.
+class _Step(NamedTuple):
+    """How the op at one position of a block is priced.
 
-    The fast path simulates one template layer per layer class on a tape
-    ledger, then replays the recorded per-event deltas once per member
-    layer. Replaying the identical sequence of ``+=`` operands that the
-    reference walk would have issued keeps the accumulated totals
-    *bit-identical* (float addition is order-sensitive, so merging
-    pre-summed per-layer totals would not be).
+    ``role`` is ``"tphs"`` (the fused attention block, in Q's slot),
+    ``"fused"`` (absorbed into that block), ``"vector"`` or ``"gemm"``.
+    ``weight`` indexes the class bits of the weights the op fetches
+    (``None`` when it fetches none) and ``refetch`` is that weight
+    shape's BRAM residency model (weight GEMMs only).
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.tape: List[Tuple[str, float]] = []
+    role: str
+    weight: Optional[int]
+    refetch: Optional[RefetchModel]
+    compute_scale: float
 
-    def _deposit(self, category: str, delta_pj: float) -> None:
-        self.picojoules[category] += delta_pj
-        self.tape.append((category, delta_pj))
 
-    def add_macs(self, n: float) -> None:
-        self._deposit("mac", n * self.costs.mac_pj)
+@dataclass(frozen=True)
+class _BlockTables:
+    """What a simulator prices every workload's blocks with.
 
-    def add_rf_bytes(self, n: float) -> None:
-        self._deposit("rf", n * self.costs.rf_pj_per_byte)
+    A block's op sequence is the same for every workload, so ``steps``
+    fixes the dispatch of each op position once. ``class_bits[c][w]`` is
+    the bits layer class ``c`` transfers for weight ``w``,
+    ``layer_class`` maps each layer to its class, and ``dram`` is the
+    config's DRAM model.
+    """
 
-    def add_bram_bytes(self, n: float) -> None:
-        self._deposit("bram", n * self.costs.bram_pj_per_byte)
-
-    def add_noc_bytes(self, n: float) -> None:
-        self._deposit("noc", n * self.costs.noc_pj_per_byte)
-
-    def add_dram_bits(self, n: float) -> None:
-        self._deposit("dram", n * self.costs.dram_pj_per_bit)
+    steps: Tuple[_Step, ...]
+    layer_class: Tuple[int, ...]
+    class_bits: Tuple[Tuple[int, ...], ...]
+    dram: DramModel
 
 
 @dataclass
 class WorkloadSimulator:
     """Reusable simulator bound to a model, hardware config and plan.
 
-    ``dedup`` enables the layer-class fast path (see module docstring);
-    it is on by default and bit-identical to the reference walk. Set it
-    to ``False`` to force the O(n_layers x n_ops) reference path.
+    The binding is fixed for the simulator's lifetime: the tables
+    derived from it are built on the first :meth:`simulate` call and
+    reused by every later one.
     """
 
     model: TransformerConfig
     config: HardwareConfig
     plan: ExecutionPlan
     planner: Optional[PackingPlanner] = None
-    dedup: bool = True
-    #: Lazily computed per-layer weight-bit signatures (workload-independent).
-    _layer_sigs: Optional[Tuple[Hashable, ...]] = field(
+    _tables: Optional[_BlockTables] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -124,24 +134,70 @@ class WorkloadSimulator:
         if self.plan.packing is not None and self.planner is None:
             self.planner = PackingPlanner(config=self.plan.packing)
 
-    # -------------------------------------------------------------- weights
-    def _weight_bits(self, op: LayerOp, layer: int) -> Optional[int]:
-        """Transferred weight bits for one op, or None for raw transfer."""
-        if not op.has_weights:
-            return None
-        raw_bits = op.weight_elements * self.config.weight_bits
-        if self.plan.sparsity is not None:
-            return int(raw_bits * self.plan.sparsity.weight_bits_factor(self.config.weight_bits))
-        if self.plan.packing is not None:
-            assert self.planner is not None
-            return self.planner.stats_for(self.model, op.kind, layer).effective_bits
-        return None
+    # --------------------------------------------------------------- tables
+    def _block_tables(self) -> _BlockTables:
+        """The per-simulator pricing tables (built on first use).
 
-    def _compute_scale(self, op: LayerOp) -> float:
-        """MAC-thinning factor (N:M sparsity skips weight-matmul MACs)."""
-        if self.plan.sparsity is not None and op.has_weights:
-            return self.plan.sparsity.density
-        return 1.0
+        Weight bits follow the plan: N:M sparsity scales the raw matrix,
+        packing reads the planner's per-layer effective bits, anything
+        else transfers raw weights. Layers with the same bits for every
+        weight share a class.
+        """
+        if self._tables is None:
+            config = self.config
+            template = decoder_layer_ops(self.model, 1, 1)
+            weight_ops = [op for op in template if op.has_weights]
+            weight_index = {op.kind: i for i, op in enumerate(weight_ops)}
+            raw = tuple(op.weight_elements * config.weight_bits for op in weight_ops)
+            n_layers = self.model.n_layers
+            if self.plan.sparsity is not None:
+                factor = self.plan.sparsity.weight_bits_factor(config.weight_bits)
+                layer_bits = [tuple(int(bits * factor) for bits in raw)] * n_layers
+            elif self.plan.packing is not None:
+                assert self.planner is not None
+                table = self.planner.effective_bits_table(self.model)
+                layer_bits = [
+                    tuple(table[op.kind][layer] for op in weight_ops)
+                    for layer in range(n_layers)
+                ]
+            else:
+                layer_bits = [raw] * n_layers
+            class_bits = tuple(dict.fromkeys(layer_bits))
+            class_of = {bits: index for index, bits in enumerate(class_bits)}
+
+            use_tphs = self.plan.attention_dataflow is DataflowMode.TPHS
+            steps: List[_Step] = []
+            for op in template:
+                weight = weight_index.get(op.kind)
+                if use_tphs and op.kind in TPHS_ELIGIBLE_OPS:
+                    # The first eligible op (Q) hosts the whole block,
+                    # which fetches W_Q; the others are absorbed.
+                    if any(step.role == "tphs" for step in steps):
+                        steps.append(_Step("fused", None, None, 1.0))
+                    else:
+                        steps.append(_Step("tphs", weight_index[OpKind.Q_PROJ], None, 1.0))
+                elif op.kind in _VECTOR_OPS:
+                    steps.append(_Step("vector", None, None, 1.0))
+                elif op.is_matmul:
+                    refetch = None
+                    scale = 1.0
+                    if weight is not None:
+                        # Raises CapacityError when the RFs cannot hold a tile.
+                        plan_tiled_gemm(config, 1, op.reduce, op.cols)
+                        refetch = RefetchModel.for_shape(config, op.reduce, op.cols)
+                        if self.plan.sparsity is not None:
+                            # N:M sparsity skips weight-matmul MACs.
+                            scale = self.plan.sparsity.density
+                    steps.append(_Step("gemm", weight, refetch, scale))
+                else:  # pragma: no cover - op kinds are exhaustive
+                    raise SimulationError(f"unhandled op kind {op.kind}")
+            self._tables = _BlockTables(
+                steps=tuple(steps),
+                layer_class=tuple(class_of[bits] for bits in layer_bits),
+                class_bits=class_bits,
+                dram=DramModel.from_config(config),
+            )
+        return self._tables
 
     # ------------------------------------------------------------ CTA shim
     def _apply_token_compression(self, op: LayerOp, workload: Workload) -> LayerOp:
@@ -202,107 +258,6 @@ class WorkloadSimulator:
         # SM x V: scores on chip, V spans fetched, output stored normally.
         return dc_replace(op, input_elements=kv_span)
 
-    # --------------------------------------------------------------- layers
-    def _simulate_layer(
-        self, workload: Workload, layer: int, energy: EnergyLedger
-    ) -> List[OpLatency]:
-        ops = workload.layer_ops()
-        records: List[OpLatency] = []
-        use_tphs = self.plan.attention_dataflow is DataflowMode.TPHS
-        tphs_emitted = False
-        for op in ops:
-            if use_tphs and op.kind in TPHS_ELIGIBLE_OPS:
-                if not tphs_emitted:
-                    wq_bits = self._weight_bits(op, layer) if op.kind is OpKind.Q_PROJ else None
-                    if wq_bits is None and self.plan.packing is not None:
-                        # Q_PROJ is first in TPHS_ELIGIBLE_OPS order; find it.
-                        q_op = next(o for o in ops if o.kind is OpKind.Q_PROJ)
-                        wq_bits = self._weight_bits(q_op, layer)
-                    breakdown, _sched = tphs_block_latency(
-                        self.config,
-                        self.model,
-                        workload.n_tokens,
-                        workload.kv_len,
-                        wq_bits=wq_bits,
-                        batch=workload.batch,
-                        energy=energy,
-                    )
-                    tphs_macs = sum(o.macs for o in ops if o.kind in TPHS_ELIGIBLE_OPS)
-                    records.append(
-                        OpLatency(OpKind.Q_PROJ, "tphs", breakdown, macs=tphs_macs)
-                    )
-                    tphs_emitted = True
-                else:
-                    records.append(
-                        OpLatency(op.kind, "fused", LatencyBreakdown(), macs=0)
-                    )
-                continue
-
-            op = self._apply_token_compression(op, workload)
-            op = self._onchip_decode_traffic(op, workload)
-            if op.kind in _VECTOR_OPS:
-                # Layer norm and activations stream through their dedicated
-                # on-NoC units between GEMM stages in every system (Fig. 2a);
-                # only the softmax intermediates round-trip DRAM in GEMM
-                # mode — they are the "large intermediate tokens" the paper
-                # targets.
-                roundtrip = op.kind is OpKind.SOFTMAX
-                fetch = roundtrip and op.input_elements > 0
-                store = roundtrip and op.output_elements > 0
-                bd = vector_op_latency(
-                    self.config, op, fetch_input=fetch, store_output=store, energy=energy
-                )
-                records.append(OpLatency(op.kind, "vector", bd, macs=0))
-            elif op.is_matmul:
-                # Weight-bearing GEMMs honour BRAM residency: when
-                # neither operand fits, the tiled schedule re-streams the
-                # cheaper side (see sim.tiling).
-                w_refetch = i_refetch = 1.0
-                if op.has_weights:
-                    sched = plan_tiled_gemm(self.config, op.rows, op.reduce, op.cols)
-                    w_refetch = float(sched.weight_refetch_factor)
-                    i_refetch = float(sched.input_refetch_factor)
-                bd = gemm_op_latency(
-                    self.config,
-                    op,
-                    weight_bits_total=self._weight_bits(op, layer),
-                    fetch_input=op.input_elements > 0,
-                    store_output=op.output_elements > 0,
-                    compute_scale=self._compute_scale(op),
-                    weight_refetch=w_refetch,
-                    input_refetch=i_refetch,
-                    energy=energy,
-                )
-                records.append(OpLatency(op.kind, "gemm", bd, macs=op.macs))
-            else:  # pragma: no cover - op kinds are exhaustive
-                raise SimulationError(f"unhandled op kind {op.kind}")
-        return records
-
-    # -------------------------------------------------- layer-class dedup
-    def _layer_signatures(self) -> Tuple[Hashable, ...]:
-        """Per-layer signature of everything the latency model reads.
-
-        Op geometry is layer-independent, so the signature reduces to
-        the per-layer weight-transfer bits: ``None`` transfers and N:M
-        sparsity are depth-independent (one class covers the whole
-        stack), while packed plans key each layer by its effective bits
-        per weight kind — layers sharing a planner depth bucket collapse
-        into one class, exact per-layer planners fall back to one class
-        per layer. Signatures depend only on (model, plan, planner), so
-        they are computed once per simulator.
-        """
-        if self._layer_sigs is None:
-            n = self.model.n_layers
-            if self.plan.packing is None or self.planner is None:
-                self._layer_sigs = (None,) * n
-            else:
-                table = self.planner.effective_bits_table(self.model)
-                kinds = sorted(table, key=lambda k: k.value)
-                self._layer_sigs = tuple(
-                    tuple(table[kind][layer] for kind in kinds) for layer in range(n)
-                )
-        return self._layer_sigs
-
     # ----------------------------------------------------------------- API
     def _check_workload(self, workload: Workload) -> None:
         if workload.model is not self.model and workload.model != self.model:
@@ -314,58 +269,137 @@ class WorkloadSimulator:
     def simulate(self, workload: Workload) -> StageReport:
         """Simulate the workload across every block of the model.
 
-        Uses the layer-class fast path when :attr:`dedup` is enabled:
-        one template layer is simulated per distinct weight-bit
-        signature and its records/energy deltas are replayed for every
-        member layer. The resulting report is bit-identical to
-        :meth:`simulate_reference` (member layers share the template's
-        ``OpLatency`` list, which is immutable in practice).
+        Prices the block's weight-independent terms once and its weight
+        transfers once per layer class (see the module docstring).
+        Member layers of a class share one ``OpLatency`` list.
         """
-        if not self.dedup:
-            return self.simulate_reference(workload)
         self._check_workload(workload)
+        tables = self._block_tables()
+        config = self.config
+        dram = tables.dram
+        db = config.double_buffered
+        ops = workload.layer_ops()
+
+        # Step 1: op records, op totals and energy-charged terms that
+        # hold for every layer. A weight-fetching op leaves a placeholder
+        # in ``records``/``totals``, filled per class in step 2.
+        records: List[Optional[OpLatency]] = []
+        totals: List[float] = []
+        charged: List[OpTerms] = []
+        # (record slot, charged slot, weight index, kind, dataflow,
+        #  weight refetch, terms, macs) of every weight-fetching op.
+        weighted: List[Tuple[int, int, int, OpKind, str, float, OpTerms, int]] = []
+        for op, step in zip(ops, tables.steps):
+            role = step.role
+            if role == "fused":
+                records.append(OpLatency(op.kind, "fused", LatencyBreakdown(), macs=0))
+                totals.append(0.0)
+                continue
+            if role == "tphs":
+                terms, _sched = tphs_block_terms(
+                    config, self.model, workload.n_tokens, workload.kv_len,
+                    workload.batch, dram,
+                )
+                tphs_macs = sum(o.macs for o in ops if o.kind in TPHS_ELIGIBLE_OPS)
+                weighted.append((
+                    len(records), len(charged), step.weight, OpKind.Q_PROJ, "tphs",
+                    1.0, terms, tphs_macs,
+                ))
+                records.append(None)
+                totals.append(0.0)
+                charged.append(terms)
+                continue
+
+            op = self._apply_token_compression(op, workload)
+            op = self._onchip_decode_traffic(op, workload)
+            if role == "vector":
+                # Layer norm and activations stream through their dedicated
+                # on-NoC units between GEMM stages in every system (Fig. 2a);
+                # only the softmax intermediates round-trip DRAM in GEMM
+                # mode — they are the "large intermediate tokens" the paper
+                # targets.
+                roundtrip = op.kind is OpKind.SOFTMAX
+                terms = vector_op_terms(
+                    config, op, dram,
+                    fetch_input=roundtrip and op.input_elements > 0,
+                    store_output=roundtrip and op.output_elements > 0,
+                )
+                record = OpLatency(op.kind, "vector", terms.breakdown(), macs=0)
+            else:
+                # Weight-bearing GEMMs honour BRAM residency: when
+                # neither operand fits, the tiled schedule re-streams the
+                # cheaper side (see sim.tiling).
+                w_refetch = i_refetch = 1.0
+                if step.refetch is not None:
+                    w_factor, i_factor = step.refetch.factors(op.rows)
+                    w_refetch, i_refetch = float(w_factor), float(i_factor)
+                terms = gemm_op_terms(
+                    config, op, dram,
+                    fetch_input=op.input_elements > 0,
+                    store_output=op.output_elements > 0,
+                    compute_scale=step.compute_scale,
+                    input_refetch=i_refetch,
+                )
+                if step.weight is None:
+                    record = OpLatency(op.kind, "gemm", terms.breakdown(), macs=op.macs)
+                else:
+                    weighted.append((
+                        len(records), len(charged), step.weight, op.kind, "gemm",
+                        w_refetch, terms, op.macs,
+                    ))
+                    record = None
+            records.append(record)
+            totals.append(record.total(db) if record is not None else 0.0)
+            charged.append(terms)
+
         energy = EnergyLedger()
+        costs = energy.costs
+        deltas = {
+            "mac": [t.macs * costs.mac_pj for t in charged],
+            "rf": [t.rf_bytes * costs.rf_pj_per_byte for t in charged],
+            "noc": [t.noc_bytes * costs.noc_pj_per_byte for t in charged],
+        }
+        dram_bits = [t.dram_bits() for t in charged]
+
+        # Step 2: per layer class, only the weight transfers.
+        class_records: List[List[OpLatency]] = []
+        class_totals: List[float] = []
+        class_deltas: List[Dict[str, List[float]]] = []
+        for bits in tables.class_bits:
+            layer_records = list(records)
+            layer_totals = list(totals)
+            moved = list(dram_bits)
+            for slot, charge_slot, weight, kind, dataflow, refetch, terms, macs in weighted:
+                w_bits = float(bits[weight]) * refetch
+                record = OpLatency(
+                    kind, dataflow, terms.breakdown(dram.transfer_cycles(w_bits)), macs
+                )
+                layer_records[slot] = record
+                layer_totals[slot] = record.total(db)
+                moved[charge_slot] = terms.dram_bits(w_bits)
+            class_records.append(layer_records)
+            class_totals.append(sum(layer_totals))
+            class_deltas.append(dict(
+                deltas,
+                dram=[m * costs.dram_pj_per_bit for m in moved],
+                bram=[(m / 8.0) * costs.bram_pj_per_byte for m in moved],
+            ))
+
+        # Energy: each category's deltas added one at a time, in the
+        # order a layer-by-layer walk deposits them (never pre-summed:
+        # float addition is order-sensitive).
+        layer_class = tables.layer_class
         picojoules = energy.picojoules
-        templates: Dict[Hashable, Tuple[List[OpLatency], List[Tuple[str, float]]]] = {}
-        layer_ops: List[List[OpLatency]] = []
-        for layer, sig in enumerate(self._layer_signatures()):
-            entry = templates.get(sig)
-            if entry is None:
-                tape_ledger = _TapeLedger()
-                entry = (self._simulate_layer(workload, layer, tape_ledger), tape_ledger.tape)
-                templates[sig] = entry
-            records, tape = entry
-            layer_ops.append(records)
-            for category, delta_pj in tape:
-                picojoules[category] += delta_pj
+        for category in picojoules:
+            stack = chain.from_iterable(class_deltas[i][category] for i in layer_class)
+            picojoules[category] = reduce(add, stack, picojoules[category])
         return StageReport(
             workload=workload,
-            config=self.config,
+            config=config,
             plan_name=self.plan.name,
-            layer_ops=layer_ops,
+            layer_ops=[class_records[index] for index in layer_class],
             energy=energy,
-        )
-
-    def simulate_reference(self, workload: Workload) -> StageReport:
-        """Reference path: walk every op of every layer individually.
-
-        This is the original O(n_layers x n_ops) implementation the fast
-        path is verified against; the equivalence suite asserts exact
-        float equality between the two on latency, energy and per-stage
-        breakdowns.
-        """
-        self._check_workload(workload)
-        energy = EnergyLedger()
-        layer_ops = [
-            self._simulate_layer(workload, layer, energy)
-            for layer in range(self.model.n_layers)
-        ]
-        return StageReport(
-            workload=workload,
-            config=self.config,
-            plan_name=self.plan.name,
-            layer_ops=layer_ops,
-            energy=energy,
+            layer_totals=[class_totals[index] for index in layer_class],
         )
 
 

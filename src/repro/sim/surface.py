@@ -149,12 +149,14 @@ class LatencySurface:
     def _insert(self, workload: Workload) -> SurfacePoint:
         self.n_simulated += 1
         report = self._sim.simulate(workload)
+        # Read the stack total once; ``report.latency_s`` would re-sum it.
+        total_cycles = report.total_cycles
         point = SurfacePoint(
             stage=workload.stage,
             tokens=workload.kv_len,
             batch=workload.batch,
-            latency_s=report.latency_s,
-            total_cycles=report.total_cycles,
+            latency_s=report.config.cycles_to_seconds(total_cycles),
+            total_cycles=total_cycles,
             energy_uj=report.energy.total_uj,
         )
         self._register((workload.stage, workload.kv_len, workload.batch), point)

@@ -22,10 +22,10 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Tuple
 
 from ..errors import CapacityError, ScheduleError
-from ..hardware import HardwareConfig, OnChipMemorySystem
+from ..hardware import Bram, HardwareConfig, OnChipMemorySystem
 from ..utils import ceil_div
 
-__all__ = ["TileShape", "TiledGemm", "plan_tiled_gemm"]
+__all__ = ["TileShape", "TiledGemm", "RefetchModel", "plan_tiled_gemm"]
 
 
 @dataclass(frozen=True)
@@ -111,29 +111,10 @@ class TiledGemm:
     # ------------------------------------------------------------ refetch
     @cached_property
     def _refetch_factors(self) -> Tuple[int, int]:
-        """(weight, input) DRAM stream counts under the best loop order.
-
-        If either operand is fully BRAM-resident, the other streams
-        exactly once. Otherwise the scheduler blocks the resident side:
-        holding an input *row block* re-streams the weights once per row
-        block; holding a weight *column block* re-streams the inputs once
-        per column block. It picks whichever total traffic is lower —
-        the standard blocked-GEMM result, at BRAM (not RF) granularity.
-        """
-        mem = OnChipMemorySystem.from_config(self.config)
-        weight_bytes = self.reduce * self.cols * self.config.weight_bits // 8
-        input_bytes = self.rows * self.reduce * self.config.act_bits // 8
-        if mem.weight_bram.fits(weight_bytes) or mem.input_bram.fits(input_bytes):
-            return 1, 1
-        row_bytes = max(1, self.reduce * self.config.act_bits // 8)
-        col_bytes = max(1, self.reduce * self.config.weight_bits // 8)
-        rows_resident = max(1, mem.input_bram.capacity_bytes // row_bytes)
-        cols_resident = max(1, mem.weight_bram.capacity_bytes // col_bytes)
-        row_blocks = ceil_div(self.rows, rows_resident)
-        col_blocks = ceil_div(self.cols, cols_resident)
-        if weight_bytes * row_blocks + input_bytes <= weight_bytes + input_bytes * col_blocks:
-            return row_blocks, 1
-        return 1, col_blocks
+        """(weight, input) stream counts; see :meth:`RefetchModel.factors`."""
+        return RefetchModel.for_shape(self.config, self.reduce, self.cols).factors(
+            self.rows
+        )
 
     @property
     def weight_refetch_factor(self) -> int:
@@ -144,6 +125,62 @@ class TiledGemm:
     def input_refetch_factor(self) -> int:
         """How many times the activations stream from DRAM."""
         return self._refetch_factors[1]
+
+
+@dataclass(frozen=True)
+class RefetchModel:
+    """BRAM residency of one ``reduce x cols`` weight matrix, for any rows.
+
+    The refetch analysis depends on the GEMM's row count only through
+    its activation side, so everything about the weights is resolved
+    once per (config, weight shape) and :meth:`factors` answers for a
+    given row count with a few integer operations.
+    """
+
+    reduce: int
+    act_bits: int
+    weight_bytes: int
+    weight_fits: bool
+    input_bram: Bram
+    rows_resident: int
+    col_blocks: int
+
+    @classmethod
+    def for_shape(cls, config: HardwareConfig, reduce: int, cols: int) -> "RefetchModel":
+        """The residency model of a ``reduce x cols`` weight on ``config``."""
+        mem = OnChipMemorySystem.from_config(config)
+        weight_bytes = reduce * cols * config.weight_bits // 8
+        row_bytes = max(1, reduce * config.act_bits // 8)
+        col_bytes = max(1, reduce * config.weight_bits // 8)
+        cols_resident = max(1, mem.weight_bram.capacity_bytes // col_bytes)
+        return cls(
+            reduce=reduce,
+            act_bits=config.act_bits,
+            weight_bytes=weight_bytes,
+            weight_fits=mem.weight_bram.fits(weight_bytes),
+            input_bram=mem.input_bram,
+            rows_resident=max(1, mem.input_bram.capacity_bytes // row_bytes),
+            col_blocks=ceil_div(cols, cols_resident),
+        )
+
+    def factors(self, rows: int) -> Tuple[int, int]:
+        """(weight, input) DRAM stream counts under the best loop order.
+
+        If either operand is fully BRAM-resident, the other streams
+        exactly once. Otherwise the scheduler blocks the resident side:
+        holding an input *row block* re-streams the weights once per row
+        block; holding a weight *column block* re-streams the inputs once
+        per column block. It picks whichever total traffic is lower —
+        the standard blocked-GEMM result, at BRAM (not RF) granularity.
+        """
+        input_bytes = rows * self.reduce * self.act_bits // 8
+        if self.weight_fits or self.input_bram.fits(input_bytes):
+            return 1, 1
+        weight_bytes = self.weight_bytes
+        row_blocks = ceil_div(rows, self.rows_resident)
+        if weight_bytes * row_blocks + input_bytes <= weight_bytes + input_bytes * self.col_blocks:
+            return row_blocks, 1
+        return 1, self.col_blocks
 
 
 @lru_cache(maxsize=16384)

@@ -37,8 +37,15 @@ from ..hardware import DramModel, EnergyLedger, HardwareConfig
 from ..models import TransformerConfig
 from ..utils import ceil_div
 from .breakdown import LatencyBreakdown
+from .gemm_executor import OpTerms
 
-__all__ = ["TphsSchedule", "plan_tphs", "tphs_block_latency", "TPHS_PIPELINE_STAGES"]
+__all__ = [
+    "TphsSchedule",
+    "plan_tphs",
+    "tphs_block_terms",
+    "tphs_block_latency",
+    "TPHS_PIPELINE_STAGES",
+]
 
 #: Q, QK^T, MAX, EXP, DIV, SM x V
 TPHS_PIPELINE_STAGES = 6
@@ -131,6 +138,46 @@ def plan_tphs(
     )
 
 
+def tphs_block_terms(
+    config: HardwareConfig,
+    model: TransformerConfig,
+    n_tokens: int,
+    kv_len: int,
+    batch: int,
+    dram: DramModel,
+) -> Tuple[OpTerms, TphsSchedule]:
+    """Everything about one layer's TPHS block except fetching ``W_Q``.
+
+    See :func:`tphs_block_latency`, which adds the ``W_Q`` transfer.
+    """
+    if batch < 1:
+        raise ScheduleError(f"batch must be >= 1, got {batch}")
+    total_tokens = batch * n_tokens
+    schedule = plan_tphs(config, model, total_tokens, kv_len)
+    act = config.act_bits
+    d = model.d_model
+
+    # IP + the K and V spans (kv_dim == d for MHA, smaller under GQA),
+    # per sequence.
+    input_bits = float((total_tokens * d + 2 * batch * kv_len * model.kv_dim) * act)
+    store_bits = float(total_tokens * d * act)  # SM x V outputs
+    # Pipeline registers hand intermediates PE-to-PE over the NoC.
+    onchip_vals = model.n_heads * total_tokens * (2 * kv_len + 2 * model.head_dim)
+    onchip_bytes = onchip_vals * act / 8.0
+    terms = OpTerms(
+        in_bits=input_bits,
+        out_bits=store_bits,
+        input_fetch=dram.transfer_cycles(input_bits),
+        compute=float(schedule.pipeline_cycles),
+        store=dram.transfer_cycles(store_bits),
+        macs=total_tokens * d * d
+        + 2 * model.n_heads * total_tokens * kv_len * model.head_dim,
+        rf_bytes=onchip_bytes,
+        noc_bytes=onchip_bytes,
+    )
+    return terms, schedule
+
+
 def tphs_block_latency(
     config: HardwareConfig,
     model: TransformerConfig,
@@ -149,33 +196,10 @@ def tphs_block_latency(
     token lanes fill with tokens from all sequences; ``W_Q`` transfers
     once for the whole batch.
     """
-    if batch < 1:
-        raise ScheduleError(f"batch must be >= 1, got {batch}")
-    total_tokens = batch * n_tokens
-    schedule = plan_tphs(config, model, total_tokens, kv_len)
     dram = DramModel.from_config(config)
-    act = config.act_bits
+    terms, schedule = tphs_block_terms(config, model, n_tokens, kv_len, batch, dram)
     d = model.d_model
-
     w_bits = float(wq_bits if wq_bits is not None else d * d * config.weight_bits)
-    # IP + the K and V spans (kv_dim == d for MHA, smaller under GQA),
-    # per sequence.
-    input_bits = float((total_tokens * d + 2 * batch * kv_len * model.kv_dim) * act)
-    store_bits = float(total_tokens * d * act)  # SM x V outputs
-
-    breakdown = LatencyBreakdown(
-        weight_fetch=dram.transfer_cycles(w_bits),
-        input_fetch=dram.transfer_cycles(input_bits),
-        compute=float(schedule.pipeline_cycles),
-        store=dram.transfer_cycles(store_bits),
-    )
     if energy is not None:
-        macs = total_tokens * d * d + 2 * model.n_heads * total_tokens * kv_len * model.head_dim
-        energy.add_macs(macs)
-        energy.add_dram_bits(w_bits + input_bits + store_bits)
-        energy.add_bram_bytes((w_bits + input_bits + store_bits) / 8.0)
-        # Pipeline registers hand intermediates PE-to-PE over the NoC.
-        onchip_vals = model.n_heads * total_tokens * (2 * kv_len + 2 * model.head_dim)
-        energy.add_noc_bytes(onchip_vals * act / 8.0)
-        energy.add_rf_bytes(onchip_vals * act / 8.0)
-    return breakdown, schedule
+        terms.charge(energy, w_bits)
+    return terms.breakdown(dram.transfer_cycles(w_bits)), schedule

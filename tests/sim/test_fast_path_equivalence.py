@@ -1,22 +1,28 @@
-"""Fast path == reference path, bit for bit.
+"""Two-step pricing == the layer-by-layer walk, bit for bit.
 
-The layer-class deduplicated :meth:`WorkloadSimulator.simulate` must
-reproduce the O(n_layers x n_ops) reference walk *exactly* — exact float
+:meth:`WorkloadSimulator.simulate` prices weight-independent terms once
+per call and weight transfers once per layer class. It must reproduce
+the walk in ``tests/oracles/layer_walk.py`` *exactly* — exact float
 equality, not approx — on latency, energy (total and per category) and
 every per-stage/per-op breakdown, across all execution plans, stages,
-batch sizes and packed/unpacked configurations. Any divergence means the
-fast path changed a modeled number, which it is never allowed to do.
+batch sizes, bandwidths and packing-planner depth buckets. Any
+divergence means the fast path changed a modeled number, which it is
+never allowed to do.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles.layer_walk import simulate_reference
 
+from repro import zcu102_config
 from repro.baselines import cta, flightllm, gemm_baseline
-from repro.core import ExecutionPlan
-from repro.models import decode_workload, prefill_workload
+from repro.core import DataflowMode, ExecutionPlan
+from repro.errors import ScheduleError
+from repro.models import Stage, TransformerConfig, decode_workload, prefill_workload
 from repro.packing import PackingPlanner
-from repro.sim import WorkloadSimulator
+from repro.sim import LatencySurface, WorkloadSimulator
 
 PLAN_BUILDERS = {
     "meadow": ExecutionPlan.meadow,
@@ -31,6 +37,7 @@ def assert_reports_identical(fast, ref):
     assert fast.latency_s == ref.latency_s
     assert fast.total_cycles == ref.total_cycles
     assert fast.energy.picojoules == ref.energy.picojoules
+    assert list(fast.energy.picojoules) == list(ref.energy.picojoules)
     assert fast.energy.total_uj == ref.energy.total_uj
     assert fast.n_layers == ref.n_layers
     assert fast.breakdown() == ref.breakdown()
@@ -68,7 +75,7 @@ def test_all_plans_stages_batches(
         wl = prefill_workload(small_model, tokens, batch)
     else:
         wl = decode_workload(small_model, tokens, batch)
-    assert_reports_identical(sim.simulate(wl), sim.simulate_reference(wl))
+    assert_reports_identical(sim.simulate(wl), simulate_reference(sim, wl))
 
 
 def test_batched_prefill_gemm_plans(small_model, zcu12):
@@ -76,7 +83,7 @@ def test_batched_prefill_gemm_plans(small_model, zcu12):
     for builder in (gemm_baseline, cta, flightllm):
         sim = WorkloadSimulator(small_model, zcu12, builder())
         wl = prefill_workload(small_model, 192, batch=4)
-        assert_reports_identical(sim.simulate(wl), sim.simulate_reference(wl))
+        assert_reports_identical(sim.simulate(wl), simulate_reference(sim, wl))
 
 
 @pytest.mark.parametrize("packed", [True, False], ids=["packed", "unpacked"])
@@ -89,43 +96,60 @@ def test_packed_unpacked_sweep(small_model, zcu1, shared_planner, packed):
         prefill_workload(small_model, 128),
         decode_workload(small_model, 512, batch=2),
     ):
-        assert_reports_identical(sim.simulate(wl), sim.simulate_reference(wl))
+        assert_reports_identical(sim.simulate(wl), simulate_reference(sim, wl))
+
+
+@pytest.mark.parametrize("plan_name", sorted(PLAN_BUILDERS))
+def test_small_brams_refetch_equivalence(small_model, zcu12, shared_planner, plan_name):
+    """64 KB BRAMs: the weight GEMMs re-stream weights or activations.
+
+    The default 1 MB BRAMs hold every ``small_model`` weight, so only
+    shrunken BRAMs reach the refetch branches of the tiled schedule.
+    """
+    config = zcu12.replace(weight_bram_bytes=64 * 1024, input_bram_bytes=64 * 1024)
+    plan = PLAN_BUILDERS[plan_name]()
+    planner = shared_planner if plan.packing is not None else None
+    sim = WorkloadSimulator(small_model, config, plan, planner)
+    for wl in (
+        prefill_workload(small_model, 1024),
+        prefill_workload(small_model, 300),
+        decode_workload(small_model, 700, batch=16),
+    ):
+        assert_reports_identical(sim.simulate(wl), simulate_reference(sim, wl))
 
 
 class TestLayerClasses:
     def test_unpacked_plans_collapse_to_one_class(self, small_model, zcu12):
         sim = WorkloadSimulator(small_model, zcu12, gemm_baseline())
-        assert len(set(sim._layer_signatures())) == 1
+        tables = sim._block_tables()
+        assert len(tables.class_bits) == 1
+        assert set(tables.layer_class) == {0}
 
     def test_bucketed_packing_bounds_class_count(self, small_model, zcu12):
         planner = PackingPlanner(depth_buckets=2)
         sim = WorkloadSimulator(small_model, zcu12, ExecutionPlan.meadow(), planner)
-        sigs = sim._layer_signatures()
-        assert len(sigs) == small_model.n_layers
-        assert len(set(sigs)) <= 2
+        tables = sim._block_tables()
+        assert len(tables.layer_class) == small_model.n_layers
+        assert len(tables.class_bits) <= 2
 
-    def test_exact_planner_falls_back_to_per_layer_classes(self, small_model, zcu12):
+    def test_exact_planner_gives_one_class_per_layer(self, small_model, zcu12):
         """Genuinely heterogeneous layers: one class per layer, still exact."""
         planner = PackingPlanner(depth_buckets=None)  # exact per-layer stats
         sim = WorkloadSimulator(small_model, zcu12, ExecutionPlan.meadow(), planner)
-        sigs = sim._layer_signatures()
-        assert len(set(sigs)) == small_model.n_layers
+        assert len(sim._block_tables().class_bits) == small_model.n_layers
         wl = prefill_workload(small_model, 96)
-        assert_reports_identical(sim.simulate(wl), sim.simulate_reference(wl))
+        assert_reports_identical(sim.simulate(wl), simulate_reference(sim, wl))
 
-    def test_dedup_flag_forces_reference_walk(self, small_model, zcu12, shared_planner):
-        fast = WorkloadSimulator(small_model, zcu12, ExecutionPlan.meadow(), shared_planner)
-        slow = WorkloadSimulator(
-            small_model, zcu12, ExecutionPlan.meadow(), shared_planner, dedup=False
-        )
+    def test_class_members_share_one_record_list(self, small_model, zcu12, shared_planner):
+        sim = WorkloadSimulator(small_model, zcu12, ExecutionPlan.meadow(), shared_planner)
         wl = decode_workload(small_model, 200)
-        assert_reports_identical(fast.simulate(wl), slow.simulate(wl))
-        # The forced-slow path owns per-layer record lists; the fast path
-        # shares one list across all members of a class.
-        fast_report = fast.simulate(wl)
-        assert fast_report.layer_ops[0] is fast_report.layer_ops[1]
-        slow_report = slow.simulate(wl)
-        assert slow_report.layer_ops[0] is not slow_report.layer_ops[1]
+        fast = sim.simulate(wl)
+        ref = simulate_reference(sim, wl)
+        assert_reports_identical(fast, ref)
+        # The depth-2 planner puts layers 0 and 1 in one class: the
+        # simulator hands both the same list; the walk builds one each.
+        assert fast.layer_ops[0] is fast.layer_ops[1]
+        assert ref.layer_ops[0] is not ref.layer_ops[1]
 
 
 def test_vit_workload_equivalence(zcu12):
@@ -134,4 +158,51 @@ def test_vit_workload_equivalence(zcu12):
 
     sim = WorkloadSimulator(DEIT_S, zcu12, gemm_baseline())
     wl = vit_workload(DEIT_S)
-    assert_reports_identical(sim.simulate(wl), sim.simulate_reference(wl))
+    assert_reports_identical(sim.simulate(wl), simulate_reference(sim, wl))
+
+
+# --------------------------------------------------------------- property
+#: The ``small_model`` fixture's shape, as a constant so hypothesis can
+#: use it without a function-scoped fixture.
+_PROPERTY_MODEL = TransformerConfig(
+    name="small", n_layers=4, d_model=256, n_heads=8, d_ff=1024, max_seq_len=1024
+)
+_PLANNERS = {buckets: PackingPlanner(depth_buckets=buckets) for buckets in (None, 2, 4)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    plan_name=st.sampled_from(sorted(PLAN_BUILDERS)),
+    stage=st.sampled_from([Stage.PREFILL, Stage.DECODE]),
+    tokens=st.integers(1, 1024),
+    batch=st.integers(1, 16),
+    bandwidth=st.sampled_from([1.0, 3.0, 6.0, 12.0]),
+    depth_buckets=st.sampled_from([None, 2, 4]),
+)
+def test_simulate_matches_layer_walk(plan_name, stage, tokens, batch, bandwidth, depth_buckets):
+    """Any plan x stage x shape x bandwidth x planner: identical reports.
+
+    Shapes TPHS cannot schedule (``batch * n_tokens > kv_len``) must
+    raise the same :class:`ScheduleError` on both sides, and a
+    :class:`LatencySurface` point must carry the walk's exact scalars.
+    """
+    plan = PLAN_BUILDERS[plan_name]()
+    planner = _PLANNERS[depth_buckets] if plan.packing is not None else None
+    sim = WorkloadSimulator(_PROPERTY_MODEL, zcu102_config(bandwidth), plan, planner)
+    if stage is Stage.PREFILL:
+        wl = prefill_workload(_PROPERTY_MODEL, tokens, batch)
+    else:
+        wl = decode_workload(_PROPERTY_MODEL, tokens, batch)
+    if plan.attention_dataflow is DataflowMode.TPHS and batch * wl.n_tokens > wl.kv_len:
+        with pytest.raises(ScheduleError) as fast_error:
+            sim.simulate(wl)
+        with pytest.raises(ScheduleError) as ref_error:
+            simulate_reference(sim, wl)
+        assert str(fast_error.value) == str(ref_error.value)
+        return
+    ref = simulate_reference(sim, wl)
+    assert_reports_identical(sim.simulate(wl), ref)
+    point = LatencySurface(sim).point(wl)
+    assert point.latency_s == ref.latency_s
+    assert point.total_cycles == ref.total_cycles
+    assert point.energy_uj == ref.energy.total_uj
