@@ -105,10 +105,13 @@ def model_ttft_s(
     demand = snap.kv_reserved_bytes + snap.waiting_kv_bytes + own_kv
     if demand > snap.kv_budget_bytes and snap.n_decoding > 0:
         # Admission-blocked: charge the decode drain that must free
-        # reservations first, at the shard's current batch rate.
+        # reservations first, at the shard's current batch rate. A
+        # decode step runs at most ``max_batch`` of the in-flight
+        # sequences, however many hold KV reservations.
         ctx = min(snap.decode_context + 1, model.max_seq_len)
-        step = surface.decode(ctx, batch=snap.n_decoding).latency_s
-        steps = (snap.remaining_decode_tokens + snap.n_decoding - 1) // snap.n_decoding
+        batch = min(snap.n_decoding, snap.max_batch)
+        step = surface.decode(ctx, batch=batch).latency_s
+        steps = (snap.remaining_decode_tokens + batch - 1) // batch
         predicted += step * steps * scale
     return predicted
 

@@ -70,6 +70,25 @@ class TestFleetRun:
         assert first == second
 
 
+class TestFleetOverload:
+    def test_predicted_latency_routing_survives_oversubscribed_shards(self, capsys):
+        """Overload parks more decodes on a shard than ``max_batch``.
+
+        The routing model must size its admission-blocked decode drain by
+        the batch that actually runs (at most ``max_batch``), not by every
+        in-flight slot, which is no shape the simulator can price.
+        """
+        argv = [
+            "fleet", "--model", "opt-125m", "--bandwidths", "12", "6", "1", "12",
+            "--requests", "5000", "--arrival", "poisson", "--rate", "30",
+            "--policy", "predicted-latency", "--max-batch", "16",
+            "--ctx-bucket", "16", "--no-token-events", "--no-surface-store",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "over 5000 decisions" in out
+
+
 class TestFleetSweep:
     def test_sweep_writes_valid_pareto_json(self, capsys, tmp_path):
         out_path = tmp_path / "pareto.json"
