@@ -48,13 +48,18 @@ BANDWIDTH_PROFILE = [12.0, 1.0, 12.0, 1.0]
 PROMPTS = LengthDistribution("uniform", 64, 256)
 OUTPUTS = LengthDistribution("geometric", 24, 96)
 
-#: (n_engines, rate_rps, n_requests) validation mixes.
+#: (n_engines, rate_rps, n_requests) validation mixes. The last two
+#: load each 12 Gbps box at 5 req/s, about 85% of its drain capacity,
+#: where the decode-batch fixpoint escalates to 10 of 16 slots. (8 req/s
+#: per box, the old near-saturation mixes, is past capacity under
+#: slot-bounded admission: the planner forecasts infinite TTFT there,
+#: and a finite stream's p99 only measures how long it ran.)
 MIXES = [
     (1, 2.0, 96),
     (2, 4.0, 96),
     (4, 8.0, 96),
-    (4, 16.0, 96),
-    (2, 8.0, 96),
+    (4, 10.0, 96),
+    (2, 5.0, 96),
 ]
 #: Quick mode trims mixes, not stream length — short streams make the
 #: simulated p99 too noisy to hold the bound with margin.

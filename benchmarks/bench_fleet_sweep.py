@@ -26,11 +26,15 @@ Standalone mode (CI smoke)::
     PYTHONPATH=src python benchmarks/bench_fleet_sweep.py \
         --drain-throughput --quick --min-speedup 4.5 \
         --json results/fleet_throughput.json
+    PYTHONPATH=src python benchmarks/bench_fleet_sweep.py \
+        --overload-scaling --json results/overload_scaling.json
 """
 
 import argparse
+import gc
 import json
 import math
+import statistics
 import sys
 import time
 
@@ -41,7 +45,12 @@ from bench_meta import stamp, write_bench_record
 from repro import ExecutionPlan, MeadowEngine, OPT_125M, zcu102_config
 from repro.analysis import banner, format_table
 from repro.fleet import FleetSimulator, POLICY_NAMES, SweepDriver
-from repro.serving import ClosedLoopSource, LengthDistribution, bursty_stream
+from repro.serving import (
+    ClosedLoopSource,
+    LengthDistribution,
+    bursty_stream,
+    poisson_stream,
+)
 
 #: Two fast and two slow boxes — the heterogeneity the predictive
 #: router exploits and the blind ones squander.
@@ -151,16 +160,15 @@ def run_drain_bench(driver: SweepDriver, quick: bool = False) -> dict:
 
     fleet(True).run(factory())  # warm every surface point both paths touch
 
-    # Best-of-3 per path: same-seed runs are deterministic, so the
-    # minimum is the least-noise estimate for the CI floor ratio.
-    ref_s = math.inf
-    for _ in range(3):
+    # Best-of-5 per path, the paths alternating: same-seed runs are
+    # deterministic, so the minimum is the least-noise estimate for the
+    # CI floor ratio, and alternating keeps a host that drifts between
+    # fast and slow phases from favouring one path.
+    ref_s = cal_s = math.inf
+    for _ in range(5):
         t0 = time.perf_counter()
         ref = fleet(False).run(factory())
         ref_s = min(ref_s, time.perf_counter() - t0)
-
-    cal_s = math.inf
-    for _ in range(3):
         t0 = time.perf_counter()
         cal = fleet(True).run(factory())
         cal_s = min(cal_s, time.perf_counter() - t0)
@@ -271,6 +279,95 @@ def run_steal_claim(driver: SweepDriver, n_requests: int) -> dict:
     }
 
 
+# --------------------------------------------------------------------------
+# Overload scaling: wall time at 5k vs 20k requests far past capacity
+# --------------------------------------------------------------------------
+
+#: A warm 12/6/3/1 Gbps fleet under round-robin at 40 req/s, about 8x
+#: its planned capacity: the backlog grows for the whole stream, so any
+#: per-iteration cost that scales with the backlog shows as a 20k/5k
+#: wall ratio well above 4.
+OVERLOAD_BANDWIDTHS = [12.0, 6.0, 3.0, 1.0]
+OVERLOAD_RATE_RPS = 40.0
+OVERLOAD_SIZES = (5_000, 20_000)
+OVERLOAD_MAX_BATCH = 16
+OVERLOAD_CTX_BUCKET = 16
+#: The 20k/5k wall ratio CI fails above (linear time is 4).
+OVERLOAD_MAX_RATIO = 5.0
+
+
+def _warm_overload_engines():
+    """One engine per bandwidth, every surface point the streams use
+    filled up front, so the timed runs simulate no new points."""
+    base = MeadowEngine(OPT_125M, zcu102_config(12.0), ExecutionPlan.meadow())
+    engines = [base] + [
+        base.clone(config=base.config.with_bandwidth(bw))
+        for bw in OVERLOAD_BANDWIDTHS[1:]
+    ]
+    bucket = OVERLOAD_CTX_BUCKET
+    first = math.ceil((PROMPTS.lo + 1) / bucket) * bucket
+    last = math.ceil((PROMPTS.hi + OUTPUTS.hi) / bucket) * bucket
+    for engine in engines:
+        engine.surface.materialize(prefill_tokens=range(PROMPTS.lo, PROMPTS.hi + 1))
+        engine.surface.materialize(
+            decode_contexts=range(first, last + 1, bucket),
+            batches=range(1, OVERLOAD_MAX_BATCH + 1),
+        )
+    return engines
+
+
+def run_overload_scaling(pairs: int = 5) -> dict:
+    """Wall time of the overloaded fleet at 5k and 20k requests.
+
+    Linear-time scheduling puts the 20k/5k ratio near 4. Surfaces are
+    filled first and the record checks that the timed runs simulated
+    nothing, so the ratio measures the scheduler and fleet loop alone.
+    The two lengths run back to back in each of ``pairs`` pairs, each
+    from a collected heap, and the ratio is the median of the per-pair
+    ratios: a host that drifts between fast and slow phases then skews
+    both runs of a pair alike (a best-of-N per length would let the
+    short run catch a fast phase more often than the long one).
+    """
+    engines = _warm_overload_engines()
+    simulated = sum(e.surface.n_simulated for e in engines)
+    streams = {
+        n: poisson_stream(n, OVERLOAD_RATE_RPS, PROMPTS, OUTPUTS, seed=0)
+        for n in OVERLOAD_SIZES
+    }
+    small, large = OVERLOAD_SIZES
+    walls = {n: [] for n in OVERLOAD_SIZES}
+    for _ in range(pairs):
+        for n, stream in streams.items():
+            fleet = FleetSimulator(
+                engines, policy="round-robin", max_batch=OVERLOAD_MAX_BATCH,
+                ctx_bucket=OVERLOAD_CTX_BUCKET, token_events=False,
+            )
+            # Each run starts from the same heap: no earlier report alive
+            # and no garbage left for the collector to walk.
+            gc.collect()
+            t0 = time.perf_counter()
+            report = fleet.run(stream)
+            walls[n].append(time.perf_counter() - t0)
+            served = report.metrics.n_requests
+            del report
+            assert served == n, served
+    ratios = [b / a for a, b in zip(walls[small], walls[large])]
+    return {
+        "model": OPT_125M.name,
+        "bandwidths_gbps": OVERLOAD_BANDWIDTHS,
+        "policy": "round-robin",
+        "rate_rps": OVERLOAD_RATE_RPS,
+        "max_batch": OVERLOAD_MAX_BATCH,
+        "ctx_bucket": OVERLOAD_CTX_BUCKET,
+        "wall_s": {str(n): walls[n] for n in OVERLOAD_SIZES},
+        "ratio": statistics.median(ratios),
+        "pair_ratios": ratios,
+        "new_points_while_timed": (
+            sum(e.surface.n_simulated for e in engines) - simulated
+        ),
+    }
+
+
 def run_record(n_requests: int, driver: SweepDriver, rows) -> dict:
     """The CI/JSON record: the policy comparison plus a Pareto sweep.
 
@@ -327,6 +424,12 @@ def main(argv=None) -> int:
         "serial grid walk (bit-identical results enforced)",
     )
     parser.add_argument(
+        "--overload-scaling", action="store_true",
+        help="time a warm 12/6/3/1 fleet at 40 req/s on 5k and 20k "
+        "Poisson requests; fails when the 20k/5k wall ratio exceeds "
+        f"{OVERLOAD_MAX_RATIO}",
+    )
+    parser.add_argument(
         "--workers", type=int, default=4,
         help="worker processes for --parallel-speedup (default 4)",
     )
@@ -340,6 +443,33 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     n_requests = 24 if args.quick else 64
+    if args.overload_scaling:
+        record = run_overload_scaling()
+        small, large = OVERLOAD_SIZES
+        print(
+            f"overloaded fleet ({record['model']} @ "
+            f"{record['bandwidths_gbps']} Gbps, {record['policy']}, "
+            f"{record['rate_rps']:g} req/s, warm surfaces):\n"
+            f"  {small} requests: "
+            f"{', '.join(f'{w:.2f}' for w in record['wall_s'][str(small)])} s\n"
+            f"  {large} requests: "
+            f"{', '.join(f'{w:.2f}' for w in record['wall_s'][str(large)])} s\n"
+            f"  {large}/{small} wall ratio: {record['ratio']:.2f}, median of "
+            f"{', '.join(f'{r:.2f}' for r in record['pair_ratios'])} "
+            f"(new surface points while timed: "
+            f"{record['new_points_while_timed']})"
+        )
+        if args.json:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(stamp(record, "repro.bench.overload_scaling"), fh, indent=2)
+            print(f"wrote {args.json}")
+        if record["ratio"] > OVERLOAD_MAX_RATIO:
+            print(
+                f"FAIL: {large}/{small} wall ratio {record['ratio']:.2f} "
+                f"> {OVERLOAD_MAX_RATIO}"
+            )
+            return 1
+        return 0
     if args.parallel_speedup:
         min_speedup = 2.0 if args.min_speedup is None else args.min_speedup
         record = run_parallel_bench(16 if args.quick else 32, args.workers)
@@ -478,6 +608,21 @@ def test_work_stealing_reduces_tail_latency(emit):
     )
     assert record["steal_reduces_p99_ttft"], record
     assert record["n_migrations"] > 0
+
+
+@pytest.mark.slow
+def test_overload_scaling_near_linear(results_dir):
+    """The overload claim: a warm fleet far past capacity takes at most
+    5x the wall time for 4x the requests (linear time is 4x). Marked
+    slow — the timed runs take ~20 s together."""
+    record = run_overload_scaling()
+    (results_dir / "overload_scaling.json").write_text(
+        json.dumps(stamp(record, "repro.bench.overload_scaling"), indent=2)
+        + "\n",
+        encoding="utf-8",
+    )
+    assert record["new_points_while_timed"] == 0
+    assert record["ratio"] <= OVERLOAD_MAX_RATIO, record
 
 
 def test_parallel_sweep_bit_identical(results_dir):

@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-tokens", type=int, nargs=2, default=[24, 96],
                    metavar=("MEAN", "MAX"), help="geometric output-length model")
     p.add_argument("--max-batch", type=int, default=16,
-                   help="cap on concurrently decoded requests per iteration")
+                   help="request slots: the most requests admitted at once "
+                        "(awaiting prefill or decoding)")
     p.add_argument("--ctx-bucket", type=int, default=16,
                    help="round decode contexts up to a multiple of this "
                         "before simulation (1 = exact; larger = faster)")

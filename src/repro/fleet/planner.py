@@ -25,10 +25,10 @@ Model summary, per shard at arrival rate λ:
   scheduler's decode list grows toward ``max_batch``).
 * utilization splits into prefill work ``ρ_p = λ·E[S_p]`` and decode
   work ``ρ_d = λ·E[span(b)]/b`` (an iteration at batch ``b`` advances
-  ``b`` requests). Throughput stability requires ``ρ_p + ρ_d < 1`` —
-  but TTFT stays *bounded* even when decode saturates, because prefills
-  preempt decode at iteration granularity; only ``ρ_p ≥ 1`` sends TTFT
-  to infinity. The forecast reports both.
+  ``b`` requests). Stability requires ``ρ_p + ρ_d < 1`` at a batch of
+  at most ``max_batch``. Past that the scheduler's slot-bounded
+  admission holds the excess in the pending queue, which then grows
+  without bound, so TTFT diverges along with throughput.
 * a new arrival's prefill delay follows the Pollaczek–Khinchine
   high-priority wait ``W = R / (1 - ρ_p)`` with residual work
   ``R = λ·E[S_p²]/2 + P(decode) · d̄(b)/2`` (``d̄``: one decode
@@ -58,7 +58,8 @@ Every number is a handful of dict lookups and bisections — O(1) in
 stream length and fleet size, which is what makes
 :meth:`CapacityPlanner.engines_for` an interactive query where the sweep
 takes minutes. The price is abstraction: KV admission stalls, burst
-correlation and routing transients are not modeled. The
+correlation, routing transients and waits for a free slot just below
+saturation are not modeled. The
 :func:`validate_planner` harness quantifies that gap against the real
 simulator and CI enforces the documented bound
 (:data:`PLANNER_P99_REL_ERR_BOUND`).
@@ -89,8 +90,8 @@ __all__ = [
 #: Documented planner-vs-simulator relative error bound on p99 TTFT for
 #: the benchmark fleet mixes (see ``benchmarks/bench_capacity_planner.py``,
 #: which measures and enforces it in CI). The planner abstracts KV
-#: admission, burst correlation and finite-stream effects, so its p99 is
-#: a steady-state estimate, not a replay.
+#: admission, slot waits, burst correlation and finite-stream effects,
+#: so its p99 is a steady-state estimate, not a replay.
 PLANNER_P99_REL_ERR_BOUND = 0.35
 
 
@@ -155,9 +156,8 @@ class ShardForecast:
     arrival_rate_rps: float
     #: Fraction of the shard's time doing work (prefill + decode).
     utilization: float
-    #: ``False`` when offered load exceeds drain capacity. TTFT stays
-    #: finite as long as prefill work alone fits (prefill priority);
-    #: decode backlog and end-to-end latency grow without bound.
+    #: ``False`` when offered load exceeds drain capacity. The pending
+    #: queue then grows without bound, so TTFT is infinite.
     stable: bool
     #: Operating decode batch (Little's-law fixpoint, clamped to
     #: [1, max_batch]; 0 for a shard the router sends no traffic).
@@ -316,8 +316,8 @@ class _ShardModel:
 
     @property
     def max_rate_rps(self) -> float:
-        """The prefill-saturation rate — beyond it TTFT is unbounded."""
-        return 0.99 / self.mean_prefill_s
+        """Just below drain capacity — beyond it TTFT is unbounded."""
+        return 0.99 * self._capacity_rps()
 
     # ------------------------------------------------------ steady state
     def wait_params(self, rate_rps: float) -> _WaitParams:
@@ -370,16 +370,16 @@ class _ShardModel:
         """Mean TTFT at one rate — the Wardrop equilibrium's currency."""
         if rate_rps <= 0.0:
             return self.mean_prefill_s
-        if rate_rps * self.mean_prefill_s >= 1.0:
+        params = self.wait_params(rate_rps)
+        if params.rho >= 1.0:
             return math.inf
-        return self.wait_params(rate_rps).mean_wait_s + self.mean_prefill_s
+        return params.mean_wait_s + self.mean_prefill_s
 
     def rate_for_mean_ttft(self, target_s: float) -> float:
         """The arrival rate at which mean TTFT reaches ``target_s``.
 
         Zero when even an empty queue exceeds the target (the router
-        sends such a shard nothing); capped at the prefill-saturation
-        rate.
+        sends such a shard nothing); capped just below drain capacity.
         """
         if target_s <= self.mean_prefill_s:
             return 0.0
@@ -418,35 +418,32 @@ class _ShardModel:
                 ttft_p99_s=_quantile(cdf, 0.99, max(self.prefill_s) + 1e-9),
                 throughput_tok_s=0.0,
             )
-        rho_p = rate_rps * self.mean_prefill_s
-        if rho_p >= 1.0:
-            # Prefill work alone exceeds the server: TTFT diverges.
+        params = self.wait_params(rate_rps)
+        if params.rho >= 1.0:
+            # Past drain capacity even at max_batch: admission holds the
+            # excess in a pending queue that grows without bound.
             return ShardForecast(
                 bandwidth_gbps=bandwidth_gbps,
                 arrival_rate_rps=rate_rps,
-                utilization=rho_p,
+                utilization=params.rho,
                 stable=False,
-                decode_batch=self.max_batch,
+                decode_batch=params.batch,
                 ttft_p50_s=math.inf,
                 ttft_p99_s=math.inf,
                 throughput_tok_s=self._capacity_rps() * mean_out,
             )
-        params = self.wait_params(rate_rps)
         wait = params.mean_wait_s / max(1, pooling)
         cdf = self.ttft_cdf(params.rho_wait, wait)
         hi = self._ttft_hi(params.rho_wait, wait)
-        stable = params.rho < 1.0
         return ShardForecast(
             bandwidth_gbps=bandwidth_gbps,
             arrival_rate_rps=rate_rps,
             utilization=params.rho,
-            stable=stable,
+            stable=True,
             decode_batch=params.batch,
             ttft_p50_s=_quantile(cdf, 0.50, hi),
             ttft_p99_s=_quantile(cdf, 0.99, hi),
-            throughput_tok_s=(
-                rate_rps if stable else min(rate_rps, self._capacity_rps())
-            ) * mean_out,
+            throughput_tok_s=rate_rps * mean_out,
         )
 
     def _capacity_rps(self) -> float:
@@ -585,9 +582,8 @@ class CapacityPlanner:
         Bisects the common mean-TTFT level until the shard rates it
         implies absorb the offered load; shards whose empty-queue TTFT
         exceeds the level receive zero. When the fleet cannot absorb the
-        load below prefill saturation, the remainder spreads in
-        proportion to prefill capacity (every shard then reports
-        instability).
+        load below drain capacity, the load spreads in proportion to
+        each shard's capacity (every shard then reports instability).
         """
         if len(models) == 1:
             return [rate_rps]

@@ -105,11 +105,9 @@ def model_ttft_s(
     demand = snap.kv_reserved_bytes + snap.waiting_kv_bytes + own_kv
     if demand > snap.kv_budget_bytes and snap.n_decoding > 0:
         # Admission-blocked: charge the decode drain that must free
-        # reservations first, at the shard's current batch rate. A
-        # decode step runs at most ``max_batch`` of the in-flight
-        # sequences, however many hold KV reservations.
+        # reservations first, at the shard's current batch rate.
         ctx = min(snap.decode_context + 1, model.max_seq_len)
-        batch = min(snap.n_decoding, snap.max_batch)
+        batch = snap.n_decoding
         step = surface.decode(ctx, batch=batch).latency_s
         steps = (snap.remaining_decode_tokens + batch - 1) // batch
         predicted += step * steps * scale

@@ -30,11 +30,14 @@ elide DECODE_STEP / FIRST_TOKEN event materialization; records, metrics
 and the peak-KV accounting are unaffected (KV only changes at ADMIT /
 COMPLETE, which are always logged).
 
-Admission is KV-memory constrained and strictly FCFS: a request is
-admitted only when its *worst-case* KV footprint (prompt + every output
-token, across all layers) fits in the remaining DRAM budget, and the
-head of the queue never yields to a smaller request behind it — so a
-request's KV reservation can never be stranded by later arrivals.
+Admission is slot- and KV-memory constrained and strictly FCFS: a
+request is admitted only while fewer than ``max_batch`` requests hold a
+slot (awaiting prefill or decoding — vLLM's ``max_num_seqs``) and its
+*worst-case* KV footprint (prompt + every output token, across all
+layers) fits in the remaining DRAM budget. The head of the queue never
+yields to a smaller request behind it — so a request's KV reservation
+can never be stranded by later arrivals — and every decode iteration
+advances every in-flight generation.
 
 **Ordering is explicitly deterministic.** FCFS position is the total
 order ``(arrival_s, request_id)``: requests arriving at the *same
@@ -255,7 +258,7 @@ class SchedulerSnapshot:
     clock_s: float
     #: Requests submitted but not yet prefilled (future + pending + admitted).
     n_waiting: int
-    #: Requests in the decode phase.
+    #: Requests in the decode phase (never more than :attr:`max_batch`).
     n_decoding: int
     #: Histogram of prompt lengths still owing a prefill pass, as sorted
     #: ``(prompt_tokens, count)`` pairs — the run-length form of the old
@@ -306,15 +309,18 @@ class ContinuousBatchingScheduler:
 
     Args:
         engine: the deployed model/hardware/plan to serve on. All
-            concurrent requests share its packing planner and memoized
-            stage reports (:meth:`MeadowEngine.simulate_cached`).
+            concurrent requests share its packing planner and latency
+            surface (:attr:`MeadowEngine.surface`).
         source: scenario generator (open- or closed-loop). Optional —
             an externally driven scheduler (a fleet shard) passes
             ``None`` and feeds requests through :meth:`submit` instead.
         kv_budget_bytes: DRAM bytes available for KV caches; defaults to
             :func:`repro.hardware.kv_cache_budget_bytes` for the
             engine's hardware and model.
-        max_batch: cap on concurrently decoded requests per iteration.
+        max_batch: request slots — the most requests admitted at once
+            (awaiting prefill or decoding). Everything else waits in the
+            pending queue, so a decode iteration batches every in-flight
+            generation and never more than ``max_batch``.
         ctx_bucket: decode contexts are rounded up to a multiple of this
             before simulation — a modeling quantization that makes long
             streams cache-friendly (1 = exact) and bounds how many
@@ -441,15 +447,13 @@ class ContinuousBatchingScheduler:
         # ---- incremental aggregates backing O(1) snapshots ----
         self._kv_bytes_cache: Dict[int, int] = {}  # token count -> KV bytes
         self._waiting_kv = 0  # worst-case KV over future + pending
-        self._waiting_prompts: Dict[int, int] = {}  # prompt len -> count waiting
+        # Sorted (prompt len, count) pairs over the waiting requests. Each
+        # submit / prefill / withdraw splices one pair (bisecting on
+        # ``(len,)``, which sorts before every ``(len, count)``), so the
+        # tuple is always ready to hand out and is never re-sorted.
+        self._hist: Tuple[Tuple[int, int], ...] = ()
         self._remaining_decode = 0  # tokens left across the decode slots
         self._decode_ctx = 0  # max context across the decode slots
-        # Version-cached sorted histogram tuple: rebuilt only when the
-        # waiting-prompt aggregate actually mutated, so back-to-back
-        # routing snapshots of an untouched shard reuse one tuple.
-        self._hist_version = 0
-        self._hist_cache: Tuple[Tuple[int, int], ...] = ()
-        self._hist_cached_version = -1
 
     # ------------------------------------------------------------- helpers
     @property
@@ -515,9 +519,13 @@ class ContinuousBatchingScheduler:
             self._future, (request.arrival_s, request.request_id, request)
         )
         self._waiting_kv += need
-        prompts = self._waiting_prompts
-        prompts[request.prompt_tokens] = prompts.get(request.prompt_tokens, 0) + 1
-        self._hist_version += 1
+        hist = self._hist
+        p = request.prompt_tokens
+        i = bisect_left(hist, (p,))
+        if i < len(hist) and hist[i][0] == p:
+            self._hist = hist[:i] + ((p, hist[i][1] + 1),) + hist[i + 1 :]
+        else:
+            self._hist = hist[:i] + ((p, 1),) + hist[i:]
 
     def submit(self, request: Request) -> None:
         """Queue one request for its arrival time (validates feasibility).
@@ -535,19 +543,15 @@ class ContinuousBatchingScheduler:
         """Capture the live state routing policies key on.
 
         O(1) in queue depth: every field is an incrementally maintained
-        aggregate (the prompt histogram is sized by distinct lengths,
-        and its sorted tuple is version-cached — rebuilt only when the
-        waiting set actually changed since the last snapshot).
+        aggregate (the prompt histogram is sized by distinct lengths and
+        kept sorted as requests come and go, so the snapshot shares it).
         """
-        if self._hist_cached_version != self._hist_version:
-            self._hist_cache = tuple(sorted(self._waiting_prompts.items()))
-            self._hist_cached_version = self._hist_version
         return SchedulerSnapshot(
             shard_id=shard_id,
             clock_s=self._clock,
             n_waiting=len(self._future) + len(self._pending) + len(self._prefill_queue),
             n_decoding=len(self._d_req),
-            waiting_prompt_hist=self._hist_cache,
+            waiting_prompt_hist=self._hist,
             remaining_decode_tokens=self._remaining_decode,
             decode_context=self._decode_ctx,
             kv_reserved_bytes=self._kv_reserved,
@@ -609,12 +613,14 @@ class ContinuousBatchingScheduler:
 
     def _forget_waiting(self, request: Request) -> None:
         """Drop one waiting request from the prompt-histogram aggregate."""
-        count = self._waiting_prompts[request.prompt_tokens] - 1
+        hist = self._hist
+        p = request.prompt_tokens
+        i = bisect_left(hist, (p,))
+        count = hist[i][1] - 1
         if count:
-            self._waiting_prompts[request.prompt_tokens] = count
+            self._hist = hist[:i] + ((p, count),) + hist[i + 1 :]
         else:
-            del self._waiting_prompts[request.prompt_tokens]
-        self._hist_version += 1
+            self._hist = hist[:i] + hist[i + 1 :]
 
     def withdraw(self, request_id: int) -> Request:
         """Remove a not-yet-prefilled request (the work-stealing donor op).
@@ -692,7 +698,8 @@ class ContinuousBatchingScheduler:
         return waiting, inflight
 
     def _permute_decode(self, order: Tuple[int, ...]) -> None:
-        """Rebuild every decode array in ``order`` (drops absent slots)."""
+        """Keep only the decode slots in ``order`` (finished or evicted
+        slots are dropped; survivors keep their FCFS order)."""
         self._d_req = [self._d_req[i] for i in order]
         self._d_admit = [self._d_admit[i] for i in order]
         self._d_kv = [self._d_kv[i] for i in order]
@@ -722,6 +729,13 @@ class ContinuousBatchingScheduler:
         ):
             self._obs.request_event(self._clock, kind.value, request_id)
 
+    def _sample(self, obs) -> None:
+        """Report the post-step KV, queue and batch gauges."""
+        obs.sample(
+            self._clock, self._kv_reserved, len(self._pending),
+            len(self._d_req), len(self._prefill_queue) + len(self._pending),
+        )
+
     def _ingest_arrivals(self) -> None:
         while self._future and self._future[0][0] <= self._clock:
             _, _, req = heapq.heappop(self._future)
@@ -729,8 +743,12 @@ class ContinuousBatchingScheduler:
             self._log(EventKind.ARRIVAL, req.request_id)
 
     def _admit(self) -> None:
-        # Strict FCFS: stop at the first request that does not fit.
-        while self._pending:
+        # Strict FCFS: stop at the first request that finds no free slot
+        # or does not fit in KV.
+        while (
+            self._pending
+            and len(self._prefill_queue) + len(self._d_req) < self.max_batch
+        ):
             need = self._kv_bytes(self._pending[0].total_tokens)
             if self._kv_reserved + need > self.kv_budget_bytes:
                 break
@@ -810,10 +828,21 @@ class ContinuousBatchingScheduler:
             if req.prompt_tokens > self._decode_ctx:
                 self._decode_ctx = req.prompt_tokens
         if obs is not None:
-            obs.sample(
-                self._clock, self._kv_reserved, len(self._pending),
-                len(self._d_req), len(self._prefill_queue) + len(self._pending),
-            )
+            self._sample(obs)
+
+    def _retire_finished(self) -> None:
+        """Complete every slot that owes no more tokens, in slot order."""
+        d_left = self._d_left
+        n = len(d_left)
+        finished = [
+            (self._d_req[i], self._d_admit[i], self._d_kv[i],
+             self._d_first[i], self._d_tbt[i])
+            for i in range(n) if d_left[i] <= 0
+        ]
+        self._permute_decode(tuple(i for i in range(n) if d_left[i] > 0))
+        for args in finished:
+            self._complete(*args)
+        self._decode_ctx = max(self._d_ctx, default=0)
 
     def _decode_step(self) -> None:
         """One batched decode iteration — the per-token reference path."""
@@ -822,10 +851,10 @@ class ContinuousBatchingScheduler:
         d_left = self._d_left
         d_last = self._d_last
         d_tbt = self._d_tbt
-        n = min(len(d_req), self.max_batch)
+        n = len(d_req)  # admission keeps n <= max_batch
         # The batch decodes at the deepest member's context; a
         # conservative (upper-bound) latency for the shallower ones.
-        raw_ctx = max(d_ctx[:n]) + 1
+        raw_ctx = max(d_ctx) + 1
         point = self.engine.surface.decode(
             self._bucket_ctx(raw_ctx), batch=n,
             interpolate=self.interpolate,
@@ -837,7 +866,6 @@ class ContinuousBatchingScheduler:
         self._remaining_decode -= n
         c = self._clock
         log_tokens = self.token_events
-        any_finished = False
         for i in range(n):
             d_ctx[i] += 1
             d_left[i] -= 1
@@ -848,40 +876,14 @@ class ContinuousBatchingScheduler:
             d_last[i] = c
             if log_tokens:
                 self._log(EventKind.DECODE_STEP, d_req[i].request_id)
-            if d_left[i] <= 0:
-                any_finished = True
-        # The batch is a prefix of the slots; completions run in batch
-        # order, then the oversubscribed-batch round-robin rotates
-        # requests beyond max_batch in so nobody is starved.
-        total = len(d_req)
-        if any_finished:
-            finished = [
-                (d_req[i], self._d_admit[i], self._d_kv[i],
-                 self._d_first[i], d_tbt[i])
-                for i in range(n) if d_left[i] <= 0
-            ]
-            survivors = [i for i in range(n) if d_left[i] > 0]
-            waiting = range(n, total)
-            if len(survivors) + (total - n) > self.max_batch:
-                order = (*waiting, *survivors)
-            else:
-                order = (*survivors, *waiting)
-            for args in finished:
-                self._complete(*args)
-            self._permute_decode(order)
-            self._decode_ctx = max(self._d_ctx, default=0)
-        else:
-            if total > self.max_batch:
-                self._permute_decode((*range(n, total), *range(n)))
-            if raw_ctx > self._decode_ctx:
-                self._decode_ctx = raw_ctx
+        if min(d_left) <= 0:
+            self._retire_finished()
+        elif raw_ctx > self._decode_ctx:
+            self._decode_ctx = raw_ctx
         obs = self._obs
         if obs is not None:
             obs.step(t0, self._clock, "decode", 1, n)
-            obs.sample(
-                self._clock, self._kv_reserved, len(self._pending),
-                len(self._d_req), len(self._prefill_queue) + len(self._pending),
-            )
+            self._sample(obs)
 
     def _decode_run(self, t_s: float) -> None:
         """Coalesce a stable run of decode iterations (bit-identical).
@@ -899,11 +901,6 @@ class ContinuousBatchingScheduler:
         """
         d_req = self._d_req
         n = len(d_req)
-        if n > self.max_batch:
-            # Oversubscribed: survivor rotation changes the batch every
-            # iteration — nothing to coalesce.
-            self._decode_step()
-            return
         d_ctx = self._d_ctx
         d_left = self._d_left
         point, bucket_run = self.engine.surface.decode_run_many(
@@ -950,7 +947,7 @@ class ContinuousBatchingScheduler:
                 gaps.extend(shared)
             d_last[i] = c
         self._d_ctx = d_ctx = [x + k for x in d_ctx]
-        self._d_left = d_left = [x - k for x in d_left]
+        self._d_left = [x - k for x in d_left]
         if self.token_events:
             events = self._events
             kv = self._kv_reserved
@@ -969,18 +966,8 @@ class ContinuousBatchingScheduler:
         if k == to_complete:
             # Completions only happen on the run's final iteration (the
             # run length is capped at tokens-to-next-completion), so one
-            # partition reproduces the reference step's reordering.
-            finished = [
-                (d_req[i], self._d_admit[i], self._d_kv[i],
-                 self._d_first[i], d_tbt[i])
-                for i in range(n) if d_left[i] <= 0
-            ]
-            self._permute_decode(
-                tuple(i for i in range(n) if d_left[i] > 0)
-            )
-            for args in finished:
-                self._complete(*args)
-            self._decode_ctx = max(self._d_ctx, default=0)
+            # retirement reproduces the reference step's.
+            self._retire_finished()
         else:
             end_ctx = max(d_ctx)
             if end_ctx > self._decode_ctx:
@@ -988,10 +975,7 @@ class ContinuousBatchingScheduler:
         obs = self._obs
         if obs is not None and k:
             obs.step(t0, c, "decode", k, n)
-            obs.sample(
-                c, self._kv_reserved, len(self._pending),
-                len(self._d_req), len(self._prefill_queue) + len(self._pending),
-            )
+            self._sample(obs)
 
     # ---------------------------------------------------------------- run
     @property
@@ -1075,7 +1059,8 @@ class ContinuousBatchingScheduler:
             if self._pending:
                 self._admit()
                 # Depth is measured after admission: only requests the
-                # KV budget actually held back count as queued.
+                # slot bound or KV budget actually held back count as
+                # queued.
                 if len(self._pending) > self._max_queue_depth:
                     self._max_queue_depth = len(self._pending)
 

@@ -50,6 +50,23 @@ def shared_planner() -> PackingPlanner:
     return PackingPlanner(config=PackingConfig(), depth_buckets=2)
 
 
+@pytest.fixture(scope="session")
+def capacity_rps():
+    """Rough saturation rate of one engine, for overload tests.
+
+    Assumes the serving and fleet suites' length model (prompts uniform
+    on 8-64, outputs geometric with mean 8): a mean prefill plus a mean
+    output's share of full-batch decode steps.
+    """
+
+    def _capacity(engine, max_batch: int) -> float:
+        surface = engine.surface
+        decode_s = surface.decode(48, batch=max_batch).latency_s / max_batch
+        return 1.0 / (surface.prefill(36).latency_s + 8 * decode_s)
+
+    return _capacity
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     """Deterministic RNG for test data."""

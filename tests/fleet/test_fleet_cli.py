@@ -71,12 +71,14 @@ class TestFleetRun:
 
 
 class TestFleetOverload:
-    def test_predicted_latency_routing_survives_oversubscribed_shards(self, capsys):
-        """Overload parks more decodes on a shard than ``max_batch``.
+    def test_predicted_latency_routing_survives_overload(self, capsys):
+        """A 5,000-request stream far past the fleet's capacity.
 
-        The routing model must size its admission-blocked decode drain by
-        the batch that actually runs (at most ``max_batch``), not by every
-        in-flight slot, which is no shape the simulator can price.
+        Admission holds at most ``max_batch`` requests per shard, so the
+        backlog waits in the shards' pending queues, where every routing
+        snapshot still sees it. The run must end in a full report, with
+        the routing model pricing only decode batches the surface can
+        hold.
         """
         argv = [
             "fleet", "--model", "opt-125m", "--bandwidths", "12", "6", "1", "12",

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CapacityError, ConfigError
-from repro.fleet import FleetSimulator, JoinShortestQueuePolicy, merge_results
+from repro.fleet import (
+    FAULT_SCENARIO_NAMES,
+    POLICY_NAMES,
+    SHEDDING_NAMES,
+    FleetSimulator,
+    JoinShortestQueuePolicy,
+    merge_results,
+)
 from repro.serving import (
     ClosedLoopSource,
     EventKind,
@@ -405,3 +412,76 @@ class TestChaosConservation:
         # Served exactly once, and exactly the OK/RETRIED ledger rows;
         # SHED/EXPIRED/LOST never produce a completion record.
         assert served == ok_ids
+
+
+class TestOverloadConservation:
+    """Any offered load, however far past saturation, yields a valid,
+    conserving report — for every routing policy, with or without work
+    stealing, under every named fault scenario and shedding policy.
+
+    Slot-bounded admission keeps the overload backlog in the shards'
+    pending queues, where routing, stealing, shedding and crash
+    harvests all still reach it.
+    """
+
+    @given(
+        seeds,
+        st.sampled_from([1.0, 4.0, 10.0]),
+        st.sampled_from(POLICY_NAMES),
+        st.booleans(),
+        st.sampled_from(FAULT_SCENARIO_NAMES),
+        st.sampled_from(SHEDDING_NAMES),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_any_overload_setting_conserves(
+        self, fast_engine, slow_engine, shard_budget, prompt_dist,
+        output_dist, capacity_rps, seed, load, policy, steal, faults,
+        shedding,
+    ):
+        from repro.fleet import Disposition, RetryPolicy
+        from repro.serving import poisson_stream
+
+        engines = [fast_engine, slow_engine, fast_engine]
+        rate = load * sum(capacity_rps(e, 4) for e in engines)
+        stream = poisson_stream(48, rate, prompt_dist, output_dist, seed=seed)
+        report = FleetSimulator(
+            engines,
+            policy=policy,
+            kv_budget_bytes=shard_budget,
+            max_batch=4,
+            ctx_bucket=8,
+            token_events=False,
+            steal=steal,
+            faults=faults,
+            fault_seed=seed,
+            shedding=shedding,
+            # Deadline shedding needs a deadline to judge against.
+            retry=(
+                RetryPolicy(max_retries=1, deadline_s=0.05, seed=seed)
+                if shedding == "deadline" else None
+            ),
+        ).run(stream)
+
+        submitted = sorted(req.request_id for req in stream.initial())
+        served = sorted(
+            rec.request.request_id
+            for shard in report.result.shard_results
+            for rec in shard.records
+        )
+        res = report.resilience
+        if res is None:
+            assert served == submitted
+        else:
+            # Exactly one disposition per request; served exactly the
+            # OK/RETRIED rows of the ledger.
+            assert sorted(rid for rid, _ in res.dispositions) == submitted
+            assert served == sorted(
+                rid
+                for rid, d in res.dispositions
+                if d in (Disposition.OK, Disposition.RETRIED)
+            )
+        assert report.metrics.n_requests == len(served)
+        for shard in report.result.shard_results:
+            assert shard.peak_kv_bytes <= shard.kv_budget_bytes
+            for rec in shard.records:
+                assert rec.generated_tokens == rec.request.output_tokens

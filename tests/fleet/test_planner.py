@@ -101,17 +101,19 @@ class TestForecastShape:
         assert two <= one
         assert four <= two
 
-    def test_decode_saturation_caps_throughput_not_ttft(self, homogeneous):
-        """Past decode capacity the fleet is OVERLOADED — but prefill
-        priority keeps TTFT finite as long as prefill work alone fits.
-        This is the regime distinction the planner must get right."""
+    def test_decode_saturation_sends_ttft_to_infinity(self, homogeneous):
+        """Past decode capacity the fleet is OVERLOADED even though
+        prefill work alone still fits: slot-bounded admission holds the
+        excess in a pending queue that grows without bound, so TTFT
+        diverges while delivered throughput stays capped."""
         f = homogeneous.forecast(1, 6000.0)
         shard = f.shards[0]
         assert not f.stable
         assert shard.utilization >= 1.0
+        assert shard.decode_batch == homogeneous.max_batch
         rho_p = 6000.0 * homogeneous.shard_model(12.0).mean_prefill_s
         assert rho_p < 1.0
-        assert math.isfinite(f.ttft_p99_s)
+        assert math.isinf(f.ttft_p99_s)
         assert "OVERLOADED" in f.format_report()
         # Delivered throughput is capacity-capped below the offered load.
         offered = 6000.0 * homogeneous.workload.mean_output_tokens

@@ -54,7 +54,10 @@ def _run(plan: ExecutionPlan, planner=None) -> FleetMetrics:
 # re-pinned once more when the packing statistics were keyed by each
 # matrix's own seed: before that, same-shape Q/K/V/OUT matrices shared
 # whichever statistic was computed first, which depended on the hash
-# seed and on the state of the on-disk statistics cache.
+# seed and on the state of the on-disk statistics cache. The gemm block
+# was re-pinned when admission became slot-bounded (at most max_batch
+# requests hold a slot): its slower steps had let more than max_batch
+# decodes pile up, and they used to rotate through the batch.
 GOLDEN = {
     "meadow": {
         "throughput_tok_s": 2622.0957334436757,
@@ -65,11 +68,11 @@ GOLDEN = {
         "total_generated_tokens": 198,
     },
     "gemm": {
-        "throughput_tok_s": 2214.9744083199266,
-        "ttft_p99_s": 0.005026579123494896,
-        "tbt_p50_s": 0.0017873919999999988,
-        "e2e_p95_s": 0.05493165017296419,
-        "duration_s": 0.08939155200000001,
+        "throughput_tok_s": 2215.316997093504,
+        "ttft_p99_s": 0.008526287386229014,
+        "tbt_p50_s": 0.0018334719999999992,
+        "e2e_p95_s": 0.054523212179126014,
+        "duration_s": 0.089377728,
         "total_generated_tokens": 198,
     },
 }

@@ -133,11 +133,12 @@ class TestCoalescedEqualsReference:
 
     @given(seeds)
     @settings(max_examples=8, deadline=None)
-    def test_tight_budget_oversubscribed_batch(
+    def test_tight_budget_slot_and_kv_stalls(
         self, serving_engine, make_source, seed
     ):
-        # max_batch=2 under a 2-request budget: rotation and admission
-        # stalls everywhere — the paths where coalescing must bail out.
+        # max_batch=2 under a 2-request budget: bursts stall on both the
+        # slot bound and the KV budget, so runs are cut by completions
+        # and arrivals everywhere.
         ref = _run(
             serving_engine, make_source("bursty", seed), coalesce=False,
             ctx_bucket=8, max_batch=2, budget_requests=2.0,
@@ -275,6 +276,67 @@ class TestSnapshotAggregates:
         assert final.waiting_prompt_hist == ()
         assert final.remaining_decode_tokens == 0
         assert final.decode_context == 0
+
+    @given(
+        seeds,
+        st.lists(
+            st.sampled_from(["advance", "advance", "steal", "steal-back"]),
+            min_size=10, max_size=60,
+        ),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_aggregates_hold_through_overload_steals_and_crash(
+        self, serving_engine, prompt_dist, output_dist, seed, ops, crash_frac
+    ):
+        # Two slot-bound shards under a far-overloaded stream: steals
+        # move waiting requests between them (withdraw + submit), and
+        # one crash harvest evicts everything from shard a, whose work
+        # fails over to shard b.
+        stream = poisson_stream(40, 5000.0, prompt_dist, output_dist, seed=seed)
+        a, b = (
+            ContinuousBatchingScheduler(
+                serving_engine, kv_budget_bytes=_budget(serving_engine, 2.0),
+                max_batch=2, ctx_bucket=8,
+            )
+            for _ in range(2)
+        )
+        reqs = stream.initial()
+        for i, req in enumerate(reqs):
+            (a if i % 2 else b).submit(req)
+
+        def check(s):
+            snap = s.snapshot()
+            for field_name, value in _recomputed_snapshot(s).items():
+                assert getattr(snap, field_name) == value, field_name
+
+        crash_at = int(crash_frac * len(ops))
+        for i, op in enumerate(ops):
+            if i == crash_at:
+                waiting, inflight = a.crash_harvest()
+                for req in waiting + [req for req, _ in inflight]:
+                    b.submit(req)
+            elif op == "advance":
+                a.advance_one()
+                b.advance_one()
+            else:
+                donor, thief = (a, b) if op == "steal" else (b, a)
+                candidates = donor.steal_candidates()
+                if candidates:
+                    thief.submit(donor.withdraw(candidates[-1].request_id))
+            check(a)
+            check(b)
+        for s in (a, b):
+            while s.advance_one():
+                check(s)
+            final = s.snapshot()
+            assert final.waiting_prompt_hist == ()
+            assert final.n_waiting == final.n_decoding == 0
+        served = [
+            rec.request.request_id
+            for s in (a, b) for rec in s.result().records
+        ]
+        assert sorted(served) == sorted(req.request_id for req in reqs)
 
     def test_snapshot_never_walks_queues(self, serving_engine, prompt_dist,
                                          output_dist):

@@ -143,6 +143,92 @@ class TestKvBudget:
         assert packed.kv_budget_bytes >= unpacked.kv_budget_bytes
 
 
+class TestSlotBoundUnderOverload:
+    """At most ``max_batch`` requests hold a slot, at any offered load.
+
+    Admission stops at the slot bound, so the decode batch never exceeds
+    ``max_batch`` and the excess waits in the pending queue. Checked at
+    every ``advance_one`` boundary of the per-token walk, and on the
+    coalesced path through its event log, at up to 10x the engine's
+    capacity.
+    """
+
+    @staticmethod
+    def _source(kind, seed, load, rate, max_batch, prompt_dist, output_dist):
+        from repro.serving import ClosedLoopSource, bursty_stream, poisson_stream
+
+        if kind == "poisson":
+            return poisson_stream(40, rate, prompt_dist, output_dist, seed=seed)
+        if kind == "bursty":
+            return bursty_stream(40, 8, 8 / rate, prompt_dist, output_dist, seed=seed)
+        # A closed loop paces itself; offer load as users per slot.
+        users = max(1, round(load * max_batch))
+        return ClosedLoopSource(
+            n_users=users, total_requests=max(40, users),
+            think_time_s=0.001, prompt_dist=prompt_dist,
+            output_dist=output_dist, seed=seed,
+        )
+
+    @given(
+        seeds,
+        st.sampled_from(["poisson", "bursty", "closed-loop"]),
+        st.sampled_from([1, 2, 8, 16]),
+        st.sampled_from([0.5, 2.0, 10.0]),
+        st.sampled_from([1.0, 4.0, 64.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_slots_and_kv_bounded_at_every_boundary(
+        self, serving_engine, serving_model, prompt_dist, output_dist,
+        capacity_rps, seed, kind, max_batch, load, budget_requests,
+    ):
+        from repro.serving import ContinuousBatchingScheduler
+
+        rate = load * capacity_rps(serving_engine, max_batch)
+        worst = serving_model.n_layers * serving_model.kv_cache_bytes_per_layer(
+            serving_model.max_seq_len, serving_engine.config.act_bits
+        )
+
+        def scheduler(coalesce):
+            return ContinuousBatchingScheduler(
+                serving_engine,
+                self._source(
+                    kind, seed, load, rate, max_batch, prompt_dist, output_dist
+                ),
+                kv_budget_bytes=int(worst * budget_requests),
+                max_batch=max_batch,
+                ctx_bucket=8,
+                coalesce=coalesce,
+            )
+
+        walk = scheduler(coalesce=False)
+        for req in walk.source.initial():
+            walk.submit(req)
+        while walk.advance_one():
+            assert len(walk._prefill_queue) + len(walk._d_req) <= max_batch
+            assert walk._kv_reserved <= walk.kv_budget_bytes
+            snap = walk.snapshot()
+            assert snap.n_decoding <= snap.max_batch
+        walked = walk.result()
+        offered = getattr(walk.source, "total_requests", 40)
+        assert len(walked.records) + walked.n_rejected_followups == offered
+        for rec in walked.records:
+            assert rec.generated_tokens == rec.request.output_tokens
+
+        # The coalesced path: requests holding a slot (admitted, not yet
+        # completed) never exceed the bound at any logged instant, and
+        # the timeline is the walk's, bit for bit.
+        ran = scheduler(coalesce=True).run()
+        in_flight = 0
+        for ev in ran.events:
+            if ev.kind is EventKind.ADMIT:
+                in_flight += 1
+                assert in_flight <= max_batch
+            elif ev.kind is EventKind.COMPLETE:
+                in_flight -= 1
+        assert ran.events == walked.events
+        assert ran.records == walked.records
+
+
 class TestFcfsAdmission:
     @given(seeds, rates, budgets)
     @settings(max_examples=12, deadline=None)
