@@ -292,6 +292,8 @@ OVERLOAD_RATE_RPS = 40.0
 OVERLOAD_SIZES = (5_000, 20_000)
 OVERLOAD_MAX_BATCH = 16
 OVERLOAD_CTX_BUCKET = 16
+#: Back-to-back 5k/20k pairs whose median ratio is reported.
+OVERLOAD_PAIRS = 5
 #: The 20k/5k wall ratio CI fails above (linear time is 4).
 OVERLOAD_MAX_RATIO = 5.0
 
@@ -316,13 +318,13 @@ def _warm_overload_engines():
     return engines
 
 
-def run_overload_scaling(pairs: int = 5) -> dict:
+def run_overload_scaling() -> dict:
     """Wall time of the overloaded fleet at 5k and 20k requests.
 
     Linear-time scheduling puts the 20k/5k ratio near 4. Surfaces are
     filled first and the record checks that the timed runs simulated
     nothing, so the ratio measures the scheduler and fleet loop alone.
-    The two lengths run back to back in each of ``pairs`` pairs, each
+    The two lengths run back to back in each of the pairs, each run
     from a collected heap, and the ratio is the median of the per-pair
     ratios: a host that drifts between fast and slow phases then skews
     both runs of a pair alike (a best-of-N per length would let the
@@ -336,7 +338,7 @@ def run_overload_scaling(pairs: int = 5) -> dict:
     }
     small, large = OVERLOAD_SIZES
     walls = {n: [] for n in OVERLOAD_SIZES}
-    for _ in range(pairs):
+    for _ in range(OVERLOAD_PAIRS):
         for n, stream in streams.items():
             fleet = FleetSimulator(
                 engines, policy="round-robin", max_batch=OVERLOAD_MAX_BATCH,

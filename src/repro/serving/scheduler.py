@@ -729,13 +729,6 @@ class ContinuousBatchingScheduler:
         ):
             self._obs.request_event(self._clock, kind.value, request_id)
 
-    def _sample(self, obs) -> None:
-        """Report the post-step KV, queue and batch gauges."""
-        obs.sample(
-            self._clock, self._kv_reserved, len(self._pending),
-            len(self._d_req), len(self._prefill_queue) + len(self._pending),
-        )
-
     def _ingest_arrivals(self) -> None:
         while self._future and self._future[0][0] <= self._clock:
             _, _, req = heapq.heappop(self._future)
@@ -828,7 +821,10 @@ class ContinuousBatchingScheduler:
             if req.prompt_tokens > self._decode_ctx:
                 self._decode_ctx = req.prompt_tokens
         if obs is not None:
-            self._sample(obs)
+            obs.sample(
+                self._clock, self._kv_reserved, len(self._pending),
+                len(self._d_req), len(self._prefill_queue) + len(self._pending),
+            )
 
     def _retire_finished(self) -> None:
         """Complete every slot that owes no more tokens, in slot order."""
@@ -883,7 +879,10 @@ class ContinuousBatchingScheduler:
         obs = self._obs
         if obs is not None:
             obs.step(t0, self._clock, "decode", 1, n)
-            self._sample(obs)
+            obs.sample(
+                self._clock, self._kv_reserved, len(self._pending),
+                len(self._d_req), len(self._prefill_queue) + len(self._pending),
+            )
 
     def _decode_run(self, t_s: float) -> None:
         """Coalesce a stable run of decode iterations (bit-identical).
@@ -975,7 +974,10 @@ class ContinuousBatchingScheduler:
         obs = self._obs
         if obs is not None and k:
             obs.step(t0, c, "decode", k, n)
-            self._sample(obs)
+            obs.sample(
+                c, self._kv_reserved, len(self._pending),
+                len(self._d_req), len(self._prefill_queue) + len(self._pending),
+            )
 
     # ---------------------------------------------------------------- run
     @property
