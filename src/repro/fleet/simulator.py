@@ -87,7 +87,7 @@ __all__ = [
 _UNSET = object()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutingDecision:
     """One request's placement: who asked, when, and which shard got it.
 
