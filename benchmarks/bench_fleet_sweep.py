@@ -40,7 +40,10 @@ import time
 
 import pytest
 
-from bench_meta import stamp, write_bench_record
+from bench_meta import REPO_ROOT, stamp, write_bench_record
+
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles.fleet_walk import run_reference  # noqa: E402
 
 from repro import ExecutionPlan, MeadowEngine, OPT_125M, zcu102_config
 from repro.analysis import banner, format_table
@@ -113,7 +116,7 @@ def render_policy_comparison(rows) -> str:
 
 
 # --------------------------------------------------------------------------
-# Event-calendar fleet drain: calendar vs per-iteration reference walk
+# Event-calendar fleet drain: calendar vs the per-iteration walk oracle
 # --------------------------------------------------------------------------
 
 #: Decode-heavy closed-loop fleet the drain floor is pinned on: a 12/1
@@ -141,24 +144,22 @@ def drain_source_factory(quick: bool = False):
 
 
 def run_drain_bench(driver: SweepDriver, quick: bool = False) -> dict:
-    """Time the per-iteration reference walk vs the calendar drain.
+    """Time the per-iteration walk oracle vs the calendar drain.
 
-    Surfaces are warmed first so both timed runs measure pure fleet-loop
-    overhead. The calendar run must reproduce the reference's merged
-    metrics, per-shard records and routing decisions exactly, or this
-    raises ``AssertionError``.
+    The reference is ``tests/oracles/fleet_walk.py``. Surfaces are
+    warmed first so both timed runs measure pure fleet-loop overhead.
+    The calendar run must reproduce the reference's merged metrics,
+    per-shard records and routing decisions exactly, or this raises
+    ``AssertionError``.
     """
     engines = [driver.engine_for(b) for b in driver.fleet_profile(2)]
     factory = drain_source_factory(quick)
+    fleet = FleetSimulator(
+        engines, policy="predicted-latency", max_batch=4,
+        ctx_bucket=DRAIN_CTX_BUCKET, token_events=False,
+    )
 
-    def fleet(calendar: bool) -> FleetSimulator:
-        return FleetSimulator(
-            engines, policy="predicted-latency", max_batch=4,
-            ctx_bucket=DRAIN_CTX_BUCKET, calendar=calendar,
-            token_events=False,
-        )
-
-    fleet(True).run(factory())  # warm every surface point both paths touch
+    fleet.run(factory())  # warm every surface point both paths touch
 
     # Best-of-5 per path, the paths alternating: same-seed runs are
     # deterministic, so the minimum is the least-noise estimate for the
@@ -167,10 +168,10 @@ def run_drain_bench(driver: SweepDriver, quick: bool = False) -> dict:
     ref_s = cal_s = math.inf
     for _ in range(5):
         t0 = time.perf_counter()
-        ref = fleet(False).run(factory())
+        ref = run_reference(fleet, factory())
         ref_s = min(ref_s, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        cal = fleet(True).run(factory())
+        cal = fleet.run(factory())
         cal_s = min(cal_s, time.perf_counter() - t0)
 
     # Correctness gate: the identical fleet timeline, not approximation.

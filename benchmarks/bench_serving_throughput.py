@@ -11,7 +11,8 @@ This file is also the tracked before/after evidence for the
 logging): the decode-heavy stream below — one burst, long fixed
 outputs, ``ctx_bucket=64`` — is the workload shape where the scheduler
 itself used to dominate wall-clock. The coalesced path must reproduce
-the per-token reference walk's records and state-change events exactly
+the per-token walk's records and state-change events exactly (the walk
+is the ``tests/oracles/token_walk.py`` oracle)
 while clearing a scheduler-iteration throughput floor. Run it
 standalone for the JSON artifact CI tracks::
 
@@ -30,7 +31,10 @@ from typing import Dict
 
 import pytest
 
-from bench_meta import stamp, write_bench_record
+from bench_meta import REPO_ROOT, stamp, write_bench_record
+
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles.token_walk import walk_tokens  # noqa: E402
 
 from repro import ExecutionPlan, MeadowEngine, OPT_125M, zcu102_config
 from repro.analysis import banner, format_table
@@ -49,7 +53,7 @@ PROMPTS = LengthDistribution("uniform", 64, 256)
 OUTPUTS = LengthDistribution("geometric", 24, 96)
 
 # --------------------------------------------------------------------------
-# Event-compressed scheduler: coalesced vs per-token reference walk
+# Event-compressed scheduler: coalesced vs the per-token walk oracle
 # --------------------------------------------------------------------------
 
 #: The coalescing sweet spot the acceptance floor is pinned at: 64
@@ -75,19 +79,18 @@ def decode_heavy_stream(quick: bool = False):
     )
 
 
-def _coalesce_scheduler(engine, stream, coalesce: bool, token_events: bool):
+def _coalesce_scheduler(engine, stream, token_events: bool):
     return ContinuousBatchingScheduler(
         engine,
         stream,
         max_batch=16,
         ctx_bucket=COALESCE_CTX_BUCKET,
-        coalesce=coalesce,
         token_events=token_events,
     )
 
 
 def run_coalescing_bench(engine: MeadowEngine, quick: bool = False) -> Dict[str, object]:
-    """Time the per-token reference walk vs the event-compressed path.
+    """Time the per-token walk oracle vs the event-compressed path.
 
     The surface is warmed first so both timed runs measure pure
     scheduler overhead (the modeled numbers are dict hits either way).
@@ -96,24 +99,22 @@ def run_coalescing_bench(engine: MeadowEngine, quick: bool = False) -> Dict[str,
     """
     stream = decode_heavy_stream(quick)
     # Warm every (stage, ctx, batch) point both paths will touch.
-    _coalesce_scheduler(engine, stream, coalesce=True, token_events=False).run()
+    _coalesce_scheduler(engine, stream, token_events=False).run()
 
     # Best-of-3 per path: the runs are deterministic, so the minimum is
     # the least-noise estimate and keeps the CI floor ratio stable.
     ref_s = math.inf
     for _ in range(3):
         t0 = time.perf_counter()
-        ref = _coalesce_scheduler(
-            engine, stream, coalesce=False, token_events=True
-        ).run()
+        ref = walk_tokens(
+            _coalesce_scheduler(engine, stream, token_events=True)
+        )
         ref_s = min(ref_s, time.perf_counter() - t0)
 
     fast_s = math.inf
     for _ in range(3):
         t0 = time.perf_counter()
-        fast = _coalesce_scheduler(
-            engine, stream, coalesce=True, token_events=False
-        ).run()
+        fast = _coalesce_scheduler(engine, stream, token_events=False).run()
         fast_s = min(fast_s, time.perf_counter() - t0)
 
     # Correctness gate: identical serving outcome, thinned event log.

@@ -131,10 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip per-token DECODE_STEP/FIRST_TOKEN event "
                         "materialization (metrics are identical; long "
                         "streams run lighter)")
-    p.add_argument("--no-coalesce", action="store_true",
-                   help="force the per-token reference scheduler walk "
-                        "instead of the bit-identical event-compressed "
-                        "hot loop (debugging aid)")
     _interp_args(p)
     _obs_args(p)
     _store_args(p)
@@ -175,10 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steal", action="store_true",
                    help="work stealing: an idle shard pulls still-waiting "
                         "requests off the deepest-backlog shard")
-    p.add_argument("--no-calendar", action="store_true",
-                   help="drain with the per-iteration reference walk "
-                        "instead of the bit-identical event calendar "
-                        "(debugging aid)")
     p.add_argument("--sweep", action="store_true",
                    help="evaluate the (engines x policy x knob) grid and "
                         "report the Pareto front instead of one run")
@@ -579,7 +571,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         kv_budget_bytes=budget,
         max_batch=args.max_batch,
         ctx_bucket=args.ctx_bucket,
-        coalesce=not args.no_coalesce,
         token_events=not args.no_token_events,
         interpolate=args.interpolate,
         obs=observer,
@@ -653,7 +644,6 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
             max_batch=args.max_batch,
             ctx_bucket=args.ctx_bucket,
             token_events=not args.no_token_events,
-            calendar=not args.no_calendar,
             steal=args.steal,
             interpolate=args.interpolate,
             faults=None if args.faults == "none" else args.faults,

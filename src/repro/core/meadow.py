@@ -13,7 +13,6 @@ and exposes the paper's measurement surface:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,7 +79,6 @@ class MeadowEngine:
         self.config = config if config is not None else zcu102_config()
         self.plan = plan if plan is not None else ExecutionPlan.meadow()
         self._sim = WorkloadSimulator(model, self.config, self.plan, planner)
-        self._report_cache: "OrderedDict[Workload, StageReport]" = OrderedDict()
         self._surface: Optional[LatencySurface] = None
         self._packing_summary: Optional[PackingSummary] = None
 
@@ -101,33 +99,6 @@ class MeadowEngine:
     def simulate(self, workload: Workload) -> StageReport:
         """Simulate an arbitrary workload through this engine's planner."""
         return self._sim.simulate(workload)
-
-    #: Cap on memoized stage reports (LRU eviction): a long serving
-    #: stream can visit tens of thousands of distinct (context, batch)
-    #: points, and each report retains per-layer op breakdowns.
-    REPORT_CACHE_MAX = 4096
-
-    def simulate_cached(self, workload: Workload) -> StageReport:
-        """Memoized :meth:`simulate` for callers that need full reports.
-
-        A request-level scheduler re-evaluates identical operating
-        points (stage, token count, context, batch) thousands of times
-        as concurrent requests step through the same contexts; all of
-        them share this engine's packing planner and its report cache.
-        Eviction is least-recently-used: a hit refreshes the entry, so
-        the hottest points of a long stream stay resident. Callers that
-        only need scalar latency/energy should prefer
-        :meth:`simulate_fast`, which never evicts.
-        """
-        report = self._report_cache.get(workload)
-        if report is None:
-            report = self._sim.simulate(workload)
-            if len(self._report_cache) >= self.REPORT_CACHE_MAX:
-                self._report_cache.popitem(last=False)
-            self._report_cache[workload] = report
-        else:
-            self._report_cache.move_to_end(workload)
-        return report
 
     @property
     def surface(self) -> LatencySurface:
@@ -218,11 +189,10 @@ class MeadowEngine:
         Packing statistics depend only on (model, packing config) — not
         on bandwidth or PE counts — so fleet sweeps that fan one
         deployment out across hardware variants reuse every memoized
-        stat instead of re-deriving them per clone. Caches that *do*
-        depend on hardware (the report cache, the latency surface)
-        start empty in the clone. The planner is only shared when the
-        clone keeps this engine's packing config; a different plan gets
-        its own planner.
+        stat instead of re-deriving them per clone. The latency surface
+        depends on hardware, so it starts empty in the clone. The
+        planner is only shared when the clone keeps this engine's
+        packing config; a different plan gets its own planner.
         """
         plan = plan if plan is not None else self.plan
         planner = self._sim.planner if plan.packing == self.plan.packing else None

@@ -6,19 +6,18 @@ heterogeneous in DRAM bandwidth, KV budget, packing plan or batching
 knobs — fed from *one* global request stream through a pluggable
 :class:`~repro.fleet.routing.RoutingPolicy`.
 
-The simulation is a two-level discrete-event loop. The fleet level
-processes global arrivals in deterministic ``(arrival_s, request_id)``
-order; before each routing decision every shard is advanced to the
-arrival instant (shards never see the future), snapshotted, and the
-policy picks among the shards that could ever hold the request. Shard
-level is the unmodified continuous-batching scheduler, driven through
-its incremental ``submit``/``advance_until`` API — so per-shard
-semantics (KV-constrained FCFS admission, prefill-before-decode,
-event-log invariants) are exactly those of single-engine serving, and a
-one-shard fleet reproduces `repro serve` exactly: identical request
-records and merged metrics, field for field (only ARRIVAL observations
-interleave at finer granularity, since the fleet hands requests over at
-routing instants).
+One two-level discrete-event loop drives every run. The fleet level
+merges the fault heap (empty for a fault-free run) with global arrivals
+in deterministic ``(arrival_s, request_id)`` order; before each routing
+decision every live shard is advanced to the arrival instant (shards
+never see the future), snapshotted, and the policy picks among the
+shards that could ever hold the request. Shard level is the unmodified
+continuous-batching scheduler, driven through its incremental
+``submit``/``advance_until`` API — so per-shard semantics are exactly
+those of single-engine serving, and a one-shard fleet reproduces `repro
+serve` exactly: identical request records and merged metrics, field for
+field (only ARRIVAL observations interleave at finer granularity, since
+the fleet hands requests over at routing instants).
 
 **Drain is driven by a global next-event calendar.** Between arrivals
 the fleet holds its busy shards in a heap keyed by
@@ -27,11 +26,11 @@ instant each shard's next iteration would start — pops the global
 minimum and advances that shard in one coalesced pass up to the
 runner-up's key, interrupted the moment a completion injects a global
 follow-up. That makes closed-loop drain cost O(fleet events) while
-executing the *identical* iteration sequence as the retained
-per-iteration reference walk (``calendar=False``: pick the minimal
-shard, run exactly one iteration, repeat), which the equivalence tests
-compare against bit for bit — records, events, decisions and merged
-metrics.
+executing the *identical* iteration sequence as the per-iteration walk
+(pick the minimal shard, run exactly one iteration, repeat) that
+``tests/oracles/fleet_walk.py`` keeps as the equivalence oracle —
+records, events, decisions and merged metrics, bit for bit. Open-loop
+sources never inject follow-ups, so there each shard runs dry at once.
 
 Closed-loop sources compose: a completion anywhere in the fleet hands
 its follow-up back to the *global* router (completion hooks are
@@ -39,26 +38,28 @@ intercepted per shard), so think-time users are not pinned to the shard
 that served their previous turn. Follow-ups that no shard could ever
 admit are rejected and counted, mirroring single-engine behaviour.
 
-Two flag-gated layers ride on the calendar. **Work stealing**
-(``steal=True``): a shard going idle pulls the youngest still-waiting
-request it can hold off the deepest-backlog shard (which must stay
-busy afterwards), recorded as a migration decision — the antidote to
-pin-once-forever routing stranding backlogs behind a slow box.
-**Calibration feedback**: completions of predicted placements report
-their realized TTFT to ``policy.observe``, which the
-``calibrated-latency`` policy folds into a per-shard bias correcting
-later predictions.
+Flag-gated layers ride on the loop. **Work stealing** (``steal=True``):
+a shard going idle pulls the oldest still-waiting request it can hold
+off the deepest-backlog shard (which must stay busy afterwards),
+recorded as a migration decision. **Calibration feedback**: completions
+of predicted placements report their realized TTFT to
+``policy.observe``, which the ``calibrated-latency`` policy folds into a
+per-shard bias. **Chaos** (``faults`` / ``retry`` / ``shedding``):
+crashes harvest a shard's work for retry and keep it down through an
+EdgeFlow-style re-warm, brownouts stretch its steps, and every request
+ends in exactly one disposition.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.meadow import MeadowEngine
-from ..errors import CapacityError, ConfigError
+from ..errors import ConfigError
 from ..obs.tracer import FleetObserver, ObsBundle
 from ..serving.metrics import FleetMetrics
 from ..serving.request import Request, RequestSource
@@ -296,12 +297,11 @@ def _per_shard(value, n: int, name: str) -> List:
 class _DrainCalendar:
     """Cached next-event calendar over the fleet's shards.
 
-    Replaces the rebuild-the-whole-heap-on-stale drain loop: each
-    shard's current key (``next_event_s()``, or +inf when idle) is
-    cached in ``_keys``; state-touching sites mark shards dirty via
-    :meth:`invalidate` / :meth:`invalidate_all` and the next
-    :meth:`pop` re-keys only the dirty ones, pushing a heap entry only
-    when the key actually changed. Superseded heap entries are removed
+    Each shard's current key (``next_event_s()``, or +inf when idle)
+    is cached in ``_keys``; state-touching sites mark the shards dirty
+    via :meth:`invalidate_all` and the next :meth:`pop` re-keys only
+    the dirty ones, pushing a heap entry only when the key actually
+    changed. Superseded heap entries are removed
     lazily — an entry is live iff its value still equals the shard's
     cached key — so no heapify ever runs after construction.
 
@@ -310,20 +310,21 @@ class _DrainCalendar:
     caller must call :meth:`reschedule` after advancing that shard
     (it re-pushes unconditionally: an advance may leave the key
     numerically unchanged, e.g. an admission that does not move the
-    clock, and the entry still has to come back).
+    clock, and the entry still has to come back). An ``open_loop``
+    fleet's shards are independent once it drains (no completion can
+    inject an arrival), so its horizons are +inf.
     """
 
-    __slots__ = ("_heap", "_keys", "_dirty", "_shards")
+    __slots__ = ("_heap", "_keys", "_dirty", "_shards", "_open_loop")
 
-    def __init__(self, shards: Sequence[ContinuousBatchingScheduler]) -> None:
+    def __init__(
+        self, shards: Sequence[ContinuousBatchingScheduler], open_loop: bool
+    ) -> None:
         self._shards = shards
         self._heap: List[Tuple[float, int]] = []
         self._keys = [math.inf] * len(shards)
         self._dirty = set(range(len(shards)))
-
-    def invalidate(self, shard_id: int) -> None:
-        """Mark one shard's cached key as suspect (re-keyed on next pop)."""
-        self._dirty.add(shard_id)
+        self._open_loop = open_loop
 
     def invalidate_all(self) -> None:
         """Mark every shard dirty (arrival syncs advance all of them)."""
@@ -346,9 +347,10 @@ class _DrainCalendar:
         """Next acting shard as ``(key, shard_id, horizon)``, or None.
 
         ``horizon`` is the runner-up's live key (stale tops are
-        discarded first so it is never spuriously early); ``None``
-        means every shard is idle. Ties pop the lowest shard id,
-        matching the reference walk's stable ``min()``.
+        discarded first so it is never spuriously early), or +inf for
+        an open-loop fleet; ``None`` means every shard is idle. Ties
+        pop the lowest shard id, matching the per-iteration walk's
+        stable ``min()``.
         """
         self._flush()
         heap, keys = self._heap, self._keys
@@ -356,6 +358,8 @@ class _DrainCalendar:
             key, i = heapq.heappop(heap)
             if key != keys[i]:
                 continue  # superseded entry
+            if self._open_loop:
+                return key, i, math.inf
             while heap and heap[0][0] != keys[heap[0][1]]:
                 heapq.heappop(heap)
             return key, i, heap[0][0] if heap else math.inf
@@ -382,34 +386,26 @@ class FleetSimulator:
         policy: a :class:`RoutingPolicy` instance or registered name.
         kv_budget_bytes / max_batch / ctx_bucket: scalar applied to all
             shards, or one value per shard for heterogeneous fleets.
-        coalesce: let every shard advance stable decode runs in one
-            event-compressed pass (bit-identical; ``False`` forces the
-            per-token reference walk everywhere).
         token_events: materialize per-token DECODE_STEP / FIRST_TOKEN
             events in every shard's log. Flip off for long sweeps —
             records, merged metrics and peak-KV accounting are exact
             either way.
-        calendar: drive the drain phase from the global next-event
-            calendar (heap of per-shard ``next_event_s`` keys, coalesced
-            advances between keys) — O(fleet events). ``False`` retains
-            the per-iteration reference walk (globally minimal shard,
-            one iteration at a time) the equivalence tests compare
-            against; both produce bit-identical timelines.
         interpolate: allow guarded log-linear surface interpolation on
             every shard's latency lookups (approximate within each
             surface's ``interp_rel_err`` bound, falling back to exact
             simulation when the bracket disagrees more). Off by default
             so fleet numbers stay exact.
-        steal: let a shard going idle pull the youngest still-waiting
+        steal: let a shard going idle pull the oldest still-waiting
             request it can hold off the deepest-backlog shard (which
             must stay busy afterwards). Each migration is recorded as a
             :class:`RoutingDecision` with ``migrated_from`` set.
         faults: a :class:`~repro.fleet.faults.FaultSchedule`, a named
             scenario (``"crash"`` / ``"cascade"`` / ``"brownout"`` /
             ``"chaos"`` — instantiated at run time against the fleet
-            size and the stream's arrival span), or ``None``. With no
-            faults, no retry policy and no shedding the run takes the
-            exact pre-resilience code path, bit for bit.
+            size and the stream's arrival span), or ``None``. No faults
+            is an empty fault heap in the one event loop; with no
+            faults, no retry policy and no shedding the report carries
+            no resilience block.
         retry: :class:`~repro.fleet.resilience.RetryPolicy` governing
             failure-driven resubmission. Defaults to ``RetryPolicy()``
             whenever faults are scheduled, so chaos runs retry unless
@@ -434,9 +430,7 @@ class FleetSimulator:
         kv_budget_bytes=None,
         max_batch=16,
         ctx_bucket=1,
-        coalesce: bool = True,
         token_events: bool = True,
-        calendar: bool = True,
         steal: bool = False,
         interpolate: bool = False,
         faults: Union[FaultSchedule, str, None] = None,
@@ -460,9 +454,7 @@ class FleetSimulator:
         self.kv_budget_bytes = _per_shard(kv_budget_bytes, n, "kv_budget_bytes")
         self.max_batch = _per_shard(max_batch, n, "max_batch")
         self.ctx_bucket = _per_shard(ctx_bucket, n, "ctx_bucket")
-        self.coalesce = coalesce
         self.token_events = token_events
-        self.calendar = calendar
         self.steal = steal
         self.interpolate = interpolate
         self.faults = faults
@@ -488,24 +480,34 @@ class FleetSimulator:
 
     # ---------------------------------------------------------------- run
     def run(self, source: RequestSource) -> FleetReport:
-        """Simulate one scenario across the fleet to completion."""
+        """Simulate one scenario across the fleet to completion.
+
+        Each turn handles the next fault, else the next arrival, else
+        one drain step off the calendar. A fault and an arrival at the
+        same instant resolve fault-first, so a request never routes to
+        a shard that dies at its own arrival instant, and a parked
+        request waking at a recovery instant finds the shard up. Fault
+        times come from the seeded schedule, retry jitter from
+        ``(seed, request_id, attempt)``-keyed RNGs, and all tie-breaks
+        are total orders: two same-seed runs produce ``==`` reports.
+        """
         initial = tuple(source.initial())
         if not initial:
             raise ConfigError(f"source {source.name!r} produced no requests")
         schedule = self._resolve_faults(initial)
-        # The resilience layer engages only when something asked for it;
-        # otherwise the run takes the exact pre-resilience code path, so
-        # `faults=None` and `faults=FaultSchedule.none()` (and the build
-        # without this layer) produce bit-identical reports.
+        shedding = self.shedding
+        # Chaos accounting is reported only when something asked for
+        # it, so `faults=None` and `faults=FaultSchedule.none()` give
+        # equal reports without a resilience block.
         resilient = (
             not schedule.is_empty
             or self.retry is not None
-            or (self.shedding is not None and self.shedding.name != "none")
+            or (shedding is not None and shedding.name != "none")
         )
-        if resilient:
-            return self._run_resilient(source, initial, schedule)
+        retry_policy = self.retry if self.retry is not None else RetryPolicy()
+        n_shards = len(self.engines)
         policy = self.policy
-        policy.reset(len(self.engines))
+        policy.reset(n_shards)
         obs = self.obs
 
         # (arrival_s, request_id, Request): the same deterministic FCFS
@@ -514,413 +516,94 @@ class FleetSimulator:
         n_rejected = 0
         # Predictions awaiting realization (request id -> predicted
         # TTFT on its current shard). Entries are dropped when a steal
-        # migrates the request, so completions only report placements
-        # that actually ran.
-        pending_predictions: Dict[int, float] = {}
-        shards: List[ContinuousBatchingScheduler] = []
-
-        def make_harvest(shard_id: int):
-            # Shard completion hook: feed realized TTFT back to the
-            # policy, then pull any follow-up back to the global router
-            # instead of letting the shard keep it.
-            def harvest(request: Request, finish_s: float) -> Optional[Request]:
-                nonlocal n_rejected
-                predicted = pending_predictions.pop(request.request_id, None)
-                if predicted is not None:
-                    record = shards[shard_id].record_for(request.request_id)
-                    policy.observe(shard_id, predicted, record.ttft_s)
-                follow_up = source.on_complete(request, finish_s)
-                if follow_up is None:
-                    return None
-                if any(s.can_ever_admit(follow_up) for s in shards):
-                    heapq.heappush(
-                        arrivals,
-                        (follow_up.arrival_s, follow_up.request_id, follow_up),
-                    )
-                    if obs is not None:
-                        obs.instant(
-                            "SUBMIT", follow_up.arrival_s,
-                            request_id=follow_up.request_id, follow_up=True,
-                        )
-                else:
-                    n_rejected += 1
-                return None
-
-            return harvest
-
-        shards.extend(
-            ContinuousBatchingScheduler(
-                engine,
-                source=None,
-                kv_budget_bytes=self.kv_budget_bytes[i],
-                max_batch=self.max_batch[i],
-                ctx_bucket=self.ctx_bucket[i],
-                on_complete=make_harvest(i),
-                coalesce=self.coalesce,
-                token_events=self.token_events,
-                interpolate=self.interpolate,
-                obs=obs.shard(i) if obs is not None else None,
-            )
-            for i, engine in enumerate(self.engines)
-        )
-        # Open-loop sources never inject follow-ups, so once the arrival
-        # heap drains the shards are fully independent and each can run
-        # dry in one coalesced advance instead of the boundary-level
-        # stepping closed-loop routing fidelity (and steal checks)
-        # requires. A source is open-loop only when on_complete is the
-        # base-class no-op and no instance-level hook shadows it.
-        open_loop = (
-            type(source).on_complete is RequestSource.on_complete
-            and "on_complete" not in getattr(source, "__dict__", {})
-            and not self.steal
-        )
-
-        seen_ids = set()
-        for req in initial:
-            if req.request_id in seen_ids:
-                raise ConfigError(
-                    f"duplicate request id {req.request_id} in fleet stream"
-                )
-            seen_ids.add(req.request_id)
-            if not any(s.can_ever_admit(req) for s in shards):
-                # Mirror the single-engine fail-fast: an initial request
-                # that can never run anywhere is a configuration error.
-                shards[0]._check(req)  # raises with the precise reason
-            heapq.heappush(arrivals, (req.arrival_s, req.request_id, req))
-            if obs is not None:
-                obs.instant("SUBMIT", req.arrival_s, request_id=req.request_id)
-
-        decisions: List[RoutingDecision] = []
-
-        def steal_pass() -> bool:
-            return self._steal_pass(
-                shards, decisions, pending_predictions, obs=obs
-            )
-
-        # The drain calendar caches each shard's next-event key with
-        # explicit invalidation: routing, stealing and arrival syncs
-        # mark the shards they touched dirty instead of forcing a full
-        # rebuild, and only changed keys re-enter the heap.
-        calendar = _DrainCalendar(shards)
-        while True:
-            if self.steal and steal_pass():
-                calendar.invalidate_all()
-            if arrivals:
-                calendar.invalidate_all()
-                t, request_id, req = heapq.heappop(arrivals)
-                # No shard may lag the routing instant: advance each to
-                # t (steps in flight may overshoot — shards are busy
-                # until their clock, which the snapshot exposes). The
-                # advance stops the moment a completion injects a
-                # follow-up due *before* t: that follow-up must be
-                # routed — and submitted to its shard — before any
-                # shard simulates past its arrival, or prefills that
-                # should preempt in-flight decodes run too late.
-                preempted = lambda: bool(arrivals) and arrivals[0][0] < t
-                for shard in shards:
-                    shard.advance_until(t, interrupt=preempted)
-                if preempted():
-                    # Route the earlier follow-up first; the popped
-                    # arrival goes back and re-advances from here.
-                    heapq.heappush(arrivals, (t, request_id, req))
-                    continue
-                feasible = [
-                    shard.snapshot(i)
-                    for i, shard in enumerate(shards)
-                    if shard.can_ever_admit(req)
-                ]
-                choice = policy.route(req, t, feasible)
-                chosen = next(
-                    (snap for snap in feasible if snap.shard_id == choice), None
-                )
-                if chosen is None:
-                    raise ConfigError(
-                        f"policy {policy.name!r} routed request "
-                        f"{request_id} to infeasible shard {choice}"
-                    )
-                shards[choice].submit(req)
-                predicted = policy.predicted_ttft_s(req, t, chosen)
-                if predicted is not None:
-                    pending_predictions[request_id] = predicted
-                decisions.append(
-                    RoutingDecision(request_id, t, choice, predicted)
-                )
-                if obs is not None:
-                    obs.instant(
-                        "ROUTE", t, request_id=request_id, shard_id=choice,
-                        policy=policy.name, predicted_ttft_s=predicted,
-                    )
-                    obs.count("requests_routed", shard=choice)
-            elif open_loop:
-                # Open-loop fast path: no follow-ups can ever appear,
-                # so each shard runs dry independently in one coalesced
-                # advance.
-                busy = [shard for shard in shards if not shard.idle]
-                if not busy:
-                    break
-                for shard in busy:
-                    shard.advance_until(math.inf)
-            elif self.calendar:
-                # Event-calendar drain: pop the globally next-acting
-                # shard and advance it in one coalesced pass up to the
-                # runner-up's key, bailing out the moment a completion
-                # injects a global follow-up — so closed-loop arrivals
-                # re-enter routing at exactly the same instant the
-                # reference walk would surface them.
-                nxt = calendar.pop()
-                if nxt is None:
-                    break
-                key, idx, horizon = nxt
-                shard = shards[idx]
-                if key >= horizon:
-                    # Exact tie with the runner-up: run one iteration,
-                    # matching the reference walk's id-ordered pick.
-                    shard.advance_one()
-                else:
-                    shard.advance_until(
-                        horizon, interrupt=lambda: bool(arrivals)
-                    )
-                calendar.reschedule(idx)
-            else:
-                # Reference drain: step the globally next-acting busy
-                # shard one iteration at a time, so a completion's
-                # closed-loop follow-up re-enters global routing
-                # immediately — not after every shard has already
-                # simulated past it. This keeps a one-shard closed-loop
-                # fleet identical to single-engine serving and routing
-                # snapshots honest. The calendar path above executes
-                # the identical iteration sequence in coalesced runs.
-                busy = [shard for shard in shards if not shard.idle]
-                if not busy:
-                    break
-                min(busy, key=lambda shard: shard.next_event_s()).advance_one()
-
-        shard_results = tuple(shard.result() for shard in shards)
-        result = FleetResult(
-            model_name=self.engines[0].model.name,
-            policy_name=policy.name,
-            source_name=source.name,
-            shard_results=shard_results,
-            decisions=tuple(decisions),
-            n_rejected_followups=n_rejected,
-        )
-        return FleetReport(
-            result=result,
-            metrics=merge_results(shard_results),
-            shard_metrics=tuple(
-                FleetMetrics.from_result(r) for r in shard_results
-            ),
-            obs=obs.build() if obs is not None else None,
-        )
-
-    @staticmethod
-    def _steal_pass(
-        shards: List[ContinuousBatchingScheduler],
-        decisions: List[RoutingDecision],
-        pending_predictions: Dict[int, float],
-        up: Optional[List[bool]] = None,
-        obs: Optional[FleetObserver] = None,
-    ) -> bool:
-        """Idle thieves pull waiting work off backlogged donors.
-
-        Deterministic: thieves are visited in ascending shard id;
-        each scans donors by (deepest stealable backlog, lowest id)
-        and takes the *oldest* still-waiting request it could ever
-        admit — the one with the worst accumulated wait, whose
-        departure also shortens the queue for everything behind it
-        — provided the donor stays non-idle after losing it and
-        the move is profitable: the idle thief's first-token
-        instant (its clock plus its surface's prefill) must beat a
-        *lower bound* on the donor's (busy-until plus the donor's
-        prefill, ignoring the donor's queue), so work never
-        migrates onto a shard slow enough to make the wait look
-        good. One steal per thief per pass (the thief is busy
-        afterwards). Returns whether anything moved.
-
-        ``up`` (resilient runs only) masks crashed shards: a down
-        shard is "idle" because its queue was harvested, not because
-        it has capacity — it must neither steal nor donate (it holds
-        nothing to donate anyway).
-        """
-
-        def helps(thief, donor, candidate):
-            first_token_thief = max(
-                thief.clock_s, candidate.arrival_s
-            ) + thief.engine.surface.prefill(
-                candidate.prompt_tokens
-            ).latency_s
-            donor_lower_bound = max(
-                donor.clock_s, candidate.arrival_s
-            ) + donor.engine.surface.prefill(
-                candidate.prompt_tokens
-            ).latency_s
-            return first_token_thief < donor_lower_bound
-
-        stole = False
-        for thief_id, thief in enumerate(shards):
-            if up is not None and not up[thief_id]:
-                continue
-            if not thief.idle:
-                continue
-            donors = sorted(
-                (d_id for d_id, d in enumerate(shards) if d.n_stealable),
-                key=lambda d_id: (-shards[d_id].n_stealable, d_id),
-            )
-            for donor_id in donors:
-                donor = shards[donor_id]
-                if donor.snapshot(donor_id).n_in_system < 2:
-                    continue  # donor would go idle: nothing gained
-                victim = next(
-                    (
-                        candidate
-                        for candidate in donor.steal_candidates()
-                        if thief.can_ever_admit(candidate)
-                        and helps(thief, donor, candidate)
-                    ),
-                    None,
-                )
-                if victim is None:
-                    continue
-                donor.withdraw(victim.request_id)
-                # The original prediction describes a placement
-                # that will never run; drop it from calibration.
-                pending_predictions.pop(victim.request_id, None)
-                thief.submit(victim)
-                migrate_s = max(thief.clock_s, victim.arrival_s)
-                decisions.append(
-                    RoutingDecision(
-                        victim.request_id,
-                        migrate_s,
-                        thief_id,
-                        migrated_from=donor_id,
-                    )
-                )
-                if obs is not None:
-                    obs.instant(
-                        "MIGRATE", migrate_s, request_id=victim.request_id,
-                        shard_id=thief_id, from_shard=donor_id,
-                    )
-                    obs.count("migrations", thief=thief_id, donor=donor_id)
-                stole = True
-                break
-        return stole
-
-    # ---------------------------------------------------------- resilience
-    def _run_resilient(
-        self,
-        source: RequestSource,
-        initial: Tuple[Request, ...],
-        schedule: FaultSchedule,
-    ) -> FleetReport:
-        """The chaos twin of :meth:`run`: faults, retries and shedding.
-
-        Same two-level discrete-event structure, with a third event
-        stream — the fault heap — merged in at the top of the loop.
-        Ties between a fault and an arrival at the same instant resolve
-        fault-first, so a request never routes to a shard that dies at
-        its own arrival instant, and a parked request waking at a
-        recovery instant finds the shard already up. Everything stays
-        deterministic: fault times come from the seeded schedule, retry
-        jitter from ``(seed, request_id, attempt)``-keyed RNGs, and all
-        tie-breaks are total orders — two same-seed chaos runs produce
-        ``==`` reports.
-        """
-        n_shards = len(self.engines)
-        policy = self.policy
-        policy.reset(n_shards)
-        obs = self.obs
-        retry_policy = self.retry if self.retry is not None else RetryPolicy()
-        shedding = self.shedding if self.shedding is not None else None
-
-        arrivals: List[Tuple[float, int, Request]] = []
-        n_rejected = 0
+        # migrates the request or a crash evicts it, so completions
+        # only report placements that actually ran.
         pending_predictions: Dict[int, float] = {}
         shards: List[ContinuousBatchingScheduler] = []
 
         # -------------------------------------------- resilience state
         dispositions: Dict[int, Disposition] = {}
         attempts: Dict[int, int] = {}  # failure-driven retries used
-        origin: Dict[int, float] = {}  # first arrival per request id
+        origin: Dict[int, float] = {}  # first arrival of each failed request
         n_retries = 0
         lost_tokens = 0
         applied: List[AppliedFault] = []
         up = [True] * n_shards
         down_until_s = [0.0] * n_shards
-        # Cold-start cost per shard, computed once from the engine's
-        # packed weight image (crashes on the same shard re-warm alike).
-        rewarm_by_shard = [rewarm_s(engine) for engine in self.engines]
 
         # The fault event heap: (t, seq, action, shard_id, payload).
         # seq is an insertion counter so equal-time events apply in
         # schedule order (recoveries scheduled before a later crash at
         # the same instant fire first).
         fault_heap: List[Tuple[float, int, str, int, object]] = []
-        fault_seq = 0
+        fault_seq = itertools.count()
 
         def push_fault(t: float, action: str, shard_id: int, payload) -> None:
-            nonlocal fault_seq
-            heapq.heappush(fault_heap, (t, fault_seq, action, shard_id, payload))
-            fault_seq += 1
+            heapq.heappush(
+                fault_heap, (t, next(fault_seq), action, shard_id, payload)
+            )
 
         for fault in schedule.faults:
+            s = fault.shard_id
             if fault.kind is FaultKind.CRASH:
-                push_fault(fault.at_s, "crash", fault.shard_id, fault.duration_s)
+                push_fault(fault.at_s, "crash", s, fault.duration_s)
             else:
                 end_s = fault.at_s + fault.duration_s
-                push_fault(
-                    fault.at_s,
-                    "brownout",
-                    fault.shard_id,
-                    (fault.bandwidth_factor, end_s),
-                )
-                push_fault(end_s, "brownout_end", fault.shard_id, None)
+                push_fault(fault.at_s, "brownout", s, (fault.bandwidth_factor, end_s))
+                push_fault(end_s, "brownout_end", s, None)
 
         def handle_failure(req: Request, t: float) -> None:
             """Decide one harvested request's fate: retry, expire or lose."""
             nonlocal n_retries
             rid = req.request_id
+            # A request first fails on the placement of its first
+            # arrival; retries are resubmitted copies.
+            origin.setdefault(rid, req.arrival_s)
             eff = retry_policy.effective_deadline_s(req)
+            deadline = None if eff is None else origin[rid] + eff
             used = attempts.get(rid, 0)
-            if used >= retry_policy.max_retries:
-                # Budget gone. Blame the deadline when it also passed.
-                if eff is not None and t >= origin[rid] + eff:
-                    dispositions[rid] = Disposition.EXPIRED
-                else:
-                    dispositions[rid] = Disposition.LOST
-                if obs is not None:
-                    obs.instant(dispositions[rid].name, t, request_id=rid)
-                    obs.count(f"requests_{dispositions[rid].name.lower()}")
-                return
-            backoff = retry_policy.backoff_s(rid, used + 1)
-            if eff is not None and t + backoff >= origin[rid] + eff:
+            if used < retry_policy.max_retries:
+                backoff = retry_policy.backoff_s(rid, used + 1)
+                if deadline is None or t + backoff < deadline:
+                    attempts[rid] = used + 1
+                    n_retries += 1
+                    resub = replace(req, arrival_s=t + backoff)
+                    heapq.heappush(arrivals, (resub.arrival_s, rid, resub))
+                    if obs is not None:
+                        obs.instant(
+                            "RETRY", t, request_id=rid,
+                            attempt=used + 1, backoff_s=backoff,
+                        )
+                        obs.count("retries")
+                    return
                 # The retry could not even re-enter before the deadline.
-                dispositions[rid] = Disposition.EXPIRED
-                if obs is not None:
-                    obs.instant("EXPIRED", t, request_id=rid)
-                    obs.count("requests_expired")
-                return
-            attempts[rid] = used + 1
-            n_retries += 1
-            resub = replace(req, arrival_s=t + backoff)
-            heapq.heappush(arrivals, (resub.arrival_s, rid, resub))
+                fate = Disposition.EXPIRED
+            elif deadline is not None and t >= deadline:
+                # Budget gone, and the deadline passed too: blame it.
+                fate = Disposition.EXPIRED
+            else:
+                fate = Disposition.LOST
+            dispositions[rid] = fate
             if obs is not None:
-                obs.instant(
-                    "RETRY", t, request_id=rid,
-                    attempt=used + 1, backoff_s=backoff,
-                )
-                obs.count("retries")
+                obs.instant(fate.name, t, request_id=rid)
+                obs.count(f"requests_{fate.name.lower()}")
+
+        def shed(rid: int, t: float, reason: str, **where) -> None:
+            dispositions[rid] = Disposition.SHED
+            if obs is not None:
+                obs.instant("SHED", t, request_id=rid, reason=reason, **where)
+                obs.count("requests_shed", reason=reason)
 
         def make_harvest(shard_id: int):
             # Completion hook: record the disposition (exactly once, at
-            # the only instant a request can complete), feed calibration,
-            # then hand any follow-up back to the global router.
+            # the only instant a request can complete), feed realized
+            # TTFT back to the policy, then pull any follow-up back to
+            # the global router instead of letting the shard keep it.
             def harvest(request: Request, finish_s: float) -> Optional[Request]:
                 nonlocal n_rejected
                 rid = request.request_id
                 dispositions[rid] = (
-                    Disposition.RETRIED
-                    if attempts.get(rid)
-                    else Disposition.OK
+                    Disposition.RETRIED if attempts.get(rid) else Disposition.OK
                 )
                 predicted = pending_predictions.pop(rid, None)
                 if predicted is not None:
@@ -953,12 +636,21 @@ class FleetSimulator:
                 max_batch=self.max_batch[i],
                 ctx_bucket=self.ctx_bucket[i],
                 on_complete=make_harvest(i),
-                coalesce=self.coalesce,
                 token_events=self.token_events,
                 interpolate=self.interpolate,
                 obs=obs.shard(i) if obs is not None else None,
             )
             for i, engine in enumerate(self.engines)
+        )
+        # Open-loop sources never inject follow-ups, so once the arrival
+        # and fault heaps drain the calendar runs each shard dry in one
+        # advance (steal checks still need every boundary). A source is
+        # open-loop only when on_complete is the base-class no-op and no
+        # instance-level hook shadows it.
+        open_loop = (
+            type(source).on_complete is RequestSource.on_complete
+            and "on_complete" not in getattr(source, "__dict__", {})
+            and not self.steal
         )
 
         seen_ids = set()
@@ -969,16 +661,29 @@ class FleetSimulator:
                 )
             seen_ids.add(req.request_id)
             if not any(s.can_ever_admit(req) for s in shards):
+                # Mirror the single-engine fail-fast: an initial request
+                # that can never run anywhere is a configuration error.
                 shards[0]._check(req)  # raises with the precise reason
             heapq.heappush(arrivals, (req.arrival_s, req.request_id, req))
             if obs is not None:
                 obs.instant("SUBMIT", req.arrival_s, request_id=req.request_id)
 
+        def sync(t: float) -> bool:
+            """Advance every live shard to ``t``; False when a completion
+            injected an earlier arrival, which must route first."""
+            preempted = lambda: bool(arrivals) and arrivals[0][0] < t
+            for i, shard in enumerate(shards):
+                if up[i]:
+                    shard.advance_until(t, interrupt=preempted)
+            return not preempted()
+
         decisions: List[RoutingDecision] = []
-        calendar = _DrainCalendar(shards)
+        # Routing, stealing, faults and arrival syncs mark the shards
+        # they touched dirty; only changed keys re-enter the calendar.
+        calendar = _DrainCalendar(shards, open_loop)
         while True:
             if self.steal and self._steal_pass(
-                shards, decisions, pending_predictions, up, obs=obs
+                shards, decisions, pending_predictions, up, obs
             ):
                 calendar.invalidate_all()
             t_fault = fault_heap[0][0] if fault_heap else math.inf
@@ -991,11 +696,7 @@ class FleetSimulator:
                 # Advance every live shard to the fault instant first —
                 # bailing out if a completion injects an earlier global
                 # follow-up, which must route before time passes it.
-                preempted = lambda: bool(arrivals) and arrivals[0][0] < t_fault
-                for i, shard in enumerate(shards):
-                    if up[i]:
-                        shard.advance_until(t_fault, interrupt=preempted)
-                if preempted():
+                if not sync(t_fault):
                     continue
                 t, _, action, s, payload = heapq.heappop(fault_heap)
                 calendar.invalidate_all()
@@ -1004,7 +705,9 @@ class FleetSimulator:
                         continue  # absorbed: the shard is already down
                     waiting, inflight = shards[s].crash_harvest()
                     up[s] = False
-                    recover_at = t + payload + rewarm_by_shard[s]
+                    # Cold-start cost from the engine's packed weight
+                    # image (crashes on the same shard re-warm alike).
+                    recover_at = t + payload + rewarm_s(self.engines[s])
                     down_until_s[s] = recover_at
                     push_fault(recover_at, "recover", s, None)
                     lost = sum(gen for _, gen in inflight)
@@ -1052,11 +755,17 @@ class FleetSimulator:
             if arrivals:
                 calendar.invalidate_all()
                 t, request_id, req = heapq.heappop(arrivals)
-                preempted = lambda: bool(arrivals) and arrivals[0][0] < t
-                for i, shard in enumerate(shards):
-                    if up[i]:
-                        shard.advance_until(t, interrupt=preempted)
-                if preempted():
+                # No live shard may lag the routing instant: advance each
+                # to t (steps in flight may overshoot — shards are busy
+                # until their clock, which the snapshot exposes). The
+                # advance stops the moment a completion injects a
+                # follow-up due *before* t: that follow-up must be
+                # routed — and submitted to its shard — before any
+                # shard simulates past its arrival, or prefills that
+                # should preempt in-flight decodes run too late.
+                if not sync(t):
+                    # Route the earlier follow-up first; the popped
+                    # arrival goes back and re-advances from here.
                     heapq.heappush(arrivals, (t, request_id, req))
                     continue
                 feasible_ids = [
@@ -1072,27 +781,19 @@ class FleetSimulator:
                     wake = min(down_until_s[i] for i in feasible_ids)
                     heapq.heappush(arrivals, (max(wake, t), request_id, req))
                     continue
-                origin.setdefault(request_id, req.arrival_s)
-                eff = retry_policy.effective_deadline_s(req)
-                if eff is not None and attempts.get(request_id):
-                    # A retry's deadline budget counts from its FIRST
-                    # arrival, not the resubmission instant.
-                    eff = origin[request_id] + eff - req.arrival_s
                 feasible = [shards[i].snapshot(i) for i in live]
-                if shedding is not None and shedding.reject(
-                    req, t, feasible, eff
-                ):
-                    dispositions[request_id] = Disposition.SHED
-                    if obs is not None:
-                        obs.instant(
-                            "SHED", t, request_id=request_id, reason="rejected"
-                        )
-                        obs.count("requests_shed", reason="rejected")
-                    continue
+                if shedding is not None:
+                    eff = retry_policy.effective_deadline_s(req)
+                    if eff is not None and attempts.get(request_id):
+                        # A retry's deadline budget counts from its FIRST
+                        # arrival, not the resubmission instant.
+                        eff = origin[request_id] + eff - req.arrival_s
+                    if shedding.reject(req, t, feasible, eff):
+                        shed(request_id, t, "rejected")
+                        continue
                 choice = policy.route(req, t, feasible)
                 chosen = next(
-                    (snap for snap in feasible if snap.shard_id == choice),
-                    None,
+                    (snap for snap in feasible if snap.shard_id == choice), None
                 )
                 if chosen is None:
                     raise ConfigError(
@@ -1102,16 +803,10 @@ class FleetSimulator:
                 if shedding is not None and shedding.evict(chosen):
                     victims = shards[choice].steal_candidates()
                     if victims:
-                        victim = victims[0]
-                        shards[choice].withdraw(victim.request_id)
-                        pending_predictions.pop(victim.request_id, None)
-                        dispositions[victim.request_id] = Disposition.SHED
-                        if obs is not None:
-                            obs.instant(
-                                "SHED", t, request_id=victim.request_id,
-                                shard_id=choice, reason="evicted",
-                            )
-                            obs.count("requests_shed", reason="evicted")
+                        victim = victims[0].request_id
+                        shards[choice].withdraw(victim)
+                        pending_predictions.pop(victim, None)
+                        shed(victim, t, "evicted", shard_id=choice)
                 shards[choice].submit(req)
                 predicted = policy.predicted_ttft_s(req, t, chosen)
                 if predicted is not None:
@@ -1125,48 +820,50 @@ class FleetSimulator:
                         policy=policy.name, predicted_ttft_s=predicted,
                     )
                     obs.count("requests_routed", shard=choice)
-            elif self.calendar:
-                # Event-calendar drain, as in run(); down shards are
-                # idle (harvested) so they never enter the calendar.
+            else:
+                # Event-calendar drain: advance the globally next-acting
+                # shard in one coalesced pass up to the runner-up's key,
+                # bailing out the moment a completion injects a global
+                # follow-up — so closed-loop arrivals re-enter routing at
+                # exactly the instant the per-iteration walk would
+                # surface them.
                 nxt = calendar.pop()
                 if nxt is None:
                     break
                 key, idx, horizon = nxt
                 shard = shards[idx]
                 if key >= horizon:
+                    # Exact tie with the runner-up: run one iteration,
+                    # matching the per-iteration walk's id-ordered pick.
                     shard.advance_one()
                 else:
                     shard.advance_until(
                         horizon, interrupt=lambda: bool(arrivals)
                     )
                 calendar.reschedule(idx)
-            else:
-                busy = [shard for shard in shards if not shard.idle]
-                if not busy:
-                    break
-                min(busy, key=lambda shard: shard.next_event_s()).advance_one()
 
         shard_results = tuple(shard.result() for shard in shards)
-        # Availability accounting in absolute time: the run spans the
-        # first arrival to the last shard clock; each crash's down
-        # window is clipped to that span.
-        start_s = min(req.arrival_s for req in initial)
-        end_s = max(shard.clock_s for shard in shards)
-        makespan = max(0.0, end_s - start_s)
-        downtime = [0.0] * n_shards
-        for fault in applied:
-            if fault.kind is FaultKind.CRASH:
-                lo = min(max(fault.at_s, start_s), end_s)
-                hi = min(max(fault.until_s, start_s), end_s)
-                downtime[fault.shard_id] += hi - lo
-        resilience = ResilienceReport.build(
-            dispositions=dispositions,
-            n_retries=n_retries,
-            lost_generated_tokens=lost_tokens,
-            faults=applied,
-            shard_downtime_s=downtime,
-            makespan_s=makespan,
-        )
+        resilience = None
+        if resilient:
+            # Availability accounting in absolute time: the run spans
+            # the first arrival to the last shard clock; each crash's
+            # down window is clipped to that span.
+            start_s = min(req.arrival_s for req in initial)
+            end_s = max(shard.clock_s for shard in shards)
+            downtime = [0.0] * n_shards
+            for fault in applied:
+                if fault.kind is FaultKind.CRASH:
+                    lo = min(max(fault.at_s, start_s), end_s)
+                    hi = min(max(fault.until_s, start_s), end_s)
+                    downtime[fault.shard_id] += hi - lo
+            resilience = ResilienceReport.build(
+                dispositions=dispositions,
+                n_retries=n_retries,
+                lost_generated_tokens=lost_tokens,
+                faults=applied,
+                shard_downtime_s=downtime,
+                makespan_s=max(0.0, end_s - start_s),
+            )
         result = FleetResult(
             model_name=self.engines[0].model.name,
             policy_name=policy.name,
@@ -1184,3 +881,86 @@ class FleetSimulator:
             resilience=resilience,
             obs=obs.build() if obs is not None else None,
         )
+
+    @staticmethod
+    def _steal_pass(
+        shards: List[ContinuousBatchingScheduler],
+        decisions: List[RoutingDecision],
+        pending_predictions: Dict[int, float],
+        up: Sequence[bool],
+        obs: Optional[FleetObserver] = None,
+    ) -> bool:
+        """Idle thieves pull waiting work off backlogged donors.
+
+        Deterministic: thieves are visited in ascending shard id;
+        each scans donors by (deepest stealable backlog, lowest id)
+        and takes the *oldest* still-waiting request it could ever
+        admit — the one with the worst accumulated wait, whose
+        departure also shortens the queue for everything behind it
+        — provided the donor stays non-idle after losing it and
+        the move is profitable: the idle thief's first-token
+        instant (its clock plus its surface's prefill) must beat a
+        *lower bound* on the donor's (busy-until plus the donor's
+        prefill, ignoring the donor's queue), so work never
+        migrates onto a shard slow enough to make the wait look
+        good. One steal per thief per pass (the thief is busy
+        afterwards). Returns whether anything moved.
+
+        ``up`` masks crashed shards: a down shard is "idle" because
+        its queue was harvested, not because it has capacity — it
+        must neither steal nor donate (it holds nothing to donate
+        anyway).
+        """
+
+        def first_token_s(shard, candidate) -> float:
+            # Busy-until plus the shard's own prefill, queue ignored.
+            prefill = shard.engine.surface.prefill(candidate.prompt_tokens)
+            return max(shard.clock_s, candidate.arrival_s) + prefill.latency_s
+
+        stole = False
+        for thief_id, thief in enumerate(shards):
+            if not up[thief_id] or not thief.idle:
+                continue
+            donors = sorted(
+                (d_id for d_id, d in enumerate(shards) if d.n_stealable),
+                key=lambda d_id: (-shards[d_id].n_stealable, d_id),
+            )
+            for donor_id in donors:
+                donor = shards[donor_id]
+                if donor.snapshot(donor_id).n_in_system < 2:
+                    continue  # donor would go idle: nothing gained
+                victim = next(
+                    (
+                        candidate
+                        for candidate in donor.steal_candidates()
+                        if thief.can_ever_admit(candidate)
+                        and first_token_s(thief, candidate)
+                        < first_token_s(donor, candidate)
+                    ),
+                    None,
+                )
+                if victim is None:
+                    continue
+                donor.withdraw(victim.request_id)
+                # The original prediction describes a placement
+                # that will never run; drop it from calibration.
+                pending_predictions.pop(victim.request_id, None)
+                thief.submit(victim)
+                migrate_s = max(thief.clock_s, victim.arrival_s)
+                decisions.append(
+                    RoutingDecision(
+                        victim.request_id,
+                        migrate_s,
+                        thief_id,
+                        migrated_from=donor_id,
+                    )
+                )
+                if obs is not None:
+                    obs.instant(
+                        "MIGRATE", migrate_s, request_id=victim.request_id,
+                        shard_id=thief_id, from_shard=donor_id,
+                    )
+                    obs.count("migrations", thief=thief_id, donor=donor_id)
+                stole = True
+                break
+        return stole

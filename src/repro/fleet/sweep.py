@@ -96,7 +96,7 @@ class SweepPoint:
     #: Whether the fleet ran with work stealing enabled (v3 grid axis).
     steal: bool = False
     #: The named fault scenario the point ran under (v4 grid axis);
-    #: ``"none"`` means the fault-free legacy path.
+    #: ``"none"`` means an empty fault heap.
     faults: str = "none"
 
     def key(self) -> Tuple[int, str, int, int, bool, str]:

@@ -16,19 +16,19 @@ few floats, so simulator overhead no longer dominates long streams.
 **The hot loop is event-compressed.** A decode batch is *stable* while
 no member completes, no arrival is due, and the bucketed context key is
 constant (``ctx_bucket`` consecutive contexts share one surface point).
-The default ``coalesce=True`` path advances such runs of ``k``
-iterations with O(batch) bookkeeping plus O(k) scalar clock arithmetic
-instead of ``k`` full Python iterations — and is **bit-identical** to
-the per-token walk (same records, same events, same clock: the clock
-series is reproduced by the very float additions the walk would issue).
-The per-token walk is retained as the property-tested reference path
-(``coalesce=False``); the simulator's own layer-by-layer reference walk
-lives in the test suite as an oracle (``tests/oracles/layer_walk.py``).
-Long streams where nobody
-reads per-token events can additionally pass ``token_events=False`` to
-elide DECODE_STEP / FIRST_TOKEN event materialization; records, metrics
-and the peak-KV accounting are unaffected (KV only changes at ADMIT /
-COMPLETE, which are always logged).
+:meth:`advance_until` advances such runs of ``k`` iterations with
+O(batch) bookkeeping plus O(k) scalar clock arithmetic instead of ``k``
+full Python iterations — and is **bit-identical** to the per-token walk
+(same records, same events, same clock: the clock series is reproduced
+by the very float additions the walk would issue). The per-token walk
+is stepping :meth:`advance_one` until it returns ``False``; the test
+suite keeps it as an oracle (``tests/oracles/token_walk.py``), beside
+the simulator's layer-by-layer walk (``tests/oracles/layer_walk.py``).
+Long streams where nobody reads per-token events can additionally pass
+``token_events=False`` to elide DECODE_STEP / FIRST_TOKEN event
+materialization; records, metrics and the peak-KV accounting are
+unaffected (KV only changes at ADMIT / COMPLETE, which are always
+logged).
 
 Admission is slot- and KV-memory constrained and strictly FCFS: a
 request is admitted only while fewer than ``max_batch`` requests hold a
@@ -334,9 +334,6 @@ class ContinuousBatchingScheduler:
             callback here so closed-loop follow-ups re-enter the global
             router instead of being pinned to the shard that happened
             to serve their predecessor.
-        coalesce: advance stable decode runs in one pass (bit-identical
-            to the per-token walk). ``False`` forces the reference
-            per-token path the equivalence tests compare against.
         token_events: materialize per-token FIRST_TOKEN / DECODE_STEP
             events. ``False`` thins the event log to state changes only
             (ARRIVAL / ADMIT / PREFILL_START / COMPLETE); records,
@@ -369,7 +366,6 @@ class ContinuousBatchingScheduler:
         max_batch: int = 16,
         ctx_bucket: int = 1,
         on_complete: Optional[Callable[[Request, float], Optional[Request]]] = None,
-        coalesce: bool = True,
         token_events: bool = True,
         interpolate: bool = False,
         obs=None,
@@ -396,7 +392,6 @@ class ContinuousBatchingScheduler:
             )
         self.max_batch = max_batch
         self.ctx_bucket = ctx_bucket
-        self.coalesce = coalesce
         self.token_events = token_events
         self.interpolate = interpolate
         #: Step-latency multiplier the fault layer sets during bandwidth
@@ -580,7 +575,7 @@ class ContinuousBatchingScheduler:
         (never before its clock — steps are non-preemptible); an idle
         shard never acts (``inf``). Advancing the globally minimal
         shard therefore executes fleet iterations in exactly the order
-        the per-iteration reference walk does.
+        the per-iteration walk does.
         """
         if self._prefill_queue or self._d_req or self._pending:
             return self._clock
@@ -845,7 +840,7 @@ class ContinuousBatchingScheduler:
         self._decode_ctx = max(self._d_ctx, default=0)
 
     def _decode_step(self) -> None:
-        """One batched decode iteration — the per-token reference path."""
+        """One batched decode iteration (the per-token walk's step)."""
         d_req = self._d_req
         d_ctx = self._d_ctx
         d_left = self._d_left
@@ -894,12 +889,12 @@ class ContinuousBatchingScheduler:
         A run covers ``k = min(tokens-to-next-completion,
         tokens-to-bucket-boundary)`` iterations, cut short the moment the
         clock reaches ``t_s`` or crosses the next submitted arrival (the
-        boundary where the reference walk would ingest it). Within a run
+        boundary where the per-token walk would ingest it). Within a run
         the batch, the surface point, the KV reservation and the queue
         depth are all provably constant, so the per-iteration work
         collapses to O(batch) bookkeeping; the clock and energy series
         are still produced by the same sequential float additions the
-        reference walk performs, so every timestamp, TBT gap and
+        per-token walk performs, so every timestamp, TBT gap and
         accumulator matches bit for bit.
         """
         d_req = self._d_req
@@ -914,7 +909,7 @@ class ContinuousBatchingScheduler:
         k_cap = min(to_complete, bucket_run)
         next_arrival = self._future[0][0] if self._future else math.inf
         lat = point.latency_s * self.latency_scale
-        # Reproduce the reference walk's clock/energy series exactly —
+        # Reproduce the per-token walk's clock/energy series exactly —
         # sequential float addition is order-sensitive, so k*lat would
         # drift in the last bits where lat+lat+... does not. accumulate
         # performs the identical additions at C speed; the run's cut
@@ -1051,7 +1046,6 @@ class ContinuousBatchingScheduler:
         decode runs already end at the first in-run completion).
         """
         self._started = True
-        coalesce = self.coalesce
         while True:
             if self._clock >= t_s:
                 return
@@ -1073,10 +1067,7 @@ class ContinuousBatchingScheduler:
             if self._prefill_queue:
                 self._prefill_step()
             elif self._d_req:
-                if coalesce:
-                    self._decode_run(t_s)
-                else:
-                    self._decode_step()
+                self._decode_run(t_s)
             elif self._pending:
                 # Head blocked on KV with nothing in flight can only mean
                 # an over-sized request, which _check() already rejected.

@@ -50,14 +50,12 @@ class ServingReport:
 class ServingSimulator:
     """Run request scenarios against one deployed engine.
 
-    ``coalesce`` / ``token_events`` / ``interpolate`` pass straight
-    through to the scheduler: the first selects the event-compressed hot
-    loop (on by default; bit-identical to the per-token reference walk),
-    the second controls per-token event materialization (metrics are
-    identical either way — flip it off for long streams nobody
-    introspects), and the third allows guarded surface interpolation on
-    latency lookups (approximate within the surface's ``interp_rel_err``
-    bound; off by default so numbers stay exact).
+    ``token_events`` / ``interpolate`` pass straight through to the
+    scheduler: the first controls per-token event materialization
+    (metrics are identical either way — flip it off for long streams
+    nobody introspects), and the second allows guarded surface
+    interpolation on latency lookups (approximate within the surface's
+    ``interp_rel_err`` bound; off by default so numbers stay exact).
 
     ``obs`` takes a :class:`~repro.obs.FleetObserver`; the single-engine
     run reports through its shard-0 view, so the same observer (and
@@ -71,7 +69,6 @@ class ServingSimulator:
         kv_budget_bytes: Optional[int] = None,
         max_batch: int = 16,
         ctx_bucket: int = 1,
-        coalesce: bool = True,
         token_events: bool = True,
         interpolate: bool = False,
         obs=None,
@@ -80,7 +77,6 @@ class ServingSimulator:
         self.kv_budget_bytes = kv_budget_bytes
         self.max_batch = max_batch
         self.ctx_bucket = ctx_bucket
-        self.coalesce = coalesce
         self.token_events = token_events
         self.interpolate = interpolate
         self.obs = obs
@@ -93,7 +89,6 @@ class ServingSimulator:
             kv_budget_bytes=self.kv_budget_bytes,
             max_batch=self.max_batch,
             ctx_bucket=self.ctx_bucket,
-            coalesce=self.coalesce,
             token_events=self.token_events,
             interpolate=self.interpolate,
             obs=self.obs.shard(0) if self.obs is not None else None,

@@ -110,10 +110,6 @@ class LatencySurface:
         simulator: WorkloadSimulator,
         interp_rel_err: float = DEFAULT_INTERP_REL_ERR,
     ) -> None:
-        if interp_rel_err < 0.0:
-            raise SimulationError(
-                f"interp_rel_err must be >= 0, got {interp_rel_err}"
-            )
         self._sim = simulator
         self._points: Dict[Tuple[Stage, int, int], SurfacePoint] = {}
         # Sorted token axes per (stage, batch) so interpolation can
@@ -124,7 +120,7 @@ class LatencySurface:
         # serialize, so the exact table stays bit-identical regardless
         # of whether anyone interpolated.
         self._interp_cache: Dict[Tuple[Stage, int, int], SurfacePoint] = {}
-        self.interp_rel_err = interp_rel_err
+        self.interp_rel_err = interp_rel_err  # validated by the setter
         #: Points filled by *running the simulator* since construction
         #: (loads and merges do not count). The surface store's
         #: warm-start guarantee is phrased in this counter: a run whose
@@ -133,6 +129,17 @@ class LatencySurface:
 
     def __len__(self) -> int:
         return len(self._points)
+
+    @property
+    def interp_rel_err(self) -> float:
+        """Relative-error guard of interpolated lookups (never negative)."""
+        return self._interp_rel_err
+
+    @interp_rel_err.setter
+    def interp_rel_err(self, value: float) -> None:
+        if value < 0.0:
+            raise SimulationError(f"interp_rel_err must be >= 0, got {value}")
+        self._interp_rel_err = value
 
     @property
     def simulator(self) -> WorkloadSimulator:
@@ -203,7 +210,7 @@ class LatencySurface:
         for lo_v, hi_v in scalars:
             if lo_v <= 0.0 or hi_v <= 0.0:
                 return None  # log-space fit needs positive values
-            if self._rel_span(lo_v, hi_v) > self.interp_rel_err:
+            if self._rel_span(lo_v, hi_v) > self._interp_rel_err:
                 return None
         # Power-law fit: linear in (log tokens, log value) between the
         # bracket endpoints — matches the polynomial-in-context shape of

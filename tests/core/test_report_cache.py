@@ -1,4 +1,4 @@
-"""Tests for MeadowEngine's report cache (LRU) and fast-path surface."""
+"""Tests for MeadowEngine's report cache: the fast-path latency surface."""
 
 from __future__ import annotations
 
@@ -12,43 +12,6 @@ from repro.sim import LatencySurface
 @pytest.fixture()
 def engine(small_model, zcu12, shared_planner):
     return MeadowEngine(small_model, zcu12, planner=shared_planner)
-
-
-class TestReportCacheLRU:
-    def test_hit_returns_same_report(self, engine, small_model):
-        wl = decode_workload(small_model, 128)
-        assert engine.simulate_cached(wl) is engine.simulate_cached(wl)
-
-    def test_capacity_respected(self, engine, small_model):
-        engine.REPORT_CACHE_MAX = 3
-        for ctx in range(100, 110):
-            engine.simulate_cached(decode_workload(small_model, ctx))
-        assert len(engine._report_cache) == 3
-
-    def test_eviction_is_least_recently_used(self, engine, small_model):
-        """A re-hit entry survives eviction; the stale one goes.
-
-        The seed's FIFO eviction dropped the *hottest* early entries of
-        a long stream (the first-inserted key was always the victim,
-        however recently it was hit); true LRU must evict the least
-        recently *used* key instead.
-        """
-        engine.REPORT_CACHE_MAX = 2
-        hot = decode_workload(small_model, 100)
-        cold = decode_workload(small_model, 101)
-        hot_report = engine.simulate_cached(hot)   # insert hot
-        engine.simulate_cached(cold)               # insert cold
-        engine.simulate_cached(hot)                # refresh hot
-        engine.simulate_cached(decode_workload(small_model, 102))  # evicts cold
-        assert hot in engine._report_cache
-        assert cold not in engine._report_cache
-        assert engine.simulate_cached(hot) is hot_report
-
-    def test_distinct_workloads_distinct_entries(self, engine, small_model):
-        engine.simulate_cached(decode_workload(small_model, 128))
-        engine.simulate_cached(decode_workload(small_model, 128, batch=2))
-        engine.simulate_cached(prefill_workload(small_model, 128))
-        assert len(engine._report_cache) == 3
 
 
 class TestSimulateFast:
@@ -72,7 +35,6 @@ class TestSimulateFast:
         assert len(surface) == 1
 
     def test_fast_points_never_evict(self, engine, small_model):
-        engine.REPORT_CACHE_MAX = 2  # surface is independent of the LRU
         for ctx in range(100, 120):
             engine.simulate_fast(decode_workload(small_model, ctx))
         assert len(engine.surface) == 20

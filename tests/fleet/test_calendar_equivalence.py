@@ -1,14 +1,14 @@
-"""Calendar-mode fleet drain is bit-identical to the reference walk.
+"""The fleet's calendar drain is bit-identical to the per-iteration walk.
 
-The event-calendar drain (``calendar=True``, the default) advances the
-globally next-acting shard in coalesced runs between heap keys; the
-retained per-iteration reference walk (``calendar=False``) picks the
-minimal shard and runs exactly one iteration at a time. These tests pin
-the tentpole claim: the two execute the *identical* fleet timeline —
+The event-calendar drain advances the globally next-acting shard in
+coalesced runs between heap keys, and runs an open-loop fleet's shards
+dry at once; the per-iteration walk kept in ``tests/oracles/fleet_walk.py``
+picks the minimal shard and runs exactly one iteration at a time. These
+tests pin the claim: the two execute the *identical* fleet timeline —
 request records, event logs, routing decisions and merged metrics —
-across open-loop, closed-loop, heterogeneous and work-stealing runs,
-and a one-shard calendar fleet still reproduces single-engine serving
-field for field.
+across open-loop, closed-loop, heterogeneous, faulty and work-stealing
+runs, and a one-shard calendar fleet still reproduces single-engine
+serving field for field.
 """
 
 from __future__ import annotations
@@ -16,19 +16,23 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving import ClosedLoopSource, ServingSimulator
-from repro.fleet import FleetSimulator
+from oracles.fleet_walk import WalkingDrain, run_reference
+from repro.fleet import FaultKind, FaultSchedule, FleetSimulator, ShardFault
+from repro.fleet.simulator import _DrainCalendar
+from repro.serving import (
+    ClosedLoopSource,
+    ContinuousBatchingScheduler,
+    ServingSimulator,
+)
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
 
 def _run_both(engines, source_factory, **kwargs):
-    reference = FleetSimulator(engines, calendar=False, **kwargs).run(
-        source_factory()
+    reference = run_reference(
+        FleetSimulator(engines, **kwargs), source_factory()
     )
-    calendar = FleetSimulator(engines, calendar=True, **kwargs).run(
-        source_factory()
-    )
+    calendar = FleetSimulator(engines, **kwargs).run(source_factory())
     return reference, calendar
 
 
@@ -74,6 +78,51 @@ class TestOpenLoopEquivalence:
             max_batch=8,
         )
         _assert_identical(reference, calendar)
+
+    @given(seeds, st.sampled_from(["poisson", "bursty"]))
+    @settings(max_examples=6, deadline=None)
+    def test_open_loop_drain_tail_with_faults(
+        self, fast_engine, slow_engine, shard_budget, make_stream, seed, kind
+    ):
+        # A dense stream leaves a long drain tail after the last
+        # arrival, which the calendar runs dry shard by shard and the
+        # walk steps one iteration at a time; a crash with retries and
+        # a brownout first reshape the queues it drains.
+        schedule = FaultSchedule(
+            name="open-loop",
+            faults=(
+                ShardFault(FaultKind.CRASH, 1, 0.01, 0.01),
+                ShardFault(
+                    FaultKind.BROWNOUT, 0, 0.0, 0.03, bandwidth_factor=0.5
+                ),
+            ),
+        )
+        reference, calendar = _run_both(
+            [fast_engine, slow_engine, fast_engine],
+            lambda: make_stream(kind, n=24, seed=seed, rate=400.0),
+            policy="jsq",
+            kv_budget_bytes=shard_budget,
+            max_batch=4,
+            faults=schedule,
+        )
+        _assert_identical(reference, calendar)
+        assert calendar.resilience == reference.resilience
+
+    def test_open_loop_calendar_runs_dry_where_the_walk_steps(
+        self, fast_engine, slow_engine, shard_budget, make_stream
+    ):
+        # The two drains part ways exactly at the open-loop horizon: the
+        # calendar hands the minimal shard +inf (run dry), the walk its
+        # own key (one iteration).
+        shards = [
+            ContinuousBatchingScheduler(engine, kv_budget_bytes=shard_budget)
+            for engine in (fast_engine, slow_engine)
+        ]
+        for i, req in enumerate(make_stream("bursty", n=8, seed=1).initial()):
+            shards[i % 2].submit(req)
+        key, idx, horizon = _DrainCalendar(shards, open_loop=True).pop()
+        assert horizon == float("inf")
+        assert WalkingDrain(shards, open_loop=True).pop() == (key, idx, key)
 
 
 class TestClosedLoopEquivalence:
@@ -149,7 +198,6 @@ class TestClosedLoopEquivalence:
             [fast_engine],
             kv_budget_bytes=shard_budget,
             max_batch=8,
-            calendar=True,
         ).run(src())
         assert calendar.metrics == single.metrics
         assert calendar.result.shard_results[0].records == single.result.records

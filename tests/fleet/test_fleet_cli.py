@@ -15,15 +15,12 @@ class TestFleetParser:
         assert args.policy == "predicted-latency"
         assert not args.sweep
         assert not args.steal
-        assert not args.no_calendar
         assert not args.steal_grid
         assert args.max_energy_per_token_uj is None
 
-    def test_steal_and_calendar_flags_parsed(self):
-        args = build_parser().parse_args(
-            ["fleet", "--steal", "--no-calendar"]
-        )
-        assert args.steal and args.no_calendar
+    def test_steal_flag_parsed(self):
+        args = build_parser().parse_args(["fleet", "--steal"])
+        assert args.steal
 
     def test_sweep_knobs_parsed(self):
         args = build_parser().parse_args(

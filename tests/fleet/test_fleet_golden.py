@@ -17,7 +17,9 @@ windows are pinned at ``rel=1e-9``, like the other goldens, so the
 guard holds on every Python version CI runs.
 
 The engines are the fleet suite's (``tests/fleet/conftest.py``): the
-tiny decoder on a 12 Gbps and a 1 Gbps box.
+tiny decoder on a 12 Gbps and a 1 Gbps box. :func:`build_env` builds
+them here, so the recorder runs without pytest and a later edit to the
+shared fixtures cannot move the pinned inputs.
 
 Re-record (only when a timeline change is intentional)::
 
@@ -263,9 +265,9 @@ def _crash_park_until_recovery(env):
 
 
 def _crash_steal_closed(env):
-    # Both shards down at once (the second crash is absorbed by the
-    # first's window on shard 0), closed-loop follow-ups parked behind
-    # them, and stealing once they are back.
+    # Both shards down at once (shard 0's second crash lands inside
+    # its first outage and is absorbed), retries parked until one
+    # recovers, and stealing once they are back.
     return _fleet(
         env, [env.slow, env.fast], policy="round-robin", steal=True,
         faults=_crash((0, 0.004, 0.01), (1, 0.006, 0.01), (0, 0.008, 0.004)),

@@ -1,8 +1,8 @@
 """Equivalence proofs for the event-compressed serving core.
 
-Three guarantees, each tested against the retained per-token reference
-path (``coalesce=False``) the same way the simulator's fast path is
-tested against ``simulate_reference``:
+Three guarantees, each tested against the per-token walk kept in
+``tests/oracles/token_walk.py`` the same way the simulator's fast path
+is tested against ``tests/oracles/layer_walk.py``:
 
 1. **Decode-run coalescing is bit-identical**: the coalesced scheduler
    produces the *same* :class:`~repro.serving.ServingResult` — records,
@@ -27,6 +27,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.token_walk import walk_tokens
 from repro import ExecutionPlan, MeadowEngine
 from repro.serving import (
     ClosedLoopSource,
@@ -77,17 +78,18 @@ def _budget(engine, requests: float = 4.0) -> int:
     return int(worst * requests)
 
 
-def _run(engine, source, *, coalesce, token_events=True, ctx_bucket=1,
+def _run(engine, source, *, walk=False, token_events=True, ctx_bucket=1,
          max_batch=8, budget_requests=4.0):
-    return ContinuousBatchingScheduler(
+    """The scheduler's coalesced ``run()``, or the per-token walk."""
+    scheduler = ContinuousBatchingScheduler(
         engine,
         source,
         kv_budget_bytes=_budget(engine, budget_requests),
         max_batch=max_batch,
         ctx_bucket=ctx_bucket,
-        coalesce=coalesce,
         token_events=token_events,
-    ).run()
+    )
+    return walk_tokens(scheduler) if walk else scheduler.run()
 
 
 def _assert_identical(fast, ref):
@@ -107,11 +109,11 @@ class TestCoalescedEqualsReference:
         self, serving_engine, make_source, seed, kind, ctx_bucket, max_batch
     ):
         ref = _run(
-            serving_engine, make_source(kind, seed), coalesce=False,
+            serving_engine, make_source(kind, seed), walk=True,
             ctx_bucket=ctx_bucket, max_batch=max_batch,
         )
         fast = _run(
-            serving_engine, make_source(kind, seed), coalesce=True,
+            serving_engine, make_source(kind, seed),
             ctx_bucket=ctx_bucket, max_batch=max_batch,
         )
         _assert_identical(fast, ref)
@@ -122,11 +124,11 @@ class TestCoalescedEqualsReference:
         self, gemm_engine, make_source, seed, ctx_bucket
     ):
         ref = _run(
-            gemm_engine, make_source("poisson", seed), coalesce=False,
+            gemm_engine, make_source("poisson", seed), walk=True,
             ctx_bucket=ctx_bucket,
         )
         fast = _run(
-            gemm_engine, make_source("poisson", seed), coalesce=True,
+            gemm_engine, make_source("poisson", seed),
             ctx_bucket=ctx_bucket,
         )
         _assert_identical(fast, ref)
@@ -140,11 +142,11 @@ class TestCoalescedEqualsReference:
         # slot bound and the KV budget, so runs are cut by completions
         # and arrivals everywhere.
         ref = _run(
-            serving_engine, make_source("bursty", seed), coalesce=False,
+            serving_engine, make_source("bursty", seed), walk=True,
             ctx_bucket=8, max_batch=2, budget_requests=2.0,
         )
         fast = _run(
-            serving_engine, make_source("bursty", seed), coalesce=True,
+            serving_engine, make_source("bursty", seed),
             ctx_bucket=8, max_batch=2, budget_requests=2.0,
         )
         _assert_identical(fast, ref)
@@ -160,13 +162,13 @@ class TestCoalescedEqualsReference:
         # still reproduce the identical timeline and event log.
         stream = poisson_stream(12, 40.0, prompt_dist, output_dist, seed=seed)
         budget = _budget(serving_engine)
-        ref = ContinuousBatchingScheduler(
+        ref = walk_tokens(ContinuousBatchingScheduler(
             serving_engine, stream, kv_budget_bytes=budget,
-            max_batch=8, ctx_bucket=ctx_bucket, coalesce=False,
-        ).run()
+            max_batch=8, ctx_bucket=ctx_bucket,
+        ))
         chunked = ContinuousBatchingScheduler(
             serving_engine, kv_budget_bytes=budget,
-            max_batch=8, ctx_bucket=ctx_bucket, coalesce=True,
+            max_batch=8, ctx_bucket=ctx_bucket,
         )
         for req in stream.initial():
             chunked.advance_until(req.arrival_s)
@@ -188,11 +190,11 @@ class TestLeanEventLogging:
     ):
         full = _run(
             serving_engine, make_source(kind, seed),
-            coalesce=True, token_events=True, ctx_bucket=8,
+            token_events=True, ctx_bucket=8,
         )
         lean = _run(
             serving_engine, make_source(kind, seed),
-            coalesce=True, token_events=False, ctx_bucket=8,
+            token_events=False, ctx_bucket=8,
         )
         # The thinned log is exactly the full log minus per-token kinds.
         assert lean.events == tuple(
@@ -213,11 +215,11 @@ class TestLeanEventLogging:
     def test_lean_reference_walk_matches_too(
         self, serving_engine, make_source, seed
     ):
-        # token_events composes with coalesce=False identically.
+        # token_events composes with the per-token walk identically.
         a = _run(serving_engine, make_source("poisson", seed),
-                 coalesce=False, token_events=False, ctx_bucket=8)
+                 walk=True, token_events=False, ctx_bucket=8)
         b = _run(serving_engine, make_source("poisson", seed),
-                 coalesce=True, token_events=False, ctx_bucket=8)
+                 token_events=False, ctx_bucket=8)
         _assert_identical(b, a)
 
 

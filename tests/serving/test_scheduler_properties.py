@@ -8,6 +8,7 @@ The scheduler's event log is the witness for every invariant.
 
 from hypothesis import given, settings, strategies as st
 
+from oracles.token_walk import walk_tokens
 from repro.errors import CapacityError, ConfigError
 from repro.serving import EventKind
 
@@ -188,7 +189,7 @@ class TestSlotBoundUnderOverload:
             serving_model.max_seq_len, serving_engine.config.act_bits
         )
 
-        def scheduler(coalesce):
+        def scheduler():
             return ContinuousBatchingScheduler(
                 serving_engine,
                 self._source(
@@ -197,18 +198,16 @@ class TestSlotBoundUnderOverload:
                 kv_budget_bytes=int(worst * budget_requests),
                 max_batch=max_batch,
                 ctx_bucket=8,
-                coalesce=coalesce,
             )
 
-        walk = scheduler(coalesce=False)
-        for req in walk.source.initial():
-            walk.submit(req)
-        while walk.advance_one():
+        def check(walk):
             assert len(walk._prefill_queue) + len(walk._d_req) <= max_batch
             assert walk._kv_reserved <= walk.kv_budget_bytes
             snap = walk.snapshot()
             assert snap.n_decoding <= snap.max_batch
-        walked = walk.result()
+
+        walk = scheduler()
+        walked = walk_tokens(walk, on_step=check)
         offered = getattr(walk.source, "total_requests", 40)
         assert len(walked.records) + walked.n_rejected_followups == offered
         for rec in walked.records:
@@ -217,7 +216,7 @@ class TestSlotBoundUnderOverload:
         # The coalesced path: requests holding a slot (admitted, not yet
         # completed) never exceed the bound at any logged instant, and
         # the timeline is the walk's, bit for bit.
-        ran = scheduler(coalesce=True).run()
+        ran = scheduler().run()
         in_flight = 0
         for ev in ran.events:
             if ev.kind is EventKind.ADMIT:
