@@ -301,9 +301,9 @@ class _DrainCalendar:
     is cached in ``_keys``; state-touching sites mark the shards dirty
     via :meth:`invalidate_all` and the next :meth:`pop` re-keys only
     the dirty ones, pushing a heap entry only when the key actually
-    changed. Superseded heap entries are removed
-    lazily — an entry is live iff its value still equals the shard's
-    cached key — so no heapify ever runs after construction.
+    changed. Superseded heap entries are removed lazily — an entry is
+    live iff its value still equals the shard's cached key — so no
+    heapify ever runs after construction.
 
     Invariant: every shard with a finite cached key has at least one
     live heap entry. :meth:`pop` consumes the winner's entry, so the
