@@ -138,7 +138,7 @@ def run_routing_resilience(n_requests: int) -> dict:
     """Brownout A/B: health-aware routing vs blind round-robin.
 
     Identical fault schedule, identical arrivals — the only difference
-    is whether the router reads ``snapshot.health.latency_scale``.
+    is whether the router reads ``snapshot.latency_scale``.
     """
     engines = _engines()
     by_policy = {}

@@ -608,26 +608,24 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
     if args.faults_grid is not None:
         _check_fault_names(args.faults_grid, "--faults-grid")
     observer = _make_observer(args)
+    # One engine per *distinct* bandwidth, warm-started from the store
+    # on creation: shards sharing hardware share the engine (and its
+    # warm latency surface), so repeated profile entries like
+    # `12 1 12 1` cost nothing extra.
+    driver = SweepDriver(
+        base,
+        bandwidths_gbps=args.bandwidths,
+        kv_budget_bytes=(
+            [budget] * len(args.bandwidths) if budget is not None else None
+        ),
+        surface_store=_make_store(args),
+    )
 
     if not args.sweep:
-        # One engine per *distinct* bandwidth: shards sharing hardware
-        # share the engine (and its warm latency surface), so repeated
-        # profile entries like `12 1 12 1` cost nothing extra.
-        by_bandwidth = {base.config.dram_bandwidth_gbps: base}
-        for bw in args.bandwidths:
-            if bw not in by_bandwidth:
-                by_bandwidth[bw] = base.clone(
-                    config=base.config.with_bandwidth(bw)
-                )
-        engines = [by_bandwidth[bw] for bw in args.bandwidths]
+        engines = [driver.engine_for(bw) for bw in args.bandwidths]
         if args.interp_rel_err is not None:
-            for eng in by_bandwidth.values():
+            for eng in engines:
                 eng.surface.interp_rel_err = args.interp_rel_err
-        store = _make_store(args)
-        loaded = {
-            bw: store.load(eng)
-            for bw, eng in by_bandwidth.items()
-        } if store is not None else {}
         retry = None
         if args.retry_budget is not None or args.deadline_s is not None:
             retry = RetryPolicy(
@@ -661,13 +659,8 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
         lines = [header, report.describe()]
         if report.obs is not None:
             lines.extend(_obs_outputs(report.obs, args))
-        if store is not None:
-            new = warm = 0
-            for bw, eng in sorted(by_bandwidth.items()):
-                warm += loaded[bw]
-                new += max(0, len(eng.surface) - loaded[bw])
-                store.save(eng)
-            lines.append(_store_line(new, warm))
+        if driver.surface_store is not None:
+            lines.append(_store_line(*driver.save_surfaces()))
         return "\n".join(lines)
 
     if args.interpolate:
@@ -678,14 +671,6 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
             "results are defined exact so serial and --workers runs "
             "stay bit-identical"
         )
-    driver = SweepDriver(
-        base,
-        bandwidths_gbps=args.bandwidths,
-        kv_budget_bytes=(
-            [budget] * len(args.bandwidths) if budget is not None else None
-        ),
-        surface_store=_make_store(args),
-    )
     result = driver.sweep(
         factory,
         n_engines_grid=args.num_engines or [len(args.bandwidths)],

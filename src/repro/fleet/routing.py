@@ -77,16 +77,16 @@ def model_ttft_s(
     batched-decode rate.
 
     Health-aware: a browned-out shard's work terms are scaled by its
-    :class:`~repro.serving.ShardHealth` latency factor, so routing and
-    deadline shedding both see degraded boxes as slower — exactly how
-    the shard will actually run its steps. At nominal health the factor
+    :attr:`~repro.serving.SchedulerSnapshot.latency_scale`, so routing
+    and deadline shedding both see degraded boxes as slower — exactly
+    how the shard will actually run its steps. At nominal health the factor
     is 1.0 and the multiply is an exact IEEE-754 no-op, keeping
     fault-free predictions bit-identical to the pre-resilience model.
     Shared by :class:`PredictedLatencyPolicy` and
     :class:`~repro.fleet.resilience.DeadlineShedding`.
     """
     surface = snap.engine.surface
-    scale = snap.health.latency_scale
+    scale = snap.latency_scale
     wait_s = max(0.0, snap.clock_s - now_s)
     # The snapshot carries queued prompts as a (length, count)
     # histogram — sized by distinct lengths, not backlog depth — so

@@ -23,14 +23,17 @@ the fleet hands requests over at routing instants).
 the fleet holds its busy shards in a heap keyed by
 :meth:`~repro.serving.ContinuousBatchingScheduler.next_event_s` — the
 instant each shard's next iteration would start — pops the global
-minimum and advances that shard in one coalesced pass up to the
-runner-up's key, interrupted the moment a completion injects a global
-follow-up. That makes closed-loop drain cost O(fleet events) while
-executing the *identical* iteration sequence as the per-iteration walk
-(pick the minimal shard, run exactly one iteration, repeat) that
-``tests/oracles/fleet_walk.py`` keeps as the equivalence oracle —
-records, events, decisions and merged metrics, bit for bit. Open-loop
-sources never inject follow-ups, so there each shard runs dry at once.
+minimum and advances that shard in one coalesced pass up to a horizon
+taken from the runner-up's key, interrupted the moment a completion
+injects a global follow-up. The horizon folds in the per-iteration
+walk's tie-break (lowest shard id first), so every drain step is one
+``advance_until`` call, ties included. That makes closed-loop drain cost
+O(fleet events) while executing the *identical* iteration sequence as
+the per-iteration walk (pick the minimal shard, run exactly one
+iteration, repeat) that ``tests/oracles/fleet_walk.py`` keeps as the
+equivalence oracle — records, events, decisions and merged metrics, bit
+for bit. Open-loop sources never inject follow-ups, so there each shard
+runs dry at once.
 
 Closed-loop sources compose: a completion anywhere in the fleet hands
 its follow-up back to the *global* router (completion hooks are
@@ -306,13 +309,14 @@ class _DrainCalendar:
     heapify ever runs after construction.
 
     Invariant: every shard with a finite cached key has at least one
-    live heap entry. :meth:`pop` consumes the winner's entry, so the
+    live heap entry. :meth:`pop` consumes the winner's entries, so the
     caller must call :meth:`reschedule` after advancing that shard
     (it re-pushes unconditionally: an advance may leave the key
     numerically unchanged, e.g. an admission that does not move the
-    clock, and the entry still has to come back). An ``open_loop``
-    fleet's shards are independent once it drains (no completion can
-    inject an arrival), so its horizons are +inf.
+    clock, and the entry still has to come back). A shard whose key
+    returns to an earlier value may therefore hold two live entries.
+    An ``open_loop`` fleet's shards are independent once it drains (no
+    completion can inject an arrival), so its horizons are +inf.
     """
 
     __slots__ = ("_heap", "_keys", "_dirty", "_shards", "_open_loop")
@@ -343,14 +347,19 @@ class _DrainCalendar:
                     heapq.heappush(heap, (key, i))
         self._dirty.clear()
 
-    def pop(self) -> Optional[Tuple[float, int, float]]:
-        """Next acting shard as ``(key, shard_id, horizon)``, or None.
+    def pop(self) -> Optional[Tuple[int, float]]:
+        """Next acting shard as ``(shard_id, horizon)``, or None.
 
-        ``horizon`` is the runner-up's live key (stale tops are
-        discarded first so it is never spuriously early), or +inf for
-        an open-loop fleet; ``None`` means every shard is idle. Ties
-        pop the lowest shard id, matching the per-iteration walk's
-        stable ``min()``.
+        The shard is the one with the lowest ``(key, shard_id)``, as the
+        per-iteration walk's ``min()`` picks it. It may keep stepping
+        while its clock is before ``horizon``, which folds in the walk's
+        lowest-id-first tie-break: the runner-up's key when the
+        runner-up has the lower id (it wins a tie), else the next float
+        above that key (the winner does). The runner-up is the next live
+        entry of a *different* shard, stale tops and the winner's
+        duplicates being discarded first; with none, or for an
+        open-loop fleet, the horizon is +inf. ``None`` means every
+        shard is idle.
         """
         self._flush()
         heap, keys = self._heap, self._keys
@@ -359,10 +368,15 @@ class _DrainCalendar:
             if key != keys[i]:
                 continue  # superseded entry
             if self._open_loop:
-                return key, i, math.inf
-            while heap and heap[0][0] != keys[heap[0][1]]:
+                return i, math.inf
+            while heap and (heap[0][1] == i or heap[0][0] != keys[heap[0][1]]):
                 heapq.heappop(heap)
-            return key, i, heap[0][0] if heap else math.inf
+            if not heap:
+                return i, math.inf
+            runner_key, j = heap[0]
+            if j < i:
+                return i, runner_key
+            return i, math.nextafter(runner_key, math.inf)
         return None
 
     def reschedule(self, shard_id: int) -> None:
@@ -822,24 +836,17 @@ class FleetSimulator:
                     obs.count("requests_routed", shard=choice)
             else:
                 # Event-calendar drain: advance the globally next-acting
-                # shard in one coalesced pass up to the runner-up's key,
-                # bailing out the moment a completion injects a global
-                # follow-up — so closed-loop arrivals re-enter routing at
-                # exactly the instant the per-iteration walk would
-                # surface them.
+                # shard in one coalesced pass up to its horizon, bailing
+                # out the moment a completion injects a global follow-up
+                # — so closed-loop arrivals re-enter routing at exactly
+                # the instant the per-iteration walk would surface them.
                 nxt = calendar.pop()
                 if nxt is None:
                     break
-                key, idx, horizon = nxt
-                shard = shards[idx]
-                if key >= horizon:
-                    # Exact tie with the runner-up: run one iteration,
-                    # matching the per-iteration walk's id-ordered pick.
-                    shard.advance_one()
-                else:
-                    shard.advance_until(
-                        horizon, interrupt=lambda: bool(arrivals)
-                    )
+                idx, horizon = nxt
+                shards[idx].advance_until(
+                    horizon, interrupt=lambda: bool(arrivals)
+                )
                 calendar.reschedule(idx)
 
         shard_results = tuple(shard.result() for shard in shards)

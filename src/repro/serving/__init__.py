@@ -29,7 +29,6 @@ from .scheduler import (
     SchedulerEvent,
     SchedulerSnapshot,
     ServingResult,
-    ShardHealth,
     TOKEN_EVENT_KINDS,
 )
 from .simulator import ServingReport, ServingSimulator
@@ -46,7 +45,6 @@ __all__ = [
     "TOKEN_EVENT_KINDS",
     "SchedulerEvent",
     "SchedulerSnapshot",
-    "ShardHealth",
     "RequestRecord",
     "ServingResult",
     "ContinuousBatchingScheduler",

@@ -20,10 +20,12 @@ constant (``ctx_bucket`` consecutive contexts share one surface point).
 O(batch) bookkeeping plus O(k) scalar clock arithmetic instead of ``k``
 full Python iterations — and is **bit-identical** to the per-token walk
 (same records, same events, same clock: the clock series is reproduced
-by the very float additions the walk would issue). The per-token walk
-is stepping :meth:`advance_one` until it returns ``False``; the test
-suite keeps it as an oracle (``tests/oracles/token_walk.py``), beside
-the simulator's layer-by-layer walk (``tests/oracles/layer_walk.py``).
+by the very float additions the walk would issue). There is one step
+loop and one decode step: :meth:`advance_one` is :meth:`advance_until`
+bounded just past the next event. The per-token walk, which swaps a
+one-iteration decode step in for the coalesced run, is a test oracle
+(``tests/oracles/token_walk.py``), beside the simulator's
+layer-by-layer walk (``tests/oracles/layer_walk.py``).
 Long streams where nobody reads per-token events can additionally pass
 ``token_events=False`` to elide DECODE_STEP / FIRST_TOKEN event
 materialization; records, metrics and the peak-KV accounting are
@@ -88,7 +90,6 @@ from ..errors import (
     UnknownRequestError,
 )
 from ..hardware.memory import kv_cache_budget_bytes
-from ..utils import ceil_div
 from .request import Request, RequestSource
 
 __all__ = [
@@ -97,8 +98,6 @@ __all__ = [
     "SchedulerEvent",
     "RequestRecord",
     "ServingResult",
-    "ShardHealth",
-    "HEALTHY",
     "SchedulerSnapshot",
     "ContinuousBatchingScheduler",
 ]
@@ -215,32 +214,6 @@ class ServingResult:
 
 
 @dataclass(frozen=True)
-class ShardHealth:
-    """The failure/degradation state routing policies see per shard.
-
-    ``up=False`` marks a crashed shard still inside its down window
-    (cold-start re-warm included); the fleet's circuit breaker excludes
-    such shards from the feasible set, so policies normally only see
-    ``up=True`` snapshots. ``latency_scale`` is the step-latency
-    multiplier a transient bandwidth brownout imposes (1.0 = healthy;
-    a brownout to ``f`` of nominal bandwidth scales step latencies by
-    ``1/f`` — edge LLM steps are bandwidth-bound, which is MEADOW's
-    operating regime). Health-aware predicted-TTFT models multiply
-    their surface terms by this scale; at the 1.0 default that
-    multiplication is an exact IEEE-754 no-op, so zero-fault runs stay
-    bit-identical.
-    """
-
-    up: bool = True
-    latency_scale: float = 1.0
-
-
-#: The shared healthy-state instance (snapshots are taken per routing
-#: decision; reusing one frozen value keeps that allocation-free).
-HEALTHY = ShardHealth()
-
-
-@dataclass(frozen=True)
 class SchedulerSnapshot:
     """Read-only view of one scheduler's live state, for routing policies.
 
@@ -279,9 +252,14 @@ class SchedulerSnapshot:
     max_batch: int
     #: The shard's engine (latency surface access for predictive routers).
     engine: MeadowEngine = field(repr=False, compare=False)
-    #: Failure/degradation state at snapshot time (brownout latency
-    #: scale, up/down); defaults to the shared healthy instance.
-    health: ShardHealth = HEALTHY
+    #: The step-latency multiplier a transient bandwidth brownout
+    #: imposes (1.0 = healthy; a brownout to ``f`` of nominal bandwidth
+    #: scales step latencies by ``1/f`` — edge LLM steps are
+    #: bandwidth-bound, which is MEADOW's operating regime).
+    #: Health-aware predicted-TTFT models multiply their surface terms
+    #: by this scale; at the 1.0 default that multiplication is an
+    #: exact IEEE-754 no-op, so zero-fault runs stay bit-identical.
+    latency_scale: float = 1.0
 
     @property
     def n_in_system(self) -> int:
@@ -500,11 +478,6 @@ class ContinuousBatchingScheduler:
             return False
         return True
 
-    def _bucket_ctx(self, ctx: int) -> int:
-        """Round a decode context up to the cache bucket, within limits."""
-        bucketed = ceil_div(ctx, self.ctx_bucket) * self.ctx_bucket
-        return min(bucketed, self.engine.model.max_seq_len)
-
     # ------------------------------------------------------ incremental API
     def _enqueue(self, request: Request, need: int) -> None:
         """Push a validated request into the future heap (+ aggregates)."""
@@ -558,11 +531,7 @@ class ContinuousBatchingScheduler:
             kv_budget_bytes=self.kv_budget_bytes,
             max_batch=self.max_batch,
             engine=self.engine,
-            health=(
-                HEALTHY
-                if self.latency_scale == 1.0
-                else ShardHealth(latency_scale=self.latency_scale)
-            ),
+            latency_scale=self.latency_scale,
         )
 
     def next_event_s(self) -> float:
@@ -839,50 +808,6 @@ class ContinuousBatchingScheduler:
             self._complete(*args)
         self._decode_ctx = max(self._d_ctx, default=0)
 
-    def _decode_step(self) -> None:
-        """One batched decode iteration (the per-token walk's step)."""
-        d_req = self._d_req
-        d_ctx = self._d_ctx
-        d_left = self._d_left
-        d_last = self._d_last
-        d_tbt = self._d_tbt
-        n = len(d_req)  # admission keeps n <= max_batch
-        # The batch decodes at the deepest member's context; a
-        # conservative (upper-bound) latency for the shallower ones.
-        raw_ctx = max(d_ctx) + 1
-        point = self.engine.surface.decode(
-            self._bucket_ctx(raw_ctx), batch=n,
-            interpolate=self.interpolate,
-        )
-        t0 = self._clock
-        self._clock += point.latency_s * self.latency_scale
-        self._energy_uj += point.energy_uj
-        self._n_decodes += 1
-        self._remaining_decode -= n
-        c = self._clock
-        log_tokens = self.token_events
-        for i in range(n):
-            d_ctx[i] += 1
-            d_left[i] -= 1
-            # Wall-clock gap since the previous token: includes any
-            # prefill iterations that stalled this request's stream,
-            # not just this decode step's latency.
-            d_tbt[i].append(c - d_last[i])
-            d_last[i] = c
-            if log_tokens:
-                self._log(EventKind.DECODE_STEP, d_req[i].request_id)
-        if min(d_left) <= 0:
-            self._retire_finished()
-        elif raw_ctx > self._decode_ctx:
-            self._decode_ctx = raw_ctx
-        obs = self._obs
-        if obs is not None:
-            obs.step(t0, self._clock, "decode", 1, n)
-            obs.sample(
-                self._clock, self._kv_reserved, len(self._pending),
-                len(self._d_req), len(self._prefill_queue) + len(self._pending),
-            )
-
     def _decode_run(self, t_s: float) -> None:
         """Coalesce a stable run of decode iterations (bit-identical).
 
@@ -989,34 +914,19 @@ class ContinuousBatchingScheduler:
     def advance_one(self) -> bool:
         """Run exactly one latency-consuming iteration (or none if idle).
 
-        Ingests and admits whatever the clock has reached, jumps the
-        clock over idle gaps, then executes a single prefill or batched
-        decode step — never a coalesced run, so callers that interleave
-        decisions between iterations observe every boundary. The fleet
-        simulator drains closed-loop shards with this so a completion's
-        follow-up re-enters global routing *before* other shards
-        simulate past it. Returns ``False`` when there is nothing to do.
+        :meth:`advance_until` bounded by the first float past
+        :meth:`next_event_s`: it ingests and admits whatever the clock
+        has reached, jumps the clock over an idle gap, then executes one
+        prefill or one batched decode step — the bound cuts a decode run
+        after its first iteration, and every step has positive latency,
+        so exactly one runs. Callers that interleave decisions between
+        iterations therefore observe every boundary. Returns ``False``
+        when there is nothing to do.
         """
-        self._started = True
-        while True:
-            self._ingest_arrivals()
-            self._admit()
-            self._max_queue_depth = max(self._max_queue_depth, len(self._pending))
-            if self._prefill_queue:
-                self._prefill_step()
-                return True
-            elif self._d_req:
-                self._decode_step()
-                return True
-            elif self._pending:
-                raise CapacityError(
-                    "scheduler wedged: pending head cannot be admitted into "
-                    "an empty system"
-                )
-            elif self._future:
-                self._clock = max(self._clock, self._future[0][0])
-            else:
-                return False
+        if self.idle:
+            return False
+        self.advance_until(math.nextafter(self.next_event_s(), math.inf))
+        return True
 
     def advance_until(
         self,
@@ -1025,16 +935,20 @@ class ContinuousBatchingScheduler:
     ) -> None:
         """Run scheduler iterations while the clock is before ``t_s``.
 
-        Iterations are non-preemptible: a step *started* before ``t_s``
-        runs to completion even if its modeled latency carries the clock
-        past it (so after this returns the clock may exceed ``t_s`` —
-        the shard is busy until then). With the default ``inf`` this
-        drains everything submitted so far. Chunking a simulation into
-        arbitrary ``advance_until`` calls yields the identical timeline
-        *and event log* to one call: the horizon check runs before any
-        boundary work, so arrivals due exactly at the pause instant are
-        ingested by the next call together with anything submitted in
-        between — exactly as the one-shot walk would observe them.
+        The scheduler's one step loop: :meth:`run`, :meth:`advance_one`
+        and every fleet advance go through it. Iterations are
+        non-preemptible: a step *started* before ``t_s`` runs to
+        completion even if its modeled latency carries the clock past it
+        (so after this returns the clock may exceed ``t_s`` — the shard
+        is busy until then); a bound of ``math.nextafter(x, math.inf)``
+        therefore means "while the clock is at most ``x``". With the
+        default ``inf`` this drains everything submitted so far.
+        Chunking a simulation into arbitrary ``advance_until`` calls
+        yields the identical timeline *and event log* to one call: the
+        horizon check runs before any boundary work, so arrivals due
+        exactly at the pause instant are ingested by the next call
+        together with anything submitted in between — exactly as the
+        one-shot walk would observe them.
 
         ``interrupt`` is polled at every iteration boundary — before
         any boundary work, so a stop here and a later resume observe

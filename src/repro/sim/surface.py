@@ -267,24 +267,14 @@ class LatencySurface:
     ) -> Tuple[SurfacePoint, int]:
         """Bucketed decode point plus the run length that shares it.
 
-        Serving schedulers quantize decode contexts to ``ctx_bucket``
-        before lookup, so consecutive contexts ``context_len,
-        context_len + 1, ...`` map onto one surface point until the next
-        bucket boundary. Returns that point and the number of
-        consecutive single-token steps it covers — the run length the
-        event-compressed scheduler coalesces in one pass. At the model's
-        ``max_seq_len`` the key saturates, so the run extends to the
-        deepest legal context.
+        The one-member form of :meth:`decode_run_many`: the point a
+        decode step over ``context_len`` total tokens is charged, and
+        the number of consecutive single-token steps
+        (``context_len, context_len + 1, ...``) that share it.
         """
-        if ctx_bucket < 1:
-            raise SimulationError(f"ctx_bucket must be >= 1, got {ctx_bucket}")
-        max_len = self._sim.model.max_seq_len
-        bucketed = ceil_div(context_len, ctx_bucket) * ctx_bucket
-        if bucketed >= max_len:
-            point = self.decode(max_len, batch=batch, interpolate=interpolate)
-            return point, max_len - context_len + 1
-        point = self.decode(bucketed, batch=batch, interpolate=interpolate)
-        return point, bucketed - context_len + 1
+        return self.decode_run_many(
+            (context_len - 1,), batch, ctx_bucket, interpolate
+        )
 
     def decode_run_many(
         self,
@@ -297,13 +287,17 @@ class LatencySurface:
 
         ``contexts`` holds each member's current context length; the
         batch decodes at the deepest member's context plus one (the
-        scheduler's conservative heterogeneous-batch charge), bucketed
-        like :meth:`decode_run`. Answers with a *single* hash probe for
-        the shared ``(bucketed context, batch)`` key — the max, the
-        bucket arithmetic and the table lookup all happen here, in one
-        pass, instead of per batch member in the scheduler's hot loop.
-        Returns the shared point and the run length it covers.
-        Bit-identical to ``decode_run(max(contexts) + 1, ...)``.
+        scheduler's conservative heterogeneous-batch charge). Serving
+        schedulers quantize decode contexts to ``ctx_bucket`` before
+        lookup, so consecutive contexts map onto one surface point until
+        the next bucket boundary; at the model's ``max_seq_len`` the key
+        saturates, so the run extends to the deepest legal context.
+        Returns the shared point and the number of consecutive
+        single-token steps it covers — the run length the
+        event-compressed scheduler coalesces in one pass. The max, the
+        bucket arithmetic and the table lookup all happen here, with a
+        *single* hash probe for the shared ``(bucketed context, batch)``
+        key, instead of per batch member in the scheduler's hot loop.
         """
         if ctx_bucket < 1:
             raise SimulationError(f"ctx_bucket must be >= 1, got {ctx_bucket}")

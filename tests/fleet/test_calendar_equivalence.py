@@ -8,11 +8,15 @@ tests pin the claim: the two execute the *identical* fleet timeline —
 request records, event logs, routing decisions and merged metrics —
 across open-loop, closed-loop, heterogeneous, faulty and work-stealing
 runs, and a one-shard calendar fleet still reproduces single-engine
-serving field for field.
+serving field for field. Unit tests pin how the calendar's horizon
+folds in the walk's lowest-id-first tie-break.
 """
 
 from __future__ import annotations
 
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +26,7 @@ from repro.fleet.simulator import _DrainCalendar
 from repro.serving import (
     ClosedLoopSource,
     ContinuousBatchingScheduler,
+    Request,
     ServingSimulator,
 )
 
@@ -112,17 +117,20 @@ class TestOpenLoopEquivalence:
         self, fast_engine, slow_engine, shard_budget, make_stream
     ):
         # The two drains part ways exactly at the open-loop horizon: the
-        # calendar hands the minimal shard +inf (run dry), the walk its
-        # own key (one iteration).
+        # calendar hands the minimal shard +inf (run dry), the walk the
+        # first float past its own key (one iteration).
         shards = [
             ContinuousBatchingScheduler(engine, kv_budget_bytes=shard_budget)
             for engine in (fast_engine, slow_engine)
         ]
         for i, req in enumerate(make_stream("bursty", n=8, seed=1).initial()):
             shards[i % 2].submit(req)
-        key, idx, horizon = _DrainCalendar(shards, open_loop=True).pop()
+        idx, horizon = _DrainCalendar(shards, open_loop=True).pop()
         assert horizon == float("inf")
-        assert WalkingDrain(shards, open_loop=True).pop() == (key, idx, key)
+        key = shards[idx].next_event_s()
+        assert WalkingDrain(shards, open_loop=True).pop() == (
+            idx, math.nextafter(key, math.inf)
+        )
 
 
 class TestClosedLoopEquivalence:
@@ -221,3 +229,74 @@ class TestStealingEquivalence:
             steal=True,
         )
         _assert_identical(reference, calendar)
+
+
+def _one_request_shards(engine, budget, arrivals):
+    """Shard ``i`` holds request ``i``, due at ``arrivals[i]``.
+
+    A shard whose only work is a future arrival keys the calendar at
+    that arrival, so the list fixes every shard's key.
+    """
+    shards = []
+    for i, arrival_s in enumerate(arrivals):
+        shard = ContinuousBatchingScheduler(engine, kv_budget_bytes=budget)
+        shard.submit(Request(i, arrival_s, 16, 4))
+        shards.append(shard)
+    return shards
+
+
+def _after(key):
+    return math.nextafter(key, math.inf)
+
+
+class TestDrainCalendarHorizon:
+    """``_DrainCalendar.pop`` folds the walk's lowest-id-first tie-break
+    into the horizon it hands the fleet loop's ``advance_until``."""
+
+    def test_lower_id_winner_may_act_at_the_runner_up_key(
+        self, fast_engine, shard_budget
+    ):
+        shards = _one_request_shards(fast_engine, shard_budget, [0.1, 0.2])
+        assert _DrainCalendar(shards, open_loop=False).pop() == (0, _after(0.2))
+
+    def test_higher_id_winner_stops_at_the_runner_up_key(
+        self, fast_engine, shard_budget
+    ):
+        shards = _one_request_shards(fast_engine, shard_budget, [0.2, 0.1])
+        assert _DrainCalendar(shards, open_loop=False).pop() == (1, 0.2)
+
+    def test_exact_tie_runs_one_iteration_on_the_lower_id(
+        self, fast_engine, shard_budget
+    ):
+        shards = _one_request_shards(fast_engine, shard_budget, [0.1, 0.1])
+        idx, horizon = _DrainCalendar(shards, open_loop=False).pop()
+        assert (idx, horizon) == (0, _after(0.1))
+        shards[0].advance_until(horizon)
+        result = shards[0].result()
+        assert (result.n_prefill_iterations, result.n_decode_iterations) == (1, 0)
+
+    @pytest.mark.parametrize("tail", [(), (0.5,)])
+    def test_duplicate_live_entries_never_serve_as_runner_up(
+        self, fast_engine, shard_budget, tail
+    ):
+        # Shards 1 and 2 act first and keep shard 0's heap entry buried
+        # while its key leaves (its only request withdrawn) and returns
+        # (the request resubmitted): shard 0 then holds two live entries.
+        shards = _one_request_shards(
+            fast_engine, shard_budget, [0.3, 0.1, 0.2, *tail]
+        )
+        calendar = _DrainCalendar(shards, open_loop=False)
+        assert calendar.pop() == (1, _after(0.2))
+        calendar.reschedule(1)
+        request = shards[0].withdraw(0)
+        calendar.invalidate_all()
+        assert calendar.pop() == (1, _after(0.2))
+        calendar.reschedule(1)
+        assert (0.3, 0) in calendar._heap  # superseded, not yet discarded
+        shards[0].submit(request)
+        shards[1].withdraw(1)
+        shards[2].withdraw(2)
+        calendar.invalidate_all()
+        # The horizon comes from another shard, or is +inf without one.
+        expected = _after(0.5) if tail else math.inf
+        assert calendar.pop() == (0, expected)

@@ -3,13 +3,16 @@
 :meth:`repro.fleet.FleetSimulator.run` drains its shards off a cached
 next-event calendar (``repro.fleet.simulator._DrainCalendar``): it pops
 the globally next-acting shard and advances it in one coalesced pass up
-to the runner-up's key, or runs an open-loop fleet's shards dry at once.
-This module keeps the walk the calendar replaced, as a drop-in for that
-class: every pop rescans every shard, picks the busy one whose next
-iteration starts first (lowest shard id on ties, like ``min()``) and
-reports a horizon equal to its own key, so the fleet loop's tie branch
-runs exactly one :meth:`~repro.serving.ContinuousBatchingScheduler.advance_one`
-on it. Open-loop drains are stepped one iteration at a time too.
+to a horizon taken from the runner-up's key, or runs an open-loop
+fleet's shards dry at once. This module keeps the walk the calendar
+replaced, as a drop-in for that class: every pop rescans every shard,
+picks the busy one whose next iteration starts first (lowest shard id on
+ties, like ``min()``) and reports the first float past its own key as
+the horizon, so the fleet loop runs exactly one iteration on it.
+Open-loop drains are stepped one iteration at a time too. The drain
+also binds ``oracles.token_walk.decode_step`` on every shard, so the
+shards decode one token per iteration and the walk never runs the
+coalesced decode run it checks.
 
 Tests and benchmarks assert that the calendar and this walk agree bit
 for bit; nothing under ``src/`` imports it. Import it as
@@ -20,8 +23,10 @@ directory on ``sys.path`` (pytest puts it there through
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
+from oracles.token_walk import bind_decode_step
 from repro.fleet import FleetReport, FleetSimulator
 from repro.fleet import simulator as fleet_simulator
 from repro.serving import ContinuousBatchingScheduler, RequestSource
@@ -33,13 +38,16 @@ class WalkingDrain:
     """``_DrainCalendar`` stand-in that rescans every shard per pop.
 
     It caches nothing, so the calendar's invalidation calls are no-ops,
-    and it ignores ``open_loop``.
+    and it ignores ``open_loop``. Constructing it makes every shard step
+    one token at a time.
     """
 
     def __init__(
         self, shards: Sequence[ContinuousBatchingScheduler], open_loop: bool
     ) -> None:
         self._shards = shards
+        for shard in shards:
+            bind_decode_step(shard)
 
     def invalidate_all(self) -> None:
         pass
@@ -47,8 +55,8 @@ class WalkingDrain:
     def reschedule(self, shard_id: int) -> None:
         pass
 
-    def pop(self) -> Optional[Tuple[float, int, float]]:
-        """The minimal busy shard as ``(key, shard_id, key)``, or None."""
+    def pop(self) -> Optional[Tuple[int, float]]:
+        """The minimal busy shard as ``(shard_id, nextafter(key))``, or None."""
         keys = [
             (shard.next_event_s(), i)
             for i, shard in enumerate(self._shards)
@@ -57,7 +65,7 @@ class WalkingDrain:
         if not keys:
             return None
         key, i = min(keys)
-        return key, i, key
+        return i, math.nextafter(key, math.inf)
 
 
 def run_reference(fleet: FleetSimulator, source: RequestSource) -> FleetReport:

@@ -1,11 +1,15 @@
 """Per-token scheduler walk: the serving hot loop's equivalence oracle.
 
 :meth:`repro.serving.ContinuousBatchingScheduler.advance_until` advances
-stable decode runs in one coalesced pass. This module keeps the walk it
-replaced: submit every request of the scheduler's source, then step
-:meth:`~repro.serving.ContinuousBatchingScheduler.advance_one` — one
-prefill or one batched decode iteration at a time — until it reports
-nothing left to do, and package the result.
+stable decode runs in one coalesced pass (``_decode_run``). This module
+keeps the walk it replaced: :func:`decode_step` runs exactly one batched
+decode iteration, and binding it on a scheduler in place of
+``_decode_run`` makes every advance of that scheduler step one token at
+a time — so the oracle never runs the coalesced code it checks.
+:func:`walk_tokens` binds it, submits every request of the scheduler's
+source, steps :meth:`~repro.serving.ContinuousBatchingScheduler.advance_one`
+until it reports nothing left to do, and packages the result;
+``oracles.fleet_walk.WalkingDrain`` binds it on every fleet shard.
 
 Tests and benchmarks assert that a scheduler's ``run()`` and this walk
 agree field for field; nothing under ``src/`` imports it. Import it as
@@ -16,11 +20,69 @@ directory on ``sys.path`` (pytest puts it there through
 
 from __future__ import annotations
 
+from types import MethodType
 from typing import Callable, Optional
 
-from repro.serving import ContinuousBatchingScheduler, ServingResult
+from repro.serving import ContinuousBatchingScheduler, EventKind, ServingResult
+from repro.utils import ceil_div
 
-__all__ = ["walk_tokens"]
+__all__ = ["decode_step", "bind_decode_step", "walk_tokens"]
+
+
+def decode_step(scheduler: ContinuousBatchingScheduler, t_s: float) -> None:
+    """One batched decode iteration (the per-token walk's step).
+
+    Has ``_decode_run``'s signature so it can stand in for it; ``t_s``
+    is unused, since the scheduler only starts a step before its
+    horizon and one step is all this ever runs.
+    """
+    s = scheduler
+    d_req, d_ctx, d_left = s._d_req, s._d_ctx, s._d_left
+    d_last, d_tbt = s._d_last, s._d_tbt
+    n = len(d_req)  # admission keeps n <= max_batch
+    # The batch decodes at the deepest member's context, rounded up to
+    # the cache bucket within the model's limit; a conservative
+    # (upper-bound) latency for the shallower members.
+    raw_ctx = max(d_ctx) + 1
+    bucketed = min(
+        ceil_div(raw_ctx, s.ctx_bucket) * s.ctx_bucket,
+        s.engine.model.max_seq_len,
+    )
+    point = s.engine.surface.decode(
+        bucketed, batch=n, interpolate=s.interpolate
+    )
+    t0 = s._clock
+    s._clock += point.latency_s * s.latency_scale
+    s._energy_uj += point.energy_uj
+    s._n_decodes += 1
+    s._remaining_decode -= n
+    c = s._clock
+    for i in range(n):
+        d_ctx[i] += 1
+        d_left[i] -= 1
+        # Wall-clock gap since the previous token: includes any prefill
+        # iterations that stalled this request's stream, not just this
+        # decode step's latency.
+        d_tbt[i].append(c - d_last[i])
+        d_last[i] = c
+        if s.token_events:
+            s._log(EventKind.DECODE_STEP, d_req[i].request_id)
+    if min(d_left) <= 0:
+        s._retire_finished()
+    elif raw_ctx > s._decode_ctx:
+        s._decode_ctx = raw_ctx
+    obs = s._obs
+    if obs is not None:
+        obs.step(t0, c, "decode", 1, n)
+        obs.sample(
+            c, s._kv_reserved, len(s._pending),
+            len(s._d_req), len(s._prefill_queue) + len(s._pending),
+        )
+
+
+def bind_decode_step(scheduler: ContinuousBatchingScheduler) -> None:
+    """Make ``scheduler`` run :func:`decode_step` in place of ``_decode_run``."""
+    scheduler._decode_run = MethodType(decode_step, scheduler)
 
 
 def walk_tokens(
@@ -32,6 +94,7 @@ def walk_tokens(
     ``on_step`` is called after every iteration, so property tests can
     check invariants at each boundary.
     """
+    bind_decode_step(scheduler)
     for request in scheduler.source.initial():
         scheduler.submit(request)
     while scheduler.advance_one():

@@ -161,6 +161,6 @@ class TestLatencyScale:
 
     def test_health_reflects_scale_in_snapshot(self, make_scenario):
         sched = _sched(make_scenario, _requests(1))
-        assert sched.snapshot().health.latency_scale == 1.0
+        assert sched.snapshot().latency_scale == 1.0
         sched.latency_scale = 2.5
-        assert sched.snapshot().health.latency_scale == 2.5
+        assert sched.snapshot().latency_scale == 2.5
