@@ -505,13 +505,10 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     layer_events = [ev for ev in events if ev.layer == args.layer]
     out = render_gantt(layer_events, width=70)
     if args.perfetto is not None:
-        import json
-
-        from .obs import FleetTrace, op_spans, to_perfetto
+        from .obs import FleetTrace, op_spans, write_perfetto
 
         trace = FleetTrace.build(op_spans(report, 0.0, shard_id=0), (), n_shards=1)
-        with open(args.perfetto, "w") as fh:
-            json.dump(to_perfetto(trace), fh, indent=2, sort_keys=True)
+        write_perfetto(trace, args.perfetto)
         out += f"\nwrote trace: {args.perfetto}"
     return out
 

@@ -33,7 +33,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .perfetto import to_perfetto, validate_trace_events
+from .perfetto import to_perfetto, validate_trace_events, write_perfetto
 from .spans import (
     CAT_FAULT,
     CAT_OP,
@@ -67,6 +67,7 @@ __all__ = [
     "ShardObs",
     "ObsBundle",
     "to_perfetto",
+    "write_perfetto",
     "validate_trace_events",
     "render_fleet_timeline",
     "op_spans",

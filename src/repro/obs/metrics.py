@@ -185,9 +185,13 @@ class MetricsRegistry(object):
             ],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        """The versioned document as JSON text."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        """The versioned document as compact, key-sorted JSON text.
+
+        No ``indent``: an indented dump runs CPython's pure-Python
+        encoder, a compact one its C encoder.
+        """
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def to_csv(self) -> str:
         """Long-format CSV: ``kind,name,labels,t_s,value`` rows.

@@ -15,13 +15,19 @@ https://ui.perfetto.dev and ``chrome://tracing``:
   arrow from router to shard — one arrow per attempt when retries
   re-route a request.
 
+:func:`to_perfetto` returns the whole document as a dict.
+:func:`write_perfetto` streams the same document to a file as compact,
+key-sorted JSON, encoding :data:`WRITE_BATCH` events per call to the C
+JSON encoder, so the full event list is never held in memory.
 :func:`validate_trace_events` is the structural checker used by tests
 and the CI ``obs-smoke`` job.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import json
+from itertools import islice
+from typing import Dict, Iterator, List, Optional
 
 from ..errors import SimulationError
 from .spans import (
@@ -34,10 +40,17 @@ from .spans import (
     FleetTrace,
 )
 
-__all__ = ["to_perfetto", "validate_trace_events"]
+__all__ = ["to_perfetto", "write_perfetto", "validate_trace_events"]
 
 #: pid of the synthetic process holding fleet-global events.
 FLEET_PID = 1
+
+#: Events per encoder call in :func:`write_perfetto`. Large enough that
+#: the per-call overhead vanishes, small enough that a batch's dicts and
+#: text stay a small part of a large trace.
+WRITE_BATCH = 2048
+
+_OTHER_DATA = {"schema": OBS_SCHEMA, "schema_version": OBS_SCHEMA_VERSION}
 
 _TIDS = {CAT_REQUEST: 1, CAT_STEP: 2, CAT_FAULT: 3, CAT_OP: 4}
 _TID_NAMES = {
@@ -63,8 +76,37 @@ def _us(t_s: float) -> float:
 
 def to_perfetto(trace: FleetTrace) -> Dict[str, object]:
     """Render a :class:`FleetTrace` as a ``trace_event`` document."""
-    events: List[Dict[str, object]] = []
+    return {
+        "traceEvents": list(_events(trace)),
+        "displayTimeUnit": "ms",
+        "otherData": dict(_OTHER_DATA),
+    }
 
+
+def write_perfetto(trace: FleetTrace, path: str) -> None:
+    """Write :func:`to_perfetto`'s document to ``path`` as compact JSON.
+
+    The file is byte-identical to ``json.dumps(to_perfetto(trace),
+    sort_keys=True, separators=(",", ":"))``. Events are encoded
+    :data:`WRITE_BATCH` at a time: one C-encoder call per batch, with
+    the batch's brackets stripped and batches joined by commas.
+    """
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    events = _events(trace)
+    with open(path, "w") as fh:
+        fh.write('{"displayTimeUnit":"ms","otherData":')
+        fh.write(encode(_OTHER_DATA))
+        fh.write(',"traceEvents":[')
+        sep = ""
+        for batch in iter(lambda: list(islice(events, WRITE_BATCH)), []):
+            fh.write(sep)
+            fh.write(encode(batch)[1:-1])
+            sep = ","
+        fh.write("]}")
+
+
+def _events(trace: FleetTrace) -> Iterator[Dict[str, object]]:
+    """The document's ``traceEvents``, in order, one at a time."""
     # Process/thread naming metadata.
     pids = {None} | {s.shard_id for s in trace.spans} | {
         i.shard_id for i in trace.instants
@@ -77,15 +119,11 @@ def to_perfetto(trace: FleetTrace) -> Dict[str, object]:
     for shard_id in sorted(pids, key=lambda x: -1 if x is None else x):
         pid = _pid(shard_id)
         name = "fleet" if shard_id is None else f"shard {shard_id}"
-        events.append(
-            {"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-             "args": {"name": name}}
-        )
+        yield {"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
+               "args": {"name": name}}
         for cat in sorted(cats_by_pid.get(shard_id, ())):
-            events.append(
-                {"ph": "M", "name": "thread_name", "pid": pid, "tid": _tid(cat),
-                 "args": {"name": _TID_NAMES.get(cat, cat)}}
-            )
+            yield {"ph": "M", "name": "thread_name", "pid": pid, "tid": _tid(cat),
+                   "args": {"name": _TID_NAMES.get(cat, cat)}}
 
     for s in trace.spans:
         ev: Dict[str, object] = {
@@ -102,7 +140,7 @@ def to_perfetto(trace: FleetTrace) -> Dict[str, object]:
             args["request_id"] = s.request_id
         if args:
             ev["args"] = args
-        events.append(ev)
+        yield ev
 
     for i in trace.instants:
         ev = {
@@ -119,18 +157,12 @@ def to_perfetto(trace: FleetTrace) -> Dict[str, object]:
             args["request_id"] = i.request_id
         if args:
             ev["args"] = args
-        events.append(ev)
+        yield ev
 
-    events.extend(_flow_events(trace))
-
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"schema": OBS_SCHEMA, "schema_version": OBS_SCHEMA_VERSION},
-    }
+    yield from _flow_events(trace)
 
 
-def _flow_events(trace: FleetTrace) -> List[Dict[str, object]]:
+def _flow_events(trace: FleetTrace) -> Iterator[Dict[str, object]]:
     """Router→shard arrows: one flow per (request, attempt) hand-off."""
     routes: Dict[int, List] = {}
     for i in trace.instants:
@@ -141,21 +173,15 @@ def _flow_events(trace: FleetTrace) -> List[Dict[str, object]]:
         if s.cat == CAT_REQUEST and s.name == "QUEUE" and s.request_id is not None:
             arrivals.setdefault(s.request_id, []).append(s)
 
-    out: List[Dict[str, object]] = []
     for request_id, route_list in sorted(routes.items()):
         landings = arrivals.get(request_id, [])
         for attempt, (route, landed) in enumerate(zip(route_list, landings)):
             flow_id = f"req{request_id}.{attempt}"
             base = {"cat": "flow", "name": "route", "id": flow_id}
-            out.append(
-                dict(base, ph="s", ts=_us(route.t_s), pid=_pid(route.shard_id),
-                     tid=_tid(CAT_REQUEST))
-            )
-            out.append(
-                dict(base, ph="f", bp="e", ts=_us(landed.t0_s),
-                     pid=_pid(landed.shard_id), tid=_tid(CAT_REQUEST))
-            )
-    return out
+            yield dict(base, ph="s", ts=_us(route.t_s), pid=_pid(route.shard_id),
+                       tid=_tid(CAT_REQUEST))
+            yield dict(base, ph="f", bp="e", ts=_us(landed.t0_s),
+                       pid=_pid(landed.shard_id), tid=_tid(CAT_REQUEST))
 
 
 def validate_trace_events(doc: object) -> Dict[str, int]:

@@ -290,9 +290,11 @@ class FleetObserver(object):
 
         The snapshot is O(events) shallow list copies; Span objects are
         materialized and sorted lazily on the bundle's first ``.trace``
-        access, so a simulated run never pays for export assembly —
-        part of the <= 1.5x enabled-mode overhead budget
-        ``benchmarks/bench_obs_overhead.py`` enforces.
+        access, so a simulated run never pays for export assembly. The
+        <= 1.5x enabled-mode overhead budget that
+        ``benchmarks/bench_obs_overhead.py`` enforces covers the run
+        alone; the bench records the export's own cost (``export_s``)
+        beside it, unbounded.
         """
         fleet_spans = list(self._spans)
         instants = tuple(self._instants)
@@ -356,11 +358,15 @@ class ObsBundle(object):
         return to_perfetto(self.trace)
 
     def write_trace(self, path: str) -> None:
-        """Write the Perfetto JSON trace to ``path``."""
-        import json
+        """Write the Perfetto JSON trace to ``path``.
 
-        with open(path, "w") as fh:
-            json.dump(self.perfetto(), fh, indent=2, sort_keys=True)
+        Streams compact, key-sorted JSON through
+        :func:`~repro.obs.perfetto.write_perfetto`; the file parses to
+        exactly :meth:`perfetto`'s document.
+        """
+        from .perfetto import write_perfetto
+
+        write_perfetto(self.trace, path)
 
     def write_metrics(self, path: str) -> None:
         """Write the metrics export; ``.csv`` suffix selects CSV."""

@@ -187,13 +187,6 @@ class PackingPlanner:
             self._bits_tables[model] = table
         return table
 
-    def layer_packed_bits(self, model: TransformerConfig, layer_index: int) -> int:
-        """Packed bits of all six weight matrices of one layer."""
-        return sum(
-            self.stats_for(model, kind, layer_index).effective_bits
-            for kind in sorted(WEIGHT_OP_KINDS, key=lambda k: k.value)
-        )
-
     def model_compression(self, model: TransformerConfig) -> float:
         """Whole-model raw/packed ratio (the average packing win)."""
         raw = 0

@@ -186,10 +186,3 @@ def load_model(archive: bytes) -> Dict[str, PackedWeights]:
     if off != len(archive):
         raise PackingError("trailing bytes in archive")
     return out
-
-
-def pack_and_dump(w: np.ndarray, config: PackingConfig | None = None) -> bytes:
-    """Convenience: pack a matrix and serialize it in one call."""
-    from .pipeline import pack_weights
-
-    return dumps(pack_weights(w, config or PackingConfig()))

@@ -75,12 +75,6 @@ class TiledGemm:
             ceil_div(self.cols, self.tile.cols),
         )
 
-    @property
-    def n_tiles(self) -> int:
-        """Total tile-pass count."""
-        r, k, c = self.grid
-        return r * k * c
-
     def tiles(self) -> Iterator[TileShape]:
         """Yield every tile pass with boundary clipping."""
         for r0 in range(0, self.rows, self.tile.rows):

@@ -10,7 +10,9 @@ from repro.errors import SimulationError
 from repro.obs import (
     METRICS_SCHEMA,
     METRICS_SCHEMA_VERSION,
+    FleetTrace,
     MetricsRegistry,
+    ObsBundle,
 )
 
 
@@ -89,6 +91,15 @@ class TestExports:
         text = populated.to_json()
         assert json.loads(text) == json.loads(populated.to_json())
         assert json.loads(text)["schema"] == METRICS_SCHEMA
+
+    def test_write_metrics_json_is_compact_and_sorted(self, populated, tmp_path):
+        bundle = ObsBundle(metrics=populated, trace=FleetTrace.build([]))
+        path = tmp_path / "metrics.json"
+        bundle.write_metrics(str(path))
+        text = path.read_text()
+        doc = populated.to_dict()
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert json.loads(text) == doc
 
     def test_csv_long_format(self, populated):
         lines = populated.to_csv().splitlines()

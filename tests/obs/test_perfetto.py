@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import SimulationError
@@ -14,8 +16,9 @@ from repro.obs import (
     Span,
     to_perfetto,
     validate_trace_events,
+    write_perfetto,
 )
-from repro.obs.perfetto import FLEET_PID
+from repro.obs.perfetto import FLEET_PID, WRITE_BATCH
 
 
 def _sample_trace() -> FleetTrace:
@@ -133,3 +136,52 @@ class TestFleetRunExport:
         trace = report_on.obs.trace
         assert trace.n_shards == 2
         assert trace.for_shard(0).spans and trace.for_shard(1).spans
+
+
+def _trace_of(n_events: int) -> FleetTrace:
+    """A trace whose document holds exactly ``n_events`` events.
+
+    Three are metadata (the fleet and shard 0 processes, shard 0's
+    request track); the rest are DECODE spans with float times and
+    int and string attributes.
+    """
+    spans = [
+        Span.make(
+            "DECODE", CAT_REQUEST, k * 0.1, k * 0.1 + 0.07,
+            shard_id=0, request_id=k, k=k % 5, outcome="done",
+        )
+        for k in range(n_events - 3)
+    ]
+    return FleetTrace.build(spans, n_shards=1)
+
+
+class TestWritePerfetto:
+    """The streamed file is the one-shot compact dump, byte for byte."""
+
+    def _assert_streams_compact_dump(self, trace, path) -> None:
+        write_perfetto(trace, str(path))
+        text = path.read_text()
+        doc = to_perfetto(trace)
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert json.loads(text) == doc
+
+    def test_metadata_only_trace(self, tmp_path):
+        trace = FleetTrace.build([], [])
+        assert {ev["ph"] for ev in to_perfetto(trace)["traceEvents"]} == {"M"}
+        self._assert_streams_compact_dump(trace, tmp_path / "trace.json")
+
+    @pytest.mark.parametrize(
+        "n_events", [WRITE_BATCH, WRITE_BATCH + 1], ids=["one-batch", "batch-plus-one"]
+    )
+    def test_batch_edges(self, tmp_path, n_events):
+        trace = _trace_of(n_events)
+        assert len(to_perfetto(trace)["traceEvents"]) == n_events
+        self._assert_streams_compact_dump(trace, tmp_path / "trace.json")
+
+    def test_observed_chaos_fleet(self, tmp_path, chaos_reports):
+        _, report_on = chaos_reports
+        self._assert_streams_compact_dump(report_on.obs.trace, tmp_path / "trace.json")
+        report_on.obs.write_trace(str(tmp_path / "bundle.json"))
+        assert (tmp_path / "bundle.json").read_text() == (
+            tmp_path / "trace.json"
+        ).read_text()
