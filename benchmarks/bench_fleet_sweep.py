@@ -127,6 +127,8 @@ def render_policy_comparison(rows) -> str:
 DRAIN_CTX_BUCKET = 256
 DRAIN_PROMPTS = LengthDistribution("uniform", 32, 128)
 DRAIN_OUTPUTS = LengthDistribution("geometric", 256, 1024)
+#: Alternating (reference, calendar) pairs whose median ratio is reported.
+DRAIN_PAIRS = 7
 
 
 def drain_source_factory(quick: bool = False):
@@ -148,7 +150,9 @@ def run_drain_bench(driver: SweepDriver, quick: bool = False) -> dict:
 
     The reference is ``tests/oracles/fleet_walk.py``. Surfaces are
     warmed first so both timed runs measure pure fleet-loop overhead.
-    The calendar run must reproduce the reference's merged metrics,
+    ``speedup`` is the median of ``DRAIN_PAIRS`` per-pair ratios (listed
+    in ``pair_ratios``); the wall times are the per-path medians. The
+    calendar run must reproduce the reference's merged metrics,
     per-shard records and routing decisions exactly, or this raises
     ``AssertionError``.
     """
@@ -161,18 +165,22 @@ def run_drain_bench(driver: SweepDriver, quick: bool = False) -> dict:
 
     fleet.run(factory())  # warm every surface point both paths touch
 
-    # Best-of-5 per path, the paths alternating: same-seed runs are
-    # deterministic, so the minimum is the least-noise estimate for the
-    # CI floor ratio, and alternating keeps a host that drifts between
-    # fast and slow phases from favouring one path.
-    ref_s = cal_s = math.inf
-    for _ in range(5):
+    # Alternating (reference, calendar) pairs, each run from a collected
+    # heap, and the speedup is the median of the per-pair ratios: a host
+    # that drifts between fast and slow phases then skews both runs of a
+    # pair alike (a best-of-N per path would let the short calendar run
+    # catch a fast phase more often than the long reference run).
+    ref_walls, cal_walls = [], []
+    for _ in range(DRAIN_PAIRS):
+        gc.collect()
         t0 = time.perf_counter()
         ref = run_reference(fleet, factory())
-        ref_s = min(ref_s, time.perf_counter() - t0)
+        ref_walls.append(time.perf_counter() - t0)
+        gc.collect()
         t0 = time.perf_counter()
         cal = fleet.run(factory())
-        cal_s = min(cal_s, time.perf_counter() - t0)
+        cal_walls.append(time.perf_counter() - t0)
+    ratios = [r / c for r, c in zip(ref_walls, cal_walls)]
 
     # Correctness gate: the identical fleet timeline, not approximation.
     assert cal.metrics == ref.metrics
@@ -191,9 +199,10 @@ def run_drain_bench(driver: SweepDriver, quick: bool = False) -> dict:
         "ctx_bucket": DRAIN_CTX_BUCKET,
         "max_batch": 4,
         "generated_tokens": ref.metrics.total_generated_tokens,
-        "reference_wall_s": ref_s,
-        "calendar_wall_s": cal_s,
-        "speedup": ref_s / cal_s,
+        "reference_wall_s": statistics.median(ref_walls),
+        "calendar_wall_s": statistics.median(cal_walls),
+        "speedup": statistics.median(ratios),
+        "pair_ratios": ratios,
         "exact_match": True,
     }
 
@@ -509,7 +518,8 @@ def main(argv=None) -> int:
             f"@ {record['bandwidths_gbps']} Gbps:\n"
             f"  reference walk: {record['reference_wall_s'] * 1e3:.1f} ms\n"
             f"  calendar:       {record['calendar_wall_s'] * 1e3:.1f} ms "
-            f"({record['speedup']:.1f}x)\n"
+            f"({record['speedup']:.1f}x, median of "
+            f"{', '.join(f'{r:.1f}' for r in record['pair_ratios'])})\n"
             f"work stealing (round-robin, bursty 12/1/12/1): p99 TTFT "
             f"{record['steal']['ttft_p99_s_steal_off'] * 1e3:.0f} -> "
             f"{record['steal']['ttft_p99_s_steal_on'] * 1e3:.0f} ms "

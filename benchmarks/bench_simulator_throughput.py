@@ -16,11 +16,13 @@ layer-by-layer walk kept in ``tests/oracles/layer_walk.py``:
   exactly as ``ctx_bucket`` quantization produces them — through both
   the walk and the fast path, asserting bit-identical numbers and a
   >= 10x sims/sec speedup;
-* the *cold fill* (``--cold-fill``) fills a fresh surface with every
-  point a short-prompt serving run needs — prefill 64-256 at batch 1,
-  decode contexts 80-352 in steps of 16 at batch 1-16, 12 Gbps — and
-  reports filled points/s, the speedup over the walk and exact match.
-  Its record is the committed ``BENCH_sim_throughput.json`` baseline.
+* the *cold fill* (``--cold-fill``) fills a fresh surface, on a fresh
+  simulator whose decode memo is empty, with every point a short-prompt
+  serving run needs — prefill 64-256 at batch 1, decode contexts 80-352
+  in steps of 16 at batch 1-16, 12 Gbps — and reports filled points/s,
+  the speedup over the walk (floored at ``COLD_FILL_MIN_SPEEDUP``) and
+  exact match. Its record is the committed ``BENCH_sim_throughput.json``
+  baseline.
 
 Run it standalone for the JSON artifacts CI tracks::
 
@@ -170,6 +172,14 @@ def _default_engine() -> MeadowEngine:
 # --------------------------------------------------------------------------
 
 
+#: The cold fill's floor over the layer walk: about 0.6x the ratio the
+#: totals output with its per-batch decode memo measures (24-42x, median
+#: 30x, on a 2-vCPU VM), and above the 11-17x that filling through
+#: ``simulate`` measured there, so a revert to report-building fills
+#: fails it.
+COLD_FILL_MIN_SPEEDUP = 18.0
+
+
 def cold_fill_points(model: TransformerConfig) -> List[Workload]:
     """Every point a short-prompt serving run asks a fresh surface for.
 
@@ -188,19 +198,22 @@ def cold_fill_points(model: TransformerConfig) -> List[Workload]:
 def run_cold_fill(engine: MeadowEngine, repeats: int = 3) -> Dict[str, object]:
     """Time filling a fresh surface against the layer-by-layer walk.
 
-    Each timing starts from a fresh :class:`LatencySurface` on a
-    simulator whose one-time tables are already built; the best of
+    Each timing starts from a fresh :class:`LatencySurface` on a fresh
+    simulator whose one-time tables are already built, so its per-batch
+    decode memo starts empty, as on a new config; the best of
     ``repeats`` timings is kept for both paths (the runs are
     deterministic, so the minimum is the least-noise estimate). Every
     filled point must equal the walk's scalars exactly, or this raises
     ``AssertionError``.
     """
-    sim = WorkloadSimulator(engine.model, engine.config, engine.plan, engine.planner)
     points = cold_fill_points(engine.model)
-    sim.simulate(points[0])  # build the simulator's tables once
 
     fill_s = math.inf
     for _ in range(repeats):
+        sim = WorkloadSimulator(
+            engine.model, engine.config, engine.plan, engine.planner
+        )
+        sim._block_tables()  # the one-time tables, outside the timing
         surface = LatencySurface(sim)
         t0 = time.perf_counter()
         for wl in points:
@@ -249,7 +262,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--min-speedup", type=float, default=None,
         help="fail when the speedup over the walk drops below this "
-             "(default 10 for the mix, 5 for --cold-fill)",
+             f"(default 10 for the mix, {COLD_FILL_MIN_SPEEDUP:g} for --cold-fill)",
     )
     parser.add_argument(
         "--min-sims-per-sec", type=float, default=0.0,
@@ -262,7 +275,9 @@ def main(argv=None) -> int:
     if args.cold_fill:
         record = stamp(run_cold_fill(engine), "repro.bench.sim_throughput")
         speedup, rate = record["speedup"], record["fill_points_per_s"]
-        min_speedup = 5.0 if args.min_speedup is None else args.min_speedup
+        min_speedup = (
+            COLD_FILL_MIN_SPEEDUP if args.min_speedup is None else args.min_speedup
+        )
         print(
             f"cold surface fill ({record['n_points']} points) on "
             f"{record['model']} plan={record['plan']} @ "
@@ -317,13 +332,13 @@ def test_serving_mix_fast_path_speedup(results_dir):
 
 
 def test_cold_fill_speedup(results_dir):
-    """A cold surface fill >= 5x the layer walk, every point identical."""
+    """A cold surface fill >= 18x the layer walk, every point identical."""
     record = stamp(run_cold_fill(_default_engine()), "repro.bench.sim_throughput")
     (results_dir / "sim_cold_fill.json").write_text(
         json.dumps(record, indent=2) + "\n", encoding="utf-8"
     )
     assert record["exact_match"]
-    assert record["speedup"] >= 5.0, record
+    assert record["speedup"] >= COLD_FILL_MIN_SPEEDUP, record
 
 
 # --------------------------------------------------------------------------

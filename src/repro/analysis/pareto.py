@@ -69,12 +69,12 @@ def design_space(
             if part is not None and not resources.fits(part):
                 continue
             sim = WorkloadSimulator(model, config, run_plan, shared_planner)
-            report = sim.simulate(prefill_workload(model, prompt_tokens))
+            total_cycles, _energy_uj = sim.totals(prefill_workload(model, prompt_tokens))
             points.append(
                 DesignPoint(
                     n_pes=pes,
                     bandwidth_gbps=bw,
-                    latency_s=report.latency_s,
+                    latency_s=config.cycles_to_seconds(total_cycles),
                     resources=resources,
                 )
             )

@@ -12,7 +12,9 @@ from .layers import (
     WEIGHT_OP_KINDS,
     LayerOp,
     OpKind,
+    attention_ops,
     decoder_layer_ops,
+    validate_pass,
 )
 from .opt import OPT_125M, OPT_350M, OPT_1_3B, OPT_MODELS
 from .scaling import OPT_2_7B, OPT_6_7B, scaled_decoder, with_gqa
@@ -48,6 +50,8 @@ __all__ = [
     "LayerOp",
     "OpKind",
     "decoder_layer_ops",
+    "attention_ops",
+    "validate_pass",
     "TPHS_ELIGIBLE_OPS",
     "WEIGHT_OP_KINDS",
     "MATMUL_OP_KINDS",

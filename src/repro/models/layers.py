@@ -28,6 +28,8 @@ __all__ = [
     "OpKind",
     "LayerOp",
     "decoder_layer_ops",
+    "attention_ops",
+    "validate_pass",
     "TPHS_ELIGIBLE_OPS",
     "WEIGHT_OP_KINDS",
     "MATMUL_OP_KINDS",
@@ -123,6 +125,51 @@ class LayerOp:
         return self.batch * self.rows * self.reduce * self.cols
 
 
+def validate_pass(
+    model: TransformerConfig, n_tokens: int, kv_len: int, batch: int = 1
+) -> None:
+    """Raise :class:`ConfigError` unless one block can run this pass.
+
+    The checks :func:`decoder_layer_ops` runs before building any op, in
+    the same order (see it for the arguments).
+    """
+    if n_tokens <= 0:
+        raise ConfigError(f"n_tokens must be positive, got {n_tokens}")
+    if kv_len < n_tokens:
+        raise ConfigError(f"kv_len ({kv_len}) must cover n_tokens ({n_tokens})")
+    if batch < 1:
+        raise ConfigError(f"batch must be >= 1, got {batch}")
+    model.validate_context(kv_len)
+
+
+def attention_ops(
+    model: TransformerConfig, n_tokens: int, kv_len: int, batch: int = 1
+) -> Tuple[LayerOp, LayerOp, LayerOp]:
+    """The QK^T, softmax and SM x V ops of one block.
+
+    They are the only ops whose shapes read the KV span: every other op
+    of a block has the same shape at any ``kv_len``. The arguments are
+    not validated here; :func:`validate_pass` does that, and
+    :func:`decoder_layer_ops` runs it first.
+    """
+    d = model.d_model
+    h = model.n_heads
+    hd = model.head_dim
+    kv_dim = model.kv_dim  # == d for MHA; smaller under GQA
+    t = n_tokens
+    kv = kv_len
+    b = batch
+    bt = b * t
+    return (
+        # QK^T reads Q (t x d across heads) and each sequence's K span
+        # (kv x kv_dim; query heads of one group share their K slice).
+        LayerOp(OpKind.QKT, b * h, t, hd, kv, 0, bt * d + b * kv * kv_dim, b * h * t * kv),
+        LayerOp(OpKind.SOFTMAX, b * h, t, 0, kv, 0, b * h * t * kv, b * h * t * kv),
+        # SM x V reads the score matrices and each sequence's V span.
+        LayerOp(OpKind.SMV, b * h, t, kv, hd, 0, b * h * t * kv + b * kv * kv_dim, bt * d),
+    )
+
+
 def decoder_layer_ops(
     model: TransformerConfig, n_tokens: int, kv_len: int, batch: int = 1
 ) -> Tuple[LayerOp, ...]:
@@ -142,23 +189,12 @@ def decoder_layer_ops(
     Returns:
         Ops in execution order (LN1 ... MLP_FC2).
     """
-    if n_tokens <= 0:
-        raise ConfigError(f"n_tokens must be positive, got {n_tokens}")
-    if kv_len < n_tokens:
-        raise ConfigError(f"kv_len ({kv_len}) must cover n_tokens ({n_tokens})")
-    if batch < 1:
-        raise ConfigError(f"batch must be >= 1, got {batch}")
-    model.validate_context(kv_len)
+    validate_pass(model, n_tokens, kv_len, batch)
 
     d = model.d_model
-    h = model.n_heads
-    hd = model.head_dim
     ff = model.d_ff
-    kv_dim = model.kv_dim  # == d for MHA; smaller under GQA
-    t = n_tokens
-    kv = kv_len
-    b = batch
-    bt = b * t  # total token rows through the shared-weight ops
+    kv_dim = model.kv_dim
+    bt = batch * n_tokens  # total token rows through the shared-weight ops
 
     return (
         LayerOp(OpKind.LAYERNORM_1, 1, bt, 0, d, 0, bt * d, bt * d),
@@ -167,12 +203,7 @@ def decoder_layer_ops(
         # (t x kv_dim per sequence) are appended to the KV caches.
         LayerOp(OpKind.K_PROJ, 1, bt, d, kv_dim, d * kv_dim, bt * d, bt * kv_dim),
         LayerOp(OpKind.V_PROJ, 1, bt, d, kv_dim, d * kv_dim, bt * d, bt * kv_dim),
-        # QK^T reads Q (t x d across heads) and each sequence's K span
-        # (kv x kv_dim; query heads of one group share their K slice).
-        LayerOp(OpKind.QKT, b * h, t, hd, kv, 0, bt * d + b * kv * kv_dim, b * h * t * kv),
-        LayerOp(OpKind.SOFTMAX, b * h, t, 0, kv, 0, b * h * t * kv, b * h * t * kv),
-        # SM x V reads the score matrices and each sequence's V span.
-        LayerOp(OpKind.SMV, b * h, t, kv, hd, 0, b * h * t * kv + b * kv * kv_dim, bt * d),
+        *attention_ops(model, n_tokens, kv_len, batch),
         LayerOp(OpKind.OUT_PROJ, 1, bt, d, d, d * d, bt * d, bt * d),
         LayerOp(OpKind.LAYERNORM_2, 1, bt, 0, d, 0, bt * d, bt * d),
         LayerOp(OpKind.MLP_FC1, 1, bt, d, ff, d * ff, bt * d, bt * ff),

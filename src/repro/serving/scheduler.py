@@ -208,10 +208,6 @@ class ServingResult:
         tokens = self.total_generated_tokens
         return self.total_energy_uj / tokens if tokens else 0.0
 
-    def kv_timeline(self) -> Tuple[Tuple[float, int], ...]:
-        """(time, reserved KV bytes) at every state change."""
-        return tuple((ev.t_s, ev.kv_reserved_bytes) for ev in self.events)
-
 
 @dataclass(frozen=True)
 class SchedulerSnapshot:

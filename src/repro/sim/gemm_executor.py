@@ -12,10 +12,11 @@ units but follow the same DRAM round-trip pattern in GEMM mode.
 Every op is priced in two parts. :class:`OpTerms` holds everything that
 does not depend on the op's weights — activation traffic, compute
 cycles, MAC and on-chip energy — and :meth:`OpTerms.breakdown` /
-:meth:`OpTerms.charge` add a weight transfer on top. The simulator
-prices the terms once per workload and the weight transfer once per
-layer class; :func:`gemm_op_latency` and :func:`vector_op_latency` do
-both for a single op.
+:meth:`OpTerms.total` / :meth:`OpTerms.charge` add a weight transfer on
+top. The simulator prices the terms once per workload (once per decode
+batch for the ops that do not read the KV span) and the weight transfer
+once per layer class; :func:`gemm_op_latency` and
+:func:`vector_op_latency` do both for a single op.
 """
 
 from __future__ import annotations
@@ -66,6 +67,13 @@ class OpTerms(NamedTuple):
     def breakdown(self, weight_fetch: float = 0.0) -> LatencyBreakdown:
         """The op's latency record given its weight-fetch cycles."""
         return LatencyBreakdown(weight_fetch, self.input_fetch, self.compute, self.store)
+
+    def total(self, weight_fetch: float = 0.0, double_buffered: bool = True) -> float:
+        """``breakdown(weight_fetch).total(double_buffered)``, same floats,
+        without building the record."""
+        if not double_buffered:
+            return weight_fetch + self.input_fetch + self.compute + self.store
+        return max(weight_fetch + self.input_fetch, self.compute) + self.store
 
     def dram_bits(self, w_bits: float = 0.0) -> float:
         """Bits crossing DRAM: weights, then activations in, then out."""

@@ -180,14 +180,15 @@ def end_to_end(
     if sample_every < 1:
         raise ConfigError(f"sample_every must be >= 1, got {sample_every}")
     sim = WorkloadSimulator(model, config, plan, planner)
-    prefill_s = sim.simulate(prefill_workload(model, prompt_tokens)).latency_s
+    prefill_cycles, _energy_uj = sim.totals(prefill_workload(model, prompt_tokens))
+    prefill_s = config.cycles_to_seconds(prefill_cycles)
 
     decode_s = 0.0
     step = 1
     while step <= generated_tokens:
         span = min(sample_every, generated_tokens - step + 1)
-        report = sim.simulate(decode_workload(model, prompt_tokens + step))
-        decode_s += report.latency_s * span
+        cycles, _energy_uj = sim.totals(decode_workload(model, prompt_tokens + step))
+        decode_s += config.cycles_to_seconds(cycles) * span
         step += span
     return GenerationLatency(
         prefill_s=prefill_s,

@@ -3,19 +3,21 @@
 Serving-style callers (the continuous-batching scheduler, fleet sweeps)
 only consume three scalars per simulated operating point — latency,
 cycles, energy — yet :meth:`~repro.sim.layer_sim.WorkloadSimulator.simulate`
-hands them a full :class:`~repro.sim.breakdown.StageReport` holding
+builds a full :class:`~repro.sim.breakdown.StageReport` holding
 per-layer, per-op latency records. The surface sits between the two: it
 maps ``(stage, context, batch)`` to a frozen :class:`SurfacePoint`,
-filling entries lazily through the simulator's fast path and retaining
-only the scalars. A long serving stream therefore costs one fast
-simulation per *distinct* operating point plus a dict lookup per repeat,
-and holds a few floats per point instead of thousands of records.
+filling entries lazily through the simulator's totals output
+(:meth:`~repro.sim.layer_sim.WorkloadSimulator.totals`, which builds no
+records) and retaining only the scalars. A long serving stream therefore
+costs one fast simulation per *distinct* operating point plus a dict
+lookup per repeat, and holds a few floats per point instead of thousands
+of records.
 
-Numbers are exact: every point is produced by the same simulator the
-slow path uses, so ``latency_s`` and ``energy_uj`` equal the full
+Numbers are exact: ``totals`` and ``simulate`` share one pricing core,
+so ``latency_s``, ``total_cycles`` and ``energy_uj`` equal the full
 report's values bit for bit. Per-op breakdowns are still available — ask
-for them explicitly via :meth:`LatencySurface.report`, which materializes
-a full :class:`StageReport` on demand.
+for them explicitly via :meth:`LatencySurface.report`, which
+materializes a full :class:`StageReport` through ``simulate`` on demand.
 
 **Guarded interpolation** (``interpolate=True`` on :meth:`LatencySurface
 .prefill` / :meth:`~LatencySurface.decode` / :meth:`~LatencySurface
@@ -154,17 +156,22 @@ class LatencySurface:
         self._interp_cache.pop(key, None)
 
     def _insert(self, workload: Workload) -> SurfacePoint:
+        """Simulate one point through the simulator's totals output.
+
+        :meth:`WorkloadSimulator.totals` builds no per-op records; its
+        cycles and energy are the floats a full report would carry, and
+        the latency is converted from those cycles the way
+        :attr:`StageReport.latency_s` converts them.
+        """
         self.n_simulated += 1
-        report = self._sim.simulate(workload)
-        # Read the stack total once; ``report.latency_s`` would re-sum it.
-        total_cycles = report.total_cycles
+        total_cycles, energy_uj = self._sim.totals(workload)
         point = SurfacePoint(
             stage=workload.stage,
             tokens=workload.kv_len,
             batch=workload.batch,
-            latency_s=report.config.cycles_to_seconds(total_cycles),
+            latency_s=self._sim.config.cycles_to_seconds(total_cycles),
             total_cycles=total_cycles,
-            energy_uj=report.energy.total_uj,
+            energy_uj=energy_uj,
         )
         self._register((workload.stage, workload.kv_len, workload.batch), point)
         return point
@@ -378,9 +385,11 @@ class LatencySurface:
     def report(self, workload: Workload) -> StageReport:
         """Full per-op report for one point (materialized on demand).
 
-        The surface deliberately does not retain reports; callers that
-        need op-level breakdowns (traces, stacked-bar figures) pay for
-        the materialization only when they ask.
+        The surface deliberately does not retain reports, and fills
+        through :meth:`WorkloadSimulator.totals`, which builds none;
+        callers that need op-level breakdowns (traces, stacked-bar
+        figures) pay for :meth:`WorkloadSimulator.simulate` only when
+        they ask.
         """
         return self._sim.simulate(workload)
 
