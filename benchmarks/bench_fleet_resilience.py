@@ -82,7 +82,6 @@ def _fleet(engines, policy: str, schedule: FaultSchedule, **kw) -> FleetSimulato
         policy=policy,
         max_batch=16,
         ctx_bucket=16,
-        token_events=False,
         faults=schedule,
         **kw,
     )

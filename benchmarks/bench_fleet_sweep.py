@@ -160,7 +160,7 @@ def run_drain_bench(driver: SweepDriver, quick: bool = False) -> dict:
     factory = drain_source_factory(quick)
     fleet = FleetSimulator(
         engines, policy="predicted-latency", max_batch=4,
-        ctx_bucket=DRAIN_CTX_BUCKET, token_events=False,
+        ctx_bucket=DRAIN_CTX_BUCKET,
     )
 
     fleet.run(factory())  # warm every surface point both paths touch
@@ -352,7 +352,7 @@ def run_overload_scaling() -> dict:
         for n, stream in streams.items():
             fleet = FleetSimulator(
                 engines, policy="round-robin", max_batch=OVERLOAD_MAX_BATCH,
-                ctx_bucket=OVERLOAD_CTX_BUCKET, token_events=False,
+                ctx_bucket=OVERLOAD_CTX_BUCKET,
             )
             # Each run starts from the same heap: no earlier report alive
             # and no garbage left for the collector to walk.

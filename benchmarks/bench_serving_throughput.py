@@ -7,14 +7,14 @@ tie; as load saturates the box, MEADOW's packed weights and TPHS decode
 push the achievable tokens/s and hold p99 TTFT lower.
 
 This file is also the tracked before/after evidence for the
-**event-compressed serving core** (decode-run coalescing + lean event
-logging): the decode-heavy stream below — one burst, long fixed
-outputs, ``ctx_bucket=64`` — is the workload shape where the scheduler
-itself used to dominate wall-clock. The coalesced path must reproduce
-the per-token walk's records and state-change events exactly (the walk
-is the ``tests/oracles/token_walk.py`` oracle)
-while clearing a scheduler-iteration throughput floor. Run it
-standalone for the JSON artifact CI tracks::
+**event-compressed serving core** (decode-run coalescing): the
+decode-heavy stream below — one burst, long fixed outputs,
+``ctx_bucket=64`` — is the workload shape where the scheduler itself
+used to dominate wall-clock. The coalesced path must reproduce the
+per-token walk's result exactly, records and event log included (the
+walk is the ``tests/oracles/token_walk.py`` oracle), while clearing
+the :data:`COALESCE_MIN_SPEEDUP` scheduler-iteration throughput floor.
+Run it standalone for the JSON artifact CI tracks::
 
     PYTHONPATH=src python benchmarks/bench_serving_throughput.py \
         --quick --json results/serving_throughput.json
@@ -45,7 +45,6 @@ from repro.serving import (
     bursty_stream,
     poisson_stream,
 )
-from repro.serving.scheduler import TOKEN_EVENT_KINDS
 
 RATES_RPS = [1.0, 4.0, 16.0, 64.0]
 N_REQUESTS = 48
@@ -60,6 +59,14 @@ OUTPUTS = LengthDistribution("geometric", 24, 96)
 #: consecutive decode contexts share one surface point, so a stable
 #: batch advances in ~64-iteration runs.
 COALESCE_CTX_BUCKET = 64
+
+#: Floor on coalesced / per-token-walk scheduler iterations per second,
+#: shared by ``--min-speedup``'s default, CI and the tier-2 test. It was
+#: 7.5x while the walk also built one event per token; without them the
+#: walk is 3.5-5.7x faster, and 3.2x keeps the floor this puts on the
+#: coalesced path's absolute iterations/s above where 7.5x put it (see
+#: docs/performance.md).
+COALESCE_MIN_SPEEDUP = 3.2
 
 
 def decode_heavy_stream(quick: bool = False):
@@ -79,13 +86,9 @@ def decode_heavy_stream(quick: bool = False):
     )
 
 
-def _coalesce_scheduler(engine, stream, token_events: bool):
+def _coalesce_scheduler(engine, stream):
     return ContinuousBatchingScheduler(
-        engine,
-        stream,
-        max_batch=16,
-        ctx_bucket=COALESCE_CTX_BUCKET,
-        token_events=token_events,
+        engine, stream, max_batch=16, ctx_bucket=COALESCE_CTX_BUCKET
     )
 
 
@@ -94,38 +97,28 @@ def run_coalescing_bench(engine: MeadowEngine, quick: bool = False) -> Dict[str,
 
     The surface is warmed first so both timed runs measure pure
     scheduler overhead (the modeled numbers are dict hits either way).
-    The coalesced run must reproduce the reference's records and
-    state-change events exactly, or this raises ``AssertionError``.
+    The coalesced run must reproduce the reference's result exactly,
+    records and event log included, or this raises ``AssertionError``.
     """
     stream = decode_heavy_stream(quick)
     # Warm every (stage, ctx, batch) point both paths will touch.
-    _coalesce_scheduler(engine, stream, token_events=False).run()
+    _coalesce_scheduler(engine, stream).run()
 
-    # Best-of-3 per path: the runs are deterministic, so the minimum is
-    # the least-noise estimate and keeps the CI floor ratio stable.
-    ref_s = math.inf
-    for _ in range(3):
+    # Best-of-5 per path, the paths alternating: the runs are
+    # deterministic, so the minimum is the least-noise estimate, and
+    # alternating puts both paths through the same host phases, which
+    # keeps the CI floor ratio stable.
+    ref_s = fast_s = math.inf
+    for _ in range(5):
         t0 = time.perf_counter()
-        ref = walk_tokens(
-            _coalesce_scheduler(engine, stream, token_events=True)
-        )
+        ref = walk_tokens(_coalesce_scheduler(engine, stream))
         ref_s = min(ref_s, time.perf_counter() - t0)
-
-    fast_s = math.inf
-    for _ in range(3):
         t0 = time.perf_counter()
-        fast = _coalesce_scheduler(engine, stream, token_events=False).run()
+        fast = _coalesce_scheduler(engine, stream).run()
         fast_s = min(fast_s, time.perf_counter() - t0)
 
-    # Correctness gate: identical serving outcome, thinned event log.
-    assert fast.records == ref.records
-    assert fast.duration_s == ref.duration_s
-    assert fast.total_energy_uj == ref.total_energy_uj
-    assert fast.peak_kv_bytes == ref.peak_kv_bytes
-    assert fast.n_decode_iterations == ref.n_decode_iterations
-    assert fast.events == tuple(
-        ev for ev in ref.events if ev.kind not in TOKEN_EVENT_KINDS
-    )
+    # Correctness gate: identical serving outcome, field for field.
+    assert fast == ref
 
     iterations = ref.n_prefill_iterations + ref.n_decode_iterations
     return {
@@ -160,7 +153,7 @@ def main(argv=None) -> int:
              "perf-trajectory record at the repo root",
     )
     parser.add_argument(
-        "--min-speedup", type=float, default=7.5,
+        "--min-speedup", type=float, default=COALESCE_MIN_SPEEDUP,
         help="fail when coalesced/reference speedup drops below this",
     )
     args = parser.parse_args(argv)
@@ -192,11 +185,12 @@ def main(argv=None) -> int:
 
 
 def test_coalesced_scheduler_iteration_throughput(results_dir):
-    """Event-compressed core >= 7.5x the per-token walk, records identical.
+    """Event-compressed core >= COALESCE_MIN_SPEEDUP x the per-token walk.
 
     The floor was 5x before the struct-of-arrays scheduler core and the
-    batched ``decode_run_many`` surface kernel; both paths got faster,
-    and the coalesced one by more.
+    batched ``decode_run_many`` surface kernel, then 7.5x while the walk
+    still built one event per token; with those events gone the walk is
+    faster and the ratio floor is re-based on it.
     """
     record = stamp(
         run_coalescing_bench(_coalesce_engine()),
@@ -206,7 +200,7 @@ def test_coalesced_scheduler_iteration_throughput(results_dir):
         json.dumps(record, indent=2) + "\n", encoding="utf-8"
     )
     assert record["exact_match"]
-    assert record["speedup"] >= 7.5, record
+    assert record["speedup"] >= COALESCE_MIN_SPEEDUP, record
 
 
 def _serve(plan, planner, rate, bandwidth=12.0, seed=0):

@@ -127,10 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "before simulation (1 = exact; larger = faster)")
     p.add_argument("--kv-budget-mb", type=float, default=None,
                    help="override the DRAM-derived KV budget")
-    p.add_argument("--no-token-events", action="store_true",
-                   help="skip per-token DECODE_STEP/FIRST_TOKEN event "
-                        "materialization (metrics are identical; long "
-                        "streams run lighter)")
     _interp_args(p)
     _obs_args(p)
     _store_args(p)
@@ -165,9 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ctx-bucket", type=int, default=16)
     p.add_argument("--kv-budget-mb", type=float, default=None,
                    help="per-shard override of the DRAM-derived KV budget")
-    p.add_argument("--no-token-events", action="store_true",
-                   help="skip per-token event materialization in every "
-                        "shard (sweep mode always skips it)")
     p.add_argument("--steal", action="store_true",
                    help="work stealing: an idle shard pulls still-waiting "
                         "requests off the deepest-backlog shard")
@@ -568,7 +561,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         kv_budget_bytes=budget,
         max_batch=args.max_batch,
         ctx_bucket=args.ctx_bucket,
-        token_events=not args.no_token_events,
         interpolate=args.interpolate,
         obs=observer,
     )
@@ -638,7 +630,6 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
             kv_budget_bytes=budget,
             max_batch=args.max_batch,
             ctx_bucket=args.ctx_bucket,
-            token_events=not args.no_token_events,
             steal=args.steal,
             interpolate=args.interpolate,
             faults=None if args.faults == "none" else args.faults,

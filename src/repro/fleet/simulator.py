@@ -400,10 +400,12 @@ class FleetSimulator:
         policy: a :class:`RoutingPolicy` instance or registered name.
         kv_budget_bytes / max_batch / ctx_bucket: scalar applied to all
             shards, or one value per shard for heterogeneous fleets.
-        token_events: materialize per-token DECODE_STEP / FIRST_TOKEN
-            events in every shard's log. Flip off for long sweeps —
-            records, merged metrics and peak-KV accounting are exact
-            either way.
+        token_events: accepted only as ``False``, which changes
+            nothing; ``True`` raises :class:`~repro.errors.ConfigError`.
+            Every shard's event log holds state changes only, and token
+            instants live in the records. The parameter exists only for
+            ``perfbench/workloads.py``, which still passes
+            ``token_events=False``, and goes when that file drops it.
         interpolate: allow guarded log-linear surface interpolation on
             every shard's latency lookups (approximate within each
             surface's ``interp_rel_err`` bound, falling back to exact
@@ -444,7 +446,7 @@ class FleetSimulator:
         kv_budget_bytes=None,
         max_batch=16,
         ctx_bucket=1,
-        token_events: bool = True,
+        token_events: bool = False,
         steal: bool = False,
         interpolate: bool = False,
         faults: Union[FaultSchedule, str, None] = None,
@@ -453,6 +455,11 @@ class FleetSimulator:
         fault_seed: int = 0,
         obs: Optional[FleetObserver] = None,
     ) -> None:
+        if token_events:
+            raise ConfigError(
+                "token_events=True is not supported: shard event logs hold "
+                "state changes only; read token instants from the records"
+            )
         if not engines:
             raise ConfigError("a fleet needs at least one engine")
         model = engines[0].model
@@ -468,7 +475,6 @@ class FleetSimulator:
         self.kv_budget_bytes = _per_shard(kv_budget_bytes, n, "kv_budget_bytes")
         self.max_batch = _per_shard(max_batch, n, "max_batch")
         self.ctx_bucket = _per_shard(ctx_bucket, n, "ctx_bucket")
-        self.token_events = token_events
         self.steal = steal
         self.interpolate = interpolate
         self.faults = faults
@@ -650,7 +656,6 @@ class FleetSimulator:
                 max_batch=self.max_batch[i],
                 ctx_bucket=self.ctx_bucket[i],
                 on_complete=make_harvest(i),
-                token_events=self.token_events,
                 interpolate=self.interpolate,
                 obs=obs.shard(i) if obs is not None else None,
             )

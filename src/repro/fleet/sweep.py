@@ -345,18 +345,11 @@ class SweepDriver:
         policy: str,
         max_batch: int = 16,
         ctx_bucket: int = 1,
-        token_events: bool = False,
         steal: bool = False,
-        interpolate: bool = False,
         faults: str = "none",
         fault_seed: int = 0,
     ) -> FleetReport:
         """Evaluate one grid point (exposed for benchmarks and tests).
-
-        ``token_events`` defaults *off* here, unlike the interactive
-        simulators: a sweep materializes millions of per-token event
-        tuples nobody reads, and the grid metrics are provably identical
-        without them.
 
         ``faults`` names a seeded chaos scenario from
         :data:`~repro.fleet.faults.FAULT_SCENARIOS`; ``"none"`` keeps
@@ -376,17 +369,14 @@ class SweepDriver:
             kv_budget_bytes=budgets,
             max_batch=max_batch,
             ctx_bucket=ctx_bucket,
-            token_events=token_events,
             steal=steal,
-            interpolate=interpolate,
             faults=None if faults == "none" else faults,
             fault_seed=fault_seed,
         )
         return fleet.run(source)
 
     def evaluate_point(
-        self, source: RequestSource, grid_point: "_GridPoint",
-        token_events: bool = False,
+        self, source: RequestSource, grid_point: "_GridPoint"
     ) -> SweepPoint:
         """Evaluate one grid configuration into its :class:`SweepPoint`.
 
@@ -398,7 +388,7 @@ class SweepDriver:
         gp = grid_point
         report = self.run_point(
             source, gp.n_engines, gp.policy, gp.max_batch,
-            gp.ctx_bucket, token_events=token_events, steal=gp.steal,
+            gp.ctx_bucket, steal=gp.steal,
             faults=gp.faults, fault_seed=gp.fault_seed,
         )
         m = report.metrics
@@ -462,7 +452,6 @@ class SweepDriver:
         self,
         grid: Sequence["_GridPoint"],
         sources: Sequence[RequestSource],
-        token_events: bool,
         workers: int,
     ) -> List[SweepPoint]:
         """Fan the grid over a process pool; bit-identical to serial.
@@ -497,7 +486,7 @@ class SweepDriver:
             initargs=(payload,),
         ) as pool:
             futures = [
-                pool.submit(_run_sweep_task, gp, source, token_events)
+                pool.submit(_run_sweep_task, gp, source)
                 for gp, source in zip(grid, sources)
             ]
             for future in futures:
@@ -514,7 +503,6 @@ class SweepDriver:
         policies: Sequence[str] = POLICY_NAMES,
         max_batch_grid: Sequence[int] = (16,),
         ctx_bucket_grid: Sequence[int] = (1,),
-        token_events: bool = False,
         steal_grid: Sequence[bool] = (False,),
         max_energy_per_token_uj: Optional[float] = None,
         workers: Optional[int] = None,
@@ -529,9 +517,6 @@ class SweepDriver:
         engines, then policy, then max_batch, then ctx_bucket, then
         steal, then faults (``faults_grid`` names seeded chaos
         scenarios; ``"none"`` points take the exact fault-free path).
-        Per-token event materialization is off by default (see
-        :meth:`run_point`); every reported metric is identical with it
-        on, just slower and heavier.
 
         ``workers`` > 1 fans the grid over that many processes (see
         :meth:`_sweep_parallel`); ``None`` or 1 runs serially in-process.
@@ -561,10 +546,10 @@ class SweepDriver:
         sources = [stream_factory() for _ in grid]
         source_name = sources[0].name
         if workers is not None and workers > 1 and len(grid) > 1:
-            points = self._sweep_parallel(grid, sources, token_events, workers)
+            points = self._sweep_parallel(grid, sources, workers)
         else:
             points = [
-                self.evaluate_point(source, gp, token_events=token_events)
+                self.evaluate_point(source, gp)
                 for gp, source in zip(grid, sources)
             ]
         if max_energy_per_token_uj is not None:
@@ -633,11 +618,11 @@ def _init_sweep_worker(
 
 
 def _run_sweep_task(
-    grid_point: _GridPoint, source: RequestSource, token_events: bool
+    grid_point: _GridPoint, source: RequestSource
 ) -> Tuple[SweepPoint, Dict[float, List[Dict[str, Any]]]]:
     driver = _WORKER_DRIVER
     assert driver is not None, "worker pool initializer did not run"
-    point = driver.evaluate_point(source, grid_point, token_events=token_events)
+    point = driver.evaluate_point(source, grid_point)
     deltas: Dict[float, List[Dict[str, Any]]] = {}
     for bandwidth, engine in driver._engines.items():
         shipped = _WORKER_SHIPPED.get(bandwidth, frozenset())

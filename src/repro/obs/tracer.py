@@ -84,11 +84,11 @@ class ShardObs(object):
 
     # -- scheduler hooks (hot path; keep allocation-light) ------------
     def request_event(self, t_s: float, kind: str, request_id: int) -> None:
-        """Mirror one non-token scheduler event into the lifecycle FSM.
+        """Mirror one scheduler event into the lifecycle FSM.
 
-        ``kind`` is the :class:`~repro.serving.EventKind` value string;
-        per-token kinds (``first_token`` / ``decode_step``) are *not*
-        routed here — see :meth:`first_token`.
+        ``kind`` is the :class:`~repro.serving.EventKind` value string.
+        The event log holds state changes only, so the first-token
+        instant arrives through :meth:`first_token`.
         """
         if kind == "arrival":
             self._open[request_id] = [t_s, None, None, None]
@@ -114,7 +114,7 @@ class ShardObs(object):
             del self._open[request_id]
 
     def first_token(self, t_s: float, request_id: int) -> None:
-        """Record the first-token instant (independent of token_events)."""
+        """Record the first-token instant."""
         rec = self._open.get(request_id)
         if rec is not None:
             rec[_FIRST_TOKEN] = t_s

@@ -29,7 +29,6 @@ from .scheduler import (
     SchedulerEvent,
     SchedulerSnapshot,
     ServingResult,
-    TOKEN_EVENT_KINDS,
 )
 from .simulator import ServingReport, ServingSimulator
 
@@ -42,7 +41,6 @@ __all__ = [
     "bursty_stream",
     "ClosedLoopSource",
     "EventKind",
-    "TOKEN_EVENT_KINDS",
     "SchedulerEvent",
     "SchedulerSnapshot",
     "RequestRecord",

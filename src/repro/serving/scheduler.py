@@ -26,11 +26,6 @@ bounded just past the next event. The per-token walk, which swaps a
 one-iteration decode step in for the coalesced run, is a test oracle
 (``tests/oracles/token_walk.py``), beside the simulator's
 layer-by-layer walk (``tests/oracles/layer_walk.py``).
-Long streams where nobody reads per-token events can additionally pass
-``token_events=False`` to elide DECODE_STEP / FIRST_TOKEN event
-materialization; records, metrics and the peak-KV accounting are
-unaffected (KV only changes at ADMIT / COMPLETE, which are always
-logged).
 
 Admission is slot- and KV-memory constrained and strictly FCFS: a
 request is admitted only while fewer than ``max_batch`` requests hold a
@@ -60,13 +55,14 @@ work (arrival ingestion, admission) when the clock has reached the
 horizon, so pausing between iterations can never reorder the event log
 relative to a one-shot run.
 
-Every state change is appended to an event log; the property tests in
-``tests/serving/`` assert the scheduler's invariants (clock
-monotonicity, prefill-before-decode, budget respect, FCFS order)
-directly against it. Routing-facing state (:meth:`snapshot`) is served
-from incremental aggregates maintained at submit / ingest / admit /
-prefill / complete time, so snapshotting is O(1) in queue depth — the
-fleet loop takes one per shard per routing decision.
+Every state change (ARRIVAL, ADMIT, PREFILL_START, COMPLETE, WITHDRAW)
+is appended to an event log; tokens are not logged, their instants live
+in the records. The property tests in ``tests/serving/`` assert the
+scheduler's invariants (clock monotonicity, budget respect, FCFS order)
+against the log and the records. Routing-facing state (:meth:`snapshot`)
+is served from incremental aggregates maintained at submit / ingest /
+admit / prefill / complete time, so snapshotting is O(1) in queue depth
+— the fleet loop takes one per shard per routing decision.
 """
 
 from __future__ import annotations
@@ -94,7 +90,6 @@ from .request import Request, RequestSource
 
 __all__ = [
     "EventKind",
-    "TOKEN_EVENT_KINDS",
     "SchedulerEvent",
     "RequestRecord",
     "ServingResult",
@@ -109,18 +104,10 @@ class EventKind(enum.Enum):
     ARRIVAL = "arrival"
     ADMIT = "admit"
     PREFILL_START = "prefill_start"
-    FIRST_TOKEN = "first_token"
-    DECODE_STEP = "decode_step"
     COMPLETE = "complete"
     #: A queued request was withdrawn (work stealing): it leaves this
     #: shard before running, releasing any ADMIT-time KV reservation.
     WITHDRAW = "withdraw"
-
-
-#: The per-token observations elided by ``token_events=False``; every
-#: KV-reservation change (ADMIT / COMPLETE) is always logged, so peak-KV
-#: accounting over the thinned log stays exact.
-TOKEN_EVENT_KINDS = frozenset({EventKind.FIRST_TOKEN, EventKind.DECODE_STEP})
 
 
 # The per-request result classes here and fleet's RoutingDecision are
@@ -182,6 +169,8 @@ class ServingResult:
     plan_name: str
     source_name: str
     records: Tuple[RequestRecord, ...]
+    #: State changes only (ARRIVAL / ADMIT / PREFILL_START / COMPLETE /
+    #: WITHDRAW), in log order; token instants live in :attr:`records`.
     events: Tuple[SchedulerEvent, ...]
     kv_budget_bytes: int
     peak_kv_bytes: int
@@ -308,10 +297,6 @@ class ContinuousBatchingScheduler:
             callback here so closed-loop follow-ups re-enter the global
             router instead of being pinned to the shard that happened
             to serve their predecessor.
-        token_events: materialize per-token FIRST_TOKEN / DECODE_STEP
-            events. ``False`` thins the event log to state changes only
-            (ARRIVAL / ADMIT / PREFILL_START / COMPLETE); records,
-            metrics and peak-KV accounting are unchanged.
         interpolate: allow guarded log-linear surface interpolation on
             latency lookups (see :class:`~repro.sim.surface
             .LatencySurface`). The guard falls back to exact simulation
@@ -340,7 +325,6 @@ class ContinuousBatchingScheduler:
         max_batch: int = 16,
         ctx_bucket: int = 1,
         on_complete: Optional[Callable[[Request, float], Optional[Request]]] = None,
-        token_events: bool = True,
         interpolate: bool = False,
         obs=None,
     ) -> None:
@@ -366,7 +350,6 @@ class ContinuousBatchingScheduler:
             )
         self.max_batch = max_batch
         self.ctx_bucket = ctx_bucket
-        self.token_events = token_events
         self.interpolate = interpolate
         #: Step-latency multiplier the fault layer sets during bandwidth
         #: brownouts (1.0 = nominal). Applied to every prefill/decode
@@ -680,17 +663,7 @@ class ContinuousBatchingScheduler:
                 self._clock, kind, request_id, self._kv_reserved, len(self._pending)
             )
         )
-        # Mirror state-change events into the observer's lifecycle FSM;
-        # per-token kinds are deliberately excluded (the observer gets
-        # first-token explicitly and decode runs as step slices), so the
-        # enabled-mode cost stays O(state changes), not O(tokens).
-        # Identity checks, not frozenset membership: enum hashing is a
-        # python-level call and this runs once per logged event.
-        if (
-            self._obs is not None
-            and kind is not EventKind.FIRST_TOKEN
-            and kind is not EventKind.DECODE_STEP
-        ):
+        if self._obs is not None:
             self._obs.request_event(self._clock, kind.value, request_id)
 
     def _ingest_arrivals(self) -> None:
@@ -762,8 +735,6 @@ class ContinuousBatchingScheduler:
         self._energy_uj += point.energy_uj
         self._n_prefills += 1
         self._forget_waiting(req)
-        if self.token_events:
-            self._log(EventKind.FIRST_TOKEN, req.request_id)
         obs = self._obs
         if obs is not None:
             obs.first_token(self._clock, req.request_id)
@@ -818,8 +789,7 @@ class ContinuousBatchingScheduler:
         per-token walk performs, so every timestamp, TBT gap and
         accumulator matches bit for bit.
         """
-        d_req = self._d_req
-        n = len(d_req)
+        n = len(self._d_req)
         d_ctx = self._d_ctx
         d_left = self._d_left
         point, bucket_run = self.engine.surface.decode_run_many(
@@ -867,21 +837,6 @@ class ContinuousBatchingScheduler:
             d_last[i] = c
         self._d_ctx = d_ctx = [x + k for x in d_ctx]
         self._d_left = [x - k for x in d_left]
-        if self.token_events:
-            events = self._events
-            kv = self._kv_reserved
-            depth = len(self._pending)
-            for t in clocks:
-                for req in d_req:
-                    events.append(
-                        SchedulerEvent(
-                            t,
-                            EventKind.DECODE_STEP,
-                            req.request_id,
-                            kv,
-                            depth,
-                        )
-                    )
         if k == to_complete:
             # Completions only happen on the run's final iteration (the
             # run length is capped at tokens-to-next-completion), so one

@@ -50,12 +50,11 @@ class ServingReport:
 class ServingSimulator:
     """Run request scenarios against one deployed engine.
 
-    ``token_events`` / ``interpolate`` pass straight through to the
-    scheduler: the first controls per-token event materialization
-    (metrics are identical either way — flip it off for long streams
-    nobody introspects), and the second allows guarded surface
-    interpolation on latency lookups (approximate within the surface's
-    ``interp_rel_err`` bound; off by default so numbers stay exact).
+    ``interpolate`` passes straight through to the scheduler: it allows
+    guarded surface interpolation on latency lookups (approximate within
+    the surface's ``interp_rel_err`` bound; off by default so numbers
+    stay exact). The result's event log holds state changes only; every
+    token's instant is in the records.
 
     ``obs`` takes a :class:`~repro.obs.FleetObserver`; the single-engine
     run reports through its shard-0 view, so the same observer (and
@@ -69,7 +68,6 @@ class ServingSimulator:
         kv_budget_bytes: Optional[int] = None,
         max_batch: int = 16,
         ctx_bucket: int = 1,
-        token_events: bool = True,
         interpolate: bool = False,
         obs=None,
     ) -> None:
@@ -77,7 +75,6 @@ class ServingSimulator:
         self.kv_budget_bytes = kv_budget_bytes
         self.max_batch = max_batch
         self.ctx_bucket = ctx_bucket
-        self.token_events = token_events
         self.interpolate = interpolate
         self.obs = obs
 
@@ -89,7 +86,6 @@ class ServingSimulator:
             kv_budget_bytes=self.kv_budget_bytes,
             max_batch=self.max_batch,
             ctx_bucket=self.ctx_bucket,
-            token_events=self.token_events,
             interpolate=self.interpolate,
             obs=self.obs.shard(0) if self.obs is not None else None,
         )

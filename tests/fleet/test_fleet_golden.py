@@ -170,7 +170,7 @@ def _open_bursty_calibrated(env):
 def _open_lean_token_events(env):
     return _fleet(
         env, [env.fast, env.slow], policy="predicted-latency",
-        token_events=False, ctx_bucket=16,
+        ctx_bucket=16,
     ).run(_poisson(env, n=32, rate=120.0, seed=6))
 
 

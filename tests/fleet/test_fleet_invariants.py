@@ -301,6 +301,28 @@ class TestClosedLoopComposition:
         assert report.result.n_rejected_followups >= 1
 
 
+class TestTokenEventsShim:
+    """``token_events`` is accepted only as ``False``, a no-op."""
+
+    def test_true_rejected_and_false_changes_nothing(
+        self, fast_engine, slow_engine, shard_budget, make_stream
+    ):
+        engines = [fast_engine, slow_engine]
+        knobs = dict(
+            policy="predicted-latency", kv_budget_bytes=shard_budget,
+            max_batch=8,
+        )
+        with pytest.raises(ConfigError):
+            FleetSimulator(engines, token_events=True, **knobs)
+        plain = FleetSimulator(engines, **knobs).run(
+            make_stream("bursty", n=16, seed=3)
+        )
+        shim = FleetSimulator(engines, token_events=False, **knobs).run(
+            make_stream("bursty", n=16, seed=3)
+        )
+        assert shim == plain
+
+
 class TestInterpolationKnob:
     """fleet-wide interpolate=True threads down to every shard."""
 
@@ -450,7 +472,6 @@ class TestOverloadConservation:
             kv_budget_bytes=shard_budget,
             max_batch=4,
             ctx_bucket=8,
-            token_events=False,
             steal=steal,
             faults=faults,
             fault_seed=seed,

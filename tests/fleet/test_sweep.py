@@ -142,27 +142,6 @@ class TestSweepGrid:
         frugal = sweep_result.best_by("energy_per_token_uj")
         assert frugal in sweep_result.points
 
-    def test_token_events_knob_does_not_move_sweep_metrics(
-        self, fast_engine, shard_budget, make_stream, sweep_result
-    ):
-        # The acceptance criterion: grid evaluation with per-token event
-        # materialization re-enabled yields the *exact* same points as
-        # the lean default (which sweep_result used).
-        driver = SweepDriver(
-            fast_engine,
-            bandwidths_gbps=[12.0, 1.0],
-            kv_budget_bytes=[shard_budget, shard_budget],
-        )
-        heavy = driver.sweep(
-            lambda: make_stream("bursty", n=24, seed=0),
-            n_engines_grid=[1, 2],
-            policies=["round-robin", "predicted-latency"],
-            max_batch_grid=[8],
-            ctx_bucket_grid=[1],
-            token_events=True,
-        )
-        assert heavy.points == sweep_result.points
-
 
 class TestParetoJson:
     def test_document_schema(self, sweep_result):

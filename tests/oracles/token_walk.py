@@ -23,7 +23,7 @@ from __future__ import annotations
 from types import MethodType
 from typing import Callable, Optional
 
-from repro.serving import ContinuousBatchingScheduler, EventKind, ServingResult
+from repro.serving import ContinuousBatchingScheduler, ServingResult
 from repro.utils import ceil_div
 
 __all__ = ["decode_step", "bind_decode_step", "walk_tokens"]
@@ -37,9 +37,9 @@ def decode_step(scheduler: ContinuousBatchingScheduler, t_s: float) -> None:
     horizon and one step is all this ever runs.
     """
     s = scheduler
-    d_req, d_ctx, d_left = s._d_req, s._d_ctx, s._d_left
+    d_ctx, d_left = s._d_ctx, s._d_left
     d_last, d_tbt = s._d_last, s._d_tbt
-    n = len(d_req)  # admission keeps n <= max_batch
+    n = len(s._d_req)  # admission keeps n <= max_batch
     # The batch decodes at the deepest member's context, rounded up to
     # the cache bucket within the model's limit; a conservative
     # (upper-bound) latency for the shallower members.
@@ -65,8 +65,6 @@ def decode_step(scheduler: ContinuousBatchingScheduler, t_s: float) -> None:
         # decode step's latency.
         d_tbt[i].append(c - d_last[i])
         d_last[i] = c
-        if s.token_events:
-            s._log(EventKind.DECODE_STEP, d_req[i].request_id)
     if min(d_left) <= 0:
         s._retire_finished()
     elif raw_ctx > s._decode_ctx:

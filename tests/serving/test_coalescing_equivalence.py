@@ -1,6 +1,6 @@
 """Equivalence proofs for the event-compressed serving core.
 
-Three guarantees, each tested against the per-token walk kept in
+Two guarantees, each tested against the per-token walk kept in
 ``tests/oracles/token_walk.py`` the same way the simulator's fast path
 is tested against ``tests/oracles/layer_walk.py``:
 
@@ -9,11 +9,7 @@ is tested against ``tests/oracles/layer_walk.py``:
    events, clock, energy — field for field, across plans, sources,
    ``ctx_bucket`` and ``max_batch``, and under arbitrary chunked
    ``advance_until`` driving.
-2. **Lean event logging changes nothing but the log**: with
-   ``token_events=False`` the per-token DECODE_STEP / FIRST_TOKEN
-   entries vanish and everything else — records, metrics, peak KV,
-   state-change events — is exactly equal.
-3. **Snapshot aggregates match recomputation**: the O(1)
+2. **Snapshot aggregates match recomputation**: the O(1)
    :class:`~repro.serving.SchedulerSnapshot` fields maintained
    incrementally equal a brute-force walk of the queues at every
    iteration boundary.
@@ -32,12 +28,9 @@ from repro import ExecutionPlan, MeadowEngine
 from repro.serving import (
     ClosedLoopSource,
     ContinuousBatchingScheduler,
-    EventKind,
-    FleetMetrics,
     bursty_stream,
     poisson_stream,
 )
-from repro.serving.scheduler import TOKEN_EVENT_KINDS
 
 seeds = st.integers(0, 2**16)
 ctx_buckets = st.sampled_from([1, 8, 64])
@@ -78,8 +71,8 @@ def _budget(engine, requests: float = 4.0) -> int:
     return int(worst * requests)
 
 
-def _run(engine, source, *, walk=False, token_events=True, ctx_bucket=1,
-         max_batch=8, budget_requests=4.0):
+def _run(engine, source, *, walk=False, ctx_bucket=1, max_batch=8,
+         budget_requests=4.0):
     """The scheduler's coalesced ``run()``, or the per-token walk."""
     scheduler = ContinuousBatchingScheduler(
         engine,
@@ -87,7 +80,6 @@ def _run(engine, source, *, walk=False, token_events=True, ctx_bucket=1,
         kv_budget_bytes=_budget(engine, budget_requests),
         max_batch=max_batch,
         ctx_bucket=ctx_bucket,
-        token_events=token_events,
     )
     return walk_tokens(scheduler) if walk else scheduler.run()
 
@@ -180,47 +172,6 @@ class TestCoalescedEqualsReference:
             dataclasses.replace(chunked.result(), source_name=ref.source_name),
             ref,
         )
-
-
-class TestLeanEventLogging:
-    @given(seeds, source_kinds)
-    @settings(max_examples=15, deadline=None)
-    def test_only_token_events_are_elided(
-        self, serving_engine, make_source, seed, kind
-    ):
-        full = _run(
-            serving_engine, make_source(kind, seed),
-            token_events=True, ctx_bucket=8,
-        )
-        lean = _run(
-            serving_engine, make_source(kind, seed),
-            token_events=False, ctx_bucket=8,
-        )
-        # The thinned log is exactly the full log minus per-token kinds.
-        assert lean.events == tuple(
-            ev for ev in full.events if ev.kind not in TOKEN_EVENT_KINDS
-        )
-        assert all(
-            ev.kind not in TOKEN_EVENT_KINDS for ev in lean.events
-        )
-        # Everything a planner reads is untouched.
-        assert lean.records == full.records
-        assert lean.peak_kv_bytes == full.peak_kv_bytes
-        assert lean.duration_s == full.duration_s
-        assert lean.total_energy_uj == full.total_energy_uj
-        assert FleetMetrics.from_result(lean) == FleetMetrics.from_result(full)
-
-    @given(seeds)
-    @settings(max_examples=8, deadline=None)
-    def test_lean_reference_walk_matches_too(
-        self, serving_engine, make_source, seed
-    ):
-        # token_events composes with the per-token walk identically.
-        a = _run(serving_engine, make_source("poisson", seed),
-                 walk=True, token_events=False, ctx_bucket=8)
-        b = _run(serving_engine, make_source("poisson", seed),
-                 token_events=False, ctx_bucket=8)
-        _assert_identical(b, a)
 
 
 def _recomputed_snapshot(scheduler, shard_id=0):
