@@ -101,11 +101,16 @@ class Histogram(object):
         self.total = 0.0
         self.n = 0
 
-    def observe(self, value: float) -> None:
-        """Record one observation into its bucket."""
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.total += value
-        self.n += 1
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value`` into its bucket.
+
+        ``value * count`` adds what ``count`` single observations would
+        whenever the running sum stays exact (integer-valued floats
+        below 2**53, such as batch sizes).
+        """
+        self.counts[bisect_left(self.bounds, value)] += count
+        self.total += value * count
+        self.n += count
 
     @property
     def mean(self) -> float:

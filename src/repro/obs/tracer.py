@@ -130,11 +130,13 @@ class ShardObs(object):
     ) -> None:
         """One scheduler iteration slice: a prefill step or a decode run
 
-        of ``k`` coalesced iterations over ``batch`` requests.
+        of ``k`` coalesced iterations over ``batch`` requests. The
+        ``batch_size`` histogram counts decode iterations, not slices,
+        so it reads the same however the iterations were coalesced.
         """
         self._steps.append((t0_s, t1_s, kind, k, batch, request_id))
         if kind == "decode":
-            self._h_batch.observe(float(batch))
+            self._h_batch.observe(float(batch), k)
             self._c_decode_iters.inc(k)
 
     def sample(

@@ -13,14 +13,16 @@ full :class:`~repro.sim.breakdown.StageReport` would carry, but each
 distinct (stage, context, batch) point is simulated once and held as a
 few floats, so simulator overhead no longer dominates long streams.
 
-**The hot loop is event-compressed.** A decode batch is *stable* while
-no member completes, no arrival is due, and the bucketed context key is
-constant (``ctx_bucket`` consecutive contexts share one surface point).
-:meth:`advance_until` advances such runs of ``k`` iterations with
-O(batch) bookkeeping plus O(k) scalar clock arithmetic instead of ``k``
-full Python iterations — and is **bit-identical** to the per-token walk
-(same records, same events, same clock: the clock series is reproduced
-by the very float additions the walk would issue). There is one step
+**The hot loop is event-compressed.** A decode batch is *stable* until
+a member completes, the next submitted arrival is due, or the
+``advance_until`` horizon is reached. :meth:`advance_until` advances
+such runs of ``k`` iterations with O(batch) bookkeeping plus O(k)
+scalar clock arithmetic instead of ``k`` full Python iterations — and
+is **bit-identical** to the per-token walk (same records, same events,
+same clock: the clock series is reproduced by the very float additions
+the walk would issue). A run may cross context buckets (``ctx_bucket``
+consecutive contexts share one surface point); it looks up each
+bucket's point when its clock reaches that bucket. There is one step
 loop and one decode step: :meth:`advance_one` is :meth:`advance_until`
 bounded just past the next event. The per-token walk, which swaps a
 one-iteration decode step in for the coalesced run, is a test oracle
@@ -290,8 +292,9 @@ class ContinuousBatchingScheduler:
             generation and never more than ``max_batch``.
         ctx_bucket: decode contexts are rounded up to a multiple of this
             before simulation — a modeling quantization that makes long
-            streams cache-friendly (1 = exact) and bounds how many
-            consecutive decode iterations one coalesced run can cover.
+            streams cache-friendly (1 = exact). It sets how many
+            consecutive decode iterations share one surface lookup, not
+            how long a coalesced run is.
         on_complete: override for the completion hook; defaults to
             ``source.on_complete``. The fleet simulator injects its own
             callback here so closed-loop follow-ups re-enter the global
@@ -778,13 +781,16 @@ class ContinuousBatchingScheduler:
     def _decode_run(self, t_s: float) -> None:
         """Coalesce a stable run of decode iterations (bit-identical).
 
-        A run covers ``k = min(tokens-to-next-completion,
-        tokens-to-bucket-boundary)`` iterations, cut short the moment the
-        clock reaches ``t_s`` or crosses the next submitted arrival (the
-        boundary where the per-token walk would ingest it). Within a run
-        the batch, the surface point, the KV reservation and the queue
-        depth are all provably constant, so the per-iteration work
-        collapses to O(batch) bookkeeping; the clock and energy series
+        A run lasts until the first member completes, cut short on the
+        step whose end clock reaches ``stop``, the earlier of ``t_s``
+        and the next submitted arrival (where the per-token walk would
+        return or ingest it). Admission needs a completion or an
+        arrival, so the batch, the KV reservation and the queue depth
+        are constant within a run, and the per-iteration work collapses
+        to O(batch) bookkeeping. A run may span many ``ctx_bucket``
+        contexts: each bucket's surface point is looked up only when the
+        clock reaches it, so a cold or interpolating surface sees the
+        walk's lookups in the walk's order. The clock and energy series
         are still produced by the same sequential float additions the
         per-token walk performs, so every timestamp, TBT gap and
         accumulator matches bit for bit.
@@ -792,41 +798,54 @@ class ContinuousBatchingScheduler:
         n = len(self._d_req)
         d_ctx = self._d_ctx
         d_left = self._d_left
-        point, bucket_run = self.engine.surface.decode_run_many(
-            d_ctx, batch=n, ctx_bucket=self.ctx_bucket,
-            interpolate=self.interpolate,
-        )
         to_complete = min(d_left)
-        k_cap = min(to_complete, bucket_run)
-        next_arrival = self._future[0][0] if self._future else math.inf
-        lat = point.latency_s * self.latency_scale
-        # Reproduce the per-token walk's clock/energy series exactly —
-        # sequential float addition is order-sensitive, so k*lat would
-        # drift in the last bits where lat+lat+... does not. accumulate
-        # performs the identical additions at C speed; the run's cut
-        # points fall out of bisection (lat > 0 keeps the series
-        # non-decreasing): a step runs while the pre-step clock is
-        # before the horizon, and the run breaks after the step that
-        # reaches the next submitted arrival.
-        full = list(accumulate(repeat(lat, k_cap), initial=self._clock))
-        k = min(
-            bisect_left(full, t_s, 0, k_cap),
-            bisect_left(full, next_arrival, 1, k_cap + 1),
-        )
-        clocks = full[1 : k + 1]
+        top = max(d_ctx)
+        stop = min(t_s, self._future[0][0]) if self._future else t_s
+        lookup = self.engine.surface.decode_run_many
+        ctx_bucket = self.ctx_bucket
+        interpolate = self.interpolate
+        scale = self.latency_scale
+        energy = self._energy_uj
+        # full[i] is the clock after i steps. Sequential float addition
+        # is order-sensitive, so k*lat would drift in the last bits
+        # where lat+lat+... does not: each bucket extends the series by
+        # the walk's additions, through accumulate at C speed (one plain
+        # addition for a one-step bucket). A step runs while its start
+        # clock is before ``stop``; full[0] is, since the caller checked
+        # the horizon and ingested every arrival up to the clock, and
+        # lat > 0 keeps the series non-decreasing, so one bisection
+        # finds a cut inside a bucket.
+        full = [self._clock]
+        k = 0
+        while True:
+            point, bucket_run = lookup((top + k,), n, ctx_bucket, interpolate)
+            lat = point.latency_s * scale
+            m = min(bucket_run, to_complete - k)
+            if m == 1:
+                full.append(full[k] + lat)
+                energy += point.energy_uj
+                k += 1
+            else:
+                full[k:] = accumulate(repeat(lat, m), initial=full[k])
+                end = bisect_left(full, stop, k + 1, k + m)
+                del full[end + 1 :]
+                energy = reduce(
+                    _float_add, repeat(point.energy_uj, end - k), energy
+                )
+                k = end
+            if k == to_complete or full[k] >= stop:
+                break
         c = full[k]
         t0 = self._clock
         self._clock = c
-        self._energy_uj = reduce(
-            _float_add, repeat(point.energy_uj, k), self._energy_uj
-        )
+        self._energy_uj = energy
         self._n_decodes += k
         self._remaining_decode -= k * n
         # Inter-token gaps: the first gap of the run is member-specific
         # (it includes any stall since that member's previous token);
         # gaps 2..k are the shared consecutive-clock deltas.
-        shared = [b - a for a, b in zip(clocks, clocks[1:])]
-        c0 = clocks[0]
+        shared = [b - a for a, b in zip(full[1:], full[2:])]
+        c0 = full[1]
         d_last = self._d_last
         d_tbt = self._d_tbt
         for i in range(n):
@@ -835,19 +854,17 @@ class ContinuousBatchingScheduler:
             if shared:
                 gaps.extend(shared)
             d_last[i] = c
-        self._d_ctx = d_ctx = [x + k for x in d_ctx]
+        self._d_ctx = [x + k for x in d_ctx]
         self._d_left = [x - k for x in d_left]
         if k == to_complete:
             # Completions only happen on the run's final iteration (the
-            # run length is capped at tokens-to-next-completion), so one
-            # retirement reproduces the reference step's.
+            # run ends at tokens-to-next-completion), so one retirement
+            # reproduces the reference step's.
             self._retire_finished()
         else:
-            end_ctx = max(d_ctx)
-            if end_ctx > self._decode_ctx:
-                self._decode_ctx = end_ctx
+            self._decode_ctx = top + k
         obs = self._obs
-        if obs is not None and k:
+        if obs is not None:
             obs.step(t0, c, "decode", k, n)
             obs.sample(
                 c, self._kv_reserved, len(self._pending),

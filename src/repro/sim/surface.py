@@ -290,7 +290,7 @@ class LatencySurface:
         ctx_bucket: int = 1,
         interpolate: bool = False,
     ) -> Tuple[SurfacePoint, int]:
-        """One coalesced decode-run query for a whole stable batch.
+        """One decode-bucket query for a whole stable batch.
 
         ``contexts`` holds each member's current context length; the
         batch decodes at the deepest member's context plus one (the
@@ -298,13 +298,15 @@ class LatencySurface:
         schedulers quantize decode contexts to ``ctx_bucket`` before
         lookup, so consecutive contexts map onto one surface point until
         the next bucket boundary; at the model's ``max_seq_len`` the key
-        saturates, so the run extends to the deepest legal context.
+        saturates, so the bucket extends to the deepest legal context.
         Returns the shared point and the number of consecutive
-        single-token steps it covers — the run length the
-        event-compressed scheduler coalesces in one pass. The max, the
-        bucket arithmetic and the table lookup all happen here, with a
-        *single* hash probe for the shared ``(bucketed context, batch)``
-        key, instead of per batch member in the scheduler's hot loop.
+        single-token steps it covers — one bucket's share of a coalesced
+        decode run, which the scheduler asks for when its clock reaches
+        the bucket. This method holds the one copy of the bucket rule.
+        The max, the bucket arithmetic and the table lookup all happen
+        here, with a *single* hash probe for the shared ``(bucketed
+        context, batch)`` key, instead of per batch member in the
+        scheduler's hot loop.
         """
         if ctx_bucket < 1:
             raise SimulationError(f"ctx_bucket must be >= 1, got {ctx_bucket}")

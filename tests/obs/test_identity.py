@@ -9,11 +9,13 @@ chaos scenarios, stealing and routing policy.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.token_walk import walk_tokens
 from repro.obs import FleetObserver
-from repro.serving import ServingSimulator
+from repro.serving import ContinuousBatchingScheduler, ServingSimulator
 
 
 class TestFleetIdentity:
@@ -80,3 +82,32 @@ class TestServingIdentity:
         assert trace.n_shards == 1
         assert {s.shard_id for s in trace.spans} == {0}
         assert "PREFILL" in trace.span_names()
+
+
+class TestCoalescingInvisible:
+    """Counters and histograms count iterations, however they coalesce.
+
+    The coalesced scheduler reports one ``DECODE_RUN`` slice per run
+    and the per-token walk one per iteration; gauges are sampled at
+    slice ends, so only they may differ between the two.
+    """
+
+    @pytest.mark.parametrize("ctx_bucket", [1, 16])
+    @pytest.mark.parametrize("kind", ["poisson", "bursty"])
+    def test_coalesced_and_walked_metrics_agree(
+        self, fast_engine, make_stream, ctx_bucket, kind
+    ):
+        docs = []
+        for walk in (False, True):
+            observer = FleetObserver()
+            scheduler = ContinuousBatchingScheduler(
+                fast_engine, make_stream(kind, 24, 3), max_batch=8,
+                ctx_bucket=ctx_bucket, obs=observer.shard(0),
+            )
+            result = walk_tokens(scheduler) if walk else scheduler.run()
+            docs.append(observer.registry.to_dict())
+        coalesced, walked = docs
+        assert coalesced["counters"] == walked["counters"]
+        assert coalesced["histograms"] == walked["histograms"]
+        (batch,) = coalesced["histograms"]
+        assert batch["count"] == result.n_decode_iterations

@@ -63,6 +63,18 @@ class TestHistogram:
         assert h.n == 4
         assert h.mean == pytest.approx(27.75)
 
+    def test_weighted_observe_equals_repeated_observe(self):
+        reg = MetricsRegistry()
+        once = reg.histogram("once", bounds=(1.0, 4.0, 16.0))
+        each = reg.histogram("each", bounds=(1.0, 4.0, 16.0))
+        for value, count in ((3.0, 5), (1.0, 1), (8.0, 12)):
+            once.observe(value, count)
+            for _ in range(count):
+                each.observe(value)
+        assert once.counts == each.counts == [1, 5, 12, 0]
+        assert once.n == each.n == 18
+        assert once.total == each.total == 112.0
+
     def test_unsorted_bounds_rejected(self):
         with pytest.raises(SimulationError):
             MetricsRegistry().histogram("bad", bounds=(4.0, 1.0))

@@ -72,7 +72,10 @@ class TestStepsAndSamples:
         assert by_name["DECODE_RUN"].attrs_dict == {"k": 8, "batch": 4}
         reg = obs.registry
         assert reg.counter("decode_iterations", shard="0").value == 8
-        assert reg.histogram("batch_size", shard="0").n == 1
+        # batch_size counts decode iterations: one run of 8 over 4.
+        batch = reg.histogram("batch_size", shard="0")
+        assert batch.n == 8
+        assert batch.total == 32
 
     def test_sampling_is_tick_rate_limited(self):
         obs, shard = _shard(tick_s=1.0)

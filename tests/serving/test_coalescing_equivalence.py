@@ -7,8 +7,11 @@ is tested against ``tests/oracles/layer_walk.py``:
 1. **Decode-run coalescing is bit-identical**: the coalesced scheduler
    produces the *same* :class:`~repro.serving.ServingResult` — records,
    events, clock, energy — field for field, across plans, sources,
-   ``ctx_bucket`` and ``max_batch``, and under arbitrary chunked
-   ``advance_until`` driving.
+   ``ctx_bucket`` and ``max_batch``, under arbitrary chunked
+   ``advance_until`` driving, and with guarded interpolation on. Each
+   side runs on a fresh engine, and both must end with the same surface
+   points simulated: a run spanning many context buckets looks each one
+   up only when its clock reaches it, as the walk does.
 2. **Snapshot aggregates match recomputation**: the O(1)
    :class:`~repro.serving.SchedulerSnapshot` fields maintained
    incrementally equal a brute-force walk of the queues at every
@@ -33,7 +36,7 @@ from repro.serving import (
 )
 
 seeds = st.integers(0, 2**16)
-ctx_buckets = st.sampled_from([1, 8, 64])
+ctx_buckets = st.sampled_from([1, 2, 3, 8, 64])
 max_batches = st.sampled_from([2, 8])
 source_kinds = st.sampled_from(["poisson", "bursty", "closed-loop"])
 
@@ -71,8 +74,26 @@ def _budget(engine, requests: float = 4.0) -> int:
     return int(worst * requests)
 
 
+#: Interpolation guard on the sparse surface. Its decode points 32
+#: contexts apart differ by 11-33% in latency, so at 20% the estimates
+#: at small batches are accepted while deep batches at short contexts
+#: fall back to exact simulation, and those fills tighten the brackets
+#: of later lookups.
+SPARSE_GUARD = 0.2
+
+
+def _fresh(engine, surface=None):
+    """A clone of ``engine`` with its own surface: cold, or loaded from
+    the ``surface`` dump (:meth:`~repro.sim.surface.LatencySurface.to_json`)
+    with the :data:`SPARSE_GUARD` interpolation guard."""
+    clone = engine.clone()
+    if surface is not None:
+        clone.load_surface(surface).interp_rel_err = SPARSE_GUARD
+    return clone
+
+
 def _run(engine, source, *, walk=False, ctx_bucket=1, max_batch=8,
-         budget_requests=4.0):
+         budget_requests=4.0, interpolate=False):
     """The scheduler's coalesced ``run()``, or the per-token walk."""
     scheduler = ContinuousBatchingScheduler(
         engine,
@@ -80,6 +101,7 @@ def _run(engine, source, *, walk=False, ctx_bucket=1, max_batch=8,
         kv_budget_bytes=_budget(engine, budget_requests),
         max_batch=max_batch,
         ctx_bucket=ctx_bucket,
+        interpolate=interpolate,
     )
     return walk_tokens(scheduler) if walk else scheduler.run()
 
@@ -94,36 +116,53 @@ def _assert_identical(fast, ref):
     assert fast == ref  # every remaining field too
 
 
+def _assert_same_lookups(fast_surface, ref_surface):
+    """Both sides simulated exactly the same surface points."""
+    assert fast_surface.point_keys() == ref_surface.point_keys()
+    assert fast_surface.n_simulated == ref_surface.n_simulated
+
+
+def _check_equivalent(engine, make_source, *, surface=None, **knobs):
+    """Walk and coalesced run, each on a fresh engine, must agree."""
+    ref_engine, fast_engine = _fresh(engine, surface), _fresh(engine, surface)
+    ref = _run(ref_engine, make_source(), walk=True, **knobs)
+    fast = _run(fast_engine, make_source(), **knobs)
+    _assert_identical(fast, ref)
+    _assert_same_lookups(fast_engine.surface, ref_engine.surface)
+    return fast_engine.surface
+
+
+@pytest.fixture(scope="module")
+def sparse_surface(serving_engine):
+    """A surface dump with exact decode points every 32 contexts."""
+    surface = serving_engine.clone().surface
+    surface.materialize(prefill_tokens=range(8, 65, 28))
+    surface.materialize(
+        decode_contexts=range(32, 257, 32), batches=range(1, 9)
+    )
+    return surface.to_json()
+
+
 class TestCoalescedEqualsReference:
     @given(seeds, source_kinds, ctx_buckets, max_batches)
     @settings(max_examples=25, deadline=None)
     def test_bit_identical_across_sources_and_knobs(
         self, serving_engine, make_source, seed, kind, ctx_bucket, max_batch
     ):
-        ref = _run(
-            serving_engine, make_source(kind, seed), walk=True,
+        _check_equivalent(
+            serving_engine, lambda: make_source(kind, seed),
             ctx_bucket=ctx_bucket, max_batch=max_batch,
         )
-        fast = _run(
-            serving_engine, make_source(kind, seed),
-            ctx_bucket=ctx_bucket, max_batch=max_batch,
-        )
-        _assert_identical(fast, ref)
 
     @given(seeds, ctx_buckets)
     @settings(max_examples=10, deadline=None)
     def test_bit_identical_on_unpacked_plan(
         self, gemm_engine, make_source, seed, ctx_bucket
     ):
-        ref = _run(
-            gemm_engine, make_source("poisson", seed), walk=True,
+        _check_equivalent(
+            gemm_engine, lambda: make_source("poisson", seed),
             ctx_bucket=ctx_bucket,
         )
-        fast = _run(
-            gemm_engine, make_source("poisson", seed),
-            ctx_bucket=ctx_bucket,
-        )
-        _assert_identical(fast, ref)
 
     @given(seeds)
     @settings(max_examples=8, deadline=None)
@@ -133,15 +172,26 @@ class TestCoalescedEqualsReference:
         # max_batch=2 under a 2-request budget: bursts stall on both the
         # slot bound and the KV budget, so runs are cut by completions
         # and arrivals everywhere.
-        ref = _run(
-            serving_engine, make_source("bursty", seed), walk=True,
+        _check_equivalent(
+            serving_engine, lambda: make_source("bursty", seed),
             ctx_bucket=8, max_batch=2, budget_requests=2.0,
         )
-        fast = _run(
-            serving_engine, make_source("bursty", seed),
-            ctx_bucket=8, max_batch=2, budget_requests=2.0,
+
+    @given(seeds, source_kinds, ctx_buckets)
+    @settings(max_examples=15, deadline=None)
+    def test_bit_identical_when_interpolating(
+        self, serving_engine, make_source, sparse_surface, seed, kind,
+        ctx_bucket,
+    ):
+        # Both sides start from the same sparse surface. Which exact
+        # points exist at each lookup decides every later
+        # interpolation, so a lookup out of the walk's order would move
+        # the numbers, not just the point set.
+        surface = _check_equivalent(
+            serving_engine, lambda: make_source(kind, seed),
+            surface=sparse_surface, ctx_bucket=ctx_bucket, interpolate=True,
         )
-        _assert_identical(fast, ref)
+        assert surface._interp_cache, "no lookup interpolated"
 
     @given(seeds, ctx_buckets)
     @settings(max_examples=10, deadline=None)
@@ -154,12 +204,13 @@ class TestCoalescedEqualsReference:
         # still reproduce the identical timeline and event log.
         stream = poisson_stream(12, 40.0, prompt_dist, output_dist, seed=seed)
         budget = _budget(serving_engine)
+        ref_engine, chunked_engine = _fresh(serving_engine), _fresh(serving_engine)
         ref = walk_tokens(ContinuousBatchingScheduler(
-            serving_engine, stream, kv_budget_bytes=budget,
+            ref_engine, stream, kv_budget_bytes=budget,
             max_batch=8, ctx_bucket=ctx_bucket,
         ))
         chunked = ContinuousBatchingScheduler(
-            serving_engine, kv_budget_bytes=budget,
+            chunked_engine, kv_budget_bytes=budget,
             max_batch=8, ctx_bucket=ctx_bucket,
         )
         for req in stream.initial():
@@ -172,6 +223,7 @@ class TestCoalescedEqualsReference:
             dataclasses.replace(chunked.result(), source_name=ref.source_name),
             ref,
         )
+        _assert_same_lookups(chunked_engine.surface, ref_engine.surface)
 
 
 def _recomputed_snapshot(scheduler, shard_id=0):
