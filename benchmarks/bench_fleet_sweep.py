@@ -37,6 +37,7 @@ import math
 import statistics
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -290,7 +291,8 @@ def run_steal_claim(driver: SweepDriver, n_requests: int) -> dict:
 
 
 # --------------------------------------------------------------------------
-# Overload scaling: wall time at 5k vs 20k requests far past capacity
+# Overload scaling: wall time at 5k vs 20k requests far past capacity,
+# and the heap a finished 20k report retains
 # --------------------------------------------------------------------------
 
 #: A warm 12/6/3/1 Gbps fleet under round-robin at 40 req/s, about 8x
@@ -306,6 +308,10 @@ OVERLOAD_CTX_BUCKET = 16
 OVERLOAD_PAIRS = 5
 #: The 20k/5k wall ratio CI fails above (linear time is 4).
 OVERLOAD_MAX_RATIO = 5.0
+#: Heap bytes per request a finished 20k-request report may keep alive.
+#: Gap arrays and columnar event logs read ~630; per-token tuples of
+#: boxed floats and one object per event read ~1,260.
+OVERLOAD_MAX_RETAINED_B = 800
 
 
 def _warm_overload_engines():
@@ -339,6 +345,10 @@ def run_overload_scaling() -> dict:
     ratios: a host that drifts between fast and slow phases then skews
     both runs of a pair alike (a best-of-N per length would let the
     short run catch a fast phase more often than the long one).
+
+    After the timed pairs the long stream runs once more, untimed,
+    under ``tracemalloc``: the heap its report keeps alive after a
+    collection, per request, is ``retained_b_per_request``.
     """
     engines = _warm_overload_engines()
     simulated = sum(e.surface.n_simulated for e in engines)
@@ -364,6 +374,21 @@ def run_overload_scaling() -> dict:
             del report
             assert served == n, served
     ratios = [b / a for a, b in zip(walls[small], walls[large])]
+    fleet = FleetSimulator(
+        engines, policy="round-robin", max_batch=OVERLOAD_MAX_BATCH,
+        ctx_bucket=OVERLOAD_CTX_BUCKET,
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = fleet.run(streams[large])
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.metrics.n_requests == large
+    del report
     return {
         "model": OPT_125M.name,
         "bandwidths_gbps": OVERLOAD_BANDWIDTHS,
@@ -374,6 +399,7 @@ def run_overload_scaling() -> dict:
         "wall_s": {str(n): walls[n] for n in OVERLOAD_SIZES},
         "ratio": statistics.median(ratios),
         "pair_ratios": ratios,
+        "retained_b_per_request": retained / large,
         "new_points_while_timed": (
             sum(e.surface.n_simulated for e in engines) - simulated
         ),
@@ -439,7 +465,8 @@ def main(argv=None) -> int:
         "--overload-scaling", action="store_true",
         help="time a warm 12/6/3/1 fleet at 40 req/s on 5k and 20k "
         "Poisson requests; fails when the 20k/5k wall ratio exceeds "
-        f"{OVERLOAD_MAX_RATIO}",
+        f"{OVERLOAD_MAX_RATIO} or the 20k report retains more than "
+        f"{OVERLOAD_MAX_RETAINED_B} B of heap per request",
     )
     parser.add_argument(
         "--workers", type=int, default=4,
@@ -469,19 +496,29 @@ def main(argv=None) -> int:
             f"  {large}/{small} wall ratio: {record['ratio']:.2f}, median of "
             f"{', '.join(f'{r:.2f}' for r in record['pair_ratios'])} "
             f"(new surface points while timed: "
-            f"{record['new_points_while_timed']})"
+            f"{record['new_points_while_timed']})\n"
+            f"  retained heap after {large} requests: "
+            f"{record['retained_b_per_request']:.0f} B per request "
+            f"(limit {OVERLOAD_MAX_RETAINED_B})"
         )
         if args.json:
             with open(args.json, "w", encoding="utf-8") as fh:
                 json.dump(stamp(record, "repro.bench.overload_scaling"), fh, indent=2)
             print(f"wrote {args.json}")
+        failed = False
         if record["ratio"] > OVERLOAD_MAX_RATIO:
             print(
                 f"FAIL: {large}/{small} wall ratio {record['ratio']:.2f} "
                 f"> {OVERLOAD_MAX_RATIO}"
             )
-            return 1
-        return 0
+            failed = True
+        if record["retained_b_per_request"] > OVERLOAD_MAX_RETAINED_B:
+            print(
+                f"FAIL: retained heap {record['retained_b_per_request']:.0f} "
+                f"B per request > {OVERLOAD_MAX_RETAINED_B}"
+            )
+            failed = True
+        return 1 if failed else 0
     if args.parallel_speedup:
         min_speedup = 2.0 if args.min_speedup is None else args.min_speedup
         record = run_parallel_bench(16 if args.quick else 32, args.workers)
@@ -626,8 +663,9 @@ def test_work_stealing_reduces_tail_latency(emit):
 @pytest.mark.slow
 def test_overload_scaling_near_linear(results_dir):
     """The overload claim: a warm fleet far past capacity takes at most
-    5x the wall time for 4x the requests (linear time is 4x). Marked
-    slow — the timed runs take ~20 s together."""
+    5x the wall time for 4x the requests (linear time is 4x), and its
+    finished 20k report keeps at most ``OVERLOAD_MAX_RETAINED_B`` bytes
+    per request alive. Marked slow — the runs take ~30 s together."""
     record = run_overload_scaling()
     (results_dir / "overload_scaling.json").write_text(
         json.dumps(stamp(record, "repro.bench.overload_scaling"), indent=2)
@@ -636,6 +674,7 @@ def test_overload_scaling_near_linear(results_dir):
     )
     assert record["new_points_while_timed"] == 0
     assert record["ratio"] <= OVERLOAD_MAX_RATIO, record
+    assert record["retained_b_per_request"] <= OVERLOAD_MAX_RETAINED_B, record
 
 
 def test_parallel_sweep_bit_identical(results_dir):

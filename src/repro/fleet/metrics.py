@@ -13,14 +13,15 @@ numbers are directly comparable with `repro serve` output.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
+
+import numpy as np
 
 from ..errors import ConfigError
-from ..sim.metrics import LatencySummary, tokens_per_second
-from ..serving.metrics import FleetMetrics
+from ..serving.metrics import FleetMetrics, LatencyPopulations
 from ..serving.scheduler import ServingResult
 
-__all__ = ["merged_peak_kv_bytes", "merge_results"]
+__all__ = ["merged_peak_kv_bytes", "merge_results", "summarize_shards"]
 
 
 def merged_peak_kv_bytes(shard_results: Sequence[ServingResult]) -> int:
@@ -33,26 +34,29 @@ def merged_peak_kv_bytes(shard_results: Sequence[ServingResult]) -> int:
     occur at different instants. Simultaneous events are applied in
     (time, shard id, shard-local order); the running sum after a tied
     group is order-independent, so the peak is deterministic.
+
+    The sweep runs on the logs' columns: each event adds its change
+    against its shard's previous event to the fleet total, so the
+    running totals are one cumulative sum over the events in sweep
+    order. A shard's clock never runs back, so its own events keep
+    their log order in the sweep, and a stable sort by time of the
+    events concatenated in (shard id, log order) is the sweep order.
     """
-    tagged: List[Tuple[float, int, int, int]] = []
-    for shard_id, result in enumerate(shard_results):
-        tagged.extend(
-            (ev.t_s, shard_id, seq, ev.kv_reserved_bytes)
-            for seq, ev in enumerate(result.events)
-        )
-    tagged.sort(key=lambda item: (item[0], item[1], item[2]))
-    # The running fleet total is maintained by per-shard delta — each
-    # event replaces one shard's contribution — so the sweep costs
-    # O(events), not O(shards * events).
-    current = [0] * len(shard_results)
-    total = 0
-    peak = 0
-    for _, shard_id, _, reserved in tagged:
-        total += reserved - current[shard_id]
-        current[shard_id] = reserved
-        if total > peak:
-            peak = total
-    return peak
+    logs = [result.events for result in shard_results]
+    if not any(logs):
+        return 0
+    order = np.argsort(
+        np.concatenate([np.frombuffer(log.t_s, dtype=np.float64) for log in logs]),
+        kind="stable",
+    )
+    totals = np.concatenate(
+        [
+            np.diff(np.frombuffer(log.kv_reserved_bytes, dtype=np.int64), prepend=0)
+            for log in logs
+        ]
+    )[order]
+    np.cumsum(totals, out=totals)
+    return max(0, int(totals.max()))
 
 
 def merge_results(shard_results: Sequence[ServingResult]) -> FleetMetrics:
@@ -66,28 +70,50 @@ def merge_results(shard_results: Sequence[ServingResult]) -> FleetMetrics:
     * ``kv_budget_bytes`` is the fleet's aggregate budget, and
       ``peak_kv_bytes`` the exact merged-timeline peak.
     """
+    return summarize_shards(shard_results)[0]
+
+
+def summarize_shards(
+    shard_results: Sequence[ServingResult],
+) -> Tuple[FleetMetrics, Tuple[FleetMetrics, ...]]:
+    """The fleet-wide metrics (:func:`merge_results`) and each shard's
+    (:meth:`FleetMetrics.from_result`), folding each shard's records once.
+
+    The merge combines the shards' folds instead of re-reading every
+    record and gap.
+    """
     if not shard_results:
         raise ConfigError("cannot merge an empty fleet")
-    records = [rec for result in shard_results for rec in result.records]
-    ttfts = [rec.ttft_s for rec in records]
-    e2es = [rec.e2e_s for rec in records]
-    tbts = [t for rec in records for t in rec.tbt_s]
-    total_tokens = sum(rec.generated_tokens for rec in records)
-    if records:
-        first_arrival = min(rec.request.arrival_s for rec in records)
-        last_finish = max(rec.finish_s for rec in records)
-        duration = last_finish - first_arrival
-    else:
+    # Before the folds: the sweep's arrays and the folds' tables are
+    # never alive together.
+    peak_kv = merged_peak_kv_bytes(shard_results)
+    populations = [
+        LatencyPopulations.of_records(r.records) for r in shard_results
+    ]
+    per_shard = tuple(
+        FleetMetrics.from_populations(
+            pops,
+            duration_s=r.duration_s,
+            max_queue_depth=r.max_queue_depth,
+            peak_kv_bytes=r.peak_kv_bytes,
+            kv_budget_bytes=r.kv_budget_bytes,
+        )
+        for r, pops in zip(shard_results, populations)
+    )
+    first_arrival = min(
+        (rec.request.arrival_s for r in shard_results for rec in r.records),
+        default=None,
+    )
+    if first_arrival is None:
         duration = 0.0
-    return FleetMetrics(
-        n_requests=len(records),
+    else:
+        last_finish = max(rec.finish_s for r in shard_results for rec in r.records)
+        duration = last_finish - first_arrival
+    merged = FleetMetrics.from_populations(
+        LatencyPopulations.merge(populations),
         duration_s=duration,
-        total_generated_tokens=total_tokens,
-        throughput_tok_s=tokens_per_second(total_tokens, duration),
-        ttft=LatencySummary.of(ttfts),
-        tbt=LatencySummary.of(tbts),
-        e2e=LatencySummary.of(e2es),
         max_queue_depth=max(r.max_queue_depth for r in shard_results),
-        peak_kv_bytes=merged_peak_kv_bytes(shard_results),
+        peak_kv_bytes=peak_kv,
         kv_budget_bytes=sum(r.kv_budget_bytes for r in shard_results),
     )
+    return merged, per_shard

@@ -68,7 +68,7 @@ from ..serving.metrics import FleetMetrics
 from ..serving.request import Request, RequestSource
 from ..serving.scheduler import ContinuousBatchingScheduler, ServingResult
 from .faults import FaultKind, FaultSchedule, make_fault_schedule, rewarm_s
-from .metrics import merge_results
+from .metrics import summarize_shards
 from .resilience import (
     AppliedFault,
     Disposition,
@@ -884,12 +884,11 @@ class FleetSimulator:
             decisions=tuple(decisions),
             n_rejected_followups=n_rejected,
         )
+        metrics, shard_metrics = summarize_shards(shard_results)
         return FleetReport(
             result=result,
-            metrics=merge_results(shard_results),
-            shard_metrics=tuple(
-                FleetMetrics.from_result(r) for r in shard_results
-            ),
+            metrics=metrics,
+            shard_metrics=shard_metrics,
             resilience=resilience,
             obs=obs.build() if obs is not None else None,
         )

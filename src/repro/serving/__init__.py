@@ -12,7 +12,7 @@ single-request MEADOW performance model:
 * :mod:`repro.serving.simulator` — the one-call facade.
 """
 
-from .metrics import FleetMetrics
+from .metrics import FleetMetrics, LatencyPopulations
 from .request import (
     ClosedLoopSource,
     LengthDistribution,
@@ -25,6 +25,7 @@ from .request import (
 from .scheduler import (
     ContinuousBatchingScheduler,
     EventKind,
+    EventLog,
     RequestRecord,
     SchedulerEvent,
     SchedulerSnapshot,
@@ -42,11 +43,13 @@ __all__ = [
     "ClosedLoopSource",
     "EventKind",
     "SchedulerEvent",
+    "EventLog",
     "SchedulerSnapshot",
     "RequestRecord",
     "ServingResult",
     "ContinuousBatchingScheduler",
     "FleetMetrics",
+    "LatencyPopulations",
     "ServingReport",
     "ServingSimulator",
 ]

@@ -11,12 +11,53 @@ zeros rather than raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..hardware.config import MB as _MB
-from ..sim.metrics import LatencySummary, tokens_per_second
-from .scheduler import ServingResult
+from ..sim.metrics import LatencySummary, ValueCounts, tokens_per_second
+from .scheduler import RequestRecord, ServingResult
 
-__all__ = ["FleetMetrics"]
+__all__ = ["FleetMetrics", "LatencyPopulations"]
+
+
+@dataclass(frozen=True)
+class LatencyPopulations:
+    """The latency populations of a set of request records, folded once.
+
+    TTFT and E2E hold one value per request; TBT holds one gap per token
+    after each request's first, read straight from the records' gap
+    arrays. Each is a :class:`~repro.sim.metrics.ValueCounts` table, so
+    the fold keeps no Python object per request or per token. Folds of
+    disjoint record sets :meth:`merge` without re-reading a record,
+    which is how the fleet summary reuses its shards' folds.
+    """
+
+    ttft: ValueCounts
+    e2e: ValueCounts
+    tbt: ValueCounts
+
+    @classmethod
+    def of_records(cls, records: Sequence[RequestRecord]) -> "LatencyPopulations":
+        """Fold records (e.g. one shard's) into their three populations."""
+        return cls(
+            ttft=ValueCounts.of(rec.ttft_s for rec in records),
+            e2e=ValueCounts.of(rec.e2e_s for rec in records),
+            tbt=ValueCounts.of_arrays(rec.tbt_s for rec in records),
+        )
+
+    @classmethod
+    def merge(cls, parts: Sequence["LatencyPopulations"]) -> "LatencyPopulations":
+        """The populations of the union of one or more parts' records."""
+        return cls(
+            ttft=ValueCounts.merge([p.ttft for p in parts]),
+            e2e=ValueCounts.merge([p.e2e for p in parts]),
+            tbt=ValueCounts.merge([p.tbt for p in parts]),
+        )
+
+    @property
+    def generated_tokens(self) -> int:
+        """Tokens emitted: each request's first, plus one per gap."""
+        return len(self.ttft) + len(self.tbt)
 
 
 @dataclass(frozen=True)
@@ -37,22 +78,37 @@ class FleetMetrics:
     @classmethod
     def from_result(cls, result: ServingResult) -> "FleetMetrics":
         """Fold a scheduler result into fleet statistics."""
-        ttfts = [rec.ttft_s for rec in result.records]
-        e2es = [rec.e2e_s for rec in result.records]
-        tbts = [t for rec in result.records for t in rec.tbt_s]
-        return cls(
-            n_requests=len(result.records),
+        return cls.from_populations(
+            LatencyPopulations.of_records(result.records),
             duration_s=result.duration_s,
-            total_generated_tokens=result.total_generated_tokens,
-            throughput_tok_s=tokens_per_second(
-                result.total_generated_tokens, result.duration_s
-            ),
-            ttft=LatencySummary.of(ttfts),
-            tbt=LatencySummary.of(tbts),
-            e2e=LatencySummary.of(e2es),
             max_queue_depth=result.max_queue_depth,
             peak_kv_bytes=result.peak_kv_bytes,
             kv_budget_bytes=result.kv_budget_bytes,
+        )
+
+    @classmethod
+    def from_populations(
+        cls,
+        populations: LatencyPopulations,
+        *,
+        duration_s: float,
+        max_queue_depth: int,
+        peak_kv_bytes: int,
+        kv_budget_bytes: int,
+    ) -> "FleetMetrics":
+        """Summarize folded populations over a run of ``duration_s``."""
+        tokens = populations.generated_tokens
+        return cls(
+            n_requests=len(populations.ttft),
+            duration_s=duration_s,
+            total_generated_tokens=tokens,
+            throughput_tok_s=tokens_per_second(tokens, duration_s),
+            ttft=LatencySummary.of_sorted(populations.ttft),
+            tbt=LatencySummary.of_sorted(populations.tbt),
+            e2e=LatencySummary.of_sorted(populations.e2e),
+            max_queue_depth=max_queue_depth,
+            peak_kv_bytes=peak_kv_bytes,
+            kv_budget_bytes=kv_budget_bytes,
         )
 
     @property

@@ -58,10 +58,11 @@ horizon, so pausing between iterations can never reorder the event log
 relative to a one-shot run.
 
 Every state change (ARRIVAL, ADMIT, PREFILL_START, COMPLETE, WITHDRAW)
-is appended to an event log; tokens are not logged, their instants live
-in the records. The property tests in ``tests/serving/`` assert the
-scheduler's invariants (clock monotonicity, budget respect, FCFS order)
-against the log and the records. Routing-facing state (:meth:`snapshot`)
+is appended to an event log, kept as columns (:class:`EventLog`);
+tokens are not logged, their gaps live in each record's ``array('d')``.
+The property tests in ``tests/serving/`` assert the scheduler's
+invariants (clock monotonicity, budget respect, FCFS order) against
+the log and the records. Routing-facing state (:meth:`snapshot`)
 is served from incremental aggregates maintained at submit / ingest /
 admit / prefill / complete time, so snapshotting is O(1) in queue depth
 — the fleet loop takes one per shard per routing decision.
@@ -72,13 +73,14 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, repeat
-from operator import add as _float_add
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from operator import add as _float_add, sub as _float_sub
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..core.meadow import MeadowEngine
 from ..errors import (
@@ -93,6 +95,7 @@ from .request import Request, RequestSource
 __all__ = [
     "EventKind",
     "SchedulerEvent",
+    "EventLog",
     "RequestRecord",
     "ServingResult",
     "SchedulerSnapshot",
@@ -112,10 +115,24 @@ class EventKind(enum.Enum):
     WITHDRAW = "withdraw"
 
 
-# The per-request result classes here and fleet's RoutingDecision are
-# slotted: a long run keeps a record, a routing decision and up to four
-# state-change events per request alive, and slots cut the memory they
-# retain by about a sixth.
+#: The event log's ``kind`` column holds each kind's index in this tuple.
+_KINDS = (
+    EventKind.ARRIVAL,
+    EventKind.ADMIT,
+    EventKind.PREFILL_START,
+    EventKind.COMPLETE,
+    EventKind.WITHDRAW,
+)
+_ARRIVAL, _ADMIT, _PREFILL_START, _COMPLETE, _WITHDRAW = range(len(_KINDS))
+
+
+# A long run keeps a record and a routing decision per request alive;
+# both classes (RoutingDecision is in fleet) are slotted, which cuts
+# the memory they retain by about a sixth. What grows with tokens and
+# events is held in arrays, not objects: a record's gaps are one
+# ``array('d')`` and a shard's events are the columns of an EventLog,
+# so nothing per token or per event is a Python object the garbage
+# collector tracks.
 @dataclass(frozen=True, slots=True)
 class SchedulerEvent:
     """One timeline entry; snapshots the KV / queue state after it.
@@ -135,17 +152,83 @@ class SchedulerEvent:
     queue_depth: int
 
 
+class EventLog:
+    """A scheduler's event log, held as columns and read as events.
+
+    One ``array`` per :class:`SchedulerEvent` field: ``t_s`` (``'d'``),
+    ``kind`` (``'b'``, a code for the :class:`EventKind`) and
+    ``request_id``, ``kv_reserved_bytes`` and ``queue_depth`` (``'q'``),
+    so an event costs 33 bytes and no object. ``len``, iteration and
+    indexing (negative indices and slices included) rebuild the
+    :class:`SchedulerEvent` values exactly as logged; ``==`` compares
+    the columns. Like a list, a log is not hashable.
+    """
+
+    __slots__ = ("t_s", "kind", "request_id", "kv_reserved_bytes", "queue_depth")
+
+    def __init__(self) -> None:
+        self.t_s = array("d")
+        self.kind = array("b")
+        self.request_id = array("q")
+        self.kv_reserved_bytes = array("q")
+        self.queue_depth = array("q")
+
+    def copy(self) -> "EventLog":
+        """An independent log of the same events (a memcpy per column)."""
+        new = EventLog.__new__(EventLog)
+        for name in self.__slots__:
+            setattr(new, name, getattr(self, name)[:])
+        return new
+
+    def __len__(self) -> int:
+        return len(self.t_s)
+
+    def __iter__(self) -> Iterator[SchedulerEvent]:
+        return map(
+            SchedulerEvent, self.t_s, map(_KINDS.__getitem__, self.kind),
+            self.request_id, self.kv_reserved_bytes, self.queue_depth,
+        )
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        return SchedulerEvent(
+            self.t_s[i], _KINDS[self.kind[i]], self.request_id[i],
+            self.kv_reserved_bytes[i], self.queue_depth[i],
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name)
+            for name in self.__slots__
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"EventLog({len(self)} events)"
+
+
 @dataclass(frozen=True, slots=True)
 class RequestRecord:
-    """Lifecycle timestamps and latencies of one served request."""
+    """Lifecycle timestamps and latencies of one served request.
+
+    Records compare with ``==`` (field by field, gaps included) but are
+    not hashable: :attr:`tbt_s` is an array.
+    """
 
     request: Request
     admit_s: float
     first_token_s: float
     finish_s: float
     #: Wall-clock gap before each subsequent token (stalls included), so
-    #: ``ttft_s + sum(tbt_s) == e2e_s``.
-    tbt_s: Tuple[float, ...]
+    #: ``ttft_s + sum(tbt_s)`` equals ``e2e_s`` up to rounding. The exact
+    #: ``array('d')`` the request's decode slot filled: 8 bytes a gap.
+    tbt_s: array
+
+    __hash__ = None
 
     @property
     def ttft_s(self) -> float:
@@ -172,8 +255,9 @@ class ServingResult:
     source_name: str
     records: Tuple[RequestRecord, ...]
     #: State changes only (ARRIVAL / ADMIT / PREFILL_START / COMPLETE /
-    #: WITHDRAW), in log order; token instants live in :attr:`records`.
-    events: Tuple[SchedulerEvent, ...]
+    #: WITHDRAW), in log order, read as :class:`SchedulerEvent` values;
+    #: token instants live in :attr:`records`.
+    events: EventLog
     kv_budget_bytes: int
     peak_kv_bytes: int
     max_queue_depth: int
@@ -389,7 +473,7 @@ class ContinuousBatchingScheduler:
         self._d_left: List[int] = []  # output tokens still owed
         self._d_first: List[float] = []  # first-token instant
         self._d_last: List[float] = []  # previous-token instant
-        self._d_tbt: List[List[float]] = []  # inter-token gaps so far
+        self._d_tbt: List[array] = []  # gaps so far; becomes the record's tbt_s
         self._kv_reserved = 0
         self._peak_kv = 0
         self._max_queue_depth = 0
@@ -397,7 +481,10 @@ class ContinuousBatchingScheduler:
         self._n_decodes = 0
         self._n_rejected = 0  # infeasible closed-loop follow-ups
         self._energy_uj = 0.0
-        self._events: List[SchedulerEvent] = []
+        self._events = EventLog()
+        # Set when result() hands the log out: the next event goes to a
+        # copy, so a returned result never changes.
+        self._events_shared = False
         self._records: Dict[int, RequestRecord] = {}
         # Every id this shard currently holds or has completed; guards
         # duplicate submission (withdrawn ids are forgotten, so failover
@@ -591,7 +678,7 @@ class ContinuousBatchingScheduler:
                 self._kv_reserved -= active.kv_reserved_bytes
                 self._forget_waiting(active.request)
                 self._known_ids.discard(request_id)
-                self._log(EventKind.WITHDRAW, request_id)
+                self._log(_WITHDRAW, request_id)
                 return active.request
         for i, req in enumerate(self._pending):
             if req.request_id == request_id:
@@ -599,7 +686,7 @@ class ContinuousBatchingScheduler:
                 self._waiting_kv -= self._kv_bytes(req.total_tokens)
                 self._forget_waiting(req)
                 self._known_ids.discard(request_id)
-                self._log(EventKind.WITHDRAW, request_id)
+                self._log(_WITHDRAW, request_id)
                 return req
         for i, (_, _, req) in enumerate(self._future):
             if req.request_id == request_id:
@@ -640,7 +727,7 @@ class ContinuousBatchingScheduler:
         for i, req in enumerate(self._d_req):
             self._kv_reserved -= self._d_kv[i]
             self._known_ids.discard(req.request_id)
-            self._log(EventKind.WITHDRAW, req.request_id)
+            self._log(_WITHDRAW, req.request_id)
             inflight.append((req, req.output_tokens - self._d_left[i]))
         self._permute_decode(())
         self._remaining_decode = 0
@@ -660,20 +747,25 @@ class ContinuousBatchingScheduler:
         self._d_tbt = [self._d_tbt[i] for i in order]
 
     # ----------------------------------------------------------- internals
-    def _log(self, kind: EventKind, request_id: int) -> None:
-        self._events.append(
-            SchedulerEvent(
-                self._clock, kind, request_id, self._kv_reserved, len(self._pending)
-            )
-        )
+    def _log(self, kind: int, request_id: int) -> None:
+        """Append one event; ``kind`` is its index in ``_KINDS``."""
+        log = self._events
+        if self._events_shared:
+            log = self._events = log.copy()
+            self._events_shared = False
+        log.t_s.append(self._clock)
+        log.kind.append(kind)
+        log.request_id.append(request_id)
+        log.kv_reserved_bytes.append(self._kv_reserved)
+        log.queue_depth.append(len(self._pending))
         if self._obs is not None:
-            self._obs.request_event(self._clock, kind.value, request_id)
+            self._obs.request_event(self._clock, _KINDS[kind].value, request_id)
 
     def _ingest_arrivals(self) -> None:
         while self._future and self._future[0][0] <= self._clock:
             _, _, req = heapq.heappop(self._future)
             self._pending.append(req)
-            self._log(EventKind.ARRIVAL, req.request_id)
+            self._log(_ARRIVAL, req.request_id)
 
     def _admit(self) -> None:
         # Strict FCFS: stop at the first request that finds no free slot
@@ -692,7 +784,7 @@ class ContinuousBatchingScheduler:
             self._prefill_queue.append(
                 _Active(request=req, admit_s=self._clock, kv_reserved_bytes=need)
             )
-            self._log(EventKind.ADMIT, req.request_id)
+            self._log(_ADMIT, req.request_id)
 
     def _complete(
         self,
@@ -700,16 +792,18 @@ class ContinuousBatchingScheduler:
         admit_s: float,
         kv_reserved_bytes: int,
         first_token_s: float,
-        tbt_s: List[float],
+        tbt_s: array,
     ) -> None:
         self._kv_reserved -= kv_reserved_bytes
-        self._log(EventKind.COMPLETE, request.request_id)
+        self._log(_COMPLETE, request.request_id)
+        # The record takes the slot's gap array as it is: the slot is
+        # gone, so nothing writes to it again.
         self._records[request.request_id] = RequestRecord(
             request=request,
             admit_s=admit_s,
             first_token_s=first_token_s,
             finish_s=self._clock,
-            tbt_s=tuple(tbt_s),
+            tbt_s=tbt_s,
         )
         if self._on_complete is None:
             return
@@ -729,7 +823,7 @@ class ContinuousBatchingScheduler:
     def _prefill_step(self) -> None:
         active = self._prefill_queue.popleft()
         req = active.request
-        self._log(EventKind.PREFILL_START, req.request_id)
+        self._log(_PREFILL_START, req.request_id)
         point = self.engine.surface.prefill(
             req.prompt_tokens, interpolate=self.interpolate
         )
@@ -744,7 +838,8 @@ class ContinuousBatchingScheduler:
             obs.step(t0, self._clock, "prefill", 1, 1, req.request_id)
         if req.output_tokens <= 1:  # prefill emits the first token
             self._complete(
-                req, active.admit_s, active.kv_reserved_bytes, self._clock, []
+                req, active.admit_s, active.kv_reserved_bytes, self._clock,
+                array("d"),
             )
         else:
             self._d_req.append(req)
@@ -754,7 +849,7 @@ class ContinuousBatchingScheduler:
             self._d_left.append(req.output_tokens - 1)
             self._d_first.append(self._clock)
             self._d_last.append(self._clock)
-            self._d_tbt.append([])
+            self._d_tbt.append(array("d"))
             self._remaining_decode += req.output_tokens - 1
             if req.prompt_tokens > self._decode_ctx:
                 self._decode_ctx = req.prompt_tokens
@@ -843,8 +938,9 @@ class ContinuousBatchingScheduler:
         self._remaining_decode -= k * n
         # Inter-token gaps: the first gap of the run is member-specific
         # (it includes any stall since that member's previous token);
-        # gaps 2..k are the shared consecutive-clock deltas.
-        shared = [b - a for a, b in zip(full[1:], full[2:])]
+        # gaps 2..k are the shared consecutive-clock deltas, built once
+        # and copied into each member's array.
+        shared = array("d", map(_float_sub, full[2:], full[1:]))
         c0 = full[1]
         d_last = self._d_last
         d_tbt = self._d_tbt
@@ -979,12 +1075,13 @@ class ContinuousBatchingScheduler:
             duration = self._clock - first_arrival
         else:
             duration = 0.0  # a shard that was never routed a request
+        self._events_shared = True
         return ServingResult(
             model_name=self.engine.model.name,
             plan_name=self.engine.plan.name,
             source_name=self.source.name if self.source is not None else "external",
             records=ordered,
-            events=tuple(self._events),
+            events=self._events,
             kv_budget_bytes=self.kv_budget_bytes,
             peak_kv_bytes=self._peak_kv,
             max_queue_depth=self._max_queue_depth,

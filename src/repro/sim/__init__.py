@@ -9,6 +9,7 @@ from .layer_sim import WorkloadSimulator, simulate
 from .metrics import (
     GenerationLatency,
     LatencySummary,
+    ValueCounts,
     end_to_end,
     percentile,
     tbt,
@@ -39,6 +40,7 @@ __all__ = [
     "simulate",
     "GenerationLatency",
     "LatencySummary",
+    "ValueCounts",
     "ttft",
     "tbt",
     "end_to_end",

@@ -13,8 +13,13 @@ Definitions follow Sec. 6.1 of the paper:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from array import array
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from ..core.plan import ExecutionPlan
 from ..errors import ConfigError
@@ -31,6 +36,7 @@ __all__ = [
     "end_to_end",
     "percentile",
     "LatencySummary",
+    "ValueCounts",
     "tokens_per_second",
 ]
 
@@ -115,6 +121,93 @@ def _percentile_sorted(xs: Sequence[float], q: float) -> float:
 
 
 @dataclass(frozen=True)
+class ValueCounts:
+    """A sorted population held as its distinct values and their counts.
+
+    ``values`` (``array('d')``) ascend strictly and ``counts[i]``
+    (``array('q')``) is how often ``values[i]`` occurs, so a table costs
+    24 bytes per *distinct* value and no Python object per value. A
+    run's TBT gaps repeat heavily (every member of a decode batch sees
+    the same step latency). The table is exact: as a sequence (``len``,
+    indexing, iteration) it reads as the sorted population itself, which
+    :meth:`LatencySummary.of_sorted` summarizes with the same percentile
+    and mean code as a sorted list.
+    """
+
+    values: array
+    counts: array
+    #: Cumulative counts: ``_ends[i]`` elements are <= ``values[i]``.
+    _ends: array = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_ends", array("q", accumulate(self.counts)))
+
+    @classmethod
+    def of(cls, values: Iterable[float]) -> "ValueCounts":
+        """Tabulate one sample."""
+        return cls.of_arrays((values,))
+
+    @classmethod
+    def of_arrays(cls, arrays: Iterable[Iterable[float]]) -> "ValueCounts":
+        """Tabulate the concatenation of ``arrays`` (e.g. per-record gaps).
+
+        The values are copied into one float64 buffer (a memcpy per
+        ``array('d')``) and sorted in place there. Equal values merge
+        into one run, so the values should be neither zero
+        (``-0.0 == 0.0``) nor NaN.
+        """
+        buf = array("d")
+        for values in arrays:
+            buf.extend(values)
+        xs = np.frombuffer(buf, dtype=np.float64)
+        xs.sort()
+        return cls._of_runs(xs)
+
+    @classmethod
+    def merge(cls, tables: Sequence["ValueCounts"]) -> "ValueCounts":
+        """The table of the union of one or more tables' populations."""
+        if len(tables) == 1:
+            return tables[0]
+        values = np.concatenate([np.asarray(t.values, np.float64) for t in tables])
+        counts = np.concatenate([np.asarray(t.counts, np.int64) for t in tables])
+        order = np.argsort(values, kind="stable")
+        return cls._of_runs(values[order], counts[order])
+
+    @classmethod
+    def _of_runs(
+        cls, xs: np.ndarray, weights: Optional[np.ndarray] = None
+    ) -> "ValueCounts":
+        """Collapse sorted ``xs``, each weighted 1 or by ``weights``."""
+        if not xs.size:
+            return cls(array("d"), array("q"))
+        starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+        if weights is None:
+            counts = np.diff(starts, append=xs.size)
+        else:
+            counts = np.add.reduceat(weights, starts)
+        return cls(
+            array("d", xs[starts].tobytes()),
+            array("q", counts.astype(np.int64).tobytes()),
+        )
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i: int) -> float:
+        """The ``i``-th smallest element of the population."""
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"index {i} out of range for {n} values")
+        return self.values[bisect_right(self._ends, i)]
+
+    def __iter__(self) -> Iterator[float]:
+        """The sorted population, each value repeated ``count`` times."""
+        return chain.from_iterable(map(repeat, self.values, self.counts))
+
+
+@dataclass(frozen=True)
 class LatencySummary:
     """Order statistics of one latency population (seconds).
 
@@ -130,14 +223,25 @@ class LatencySummary:
     p99_s: float
 
     @classmethod
-    def of(cls, values: Sequence[float]) -> "LatencySummary":
+    def of(cls, values: Iterable[float]) -> "LatencySummary":
         """Summarize a latency sample; empty input yields the zero summary."""
-        if not values:
+        return cls.of_sorted(sorted(values))  # one sort for all three
+
+    @classmethod
+    def of_sorted(cls, xs: Sequence[float]) -> "LatencySummary":
+        """Summarize an ascending population: a sorted list or a
+        :class:`ValueCounts`.
+
+        The mean is ``sum`` over the ascending values, so a table and
+        the sorted list it expands to give the same float (Python 3.12's
+        compensated ``sum`` sees the same sequence too).
+        """
+        n = len(xs)
+        if not n:
             return cls(n=0, mean_s=0.0, p50_s=0.0, p95_s=0.0, p99_s=0.0)
-        xs = sorted(values)  # one sort shared by all three percentiles
         return cls(
-            n=len(xs),
-            mean_s=sum(xs) / len(xs),
+            n=n,
+            mean_s=sum(xs) / n,
             p50_s=_percentile_sorted(xs, 50),
             p95_s=_percentile_sorted(xs, 95),
             p99_s=_percentile_sorted(xs, 99),

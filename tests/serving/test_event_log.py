@@ -1,0 +1,157 @@
+"""The columnar event log and the gap arrays of a scheduler's results.
+
+A scheduler keeps its state-change events as the columns of an
+:class:`~repro.serving.EventLog` and each record's TBT gaps as the
+``array('d')`` its decode slot filled. These tests pin what readers of
+a :class:`~repro.serving.ServingResult` rely on: the log reads back the
+exact events the scheduler reported (checked against an observer that
+saw each one as it was logged), ``==`` sees every column, and a result
+is a snapshot that later simulation never changes.
+"""
+
+from __future__ import annotations
+
+import math
+from array import array
+
+import pytest
+
+from repro.obs import FleetObserver
+from repro.serving import (
+    ContinuousBatchingScheduler,
+    EventKind,
+    EventLog,
+    Request,
+    SchedulerEvent,
+    poisson_stream,
+)
+
+COLUMNS = ("t_s", "kind", "request_id", "kv_reserved_bytes", "queue_depth")
+
+
+class _RecordingObs:
+    """A real shard observer that also notes the scheduler state each
+    event carries, so the test sees the whole tuple at logging time."""
+
+    def __init__(self):
+        self.inner = FleetObserver().shard(0)
+        self.scheduler = None
+        self.seen = []
+
+    def request_event(self, t_s, kind, request_id):
+        s = self.scheduler
+        self.seen.append(
+            (t_s, EventKind(kind), request_id, s._kv_reserved, len(s._pending))
+        )
+        self.inner.request_event(t_s, kind, request_id)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+@pytest.fixture
+def make_sched(serving_engine, serving_model, prompt_dist, output_dist):
+    """A backlogged scheduler: 40 req/s into four slots and a KV budget
+    of three worst-case requests."""
+    worst = serving_model.n_layers * serving_model.kv_cache_bytes_per_layer(
+        serving_model.max_seq_len, serving_engine.config.act_bits
+    )
+
+    def _make(n=24, seed=3, obs=None):
+        source = poisson_stream(n, 40.0, prompt_dist, output_dist, seed=seed)
+        return ContinuousBatchingScheduler(
+            serving_engine, source, kv_budget_bytes=3 * worst, max_batch=4,
+            obs=obs,
+        )
+
+    return _make
+
+
+class TestEventLogReadsBack:
+    def test_events_match_the_observer_side_recording(self, make_sched):
+        recorder = _RecordingObs()
+        sched = make_sched(obs=recorder)
+        recorder.scheduler = sched
+        events = sched.run().events
+        assert isinstance(events, EventLog)
+        assert len(events) == len(recorder.seen) > 0
+        assert [
+            (ev.t_s, ev.kind, ev.request_id, ev.kv_reserved_bytes, ev.queue_depth)
+            for ev in events
+        ] == recorder.seen
+        for i, seen in enumerate(recorder.seen):
+            assert events[i] == SchedulerEvent(*seen)
+            assert events[i - len(events)] == SchedulerEvent(*seen)
+        assert events[-1] == SchedulerEvent(*recorder.seen[-1])
+        assert events[2:5] == tuple(SchedulerEvent(*s) for s in recorder.seen[2:5])
+        with pytest.raises(IndexError):
+            events[len(events)]
+
+    def test_every_kind_reads_back(self, make_sched):
+        sched = make_sched()
+        for i in range(6):  # a burst: two of six wait for a slot
+            sched.submit(Request(i, 0.0, 32, 8))
+        sched.advance_one()
+        sched.withdraw(5)
+        sched.advance_until(math.inf)
+        assert {ev.kind for ev in sched.result().events} == set(EventKind)
+
+
+class TestEventLogEquality:
+    @pytest.mark.parametrize("column", COLUMNS)
+    def test_logs_differing_in_one_column_are_unequal(self, make_sched, column):
+        log = make_sched().run().events
+        twin = log.copy()
+        assert twin == log and twin is not log
+        values = getattr(twin, column)
+        i = len(values) // 2
+        if column == "t_s":
+            values[i] = math.nextafter(values[i], math.inf)
+        elif column == "kind":
+            values[i] = (values[i] + 1) % len(EventKind)
+        else:
+            values[i] += 1
+        assert twin != log
+        assert list(twin) != list(log)
+        for other in COLUMNS:
+            if other != column:
+                assert getattr(twin, other) == getattr(log, other)
+
+    def test_logs_are_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(EventLog())
+
+
+class TestResultsAreSnapshots:
+    def test_mid_run_result_unchanged_by_later_advance(self, make_sched):
+        sched = make_sched(n=16)
+        for req in sched.source.initial():
+            sched.submit(req)
+        sched.advance_until(0.5 * sched.source.initial()[-1].arrival_s)
+        mid = sched.result()
+        again = sched.result()  # a second hand-out of the same log
+        assert mid.records and len(mid.events)
+        events_before = mid.events.copy()
+        gaps_before = [array("d", rec.tbt_s) for rec in mid.records]
+        sched.advance_until(math.inf)
+        final = sched.result()
+        assert len(final.events) > len(mid.events)
+        assert mid.events == events_before == again.events
+        assert [rec.tbt_s for rec in mid.records] == gaps_before
+        # The later log extends the earlier one.
+        assert final.events[: len(mid.events)] == tuple(mid.events)
+
+
+class TestGapArrays:
+    def test_records_hold_gap_arrays(self, make_sched):
+        for rec in make_sched().run().records:
+            assert isinstance(rec.tbt_s, array) and rec.tbt_s.typecode == "d"
+            assert rec.generated_tokens == 1 + len(rec.tbt_s)
+            assert rec.ttft_s + sum(rec.tbt_s) == pytest.approx(rec.e2e_s)
+
+    def test_records_compare_equal_but_are_not_hashable(self, make_sched):
+        a = make_sched().run()
+        b = make_sched().run()
+        assert a.records == b.records
+        with pytest.raises(TypeError):
+            hash(a.records[0])

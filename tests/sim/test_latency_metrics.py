@@ -1,11 +1,16 @@
 """Tests for TTFT / TBT / end-to-end metrics and the fleet-metric helpers."""
 
+import math
+from array import array
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import ExecutionPlan
 from repro.errors import ConfigError
 from repro.sim import (
     LatencySummary,
+    ValueCounts,
     end_to_end,
     percentile,
     stage_occupancy,
@@ -121,6 +126,75 @@ class TestLatencySummary:
         summary = LatencySummary.of([1.0] * 5)
         assert summary.p50_s == summary.p99_s == 1.0
         assert summary.mean_s == 1.0
+
+
+def _flat_summary(arrays):
+    """The reference fold: flatten every gap into one list and sort it."""
+    return LatencySummary.of([t for gaps in arrays for t in gaps])
+
+
+@st.composite
+def gap_arrays(draw):
+    """Per-record gap arrays with heavy repeats and 1-ULP neighbours.
+
+    Every gap is one of a few positive finite base values, nudged by at
+    most one ULP either way, so equal and adjacent doubles are common;
+    records may be empty.
+    """
+    pool = draw(
+        st.lists(
+            st.floats(min_value=1e-9, max_value=1e3),
+            min_size=1, max_size=4,
+        )
+    )
+    gap = st.builds(
+        lambda base, ulp: (
+            base if ulp == 0
+            else math.nextafter(base, math.inf if ulp > 0 else 0.0)
+        ),
+        st.sampled_from(pool),
+        st.integers(-1, 1),
+    )
+    return [
+        array("d", gaps)
+        for gaps in draw(st.lists(st.lists(gap, max_size=12), max_size=8))
+    ]
+
+
+class TestCompactSummary:
+    """``LatencySummary.of_sorted`` over a ``ValueCounts`` table equals
+    the flatten-and-sort fold field for field, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(gap_arrays())
+    @example([])
+    @example([array("d")])
+    @example([array("d", [0.25])])
+    @example([array("d"), array("d", [0.1] * 7), array("d")])
+    @example([array("d", [1.0, math.nextafter(1.0, 2.0), 1.0])])
+    def test_table_summary_equals_flat_summary(self, arrays):
+        table = ValueCounts.of_arrays(arrays)
+        flat = sorted(t for gaps in arrays for t in gaps)
+        assert list(table) == flat
+        assert [table[i] for i in range(len(table))] == flat
+        assert LatencySummary.of_sorted(table) == _flat_summary(arrays)
+
+    @settings(max_examples=200, deadline=None)
+    @given(gap_arrays(), st.integers(1, 4))
+    def test_merged_tables_equal_flat_summary(self, arrays, n_parts):
+        parts = [ValueCounts.of_arrays(arrays[i::n_parts]) for i in range(n_parts)]
+        merged = ValueCounts.merge(parts)
+        assert merged == ValueCounts.of_arrays(arrays)
+        assert LatencySummary.of_sorted(merged) == _flat_summary(arrays)
+
+    def test_table_is_sized_by_distinct_values(self):
+        table = ValueCounts.of_arrays([array("d", [0.5, 0.25] * 50), [0.25]])
+        assert table.values == array("d", [0.25, 0.5])
+        assert table.counts == array("q", [51, 50])
+        assert len(table) == 101
+        assert table[-1] == 0.5
+        with pytest.raises(IndexError):
+            table[101]
 
 
 class TestThroughputHelpers:
