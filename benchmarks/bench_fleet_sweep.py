@@ -295,10 +295,11 @@ def run_steal_claim(driver: SweepDriver, n_requests: int) -> dict:
 # and the heap a finished 20k report retains
 # --------------------------------------------------------------------------
 
-#: A warm 12/6/3/1 Gbps fleet under round-robin at 40 req/s, about 8x
-#: its planned capacity: the backlog grows for the whole stream, so any
+#: A warm 12/6/3/1 Gbps fleet at 40 req/s, about 8x its planned
+#: capacity: the backlog grows for the whole stream, so any
 #: per-iteration cost that scales with the backlog shows as a 20k/5k
-#: wall ratio well above 4.
+#: round-robin wall ratio well above 4, and any per-arrival routing cost
+#: as predicted-latency's wall over round-robin's.
 OVERLOAD_BANDWIDTHS = [12.0, 6.0, 3.0, 1.0]
 OVERLOAD_RATE_RPS = 40.0
 OVERLOAD_SIZES = (5_000, 20_000)
@@ -306,8 +307,18 @@ OVERLOAD_MAX_BATCH = 16
 OVERLOAD_CTX_BUCKET = 16
 #: Back-to-back 5k/20k pairs whose median ratio is reported.
 OVERLOAD_PAIRS = 5
-#: The 20k/5k wall ratio CI fails above (linear time is 4).
+#: Each pair times both: round-robin reads no shard state, and
+#: predicted-latency evaluates the TTFT model on every shard per arrival.
+OVERLOAD_POLICIES = ("round-robin", "predicted-latency")
+#: Round-robin's 20k/5k wall ratio CI fails above (linear time is 4).
 OVERLOAD_MAX_RATIO = 5.0
+#: Predicted-latency's 20k wall over round-robin's, median of the
+#: per-pair ratios, that CI fails above: routing on the model may cost
+#: at most 3x blind rotation. (Predicted-latency's own 20k/5k ratio is
+#: reported but not gated: its waiting-prompt histograms grow from ~130
+#: to ~170 distinct lengths between the two streams, so it is
+#: superlinear by design.)
+OVERLOAD_MAX_PL_OVER_RR = 3.0
 #: Heap bytes per request a finished 20k-request report may keep alive.
 #: Gap arrays and columnar event logs read ~630; per-token tuples of
 #: boxed floats and one object per event read ~1,260.
@@ -334,50 +345,66 @@ def _warm_overload_engines():
     return engines
 
 
+def _overload_fleet(engines, policy: str) -> FleetSimulator:
+    return FleetSimulator(
+        engines, policy=policy, max_batch=OVERLOAD_MAX_BATCH,
+        ctx_bucket=OVERLOAD_CTX_BUCKET,
+    )
+
+
 def run_overload_scaling() -> dict:
     """Wall time of the overloaded fleet at 5k and 20k requests.
 
-    Linear-time scheduling puts the 20k/5k ratio near 4. Surfaces are
-    filled first and the record checks that the timed runs simulated
-    nothing, so the ratio measures the scheduler and fleet loop alone.
-    The two lengths run back to back in each of the pairs, each run
-    from a collected heap, and the ratio is the median of the per-pair
-    ratios: a host that drifts between fast and slow phases then skews
-    both runs of a pair alike (a best-of-N per length would let the
-    short run catch a fast phase more often than the long one).
+    Linear-time scheduling puts round-robin's 20k/5k ratio near 4.
+    Surfaces are filled first and the record checks that the timed runs
+    simulated nothing, so the walls measure the scheduler, routing and
+    fleet loop alone. Predicted-latency's model also looks up the exact
+    (unbucketed) decode context of each admission-blocked shard, which
+    the warm fill does not cover, so each stream runs once under it,
+    untimed, before the pairs. Every pair then runs both policies at
+    both lengths back to back, each run from a collected heap, and each
+    ratio is the median of the per-pair ratios: a host that drifts
+    between fast and slow phases then skews the runs of a pair alike (a
+    best-of-N per length would let the short run catch a fast phase
+    more often than the long one).
 
-    After the timed pairs the long stream runs once more, untimed,
-    under ``tracemalloc``: the heap its report keeps alive after a
-    collection, per request, is ``retained_b_per_request``.
+    After the timed pairs the long stream runs once more under
+    round-robin, untimed, under ``tracemalloc``: the heap its report
+    keeps alive after a collection, per request, is
+    ``retained_b_per_request``.
     """
     engines = _warm_overload_engines()
-    simulated = sum(e.surface.n_simulated for e in engines)
     streams = {
         n: poisson_stream(n, OVERLOAD_RATE_RPS, PROMPTS, OUTPUTS, seed=0)
         for n in OVERLOAD_SIZES
     }
+    for stream in streams.values():
+        _overload_fleet(engines, "predicted-latency").run(stream)
+    simulated = sum(e.surface.n_simulated for e in engines)
     small, large = OVERLOAD_SIZES
-    walls = {n: [] for n in OVERLOAD_SIZES}
+    walls = {(p, n): [] for p in OVERLOAD_POLICIES for n in OVERLOAD_SIZES}
     for _ in range(OVERLOAD_PAIRS):
-        for n, stream in streams.items():
-            fleet = FleetSimulator(
-                engines, policy="round-robin", max_batch=OVERLOAD_MAX_BATCH,
-                ctx_bucket=OVERLOAD_CTX_BUCKET,
-            )
-            # Each run starts from the same heap: no earlier report alive
-            # and no garbage left for the collector to walk.
-            gc.collect()
-            t0 = time.perf_counter()
-            report = fleet.run(stream)
-            walls[n].append(time.perf_counter() - t0)
-            served = report.metrics.n_requests
-            del report
-            assert served == n, served
-    ratios = [b / a for a, b in zip(walls[small], walls[large])]
-    fleet = FleetSimulator(
-        engines, policy="round-robin", max_batch=OVERLOAD_MAX_BATCH,
-        ctx_bucket=OVERLOAD_CTX_BUCKET,
-    )
+        for policy in OVERLOAD_POLICIES:
+            for n, stream in streams.items():
+                fleet = _overload_fleet(engines, policy)
+                # Each run starts from the same heap: no earlier report
+                # alive and no garbage left for the collector to walk.
+                gc.collect()
+                t0 = time.perf_counter()
+                report = fleet.run(stream)
+                walls[policy, n].append(time.perf_counter() - t0)
+                served = report.metrics.n_requests
+                del report
+                assert served == n, served
+
+    def pair_ratios(num, den):
+        return [b / a for a, b in zip(walls[den], walls[num])]
+
+    rr, pl = OVERLOAD_POLICIES
+    ratios = pair_ratios((rr, large), (rr, small))
+    pl_ratios = pair_ratios((pl, large), (pl, small))
+    pl_over_rr = pair_ratios((pl, large), (rr, large))
+    fleet = _overload_fleet(engines, rr)
     gc.collect()
     tracemalloc.start()
     try:
@@ -392,13 +419,20 @@ def run_overload_scaling() -> dict:
     return {
         "model": OPT_125M.name,
         "bandwidths_gbps": OVERLOAD_BANDWIDTHS,
-        "policy": "round-robin",
+        "policy": rr,
         "rate_rps": OVERLOAD_RATE_RPS,
         "max_batch": OVERLOAD_MAX_BATCH,
         "ctx_bucket": OVERLOAD_CTX_BUCKET,
-        "wall_s": {str(n): walls[n] for n in OVERLOAD_SIZES},
+        "wall_s": {str(n): walls[rr, n] for n in OVERLOAD_SIZES},
         "ratio": statistics.median(ratios),
         "pair_ratios": ratios,
+        pl: {
+            "wall_s": {str(n): walls[pl, n] for n in OVERLOAD_SIZES},
+            "ratio": statistics.median(pl_ratios),
+            "pair_ratios": pl_ratios,
+            "over_round_robin": statistics.median(pl_over_rr),
+            "pair_over_round_robin": pl_over_rr,
+        },
         "retained_b_per_request": retained / large,
         "new_points_while_timed": (
             sum(e.surface.n_simulated for e in engines) - simulated
@@ -464,9 +498,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--overload-scaling", action="store_true",
         help="time a warm 12/6/3/1 fleet at 40 req/s on 5k and 20k "
-        "Poisson requests; fails when the 20k/5k wall ratio exceeds "
-        f"{OVERLOAD_MAX_RATIO} or the 20k report retains more than "
-        f"{OVERLOAD_MAX_RETAINED_B} B of heap per request",
+        "Poisson requests under round-robin and predicted-latency; fails "
+        f"when round-robin's 20k/5k wall ratio exceeds {OVERLOAD_MAX_RATIO}, "
+        "predicted-latency's 20k wall exceeds "
+        f"{OVERLOAD_MAX_PL_OVER_RR}x round-robin's, or the 20k report "
+        f"retains more than {OVERLOAD_MAX_RETAINED_B} B of heap per request",
     )
     parser.add_argument(
         "--workers", type=int, default=4,
@@ -485,22 +521,37 @@ def main(argv=None) -> int:
     if args.overload_scaling:
         record = run_overload_scaling()
         small, large = OVERLOAD_SIZES
-        print(
+        rr, pl = OVERLOAD_POLICIES
+        pl_record = record[pl]
+
+        def series(values, unit=""):
+            return ", ".join(f"{v:.2f}" for v in values) + unit
+
+        lines = [
             f"overloaded fleet ({record['model']} @ "
-            f"{record['bandwidths_gbps']} Gbps, {record['policy']}, "
-            f"{record['rate_rps']:g} req/s, warm surfaces):\n"
-            f"  {small} requests: "
-            f"{', '.join(f'{w:.2f}' for w in record['wall_s'][str(small)])} s\n"
-            f"  {large} requests: "
-            f"{', '.join(f'{w:.2f}' for w in record['wall_s'][str(large)])} s\n"
-            f"  {large}/{small} wall ratio: {record['ratio']:.2f}, median of "
-            f"{', '.join(f'{r:.2f}' for r in record['pair_ratios'])} "
-            f"(new surface points while timed: "
-            f"{record['new_points_while_timed']})\n"
+            f"{record['bandwidths_gbps']} Gbps, "
+            f"{record['rate_rps']:g} req/s, warm surfaces):"
+        ]
+        for policy, walls in ((rr, record), (pl, pl_record)):
+            lines += [
+                f"  {policy}:",
+                f"    {small} requests: {series(walls['wall_s'][str(small)], ' s')}",
+                f"    {large} requests: {series(walls['wall_s'][str(large)], ' s')}",
+                f"    {large}/{small} wall ratio: {walls['ratio']:.2f}, "
+                f"median of {series(walls['pair_ratios'])}",
+            ]
+        lines += [
+            f"  {pl} / {rr} wall at {large}: "
+            f"{pl_record['over_round_robin']:.2f}, median of "
+            f"{series(pl_record['pair_over_round_robin'])} "
+            f"(limit {OVERLOAD_MAX_PL_OVER_RR})",
+            f"  new surface points while timed: "
+            f"{record['new_points_while_timed']}",
             f"  retained heap after {large} requests: "
             f"{record['retained_b_per_request']:.0f} B per request "
-            f"(limit {OVERLOAD_MAX_RETAINED_B})"
-        )
+            f"(limit {OVERLOAD_MAX_RETAINED_B})",
+        ]
+        print("\n".join(lines))
         if args.json:
             with open(args.json, "w", encoding="utf-8") as fh:
                 json.dump(stamp(record, "repro.bench.overload_scaling"), fh, indent=2)
@@ -508,8 +559,15 @@ def main(argv=None) -> int:
         failed = False
         if record["ratio"] > OVERLOAD_MAX_RATIO:
             print(
-                f"FAIL: {large}/{small} wall ratio {record['ratio']:.2f} "
-                f"> {OVERLOAD_MAX_RATIO}"
+                f"FAIL: {rr} {large}/{small} wall ratio "
+                f"{record['ratio']:.2f} > {OVERLOAD_MAX_RATIO}"
+            )
+            failed = True
+        if pl_record["over_round_robin"] > OVERLOAD_MAX_PL_OVER_RR:
+            print(
+                f"FAIL: {pl} wall at {large} is "
+                f"{pl_record['over_round_robin']:.2f}x {rr}'s "
+                f"> {OVERLOAD_MAX_PL_OVER_RR}"
             )
             failed = True
         if record["retained_b_per_request"] > OVERLOAD_MAX_RETAINED_B:
@@ -662,10 +720,12 @@ def test_work_stealing_reduces_tail_latency(emit):
 
 @pytest.mark.slow
 def test_overload_scaling_near_linear(results_dir):
-    """The overload claim: a warm fleet far past capacity takes at most
-    5x the wall time for 4x the requests (linear time is 4x), and its
+    """The overload claim: a warm round-robin fleet far past capacity
+    takes at most 5x the wall time for 4x the requests (linear time is
+    4x), predicted-latency routing takes at most
+    ``OVERLOAD_MAX_PL_OVER_RR`` times round-robin's wall at 20k, and the
     finished 20k report keeps at most ``OVERLOAD_MAX_RETAINED_B`` bytes
-    per request alive. Marked slow — the runs take ~30 s together."""
+    per request alive. Marked slow — the runs take ~60 s together."""
     record = run_overload_scaling()
     (results_dir / "overload_scaling.json").write_text(
         json.dumps(stamp(record, "repro.bench.overload_scaling"), indent=2)
@@ -674,6 +734,8 @@ def test_overload_scaling_near_linear(results_dir):
     )
     assert record["new_points_while_timed"] == 0
     assert record["ratio"] <= OVERLOAD_MAX_RATIO, record
+    pl_over_rr = record["predicted-latency"]["over_round_robin"]
+    assert pl_over_rr <= OVERLOAD_MAX_PL_OVER_RR, record
     assert record["retained_b_per_request"] <= OVERLOAD_MAX_RETAINED_B, record
 
 

@@ -35,9 +35,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, SimulationError
 from ..serving.request import Request
-from ..serving.scheduler import SchedulerSnapshot
 from .faults import FaultKind
-from .routing import model_ttft_s
+from .routing import Shard, model_ttft_s
 
 __all__ = [
     "Disposition",
@@ -141,7 +140,8 @@ class RetryPolicy:
 class SheddingPolicy:
     """Protocol for graceful load shedding.
 
-    Two hooks, both deterministic pure functions of the snapshots:
+    Two hooks, both deterministic pure functions of the shard states
+    they are handed (the live shards in a fleet run, as for routing):
 
     * :meth:`reject` runs *before* routing — return True to shed the
       arriving request outright (admission control).
@@ -156,13 +156,13 @@ class SheddingPolicy:
         self,
         request: Request,
         now_s: float,
-        snapshots: Sequence[SchedulerSnapshot],
+        shards: Sequence[Shard],
         deadline_s: Optional[float],
     ) -> bool:
-        """Shed ``request`` at admission? ``snapshots`` = feasible shards."""
+        """Shed ``request`` at admission? ``shards`` = feasible live shards."""
         return False
 
-    def evict(self, chosen: SchedulerSnapshot) -> bool:
+    def evict(self, chosen: Shard) -> bool:
         """Evict the chosen shard's oldest waiting request first?"""
         return False
 
@@ -191,7 +191,7 @@ class DeadlineShedding(SheddingPolicy):
         self,
         request: Request,
         now_s: float,
-        snapshots: Sequence[SchedulerSnapshot],
+        shards: Sequence[Shard],
         deadline_s: Optional[float],
     ) -> bool:
         if deadline_s is None:
@@ -199,7 +199,7 @@ class DeadlineShedding(SheddingPolicy):
         remaining = request.arrival_s + deadline_s - now_s
         if remaining <= 0.0:
             return True
-        best = min(model_ttft_s(request, now_s, snap) for snap in snapshots)
+        best = min(model_ttft_s(request, now_s, shard) for shard in shards)
         return best > remaining
 
 
@@ -220,7 +220,7 @@ class DropOldestShedding(SheddingPolicy):
             raise ConfigError(f"max_waiting must be >= 1, got {max_waiting}")
         self.max_waiting = max_waiting
 
-    def evict(self, chosen: SchedulerSnapshot) -> bool:
+    def evict(self, chosen: Shard) -> bool:
         return chosen.n_waiting >= self.max_waiting
 
 

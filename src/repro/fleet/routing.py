@@ -1,12 +1,19 @@
 """Routing policies: which shard of a fleet serves the next request.
 
-A policy sees the arriving :class:`~repro.serving.Request` and one
-:class:`~repro.serving.SchedulerSnapshot` per *feasible* shard (shards
-whose model context and KV budget could ever hold the request are
-pre-filtered by the fleet simulator) and returns the chosen shard id.
-Policies are deterministic: given the same request and snapshots they
-always pick the same shard, and every tie is broken by ascending shard
-id — so a seeded scenario maps to exactly one fleet timeline.
+A policy sees the arriving :class:`~repro.serving.Request` and every
+*feasible*, live shard (shards whose model context and KV budget could
+ever hold the request, pre-filtered by the fleet simulator). The fleet
+hands over the :class:`~repro.serving.ContinuousBatchingScheduler`
+shards themselves, read through properties named like the
+:class:`~repro.serving.SchedulerSnapshot` fields, so no state is copied
+per arrival; a frozen ``snapshot()`` answers the same reads, which is
+how tests pose a state. The policy returns ``(shard_id,
+predicted_ttft_s)``: the chosen shard and, for the latency-modelling
+policies, the TTFT it predicted there before the request joined it
+(``None`` for the others). Policies are deterministic: given the same
+request and shard states they always pick the same shard, and every tie
+is broken by ascending shard id — so a seeded scenario maps to exactly
+one fleet timeline.
 
 Five policies ship, in increasing awareness of shard state:
 
@@ -37,17 +44,20 @@ The predicted-latency model mirrors the scheduler's actual policy
 plus, only when the shard's KV budget could not hold the request on
 arrival, the decode-drain time to free enough reservations. All terms
 are surface lookups, so routing costs dict hits after warm-up and never
-perturbs the modeled numbers.
+perturbs the modeled numbers. The queued-prefill term is the shard's
+kept sum, re-added only after its waiting-prompt histogram changed.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigError
 from ..serving.request import Request
-from ..serving.scheduler import SchedulerSnapshot
+from ..serving.scheduler import ContinuousBatchingScheduler, SchedulerSnapshot
+
+#: What a policy reads: a live shard, or a frozen copy of one.
+Shard = Union[ContinuousBatchingScheduler, SchedulerSnapshot]
 
 __all__ = [
     "model_ttft_s",
@@ -62,9 +72,7 @@ __all__ = [
 ]
 
 
-def model_ttft_s(
-    request: Request, now_s: float, snap: SchedulerSnapshot
-) -> float:
+def model_ttft_s(request: Request, now_s: float, snap: Shard) -> float:
     """Model the request's TTFT were it routed to this shard now.
 
     Exact under the shard's own scheduling policy up to batching
@@ -77,36 +85,33 @@ def model_ttft_s(
     batched-decode rate.
 
     Health-aware: a browned-out shard's work terms are scaled by its
-    :attr:`~repro.serving.SchedulerSnapshot.latency_scale`, so routing
-    and deadline shedding both see degraded boxes as slower — exactly
-    how the shard will actually run its steps. At nominal health the factor
-    is 1.0 and the multiply is an exact IEEE-754 no-op, keeping
-    fault-free predictions bit-identical to the pre-resilience model.
+    ``latency_scale``, so routing and deadline shedding both see
+    degraded boxes as slower — exactly how the shard will actually run
+    its steps. At nominal health the factor is 1.0 and the multiply is
+    an exact IEEE-754 no-op, keeping fault-free predictions
+    bit-identical to the pre-resilience model. ``snap`` is a live shard
+    or a frozen snapshot; both answer the same reads.
     Shared by :class:`PredictedLatencyPolicy` and
     :class:`~repro.fleet.resilience.DeadlineShedding`.
     """
     surface = snap.engine.surface
     scale = snap.latency_scale
     wait_s = max(0.0, snap.clock_s - now_s)
-    # The snapshot carries queued prompts as a (length, count)
-    # histogram — sized by distinct lengths, not backlog depth — so
-    # the queued-work term costs O(distinct) surface hits, batched
-    # into one call (same count * latency sum, in histogram order).
-    queued_s = surface.queued_prefill_s(snap.waiting_prompt_hist)
+    # Queued prompts are a (length, count) histogram — sized by
+    # distinct lengths, not backlog depth — summed in histogram order
+    # (a live shard keeps the sum until the histogram changes).
+    queued_s = snap.queued_prefill_s
     own_s = surface.prefill(request.prompt_tokens).latency_s
     # Per-term scaling keeps the summation order of the pre-resilience
     # model, so scale == 1.0 is bit-identical (x * 1.0 is exact).
     predicted = wait_s + queued_s * scale + own_s * scale
 
-    model = snap.engine.model
-    own_kv = model.n_layers * model.kv_cache_bytes_per_layer(
-        request.total_tokens, snap.engine.config.act_bits
-    )
+    own_kv = snap.kv_bytes(request.total_tokens)
     demand = snap.kv_reserved_bytes + snap.waiting_kv_bytes + own_kv
     if demand > snap.kv_budget_bytes and snap.n_decoding > 0:
         # Admission-blocked: charge the decode drain that must free
         # reservations first, at the shard's current batch rate.
-        ctx = min(snap.decode_context + 1, model.max_seq_len)
+        ctx = min(snap.decode_context + 1, snap.engine.model.max_seq_len)
         batch = snap.n_decoding
         step = surface.decode(ctx, batch=batch).latency_s
         steps = (snap.remaining_decode_tokens + batch - 1) // batch
@@ -128,27 +133,28 @@ class RoutingPolicy:
         """Forget per-run state (called before every fleet run)."""
 
     def route(
-        self,
-        request: Request,
-        now_s: float,
-        snapshots: Sequence[SchedulerSnapshot],
-    ) -> int:
-        """Pick the serving shard; return its ``shard_id``.
+        self, request: Request, now_s: float, shards: Sequence[Shard]
+    ) -> Tuple[int, Optional[float]]:
+        """Pick the serving shard: ``(shard_id, predicted_ttft_s)``.
 
-        ``snapshots`` holds one entry per feasible shard, ordered by
-        ascending shard id (never empty).
+        ``shards`` holds one entry per feasible live shard, ordered by
+        ascending shard id (never empty): the live schedulers, or
+        frozen snapshots of them. The prediction is
+        :meth:`predicted_ttft_s` on the chosen shard as ``route`` saw
+        it, before the request joined it; ``None`` for policies that do
+        not model latency. The fleet simulator records it on the
+        :class:`~repro.fleet.RoutingDecision`, which is what powers the
+        predicted-vs-realized calibration report.
         """
         raise NotImplementedError
 
     def predicted_ttft_s(
-        self, request: Request, now_s: float, snap: SchedulerSnapshot
+        self, request: Request, now_s: float, snap: Shard
     ) -> Optional[float]:
         """The TTFT this policy predicts for the request on one shard.
 
         ``None`` for policies that do not model latency (round-robin,
-        JSQ, least-KV). The fleet simulator records the chosen shard's
-        prediction on every :class:`~repro.fleet.RoutingDecision`, which
-        is what powers the predicted-vs-realized calibration report.
+        JSQ, least-KV).
         """
         return None
 
@@ -179,17 +185,14 @@ class RoundRobinPolicy(RoutingPolicy):
         self._turn = 0
 
     def route(
-        self,
-        request: Request,
-        now_s: float,
-        snapshots: Sequence[SchedulerSnapshot],
-    ) -> int:
+        self, request: Request, now_s: float, shards: Sequence[Shard]
+    ) -> Tuple[int, None]:
         # The cursor counts *decisions*, not shards, so a request whose
         # feasible set is narrower than the fleet still advances the
         # rotation deterministically.
-        choice = snapshots[self._turn % len(snapshots)]
+        choice = shards[self._turn % len(shards)]
         self._turn += 1
-        return choice.shard_id
+        return choice.shard_id, None
 
 
 class JoinShortestQueuePolicy(RoutingPolicy):
@@ -198,13 +201,10 @@ class JoinShortestQueuePolicy(RoutingPolicy):
     name = "jsq"
 
     def route(
-        self,
-        request: Request,
-        now_s: float,
-        snapshots: Sequence[SchedulerSnapshot],
-    ) -> int:
-        best = min(snapshots, key=lambda s: (s.n_in_system, s.shard_id))
-        return best.shard_id
+        self, request: Request, now_s: float, shards: Sequence[Shard]
+    ) -> Tuple[int, None]:
+        best = min(shards, key=lambda s: (s.n_in_system, s.shard_id))
+        return best.shard_id, None
 
 
 class LeastKVPressurePolicy(RoutingPolicy):
@@ -213,13 +213,10 @@ class LeastKVPressurePolicy(RoutingPolicy):
     name = "least-kv"
 
     def route(
-        self,
-        request: Request,
-        now_s: float,
-        snapshots: Sequence[SchedulerSnapshot],
-    ) -> int:
-        best = min(snapshots, key=lambda s: (s.kv_pressure, s.shard_id))
-        return best.shard_id
+        self, request: Request, now_s: float, shards: Sequence[Shard]
+    ) -> Tuple[int, None]:
+        best = min(shards, key=lambda s: (s.kv_pressure, s.shard_id))
+        return best.shard_id, None
 
 
 class PredictedLatencyPolicy(RoutingPolicy):
@@ -227,53 +224,20 @@ class PredictedLatencyPolicy(RoutingPolicy):
 
     name = "predicted-latency"
 
-    def __init__(self) -> None:
-        # Last decision's scores, so the fleet simulator's calibration
-        # lookup for the chosen shard reuses what route() just computed
-        # instead of re-deriving it. Keyed to (request, instant); the
-        # model is pure, so a replay returns the identical float.
-        self._scored: Tuple[int, float, Dict[int, float]] = (-1, math.nan, {})
-
-    def reset(self, n_shards: int) -> None:
-        self._scored = (-1, math.nan, {})
-
     def predicted_ttft_s(
-        self, request: Request, now_s: float, snap: SchedulerSnapshot
+        self, request: Request, now_s: float, snap: Shard
     ) -> float:
-        """The (possibly bias-corrected) TTFT prediction for one shard.
-
-        A cache wrapper over :meth:`_model_ttft_s`: the fleet
-        simulator's calibration lookup for the chosen shard reuses the
-        score :meth:`route` just computed instead of re-deriving it.
-        """
-        req_id, at_s, scores = self._scored
-        if req_id == request.request_id and at_s == now_s:
-            cached = scores.get(snap.shard_id)
-            if cached is not None:
-                return cached
-        return self._model_ttft_s(request, now_s, snap)
-
-    def _model_ttft_s(
-        self, request: Request, now_s: float, snap: SchedulerSnapshot
-    ) -> float:
-        """The raw (health-aware) TTFT model; see :func:`model_ttft_s`."""
+        """The health-aware TTFT model; see :func:`model_ttft_s`."""
         return model_ttft_s(request, now_s, snap)
 
     def route(
-        self,
-        request: Request,
-        now_s: float,
-        snapshots: Sequence[SchedulerSnapshot],
-    ) -> int:
-        self._scored = (-1, math.nan, {})
-        scores = {
-            snap.shard_id: self.predicted_ttft_s(request, now_s, snap)
-            for snap in snapshots
-        }
-        self._scored = (request.request_id, now_s, scores)
-        return min(
-            snapshots, key=lambda s: (scores[s.shard_id], s.shard_id)
-        ).shard_id
+        self, request: Request, now_s: float, shards: Sequence[Shard]
+    ) -> Tuple[int, float]:
+        predicted, shard_id = min(
+            (self.predicted_ttft_s(request, now_s, shard), shard.shard_id)
+            for shard in shards
+        )
+        return shard_id, predicted
 
 
 class CalibratedLatencyPolicy(PredictedLatencyPolicy):
@@ -297,20 +261,19 @@ class CalibratedLatencyPolicy(PredictedLatencyPolicy):
     name = "calibrated-latency"
 
     def __init__(self, alpha: float = 0.25) -> None:
-        super().__init__()
         if not 0.0 < alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
         self._bias: Dict[int, float] = {}
 
     def reset(self, n_shards: int) -> None:
-        super().reset(n_shards)
         self._bias = {}
 
-    def _model_ttft_s(
-        self, request: Request, now_s: float, snap: SchedulerSnapshot
+    def predicted_ttft_s(
+        self, request: Request, now_s: float, snap: Shard
     ) -> float:
-        raw = super()._model_ttft_s(request, now_s, snap)
+        """The model's TTFT less this shard's learned bias (at least 0)."""
+        raw = super().predicted_ttft_s(request, now_s, snap)
         return max(0.0, raw - self._bias.get(snap.shard_id, 0.0))
 
     def observe(

@@ -10,9 +10,10 @@ One two-level discrete-event loop drives every run. The fleet level
 merges the fault heap (empty for a fault-free run) with global arrivals
 in deterministic ``(arrival_s, request_id)`` order; before each routing
 decision every live shard is advanced to the arrival instant (shards
-never see the future), snapshotted, and the policy picks among the
-shards that could ever hold the request. Shard level is the unmodified
-continuous-batching scheduler, driven through its incremental
+never see the future), and the policy reads those shards' live state
+directly — no copy per arrival — to pick among the ones that could
+ever hold the request. Shard level is the unmodified continuous-batching
+scheduler, driven through its incremental
 ``submit``/``advance_until`` API — so per-shard semantics are exactly
 those of single-engine serving, and a one-shard fleet reproduces `repro
 serve` exactly: identical request records and merged metrics, field for
@@ -622,9 +623,11 @@ class FleetSimulator:
             def harvest(request: Request, finish_s: float) -> Optional[Request]:
                 nonlocal n_rejected
                 rid = request.request_id
-                dispositions[rid] = (
-                    Disposition.RETRIED if attempts.get(rid) else Disposition.OK
-                )
+                if resilient:
+                    dispositions[rid] = (
+                        Disposition.RETRIED if attempts.get(rid)
+                        else Disposition.OK
+                    )
                 predicted = pending_predictions.pop(rid, None)
                 if predicted is not None:
                     record = shards[shard_id].record_for(rid)
@@ -658,6 +661,7 @@ class FleetSimulator:
                 on_complete=make_harvest(i),
                 interpolate=self.interpolate,
                 obs=obs.shard(i) if obs is not None else None,
+                shard_id=i,
             )
             for i, engine in enumerate(self.engines)
         )
@@ -686,6 +690,7 @@ class FleetSimulator:
             heapq.heappush(arrivals, (req.arrival_s, req.request_id, req))
             if obs is not None:
                 obs.instant("SUBMIT", req.arrival_s, request_id=req.request_id)
+        del seen_ids  # only the start-up check reads it
 
         def sync(t: float) -> bool:
             """Advance every live shard to ``t``; False when a completion
@@ -776,7 +781,7 @@ class FleetSimulator:
                 t, request_id, req = heapq.heappop(arrivals)
                 # No live shard may lag the routing instant: advance each
                 # to t (steps in flight may overshoot — shards are busy
-                # until their clock, which the snapshot exposes). The
+                # until their clock, which the policy reads). The
                 # advance stops the moment a completion injects a
                 # follow-up due *before* t: that follow-up must be
                 # routed — and submitted to its shard — before any
@@ -800,7 +805,10 @@ class FleetSimulator:
                     wake = min(down_until_s[i] for i in feasible_ids)
                     heapq.heappush(arrivals, (max(wake, t), request_id, req))
                     continue
-                feasible = [shards[i].snapshot(i) for i in live]
+                # Policies and shedding read the live shards; the
+                # prediction comes back with the choice, taken before
+                # any eviction or the submit below changes the shard.
+                feasible = [shards[i] for i in live]
                 if shedding is not None:
                     eff = retry_policy.effective_deadline_s(req)
                     if eff is not None and attempts.get(request_id):
@@ -810,24 +818,21 @@ class FleetSimulator:
                     if shedding.reject(req, t, feasible, eff):
                         shed(request_id, t, "rejected")
                         continue
-                choice = policy.route(req, t, feasible)
-                chosen = next(
-                    (snap for snap in feasible if snap.shard_id == choice), None
-                )
-                if chosen is None:
+                choice, predicted = policy.route(req, t, feasible)
+                if choice not in live:
                     raise ConfigError(
                         f"policy {policy.name!r} routed request "
                         f"{request_id} to infeasible shard {choice}"
                     )
+                chosen = shards[choice]
                 if shedding is not None and shedding.evict(chosen):
-                    victims = shards[choice].steal_candidates()
+                    victims = chosen.steal_candidates()
                     if victims:
                         victim = victims[0].request_id
-                        shards[choice].withdraw(victim)
+                        chosen.withdraw(victim)
                         pending_predictions.pop(victim, None)
                         shed(victim, t, "evicted", shard_id=choice)
-                shards[choice].submit(req)
-                predicted = policy.predicted_ttft_s(req, t, chosen)
+                chosen.submit(req)
                 if predicted is not None:
                     pending_predictions[request_id] = predicted
                 decisions.append(
@@ -938,7 +943,7 @@ class FleetSimulator:
             )
             for donor_id in donors:
                 donor = shards[donor_id]
-                if donor.snapshot(donor_id).n_in_system < 2:
+                if donor.n_in_system < 2:
                     continue  # donor would go idle: nothing gained
                 victim = next(
                     (

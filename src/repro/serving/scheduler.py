@@ -62,10 +62,12 @@ is appended to an event log, kept as columns (:class:`EventLog`);
 tokens are not logged, their gaps live in each record's ``array('d')``.
 The property tests in ``tests/serving/`` assert the scheduler's
 invariants (clock monotonicity, budget respect, FCFS order) against
-the log and the records. Routing-facing state (:meth:`snapshot`)
-is served from incremental aggregates maintained at submit / ingest /
-admit / prefill / complete time, so snapshotting is O(1) in queue depth
-— the fleet loop takes one per shard per routing decision.
+the log and the records. Routing-facing state is served from
+incremental aggregates maintained at submit / ingest / admit / prefill
+/ complete time, as read-only properties named like the
+:class:`SchedulerSnapshot` fields: the fleet's policies read a live
+shard directly, O(1) in queue depth, and :meth:`snapshot` is the
+frozen copy of the same properties.
 """
 
 from __future__ import annotations
@@ -76,10 +78,10 @@ import math
 from array import array
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import accumulate, repeat
-from operator import add as _float_add, sub as _float_sub
+from operator import add as _float_add, attrgetter, sub as _float_sub
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..core.meadow import MeadowEngine
@@ -284,21 +286,49 @@ class ServingResult:
         return self.total_energy_uj / tokens if tokens else 0.0
 
 
+def _kv_footprint(engine: MeadowEngine, tokens: int) -> int:
+    """Worst-case KV bytes of ``tokens`` across all of the engine's layers."""
+    model = engine.model
+    return model.n_layers * model.kv_cache_bytes_per_layer(
+        tokens, engine.config.act_bits
+    )
+
+
+def _view(attr: str, doc: str) -> property:
+    """A read-only property answering ``self.<attr>`` (a C-level getter)."""
+    return property(attrgetter(attr), doc=doc)
+
+
+class _ShardLoad:
+    """Load figures derived from a shard's aggregates, defined once for
+    the live :class:`ContinuousBatchingScheduler` and its frozen
+    :class:`SchedulerSnapshot`."""
+
+    @property
+    def n_in_system(self) -> int:
+        """Requests anywhere in the shard (waiting or decoding)."""
+        return self.n_waiting + self.n_decoding
+
+    @property
+    def kv_pressure(self) -> float:
+        """Committed plus queued worst-case KV demand over the budget."""
+        return (self.kv_reserved_bytes + self.waiting_kv_bytes) / self.kv_budget_bytes
+
+
 @dataclass(frozen=True)
-class SchedulerSnapshot:
-    """Read-only view of one scheduler's live state, for routing policies.
+class SchedulerSnapshot(_ShardLoad):
+    """Frozen copy of one scheduler's routing-facing state.
 
-    Taken between iterations (the fleet simulator snapshots every shard
-    at each global arrival), so the fields describe a consistent
-    instant: the shard is busy until :attr:`clock_s` with the step it
-    last started, everything in :attr:`waiting_prompt_hist` still owes
-    a prefill, and :attr:`remaining_decode_tokens` tokens of in-flight
-    generation remain after that.
-
-    Every field is served from aggregates the scheduler maintains
-    incrementally (at submit / ingest / admit / prefill / complete), so
-    taking a snapshot never walks the queues — routing cost is
-    independent of backlog depth.
+    :meth:`ContinuousBatchingScheduler.snapshot` copies the scheduler's
+    read-only properties of the same names, so the fields describe one
+    instant between iterations: the shard is busy until :attr:`clock_s`
+    with the step it last started, everything in
+    :attr:`waiting_prompt_hist` still owes a prefill, and
+    :attr:`remaining_decode_tokens` tokens of in-flight generation
+    remain after that. The fleet's routing policies read live shards
+    instead; a snapshot answers the same reads (:attr:`queued_prefill_s`
+    and :meth:`kv_bytes` included), for tests and callers that need a
+    value that does not move.
     """
 
     shard_id: int
@@ -333,14 +363,17 @@ class SchedulerSnapshot:
     latency_scale: float = 1.0
 
     @property
-    def n_in_system(self) -> int:
-        """Requests anywhere in the shard (waiting or decoding)."""
-        return self.n_waiting + self.n_decoding
+    def queued_prefill_s(self) -> float:
+        """Batch-1 prefill seconds the waiting prompts owe, summed afresh."""
+        return self.engine.surface.queued_prefill_s(self.waiting_prompt_hist)
 
-    @property
-    def kv_pressure(self) -> float:
-        """Committed plus queued worst-case KV demand over the budget."""
-        return (self.kv_reserved_bytes + self.waiting_kv_bytes) / self.kv_budget_bytes
+    def kv_bytes(self, tokens: int) -> int:
+        """Worst-case KV footprint of ``tokens`` on this shard's model."""
+        return _kv_footprint(self.engine, tokens)
+
+
+#: What :meth:`ContinuousBatchingScheduler.snapshot` copies, by name.
+_SNAPSHOT_FIELDS = tuple(f.name for f in fields(SchedulerSnapshot))
 
 
 @dataclass
@@ -357,7 +390,7 @@ class _Active:
     kv_reserved_bytes: int
 
 
-class ContinuousBatchingScheduler:
+class ContinuousBatchingScheduler(_ShardLoad):
     """Iteration-level scheduler over one engine and one request source.
 
     Args:
@@ -398,6 +431,9 @@ class ContinuousBatchingScheduler:
             are bit-identical with or without an observer. ``None`` (the
             default) skips every hook behind a single ``is not None``
             check: observability is provably free when off.
+        shard_id: the shard's index in a fleet (0 for a lone
+            scheduler). A label policies report their choice by; it
+            changes nothing the scheduler does.
 
     Pending prefills always run before decode iterations (the classic
     continuous-batching policy: it fills the decode batch fastest);
@@ -414,6 +450,7 @@ class ContinuousBatchingScheduler:
         on_complete: Optional[Callable[[Request, float], Optional[Request]]] = None,
         interpolate: bool = False,
         obs=None,
+        shard_id: int = 0,
     ) -> None:
         if max_batch < 1:
             raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
@@ -438,6 +475,19 @@ class ContinuousBatchingScheduler:
         self.max_batch = max_batch
         self.ctx_bucket = ctx_bucket
         self.interpolate = interpolate
+        self.shard_id = shard_id
+        # The largest total_tokens this shard can ever admit: the model's
+        # context limit, or less where the KV budget binds first. The
+        # footprint is monotone in tokens, so bisection finds it once
+        # and can_ever_admit is one comparison.
+        lo, hi = 0, engine.model.max_seq_len
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if _kv_footprint(engine, mid) <= kv_budget_bytes:
+                lo = mid
+            else:
+                hi = mid - 1
+        self.max_total_tokens = lo
         #: Step-latency multiplier the fault layer sets during bandwidth
         #: brownouts (1.0 = nominal). Applied to every prefill/decode
         #: step latency; at the default the multiplication is an exact
@@ -498,31 +548,62 @@ class ContinuousBatchingScheduler:
         # ``(len,)``, which sorts before every ``(len, count)``), so the
         # tuple is always ready to hand out and is never re-sorted.
         self._hist: Tuple[Tuple[int, int], ...] = ()
+        # The queued-prefill sum and the histogram tuple it was taken
+        # over: every splice replaces the tuple, so while ``_hist`` is
+        # still that object the sum is still exact.
+        self._queued_hist = self._hist
+        self._queued_s = 0.0
         self._remaining_decode = 0  # tokens left across the decode slots
         self._decode_ctx = 0  # max context across the decode slots
 
-    # ------------------------------------------------------------- helpers
-    @property
-    def clock_s(self) -> float:
-        """The shard's simulated clock (busy until this instant)."""
-        return self._clock
+    # ------------------------------------------------- live routing state
+    # Read-only views of the incremental aggregates, named and meant
+    # like the SchedulerSnapshot fields (snapshot() copies them).
+    # Routing, shedding and work stealing read a live shard through
+    # these.
+    clock_s = _view("_clock", "The simulated clock (busy until this instant).")
+    waiting_prompt_hist = _view("_hist", "Sorted (prompt length, count) pairs.")
+    remaining_decode_tokens = _view("_remaining_decode", "Tokens left to decode.")
+    decode_context = _view("_decode_ctx", "Deepest in-flight context (0 if none).")
+    kv_reserved_bytes = _view("_kv_reserved", "KV bytes admitted requests hold.")
+    waiting_kv_bytes = _view("_waiting_kv", "Worst-case KV of unadmitted requests.")
 
-    def _kv_bytes(self, tokens: int) -> int:
+    @property
+    def n_waiting(self) -> int:
+        """Requests submitted but not yet prefilled."""
+        return len(self._future) + len(self._pending) + len(self._prefill_queue)
+
+    @property
+    def n_decoding(self) -> int:
+        """Requests in the decode phase (never more than ``max_batch``)."""
+        return len(self._d_req)
+
+    @property
+    def queued_prefill_s(self) -> float:
+        """Batch-1 prefill seconds the waiting prompts owe.
+
+        :meth:`LatencySurface.queued_prefill_s` over the histogram,
+        summed again only after the histogram changed.
+        """
+        hist = self._hist
+        if hist is not self._queued_hist:
+            self._queued_s = self.engine.surface.queued_prefill_s(hist)
+            self._queued_hist = hist
+        return self._queued_s
+
+    def kv_bytes(self, tokens: int) -> int:
         """Worst-case KV footprint of ``tokens`` across all layers.
 
-        Memoized per token count: the fleet loop probes every waiting
-        request's footprint at every ``can_ever_admit`` check, and token
-        counts repeat heavily across a stream.
+        Memoized per token count: admission, withdrawal and the routing
+        model ask for it on every request, and token counts repeat
+        heavily across a stream.
         """
         need = self._kv_bytes_cache.get(tokens)
         if need is None:
-            model = self.engine.model
-            need = model.n_layers * model.kv_cache_bytes_per_layer(
-                tokens, self.engine.config.act_bits
-            )
-            self._kv_bytes_cache[tokens] = need
+            need = self._kv_bytes_cache[tokens] = _kv_footprint(self.engine, tokens)
         return need
 
+    # ------------------------------------------------------------- helpers
     def _check(self, request: Request) -> int:
         """Validate one request against model and budget; return its KV."""
         model = self.engine.model
@@ -531,7 +612,7 @@ class ContinuousBatchingScheduler:
                 f"request {request.request_id}: {request.total_tokens} tokens "
                 f"exceed {model.name} max_seq_len {model.max_seq_len}"
             )
-        need = self._kv_bytes(request.total_tokens)
+        need = self.kv_bytes(request.total_tokens)
         if need > self.kv_budget_bytes:
             raise CapacityError(
                 f"request {request.request_id} needs {need} B of KV but the "
@@ -540,12 +621,12 @@ class ContinuousBatchingScheduler:
         return need
 
     def can_ever_admit(self, request: Request) -> bool:
-        """Whether the request fits this shard's model and KV budget at all."""
-        try:
-            self._check(request)
-        except (CapacityError, ConfigError):
-            return False
-        return True
+        """Whether the request fits this shard's model and KV budget at all.
+
+        One comparison against :attr:`max_total_tokens`; :meth:`submit`
+        rejects exactly the requests this refuses.
+        """
+        return request.total_tokens <= self.max_total_tokens
 
     # ------------------------------------------------------ incremental API
     def _enqueue(self, request: Request, need: int) -> None:
@@ -580,27 +661,12 @@ class ContinuousBatchingScheduler:
         """
         self._enqueue(request, self._check(request))
 
-    def snapshot(self, shard_id: int = 0) -> SchedulerSnapshot:
-        """Capture the live state routing policies key on.
-
-        O(1) in queue depth: every field is an incrementally maintained
-        aggregate (the prompt histogram is sized by distinct lengths and
-        kept sorted as requests come and go, so the snapshot shares it).
-        """
+    def snapshot(self) -> SchedulerSnapshot:
+        """A frozen copy of the live routing state (the properties of
+        the same names). O(1) in queue depth: the prompt histogram is
+        an immutable tuple, so the copy shares it."""
         return SchedulerSnapshot(
-            shard_id=shard_id,
-            clock_s=self._clock,
-            n_waiting=len(self._future) + len(self._pending) + len(self._prefill_queue),
-            n_decoding=len(self._d_req),
-            waiting_prompt_hist=self._hist,
-            remaining_decode_tokens=self._remaining_decode,
-            decode_context=self._decode_ctx,
-            kv_reserved_bytes=self._kv_reserved,
-            waiting_kv_bytes=self._waiting_kv,
-            kv_budget_bytes=self.kv_budget_bytes,
-            max_batch=self.max_batch,
-            engine=self.engine,
-            latency_scale=self.latency_scale,
+            **{name: getattr(self, name) for name in _SNAPSHOT_FIELDS}
         )
 
     def next_event_s(self) -> float:
@@ -683,7 +749,7 @@ class ContinuousBatchingScheduler:
         for i, req in enumerate(self._pending):
             if req.request_id == request_id:
                 del self._pending[i]
-                self._waiting_kv -= self._kv_bytes(req.total_tokens)
+                self._waiting_kv -= self.kv_bytes(req.total_tokens)
                 self._forget_waiting(req)
                 self._known_ids.discard(request_id)
                 self._log(_WITHDRAW, request_id)
@@ -694,7 +760,7 @@ class ContinuousBatchingScheduler:
                 self._future[i] = self._future[-1]
                 self._future.pop()
                 heapq.heapify(self._future)
-                self._waiting_kv -= self._kv_bytes(req.total_tokens)
+                self._waiting_kv -= self.kv_bytes(req.total_tokens)
                 self._forget_waiting(req)
                 self._known_ids.discard(request_id)
                 return req
@@ -774,7 +840,7 @@ class ContinuousBatchingScheduler:
             self._pending
             and len(self._prefill_queue) + len(self._d_req) < self.max_batch
         ):
-            need = self._kv_bytes(self._pending[0].total_tokens)
+            need = self.kv_bytes(self._pending[0].total_tokens)
             if self._kv_reserved + need > self.kv_budget_bytes:
                 break
             req = self._pending.popleft()
@@ -813,12 +879,10 @@ class ContinuousBatchingScheduler:
             # follow-up drawn mid-run must not abort the simulation
             # and discard completed work — an infeasible one is
             # rejected (a real frontend would return an error).
-            try:
-                need = self._check(follow_up)
-            except (CapacityError, ConfigError):
-                self._n_rejected += 1
+            if self.can_ever_admit(follow_up):
+                self._enqueue(follow_up, self.kv_bytes(follow_up.total_tokens))
             else:
-                self._enqueue(follow_up, need)
+                self._n_rejected += 1
 
     def _prefill_step(self) -> None:
         active = self._prefill_queue.popleft()

@@ -122,6 +122,10 @@ class LatencySurface:
         # serialize, so the exact table stays bit-identical regardless
         # of whether anyone interpolated.
         self._interp_cache: Dict[Tuple[Stage, int, int], SurfacePoint] = {}
+        # Batch-1 prefill latency by prompt length: the queued-prefill
+        # sum probes this with a plain int instead of hashing a
+        # (Stage, tokens, 1) key per distinct length.
+        self._prefill_s: Dict[int, float] = {}
         self.interp_rel_err = interp_rel_err  # validated by the setter
         #: Points filled by *running the simulator* since construction
         #: (loads and merges do not count). The surface store's
@@ -151,6 +155,8 @@ class LatencySurface:
     # ------------------------------------------------------------- lookup
     def _register(self, key: Tuple[Stage, int, int], point: SurfacePoint) -> None:
         self._points[key] = point
+        if key[0] is Stage.PREFILL and key[2] == 1:
+            self._prefill_s[key[1]] = point.latency_s
         insort(self._axes.setdefault((key[0], key[2]), []), key[1])
         # An exact point supersedes any interpolated estimate at its key.
         self._interp_cache.pop(key, None)
@@ -331,18 +337,19 @@ class LatencySurface:
 
         ``hist`` is ``(prompt_tokens, count)`` pairs — the shape of
         :attr:`~repro.serving.SchedulerSnapshot.waiting_prompt_hist`.
-        One direct table probe per *distinct* length, accumulated in
+        One int-keyed probe per *distinct* length, accumulated in
         iteration order with the same float additions as
-        ``sum(count * prefill(tokens).latency_s for ...)``, so
-        predictive routers get the bulk answer bit-identically.
+        ``count * prefill(tokens).latency_s`` added one by one from
+        0.0, so predictive routers get the bulk answer bit-identically
+        (not the builtin ``sum``, which Python 3.12 compensates).
         """
         total = 0.0
-        points = self._points
+        table = self._prefill_s
         for tokens, count in hist:
-            point = points.get((Stage.PREFILL, tokens, 1))
-            if point is None:
-                point = self.prefill(tokens, interpolate=interpolate)
-            total += count * point.latency_s
+            latency_s = table.get(tokens)
+            if latency_s is None:
+                latency_s = self.prefill(tokens, interpolate=interpolate).latency_s
+            total += count * latency_s
         return total
 
     def point(self, workload: Workload) -> SurfacePoint:

@@ -151,11 +151,12 @@ class TestJoinShortestQueueInvariant:
 
         class Recording(JoinShortestQueuePolicy):
             def route(self, request, now_s, snapshots):
-                choice = super().route(request, now_s, snapshots)
+                choice, predicted = super().route(request, now_s, snapshots)
+                assert predicted is None
                 observed.append(
                     (choice, {s.shard_id: s.n_in_system for s in snapshots})
                 )
-                return choice
+                return choice, predicted
 
         FleetSimulator(
             [fast_engine, slow_engine, fast_engine],

@@ -66,16 +66,16 @@ class TestRoundRobin:
         policy.reset(3)
         snaps = [_snap(i, fast_engine) for i in range(3)]
         picks = [policy.route(request_8x4, 0.0, snaps) for _ in range(6)]
-        assert picks == [0, 1, 2, 0, 1, 2]
+        assert picks == [(i, None) for i in (0, 1, 2, 0, 1, 2)]
         policy.reset(3)
-        assert policy.route(request_8x4, 0.0, snaps) == 0
+        assert policy.route(request_8x4, 0.0, snaps) == (0, None)
 
     def test_narrowed_feasible_set_still_cycles(self, fast_engine, request_8x4):
         policy = RoundRobinPolicy()
         policy.reset(3)
         snaps = [_snap(i, fast_engine) for i in (0, 2)]  # shard 1 infeasible
         picks = [policy.route(request_8x4, 0.0, snaps) for _ in range(4)]
-        assert picks == [0, 2, 0, 2]
+        assert picks == [(i, None) for i in (0, 2, 0, 2)]
 
 
 class TestJoinShortestQueue:
@@ -86,12 +86,12 @@ class TestJoinShortestQueue:
             _snap(1, fast_engine, n_waiting=1, n_decoding=1),
             _snap(2, fast_engine, n_decoding=1),
         ]
-        assert policy.route(request_8x4, 0.0, snaps) == 2
+        assert policy.route(request_8x4, 0.0, snaps) == (2, None)
 
     def test_ties_break_by_shard_id(self, fast_engine, request_8x4):
         policy = JoinShortestQueuePolicy()
         snaps = [_snap(2, fast_engine), _snap(0, fast_engine), _snap(1, fast_engine)]
-        assert policy.route(request_8x4, 0.0, snaps) == 0
+        assert policy.route(request_8x4, 0.0, snaps) == (0, None)
 
 
 class TestLeastKVPressure:
@@ -103,7 +103,7 @@ class TestLeastKVPressure:
                   waiting_kv_bytes=100_000),
             _snap(2, fast_engine, kv_reserved_bytes=100_000),
         ]
-        assert policy.route(request_8x4, 0.0, snaps) == 2
+        assert policy.route(request_8x4, 0.0, snaps) == (2, None)
 
     def test_queued_demand_counts(self, fast_engine, request_8x4):
         # A shard with little *reserved* KV but a deep unadmitted queue
@@ -113,7 +113,7 @@ class TestLeastKVPressure:
             _snap(0, fast_engine, waiting_kv_bytes=900_000),
             _snap(1, fast_engine, kv_reserved_bytes=300_000),
         ]
-        assert policy.route(request_8x4, 0.0, snaps) == 1
+        assert policy.route(request_8x4, 0.0, snaps) == (1, None)
 
 
 class TestPredictedLatency:
@@ -122,7 +122,7 @@ class TestPredictedLatency:
     ):
         policy = PredictedLatencyPolicy()
         snaps = [_snap(0, slow_engine), _snap(1, fast_engine)]
-        assert policy.route(request_8x4, 0.0, snaps) == 1
+        assert policy.route(request_8x4, 0.0, snaps)[0] == 1
 
     def test_backlog_outweighs_raw_speed(
         self, fast_engine, slow_engine, request_8x4
@@ -134,7 +134,7 @@ class TestPredictedLatency:
             1, fast_engine, n_waiting=64, waiting_prompt_hist=((64, 64),)
         )
         snaps = [_snap(0, slow_engine), fast_loaded]
-        assert policy.route(request_8x4, 0.0, snaps) == 0
+        assert policy.route(request_8x4, 0.0, snaps)[0] == 0
 
     def test_prediction_accounts_for_busy_until(
         self, fast_engine, request_8x4
@@ -145,7 +145,7 @@ class TestPredictedLatency:
         assert policy.predicted_ttft_s(request_8x4, 0.0, busy) > (
             policy.predicted_ttft_s(request_8x4, 0.0, idle)
         )
-        assert policy.route(request_8x4, 0.0, [busy, idle]) == 1
+        assert policy.route(request_8x4, 0.0, [busy, idle])[0] == 1
 
     def test_kv_overflow_charges_decode_drain(self, fast_engine, request_8x4):
         policy = PredictedLatencyPolicy()

@@ -14,18 +14,19 @@ is tested against ``tests/oracles/layer_walk.py``:
    up only when its clock reaches it, as the walk does.
 2. **Snapshot aggregates match recomputation**: the O(1)
    :class:`~repro.serving.SchedulerSnapshot` fields maintained
-   incrementally equal a brute-force walk of the queues at every
-   iteration boundary.
+   incrementally equal a brute-force walk of the queues
+   (``tests/oracles/shard_state.py``) at every iteration boundary, and
+   the scheduler's kept queued-prefill sum equals a fresh one.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.shard_state import queued_prefill_reference, recount_shard_state
 from oracles.token_walk import walk_tokens
 from repro import ExecutionPlan, MeadowEngine
 from repro.serving import (
@@ -226,28 +227,13 @@ class TestCoalescedEqualsReference:
         _assert_same_lookups(chunked_engine.surface, ref_engine.surface)
 
 
-def _recomputed_snapshot(scheduler, shard_id=0):
-    """Brute-force the snapshot fields straight from the queues."""
-    s = scheduler
-    prompts = Counter(req.prompt_tokens for _, _, req in s._future)
-    prompts.update(req.prompt_tokens for req in s._pending)
-    prompts.update(a.request.prompt_tokens for a in s._prefill_queue)
-    model = s.engine.model
-    act_bits = s.engine.config.act_bits
-
-    def kv(tokens):
-        return model.n_layers * model.kv_cache_bytes_per_layer(tokens, act_bits)
-
-    return dict(
-        n_waiting=len(s._future) + len(s._pending) + len(s._prefill_queue),
-        n_decoding=len(s._d_req),
-        waiting_prompt_hist=tuple(sorted(prompts.items())),
-        remaining_decode_tokens=sum(s._d_left),
-        decode_context=max(s._d_ctx, default=0),
-        kv_reserved_bytes=s._kv_reserved,
-        waiting_kv_bytes=sum(kv(req.total_tokens) for _, _, req in s._future)
-        + sum(kv(req.total_tokens) for req in s._pending),
+def _assert_queued_sum_fresh(scheduler):
+    """The kept queued-prefill sum equals one summed afresh, bit for bit."""
+    fresh = queued_prefill_reference(
+        scheduler.engine.surface, recount_shard_state(scheduler)["waiting_prompt_hist"]
     )
+    assert scheduler.queued_prefill_s == fresh
+    assert scheduler.snapshot().queued_prefill_s == fresh
 
 
 class TestSnapshotAggregates:
@@ -267,9 +253,10 @@ class TestSnapshotAggregates:
         checked = 0
         while True:
             snap = scheduler.snapshot()
-            expected = _recomputed_snapshot(scheduler)
+            expected = recount_shard_state(scheduler)
             for field_name, value in expected.items():
                 assert getattr(snap, field_name) == value, field_name
+            _assert_queued_sum_fresh(scheduler)
             checked += 1
             if not scheduler.advance_one():
                 break
@@ -306,14 +293,18 @@ class TestSnapshotAggregates:
             )
             for _ in range(2)
         )
-        reqs = stream.initial()
-        for i, req in enumerate(reqs):
-            (a if i % 2 else b).submit(req)
 
         def check(s):
             snap = s.snapshot()
-            for field_name, value in _recomputed_snapshot(s).items():
+            for field_name, value in recount_shard_state(s).items():
                 assert getattr(snap, field_name) == value, field_name
+            _assert_queued_sum_fresh(s)
+
+        reqs = stream.initial()
+        for i, req in enumerate(reqs):
+            shard = a if i % 2 else b
+            shard.submit(req)
+            check(shard)
 
         crash_at = int(crash_frac * len(ops))
         for i, op in enumerate(ops):
@@ -355,7 +346,7 @@ class TestSnapshotAggregates:
         for req in stream.initial():
             scheduler.submit(req)
         snap = scheduler.snapshot()
-        expected = _recomputed_snapshot(scheduler)
+        expected = recount_shard_state(scheduler)
         assert snap.n_waiting == 2000
         for field_name, value in expected.items():
             assert getattr(snap, field_name) == value, field_name
