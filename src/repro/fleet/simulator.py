@@ -196,9 +196,10 @@ class FleetReport:
     def timeline(self, width: int = 80) -> str:
         """ASCII fleet timeline: one row per shard, faults overlaid.
 
-        Runs that carried an observer render the exact step/fault trace;
-        unobserved runs fall back to a coarse reconstruction from
-        request records (see :func:`repro.obs.trace_from_report`).
+        Runs that carried an observer render their trace; unobserved
+        runs build the same request lifecycle from the shards' event
+        logs and records (see :func:`repro.obs.trace_from_report`),
+        without the step slices only an observer records.
         """
         from ..obs.bridge import trace_from_report
         from ..obs.gantt import render_fleet_timeline
@@ -702,12 +703,14 @@ class FleetSimulator:
             return not preempted()
 
         decisions: List[RoutingDecision] = []
+        if obs is not None:
+            obs.bind_routing(policy.name, decisions)
         # Routing, stealing, faults and arrival syncs mark the shards
         # they touched dirty; only changed keys re-enter the calendar.
         calendar = _DrainCalendar(shards, open_loop)
         while True:
             if self.steal and self._steal_pass(
-                shards, decisions, pending_predictions, up, obs
+                shards, decisions, pending_predictions, up
             ):
                 calendar.invalidate_all()
             t_fault = fault_heap[0][0] if fault_heap else math.inf
@@ -838,12 +841,6 @@ class FleetSimulator:
                 decisions.append(
                     RoutingDecision(request_id, t, choice, predicted)
                 )
-                if obs is not None:
-                    obs.instant(
-                        "ROUTE", t, request_id=request_id, shard_id=choice,
-                        policy=policy.name, predicted_ttft_s=predicted,
-                    )
-                    obs.count("requests_routed", shard=choice)
             else:
                 # Event-calendar drain: advance the globally next-acting
                 # shard in one coalesced pass up to its horizon, bailing
@@ -904,7 +901,6 @@ class FleetSimulator:
         decisions: List[RoutingDecision],
         pending_predictions: Dict[int, float],
         up: Sequence[bool],
-        obs: Optional[FleetObserver] = None,
     ) -> bool:
         """Idle thieves pull waiting work off backlogged donors.
 
@@ -971,12 +967,6 @@ class FleetSimulator:
                         migrated_from=donor_id,
                     )
                 )
-                if obs is not None:
-                    obs.instant(
-                        "MIGRATE", migrate_s, request_id=victim.request_id,
-                        shard_id=thief_id, from_shard=donor_id,
-                    )
-                    obs.count("migrations", thief=thief_id, donor=donor_id)
                 stole = True
                 break
         return stole

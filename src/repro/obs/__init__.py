@@ -7,13 +7,16 @@ event calendar, routing, and the chaos layer, collecting:
 * **spans & instants** — every request gets a lifecycle trace
   (SUBMIT → ROUTE → QUEUE → PREFILL → DECODE → COMPLETE, plus
   RETRY/SHED/EXPIRED/LOST dispositions, WITHDRAW/MIGRATE steals, and
-  CRASH/REWARM/BROWNOUT fault windows);
+  CRASH/REWARM/BROWNOUT fault windows). The QUEUE/PREFILL/DECODE spans
+  are built after the run from the shards' event logs, and ROUTE and
+  MIGRATE from the routing decisions (:mod:`repro.obs.bridge`);
 * **metrics** — labeled counters/gauges/histograms sampled on
   simulated-time ticks (per-shard KV occupancy, queue depth, batch
   size, in-flight decodes, retry/shed rates), exported as versioned
   JSON or CSV;
-* **exporters** — Perfetto/Chrome ``trace_event`` JSON (one track per
-  shard, router→shard flow arrows), an ASCII fleet timeline, and the
+* **exporters** — Perfetto/Chrome ``trace_event`` JSON written from
+  compact rows through per-kind templates (one track per shard,
+  router→shard flow arrows), an ASCII fleet timeline, and the
   :mod:`repro.obs.bridge` that nests op-level cycle traces from
   :mod:`repro.sim.trace` under a request's PREFILL span.
 

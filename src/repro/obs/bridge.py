@@ -10,21 +10,47 @@ Two directions:
   :class:`repro.sim.trace.TraceEvent` stays the cycle-domain record,
   and this module is the one place that converts it to an obs
   :class:`~repro.obs.spans.Span`.
-* **up** — :func:`trace_from_report` reconstructs a coarse lifecycle
-  trace from an already-built :class:`~repro.fleet.FleetReport`, so
-  ``FleetReport.timeline()`` works even for runs that did not carry an
-  observer (phases are then bounded by record timestamps: QUEUE is
-  arrival→admit rather than arrival→prefill-start).
+* **up** — :func:`lifecycle_rows` builds every request's QUEUE,
+  PREFILL and DECODE spans from a shard's event log after the run, and
+  :func:`routing_rows` the ROUTE and MIGRATE instants from the fleet's
+  routing decisions. :class:`~repro.obs.FleetObserver` builds an
+  observed run's trace with them, and :func:`trace_from_report` an
+  unobserved :class:`~repro.fleet.FleetReport`'s, so
+  ``FleetReport.timeline()`` draws the same lifecycle either way.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from ..errors import SimulationError
+from ..serving.scheduler import EventKind, EventLog
+from .perfetto import row_kind, rows_trace
 from .spans import CAT_FAULT, CAT_OP, CAT_REQUEST, FleetTrace, Span
 
-__all__ = ["op_spans", "nest_op_trace", "trace_from_report"]
+__all__ = [
+    "op_spans",
+    "nest_op_trace",
+    "lifecycle_rows",
+    "record_first_tokens",
+    "routing_rows",
+    "trace_from_report",
+]
+
+_ARRIVAL, _PREFILL_START, _COMPLETE, _WITHDRAW = map(
+    EventLog.KINDS.index,
+    (EventKind.ARRIVAL, EventKind.PREFILL_START, EventKind.COMPLETE,
+     EventKind.WITHDRAW),
+)
+
+_QUEUE = row_kind("X", CAT_REQUEST, "QUEUE", raw=True)
+_PREFILL = row_kind("X", CAT_REQUEST, "PREFILL", raw=True)
+_DECODE = row_kind("X", CAT_REQUEST, "DECODE", raw=True)
+_QUEUE_OUT = row_kind("X", CAT_REQUEST, "QUEUE", ("outcome",))
+_PREFILL_OUT = row_kind("X", CAT_REQUEST, "PREFILL", ("outcome",))
+_ROUTE = row_kind("i", CAT_REQUEST, "ROUTE", ("policy", "predicted_ttft_s"))
+_MIGRATE = row_kind("i", CAT_REQUEST, "MIGRATE", ("from_shard",), raw=True)
+_FAULT_KEYS = ("n_requests_hit",)
 
 
 def op_spans(
@@ -107,48 +133,111 @@ def nest_op_trace(
     )
 
 
+def lifecycle_rows(
+    shard_id: int, log: EventLog, first_token_s: Iterable[Optional[float]]
+) -> List[tuple]:
+    """One shard's QUEUE, PREFILL and DECODE span rows, from its log.
+
+    ``first_token_s`` yields, for each PREFILL_START event in log order,
+    that prefill's first-token instant (``None`` where it is unknown).
+    QUEUE runs from arrival to prefill start, or to withdrawal with
+    ``outcome: withdrawn``; PREFILL from prefill start to the first
+    token and DECODE from there to completion. A request still open at
+    the end of the log contributes an ``interrupted`` PREFILL when both
+    its ends are known. Rows come out in the order the log closes them.
+    """
+    rows: List[tuple] = []
+    append = rows.append
+    first = iter(first_token_s)
+    open_reqs = {}  # request id -> [arrival, prefill start, first token]
+    for t, code, rid in zip(log.t_s, log.kind, log.request_id):
+        if code == _ARRIVAL:
+            open_reqs[rid] = [t, None, None]
+        elif code == _PREFILL_START:
+            token = next(first, None)
+            rec = open_reqs.get(rid)
+            if rec is not None:
+                rec[1] = t
+                rec[2] = token
+                append((rec[0], t, CAT_REQUEST, "QUEUE", rid, shard_id,
+                        _QUEUE, ()))
+        elif rid not in open_reqs:
+            continue  # an id this log never saw arrive
+        elif code == _COMPLETE:
+            _, start, token = open_reqs.pop(rid)
+            if token is not None:
+                if start is not None:
+                    append((start, token, CAT_REQUEST, "PREFILL", rid, shard_id,
+                            _PREFILL, ()))
+                append((token, t, CAT_REQUEST, "DECODE", rid, shard_id,
+                        _DECODE, ()))
+        elif code == _WITHDRAW:
+            arrival = open_reqs.pop(rid)[0]
+            append((arrival, t, CAT_REQUEST, "QUEUE", rid, shard_id,
+                    _QUEUE_OUT, ("withdrawn",)))
+    for rid, (_, start, token) in open_reqs.items():
+        if start is not None and token is not None:
+            append((start, token, CAT_REQUEST, "PREFILL", rid, shard_id,
+                    _PREFILL_OUT, ("interrupted",)))
+    return rows
+
+
+def record_first_tokens(log: EventLog, records: Sequence) -> List[Optional[float]]:
+    """First-token instants for :func:`lifecycle_rows`, from records.
+
+    A completed request's record holds the first token of its last
+    prefill on the shard; earlier prefills of the same id (cut short by
+    a crash) and prefills of unfinished requests are unknown.
+    """
+    first = {rec.request.request_id: rec.first_token_s for rec in records}
+    starts = [
+        rid for code, rid in zip(log.kind, log.request_id)
+        if code == _PREFILL_START
+    ]
+    tokens = [first.pop(rid, None) for rid in reversed(starts)]
+    tokens.reverse()
+    return tokens
+
+
+def routing_rows(decisions: Sequence, policy_name: str) -> List[tuple]:
+    """ROUTE and MIGRATE instant rows of a fleet's routing decisions."""
+    return [
+        (d.arrival_s, CAT_REQUEST, "ROUTE", d.request_id, d.shard_id, _ROUTE,
+         (policy_name, d.predicted_ttft_s))
+        if d.migrated_from is None else
+        (d.arrival_s, CAT_REQUEST, "MIGRATE", d.request_id, d.shard_id,
+         _MIGRATE, (d.migrated_from,))
+        for d in decisions
+    ]
+
+
 def trace_from_report(report) -> FleetTrace:
-    """Reconstruct a coarse lifecycle trace from a built FleetReport.
+    """The lifecycle trace of a built FleetReport, observed or not.
 
     The fallback behind ``FleetReport.timeline()`` for runs without an
-    observer.  Phase boundaries come from request records (admit /
-    first-token / finish), placements from the final routing decision,
-    and fault spans from the resilience report when present.
+    observer. Spans come from each shard's event log through
+    :func:`lifecycle_rows`, with first tokens from the records (an
+    unobserved run has no prefill slices, so a request a crash cut
+    short shows only what its log bounds); ROUTE and MIGRATE instants
+    from the routing decisions; fault windows from the resilience
+    report when present.
     """
     result = report.result
-    spans: List[Span] = []
-    placement = {}
-    for decision in result.decisions:
-        placement[decision.request_id] = decision.shard_id
+    spans: List[tuple] = []
     for shard_id, shard in enumerate(result.shard_results):
-        for rec in shard.records:
-            request_id = rec.request.request_id
-            owner = placement.get(request_id, shard_id)
-            spans.append(
-                Span.make(
-                    "QUEUE", CAT_REQUEST, rec.request.arrival_s, rec.admit_s,
-                    shard_id=owner, request_id=request_id,
-                )
+        spans.extend(
+            lifecycle_rows(
+                shard_id, shard.events,
+                record_first_tokens(shard.events, shard.records),
             )
-            spans.append(
-                Span.make(
-                    "PREFILL", CAT_REQUEST, rec.admit_s, rec.first_token_s,
-                    shard_id=owner, request_id=request_id,
-                )
-            )
-            spans.append(
-                Span.make(
-                    "DECODE", CAT_REQUEST, rec.first_token_s, rec.finish_s,
-                    shard_id=owner, request_id=request_id,
-                )
-            )
+        )
     if report.resilience is not None:
         for fault in report.resilience.faults:
+            name = fault.kind.value.upper()
             spans.append(
-                Span.make(
-                    fault.kind.value.upper(), CAT_FAULT, fault.at_s, fault.until_s,
-                    shard_id=fault.shard_id,
-                    n_requests_hit=fault.n_requests_hit,
-                )
+                (fault.at_s, fault.until_s, CAT_FAULT, name, -1, fault.shard_id,
+                 row_kind("X", CAT_FAULT, name, _FAULT_KEYS, False),
+                 (fault.n_requests_hit,))
             )
-    return FleetTrace.build(spans, n_shards=result.n_shards)
+    instants = routing_rows(result.decisions, result.policy_name)
+    return rows_trace(spans, instants, result.n_shards)

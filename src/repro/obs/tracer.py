@@ -1,10 +1,18 @@
-"""The fleet observer: collects spans, instants, and metric samples.
+"""The fleet observer: collects step slices, fault windows and metrics.
 
 A :class:`FleetObserver` is handed to :class:`~repro.fleet.FleetSimulator`
 (or :class:`~repro.serving.ServingSimulator`) at construction.  The fleet
-loop records routing / fault / disposition events directly; each shard's
-:class:`~repro.serving.ContinuousBatchingScheduler` receives a bound
-:class:`ShardObs` view and calls it from its step functions.
+loop records fault windows and request dispositions directly; each
+shard's :class:`~repro.serving.ContinuousBatchingScheduler` receives a
+bound :class:`ShardObs` view, binds itself to it, and reports its step
+slices and gauge samples to it.
+
+Request lifecycles are not mirrored live: the scheduler's event log
+already holds each request's ARRIVAL, PREFILL_START, COMPLETE and
+WITHDRAW instants, and the prefill slices its first tokens, so
+:meth:`FleetObserver.build` reads the logs once the run is over
+(:func:`~repro.obs.bridge.lifecycle_rows`), and the ROUTE and MIGRATE
+instants come from the fleet's routing decisions.
 
 Design constraints, in priority order:
 
@@ -13,26 +21,49 @@ Design constraints, in priority order:
    disabled path, and observers never feed back into scheduling
    decisions, so ``obs=None`` runs are bit-identical by construction
    (and verified by a hypothesis property test).
-2. **Cheap when on.**  Hot-path hooks append small tuples or bump
-   pre-bound gauges; lifecycle spans are assembled once, in
-   :meth:`FleetObserver.build`.  Gauge sampling is rate-limited to the
-   observer's ``tick_s`` of *simulated* time per shard.
+2. **Cheap when on.**  Hot-path hooks append row tuples
+   (:mod:`repro.obs.perfetto`) or bump pre-bound gauges; lifecycle rows
+   are built, sorted and written once, after the run, and span objects
+   only when :attr:`ObsBundle.trace` is read.  Gauge sampling is
+   rate-limited to the observer's ``tick_s`` of *simulated* time per
+   shard.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import Counter as _Tally
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..serving.scheduler import EventKind, EventLog
+from .bridge import lifecycle_rows, routing_rows
 from .metrics import MetricsRegistry
-from .spans import CAT_FAULT, CAT_REQUEST, CAT_STEP, FleetTrace, Instant, Span
+from .perfetto import (
+    rows_document,
+    row_kind,
+    rows_trace,
+    sort_rows,
+    trace_rows,
+    write_rows,
+)
+from .spans import CAT_FAULT, CAT_REQUEST, CAT_STEP, FleetTrace
 
 __all__ = ["ShardObs", "FleetObserver", "ObsBundle"]
 
 #: Batch-size histogram boundaries (requests per decode iteration).
 BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
-# Indices into a shard's open-request record.
-_ARRIVAL, _ADMIT, _PREFILL_START, _FIRST_TOKEN = range(4)
+_STEP_KEYS = ("batch", "k")
+_STEP_NAMES = {"prefill": "PREFILL_STEP", "decode": "DECODE_RUN"}
+
+#: Log counters: (counter name, the event kind's code in the log).
+_LOG_COUNTS = tuple(
+    (name, EventLog.KINDS.index(kind))
+    for name, kind in (
+        ("requests_admitted", EventKind.ADMIT),
+        ("requests_completed", EventKind.COMPLETE),
+        ("requests_withdrawn", EventKind.WITHDRAW),
+    )
+)
 
 
 class ShardObs(object):
@@ -43,17 +74,13 @@ class ShardObs(object):
         "_reg",
         "_tick_s",
         "_next_sample_s",
-        "_open",
+        "_scheduler",
         "_steps",
-        "_lifecycle",
         "_g_kv",
         "_g_queue",
         "_g_decoding",
         "_g_waiting",
         "_h_batch",
-        "_c_admitted",
-        "_c_completed",
-        "_c_withdrawn",
         "_c_decode_iters",
     )
 
@@ -62,63 +89,25 @@ class ShardObs(object):
         self._reg = registry
         self._tick_s = tick_s
         self._next_sample_s = 0.0
-        #: request_id -> [arrival_s, admit_s, prefill_start_s, first_token_s]
-        self._open: Dict[int, List[Optional[float]]] = {}
-        #: (t0_s, t1_s, kind, k, batch, request_id)
-        self._steps: List[Tuple[float, float, str, int, int, Optional[int]]] = []
-        #: (name, t0_s, t1_s, request_id, outcome) — materialized lazily
-        #: in drain_spans() so the hot path only appends tuples.
-        self._lifecycle: List[
-            Tuple[str, float, float, int, Optional[str]]
-        ] = []
+        self._scheduler = None
+        #: Step slices as span rows (see :mod:`repro.obs.perfetto`).
+        self._steps: List[tuple] = []
         shard = str(shard_id)
         self._g_kv = registry.gauge("kv_reserved_bytes", shard=shard)
         self._g_queue = registry.gauge("queue_depth", shard=shard)
         self._g_decoding = registry.gauge("inflight_decodes", shard=shard)
         self._g_waiting = registry.gauge("waiting_requests", shard=shard)
         self._h_batch = registry.histogram("batch_size", BATCH_BUCKETS, shard=shard)
-        self._c_admitted = registry.counter("requests_admitted", shard=shard)
-        self._c_completed = registry.counter("requests_completed", shard=shard)
-        self._c_withdrawn = registry.counter("requests_withdrawn", shard=shard)
+        for name, _ in _LOG_COUNTS:
+            registry.counter(name, shard=shard)
         self._c_decode_iters = registry.counter("decode_iterations", shard=shard)
 
+    def bind(self, scheduler) -> None:
+        """Attach the scheduler whose event log :meth:`FleetObserver.build`
+        reads (the scheduler calls this once, at construction)."""
+        self._scheduler = scheduler
+
     # -- scheduler hooks (hot path; keep allocation-light) ------------
-    def request_event(self, t_s: float, kind: str, request_id: int) -> None:
-        """Mirror one scheduler event into the lifecycle FSM.
-
-        ``kind`` is the :class:`~repro.serving.EventKind` value string.
-        The event log holds state changes only, so the first-token
-        instant arrives through :meth:`first_token`.
-        """
-        if kind == "arrival":
-            self._open[request_id] = [t_s, None, None, None]
-            return
-        rec = self._open.get(request_id)
-        if rec is None:
-            return
-        if kind == "admit":
-            rec[_ADMIT] = t_s
-            self._c_admitted.inc()
-        elif kind == "prefill_start":
-            rec[_PREFILL_START] = t_s
-            self._lifecycle.append(
-                ("QUEUE", rec[_ARRIVAL], t_s, request_id, None)
-            )
-        elif kind == "complete":
-            self._close(request_id, rec, t_s)
-        elif kind == "withdraw":
-            self._lifecycle.append(
-                ("QUEUE", rec[_ARRIVAL], t_s, request_id, "withdrawn")
-            )
-            self._c_withdrawn.inc()
-            del self._open[request_id]
-
-    def first_token(self, t_s: float, request_id: int) -> None:
-        """Record the first-token instant."""
-        rec = self._open.get(request_id)
-        if rec is not None:
-            rec[_FIRST_TOKEN] = t_s
-
     def step(
         self,
         t0_s: float,
@@ -134,7 +123,14 @@ class ShardObs(object):
         ``batch_size`` histogram counts decode iterations, not slices,
         so it reads the same however the iterations were coalesced.
         """
-        self._steps.append((t0_s, t1_s, kind, k, batch, request_id))
+        name = _STEP_NAMES.get(kind) or kind.upper()
+        has_rid = request_id is not None
+        self._steps.append(
+            (t0_s, t1_s, CAT_STEP, name, request_id if has_rid else -1,
+             self.shard_id,
+             row_kind("X", CAT_STEP, name, _STEP_KEYS, has_rid, raw=True),
+             (batch, k))
+        )
         if kind == "decode":
             self._h_batch.observe(float(batch), k)
             self._c_decode_iters.inc(k)
@@ -157,78 +153,30 @@ class ShardObs(object):
         self._g_waiting.record(t_s, float(n_waiting))
 
     # -- assembly -----------------------------------------------------
-    def _close(self, request_id: int, rec: List[Optional[float]], t_s: float) -> None:
-        prefill_start = rec[_PREFILL_START]
-        first_token = rec[_FIRST_TOKEN]
-        if prefill_start is not None and first_token is not None:
-            self._lifecycle.append(
-                ("PREFILL", prefill_start, first_token, request_id, None)
-            )
-        if first_token is not None:
-            self._lifecycle.append(
-                ("DECODE", first_token, t_s, request_id, None)
-            )
-        self._c_completed.inc()
-        del self._open[request_id]
-
-    def _snapshot(self) -> "_ShardSnapshot":
-        """An O(n) shallow copy of the raw event state — cheap enough
-        for :meth:`FleetObserver.build` to take inside a timed run."""
-        return (
-            list(self._lifecycle),
-            {rid: list(rec) for rid, rec in self._open.items()},
-            list(self._steps),
-        )
-
-    def drain_spans(self) -> List[Span]:
-        """All spans this shard produced (lifecycle + step slices).
-
-        Requests still open (e.g. in flight when a crash harvested the
-        shard) contribute only the phases with both endpoints known.
-        """
-        return _materialize_shard(self.shard_id, self._snapshot())
-
-
-_ShardSnapshot = Tuple[
-    List[Tuple[str, float, float, int, Optional[str]]],
-    Dict[int, List[Optional[float]]],
-    List[Tuple[float, float, str, int, int, Optional[int]]],
-]
-
-
-def _materialize_shard(shard_id: int, snap: _ShardSnapshot) -> List[Span]:
-    """Turn one shard's raw event snapshot into Span objects."""
-    lifecycle, open_reqs, steps = snap
-    spans: List[Span] = []
-    for name, t0, t1, request_id, outcome in lifecycle:
-        spans.append(
-            Span(
-                name, CAT_REQUEST, t0, t1, shard_id, request_id,
-                (("outcome", outcome),) if outcome is not None else (),
-            )
-        )
-    for request_id, rec in open_reqs.items():
-        prefill_start, first_token = rec[_PREFILL_START], rec[_FIRST_TOKEN]
-        # QUEUE was already emitted at prefill_start; only the phases
-        # with both endpoints known are reconstructed here.
-        if prefill_start is not None and first_token is not None:
-            spans.append(
-                Span.make(
-                    "PREFILL", CAT_REQUEST, prefill_start, first_token,
-                    shard_id=shard_id, request_id=request_id,
-                    outcome="interrupted",
+    def _snapshot(self) -> Tuple[Optional[EventLog], List[tuple]]:
+        """The bound scheduler's log so far (which never changes after
+        this) and a copy of the step rows; sets the log counters."""
+        log = None
+        if self._scheduler is not None:
+            log = self._scheduler.event_log()
+            shard = str(self.shard_id)
+            for name, code in _LOG_COUNTS:
+                self._reg.counter(name, shard=shard).value = float(
+                    log.kind.count(code)
                 )
-            )
-    step_name = {"prefill": "PREFILL_STEP", "decode": "DECODE_RUN"}
-    for t0, t1, kind, k, batch, request_id in steps:
-        spans.append(
-            Span.make(
-                step_name.get(kind, kind.upper()), CAT_STEP, t0, t1,
-                shard_id=shard_id, request_id=request_id,
-                k=k, batch=batch,
-            )
-        )
-    return spans
+        return log, list(self._steps)
+
+
+def _shard_rows(shard_id: int, log: Optional[EventLog], steps: List[tuple]) -> List[tuple]:
+    """One shard's lifecycle and step rows."""
+    if log is None:
+        return steps
+    # The scheduler logs PREFILL_START and then runs the prefill step,
+    # so the n-th prefill slice ends at the n-th prefill's first token.
+    prefill_ends = [
+        row[1] for row in steps if row[3] == "PREFILL_STEP" and row[4] >= 0
+    ]
+    return lifecycle_rows(shard_id, log, prefill_ends) + steps
 
 
 class FleetObserver(object):
@@ -237,9 +185,11 @@ class FleetObserver(object):
     def __init__(self, tick_s: float = 0.05) -> None:
         self.tick_s = tick_s
         self.registry = MetricsRegistry()
-        self._spans: List[Span] = []
-        self._instants: List[Instant] = []
+        self._spans: List[tuple] = []
+        self._instants: List[tuple] = []
         self._shards: Dict[int, ShardObs] = {}
+        self._policy_name = ""
+        self._decisions: Sequence = ()
 
     def shard(self, shard_id: int) -> ShardObs:
         """The (created-on-first-use) view bound to one shard."""
@@ -250,6 +200,13 @@ class FleetObserver(object):
             )
         return got
 
+    def bind_routing(self, policy_name: str, decisions: Sequence) -> None:
+        """Attach the fleet's (growing) list of routing decisions, from
+        which :meth:`build` derives ROUTE and MIGRATE instants and the
+        ``requests_routed`` and ``migrations`` counters."""
+        self._policy_name = policy_name
+        self._decisions = decisions
+
     def instant(
         self,
         name: str,
@@ -259,9 +216,14 @@ class FleetObserver(object):
         cat: str = CAT_REQUEST,
         **attrs: object,
     ) -> None:
-        """Record a fleet-level point event (SUBMIT, ROUTE, RETRY...)."""
+        """Record a fleet-level point event (SUBMIT, RETRY, SHED...)."""
+        keys = tuple(sorted(attrs))
         self._instants.append(
-            Instant.make(name, cat, t_s, shard_id, request_id, **attrs)
+            (t_s, cat, name,
+             -1 if request_id is None else request_id,
+             -1 if shard_id is None else shard_id,
+             row_kind("i", cat, name, keys, request_id is not None),
+             tuple(attrs[key] for key in keys))
         )
 
     def span(
@@ -275,8 +237,13 @@ class FleetObserver(object):
         **attrs: object,
     ) -> None:
         """Record a fleet-level interval (CRASH, REWARM, BROWNOUT...)."""
+        keys = tuple(sorted(attrs))
         self._spans.append(
-            Span.make(name, cat, t0_s, t1_s, shard_id, request_id, **attrs)
+            (t0_s, t1_s, cat, name,
+             -1 if request_id is None else request_id,
+             -1 if shard_id is None else shard_id,
+             row_kind("X", cat, name, keys, request_id is not None),
+             tuple(attrs[key] for key in keys))
         )
 
     def count(self, name: str, n: float = 1.0, **labels: object) -> None:
@@ -290,27 +257,44 @@ class FleetObserver(object):
     def build(self) -> "ObsBundle":
         """Snapshot the run into a trace + metrics bundle.
 
-        The snapshot is O(events) shallow list copies; Span objects are
-        materialized and sorted lazily on the bundle's first ``.trace``
-        access, so a simulated run never pays for export assembly. The
-        <= 1.5x enabled-mode overhead budget that
+        Sets the counters read from the logs and decisions (rebuilding
+        sets them again, it does not add), and takes O(shards +
+        decisions) shallow copies; the trace rows are built from them
+        and sorted on the bundle's first export or ``.trace`` read, so
+        a simulated run never pays for export assembly. The <= 1.5x
+        enabled-mode overhead budget that
         ``benchmarks/bench_obs_overhead.py`` enforces covers the run
         alone; the bench records the export's own cost (``export_s``)
         beside it, unbounded.
         """
         fleet_spans = list(self._spans)
-        instants = tuple(self._instants)
+        fleet_instants = list(self._instants)
+        decisions = tuple(self._decisions)
+        policy_name = self._policy_name
         snaps = [
             (shard_id, shard._snapshot())
             for shard_id, shard in self._shards.items()
         ]
         n_shards = (max(self._shards) + 1) if self._shards else 0
+        routed = _Tally(d.shard_id for d in decisions if d.migrated_from is None)
+        for shard_id, n in routed.items():
+            self.registry.counter("requests_routed", shard=shard_id).value = float(n)
+        migrated = _Tally(
+            (d.shard_id, d.migrated_from)
+            for d in decisions if d.migrated_from is not None
+        )
+        for (thief, donor), n in migrated.items():
+            self.registry.counter(
+                "migrations", thief=thief, donor=donor
+            ).value = float(n)
 
-        def assemble() -> FleetTrace:
-            spans = list(fleet_spans)
-            for shard_id, snap in snaps:
-                spans.extend(_materialize_shard(shard_id, snap))
-            return FleetTrace.build(spans, instants, n_shards=n_shards)
+        def assemble() -> Tuple[List[tuple], List[tuple], int]:
+            spans = fleet_spans
+            for shard_id, (log, steps) in snaps:
+                spans += _shard_rows(shard_id, log, steps)
+            instants = fleet_instants + routing_rows(decisions, policy_name)
+            sort_rows(spans, instants)
+            return spans, instants, n_shards
 
         return ObsBundle(metrics=self.registry, _assemble=assemble)
 
@@ -318,12 +302,14 @@ class FleetObserver(object):
 class ObsBundle(object):
     """The exportable artifact pair attached to a report.
 
-    ``trace`` is assembled lazily from the build-time snapshot on first
-    access (then cached); ``metrics`` is the live registry. Construct
-    with an explicit ``trace=`` for hand-built bundles in tests.
+    The trace's rows are assembled from the build-time snapshot on the
+    first export or ``trace`` read (then cached); ``trace`` materializes
+    them as span and instant objects on first access, which writing
+    never needs. ``metrics`` is the live registry. Construct with an
+    explicit ``trace=`` for hand-built bundles in tests.
     """
 
-    __slots__ = ("metrics", "_assemble", "_trace")
+    __slots__ = ("metrics", "_assemble", "_rows", "_trace")
 
     def __init__(
         self,
@@ -335,14 +321,26 @@ class ObsBundle(object):
             raise ValueError("ObsBundle needs a trace or an assembler")
         self.metrics = metrics
         self._assemble = _assemble
+        self._rows = None
         self._trace = trace
+
+    def _sorted_rows(self) -> Tuple[List[tuple], List[tuple], int]:
+        rows = self._rows
+        if rows is None:
+            if self._assemble is not None:
+                rows = self._assemble()
+            else:
+                rows = (*trace_rows(self._trace), self._trace.n_shards)
+            self._rows = rows
+        return rows
 
     @property
     def trace(self) -> FleetTrace:
         """The immutable span/instant trace (materialized on demand)."""
         trace = self._trace
         if trace is None:
-            trace = self._trace = self._assemble()
+            spans, instants, n_shards = self._sorted_rows()
+            trace = self._trace = rows_trace(spans, instants, n_shards)
         return trace
 
     def __repr__(self) -> str:
@@ -355,20 +353,18 @@ class ObsBundle(object):
 
     def perfetto(self) -> Dict[str, object]:
         """The trace as a Perfetto/Chrome ``trace_event`` document."""
-        from .perfetto import to_perfetto
-
-        return to_perfetto(self.trace)
+        spans, instants, _ = self._sorted_rows()
+        return rows_document(spans, instants)
 
     def write_trace(self, path: str) -> None:
         """Write the Perfetto JSON trace to ``path``.
 
-        Streams compact, key-sorted JSON through
-        :func:`~repro.obs.perfetto.write_perfetto`; the file parses to
+        Writes compact, key-sorted JSON through
+        :func:`~repro.obs.perfetto.write_rows`; the file parses to
         exactly :meth:`perfetto`'s document.
         """
-        from .perfetto import write_perfetto
-
-        write_perfetto(self.trace, path)
+        spans, instants, _ = self._sorted_rows()
+        write_rows(spans, instants, path)
 
     def write_metrics(self, path: str) -> None:
         """Write the metrics export; ``.csv`` suffix selects CSV."""

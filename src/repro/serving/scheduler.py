@@ -158,15 +158,18 @@ class EventLog:
     """A scheduler's event log, held as columns and read as events.
 
     One ``array`` per :class:`SchedulerEvent` field: ``t_s`` (``'d'``),
-    ``kind`` (``'b'``, a code for the :class:`EventKind`) and
-    ``request_id``, ``kv_reserved_bytes`` and ``queue_depth`` (``'q'``),
-    so an event costs 33 bytes and no object. ``len``, iteration and
+    ``kind`` (``'b'``, the :class:`EventKind`'s index in :attr:`KINDS`)
+    and ``request_id``, ``kv_reserved_bytes`` and ``queue_depth``
+    (``'q'``), so an event costs 33 bytes and no object. ``len``, iteration and
     indexing (negative indices and slices included) rebuild the
     :class:`SchedulerEvent` values exactly as logged; ``==`` compares
     the columns. Like a list, a log is not hashable.
     """
 
     __slots__ = ("t_s", "kind", "request_id", "kv_reserved_bytes", "queue_depth")
+
+    #: The kinds the ``kind`` column's codes index.
+    KINDS = _KINDS
 
     def __init__(self) -> None:
         self.t_s = array("d")
@@ -426,11 +429,13 @@ class ContinuousBatchingScheduler(_ShardLoad):
             keeps every number bit-identical to exact simulation.
         obs: optional per-shard observability sink (a
             :class:`~repro.obs.ShardObs` view, or anything duck-typed
-            like one). The scheduler only ever *reports* to it — events,
-            step slices, gauge samples — never reads from it, so results
-            are bit-identical with or without an observer. ``None`` (the
-            default) skips every hook behind a single ``is not None``
-            check: observability is provably free when off.
+            like one). The scheduler binds itself to it once, so the
+            observer can read the event log after the run, and then only
+            ever *reports* to it — step slices and gauge samples — never
+            reading from it, so results are bit-identical with or
+            without an observer. ``None`` (the default) skips every hook
+            behind a single ``is not None`` check: observability is
+            provably free when off.
         shard_id: the shard's index in a fleet (0 for a lone
             scheduler). A label policies report their choice by; it
             changes nothing the scheduler does.
@@ -498,6 +503,8 @@ class ContinuousBatchingScheduler(_ShardLoad):
         self.latency_scale = 1.0
         #: Observability sink (None = all hooks skipped, zero overhead).
         self._obs = obs
+        if obs is not None:
+            obs.bind(self)
         if on_complete is None and source is not None:
             on_complete = source.on_complete
         self._on_complete = on_complete
@@ -824,8 +831,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
         log.request_id.append(request_id)
         log.kv_reserved_bytes.append(self._kv_reserved)
         log.queue_depth.append(len(self._pending))
-        if self._obs is not None:
-            self._obs.request_event(self._clock, _KINDS[kind].value, request_id)
 
     def _ingest_arrivals(self) -> None:
         while self._future and self._future[0][0] <= self._clock:
@@ -898,7 +903,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
         self._forget_waiting(req)
         obs = self._obs
         if obs is not None:
-            obs.first_token(self._clock, req.request_id)
             obs.step(t0, self._clock, "prefill", 1, 1, req.request_id)
         if req.output_tokens <= 1:  # prefill emits the first token
             self._complete(
@@ -1125,6 +1129,12 @@ class ContinuousBatchingScheduler(_ShardLoad):
             else:
                 return
 
+    def event_log(self) -> EventLog:
+        """The events logged so far. The next event goes to a copy, so
+        the returned log never changes."""
+        self._events_shared = True
+        return self._events
+
     def result(self) -> ServingResult:
         """Package everything simulated so far into a result."""
         # Stable total order: admit time, then request id.
@@ -1139,13 +1149,12 @@ class ContinuousBatchingScheduler(_ShardLoad):
             duration = self._clock - first_arrival
         else:
             duration = 0.0  # a shard that was never routed a request
-        self._events_shared = True
         return ServingResult(
             model_name=self.engine.model.name,
             plan_name=self.engine.plan.name,
             source_name=self.source.name if self.source is not None else "external",
             records=ordered,
-            events=self._events,
+            events=self.event_log(),
             kv_budget_bytes=self.kv_budget_bytes,
             peak_kv_bytes=self._peak_kv,
             max_queue_depth=self._max_queue_depth,

@@ -20,6 +20,7 @@ from repro.obs import (
     trace_from_report,
 )
 from repro.packing import PackingPlanner
+from repro.serving import EventKind
 from repro.sim import WorkloadSimulator
 
 
@@ -89,14 +90,38 @@ class TestNestOpTrace:
 
 
 class TestTraceFromReport:
-    def test_unobserved_report_reconstructs_lifecycle(self, make_fleet,
-                                                      make_stream):
+    """An unobserved report's trace comes from the same log builder."""
+
+    def test_unobserved_report_reconstructs_lifecycle(
+        self, make_fleet, make_stream
+    ):
+        plain = make_fleet(steal=True).run(make_stream())
+        observed = make_fleet(obs=FleetObserver(), steal=True).run(make_stream())
+        trace = trace_from_report(plain)
+        assert trace.n_shards == 2
+        assert {"QUEUE", "PREFILL", "DECODE"} <= set(trace.span_names())
+        lifecycle = [s for s in observed.obs.trace.spans if s.cat == CAT_REQUEST]
+        assert list(trace.spans) == lifecycle
+        routing = [
+            i for i in observed.obs.trace.instants
+            if i.name in ("ROUTE", "MIGRATE")
+        ]
+        assert list(trace.instants) == routing
+
+    def test_queue_ends_at_prefill_start(self, make_fleet, make_stream):
         report = make_fleet().run(make_stream())
         trace = trace_from_report(report)
-        assert trace.n_shards == 2
-        names = set(trace.span_names())
-        assert {"QUEUE", "PREFILL", "DECODE"} <= names
-        assert all(s.shard_id is not None for s in trace.spans)
+        for shard in report.result.shard_results:
+            starts = {
+                ev.request_id: ev.t_s for ev in shard.events
+                if ev.kind is EventKind.PREFILL_START
+            }
+            for rec in shard.records:
+                rid = rec.request.request_id
+                (queue,) = [
+                    s for s in trace.for_request(rid).spans if s.name == "QUEUE"
+                ]
+                assert queue.t1_s == starts[rid] >= rec.admit_s
 
     def test_chaos_report_carries_fault_spans(self, chaos_reports):
         report_off, _ = chaos_reports

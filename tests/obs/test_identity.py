@@ -105,7 +105,7 @@ class TestCoalescingInvisible:
                 ctx_bucket=ctx_bucket, obs=observer.shard(0),
             )
             result = walk_tokens(scheduler) if walk else scheduler.run()
-            docs.append(observer.registry.to_dict())
+            docs.append(observer.build().metrics.to_dict())
         coalesced, walked = docs
         assert coalesced["counters"] == walked["counters"]
         assert coalesced["histograms"] == walked["histograms"]

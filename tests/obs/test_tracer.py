@@ -1,75 +1,117 @@
-"""Unit tests for ShardObs / FleetObserver / ObsBundle."""
+"""Unit tests for the log-built lifecycle, ShardObs, FleetObserver, ObsBundle."""
 
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from repro.obs import FleetObserver, MetricsRegistry, ObsBundle
+from repro.obs.bridge import lifecycle_rows, record_first_tokens
+from repro.obs.perfetto import rows_trace
 from repro.obs.spans import CAT_FAULT, CAT_STEP, FleetTrace, Span
+from repro.serving import ContinuousBatchingScheduler, EventKind, EventLog, Request
 
 
-def _shard(tick_s: float = 0.05):
-    obs = FleetObserver(tick_s=tick_s)
-    return obs, obs.shard(0)
+def _log(*events) -> EventLog:
+    """An event log holding ``(t_s, EventKind, request_id)`` events."""
+    log = EventLog()
+    for t_s, kind, request_id in events:
+        log.t_s.append(t_s)
+        log.kind.append(EventLog.KINDS.index(kind))
+        log.request_id.append(request_id)
+        log.kv_reserved_bytes.append(0)
+        log.queue_depth.append(0)
+    return log
+
+
+def _spans(log, first_tokens, shard_id=0):
+    return rows_trace(lifecycle_rows(shard_id, log, first_tokens), [], 1).spans
+
+
+A, M, P, C, W = (
+    EventKind.ARRIVAL, EventKind.ADMIT, EventKind.PREFILL_START,
+    EventKind.COMPLETE, EventKind.WITHDRAW,
+)
 
 
 class TestShardLifecycle:
+    """Lifecycle spans built from a hand-made event log."""
+
     def test_complete_request_emits_three_phase_spans(self):
-        obs, shard = _shard()
-        shard.request_event(0.0, "arrival", 1)
-        shard.request_event(0.1, "admit", 1)
-        shard.request_event(0.2, "prefill_start", 1)
-        shard.first_token(0.5, 1)
-        shard.request_event(1.5, "complete", 1)
-        by_name = {s.name: s for s in shard.drain_spans()}
-        assert by_name["QUEUE"].t0_s == 0.0
-        assert by_name["QUEUE"].t1_s == 0.2
-        assert by_name["PREFILL"].t0_s == 0.2
-        assert by_name["PREFILL"].t1_s == 0.5
-        assert by_name["DECODE"].t0_s == 0.5
-        assert by_name["DECODE"].t1_s == 1.5
-        assert all(s.shard_id == 0 and s.request_id == 1 for s in by_name.values())
+        log = _log((0.0, A, 1), (0.1, M, 1), (0.2, P, 1), (1.5, C, 1))
+        by_name = {s.name: s for s in _spans(log, [0.5], shard_id=3)}
+        assert (by_name["QUEUE"].t0_s, by_name["QUEUE"].t1_s) == (0.0, 0.2)
+        assert (by_name["PREFILL"].t0_s, by_name["PREFILL"].t1_s) == (0.2, 0.5)
+        assert (by_name["DECODE"].t0_s, by_name["DECODE"].t1_s) == (0.5, 1.5)
+        assert all(
+            s.shard_id == 3 and s.request_id == 1 and s.attrs == ()
+            for s in by_name.values()
+        )
 
     def test_withdraw_emits_queue_span_with_outcome(self):
-        obs, shard = _shard()
-        shard.request_event(0.0, "arrival", 3)
-        shard.request_event(0.4, "withdraw", 3)
-        (span,) = shard.drain_spans()
-        assert span.name == "QUEUE"
+        log = _log((0.0, A, 3), (0.4, W, 3))
+        (span,) = _spans(log, [])
+        assert (span.name, span.t0_s, span.t1_s) == ("QUEUE", 0.0, 0.4)
         assert span.attrs_dict == {"outcome": "withdrawn"}
 
     def test_interrupted_request_reports_known_phases_only(self):
-        obs, shard = _shard()
-        shard.request_event(0.0, "arrival", 5)
-        shard.request_event(0.1, "admit", 5)
-        shard.request_event(0.2, "prefill_start", 5)
-        shard.first_token(0.6, 5)
-        # No complete: the shard crashed. Partial spans only.
-        names = sorted(s.name for s in shard.drain_spans())
+        log = _log((0.0, A, 5), (0.1, M, 5), (0.2, P, 5))
+        names = sorted(s.name for s in _spans(log, [0.6]))
         assert names == ["PREFILL", "QUEUE"]
-        prefill = next(
-            s for s in shard.drain_spans() if s.name == "PREFILL"
-        )
+        prefill = next(s for s in _spans(log, [0.6]) if s.name == "PREFILL")
         assert prefill.attrs_dict == {"outcome": "interrupted"}
 
     def test_unknown_request_events_are_ignored(self):
-        obs, shard = _shard()
-        shard.request_event(0.0, "complete", 99)
-        shard.first_token(0.0, 99)
-        assert shard.drain_spans() == []
+        log = _log((0.0, C, 99), (0.1, P, 98), (0.2, W, 97))
+        assert _spans(log, [0.5]) == ()
+
+    def test_unknown_first_token_leaves_only_queue(self):
+        log = _log((0.0, A, 2), (0.2, P, 2), (0.9, C, 2))
+        assert [s.name for s in _spans(log, [None])] == ["QUEUE"]
+
+    def test_a_resubmitted_id_starts_a_new_lifecycle(self):
+        log = _log(
+            (0.0, A, 4), (0.1, W, 4),
+            (0.3, A, 4), (0.4, P, 4), (1.0, C, 4),
+        )
+        spans = _spans(log, [0.6])
+        assert [(s.name, s.t0_s, s.t1_s) for s in spans] == [
+            ("QUEUE", 0.0, 0.1), ("QUEUE", 0.3, 0.4),
+            ("PREFILL", 0.4, 0.6), ("DECODE", 0.6, 1.0),
+        ]
+
+    def test_record_first_tokens_take_the_completing_prefill(self):
+        class Rec:
+            class request:
+                request_id = 7
+            first_token_s = 2.5
+
+        log = _log(
+            (0.0, A, 7), (0.1, P, 7), (1.0, W, 7),
+            (1.5, A, 7), (2.0, P, 7), (3.0, C, 7),
+            (0.0, A, 8), (0.1, P, 8),
+        )
+        assert record_first_tokens(log, [Rec]) == [None, 2.5, None]
+
+
+def _scheduler(fast_engine, obs):
+    return ContinuousBatchingScheduler(fast_engine, max_batch=4, obs=obs)
 
 
 class TestStepsAndSamples:
     def test_step_spans_and_decode_metrics(self):
-        obs, shard = _shard()
+        obs = FleetObserver()
+        shard = obs.shard(0)
         shard.step(0.0, 0.1, "prefill", 1, 1, 7)
         shard.step(0.1, 0.9, "decode", 8, 4)
-        spans = [s for s in shard.drain_spans() if s.cat == CAT_STEP]
+        spans = [s for s in obs.build().trace.spans if s.cat == CAT_STEP]
         by_name = {s.name: s for s in spans}
         assert by_name["PREFILL_STEP"].request_id == 7
+        assert by_name["PREFILL_STEP"].attrs_dict == {"k": 1, "batch": 1}
         assert by_name["DECODE_RUN"].attrs_dict == {"k": 8, "batch": 4}
+        assert by_name["DECODE_RUN"].request_id is None
         reg = obs.registry
         assert reg.counter("decode_iterations", shard="0").value == 8
         # batch_size counts decode iterations: one run of 8 over 4.
@@ -78,7 +120,8 @@ class TestStepsAndSamples:
         assert batch.total == 32
 
     def test_sampling_is_tick_rate_limited(self):
-        obs, shard = _shard(tick_s=1.0)
+        obs = FleetObserver(tick_s=1.0)
+        shard = obs.shard(0)
         shard.sample(0.0, 10, 1, 2, 3)
         shard.sample(0.5, 20, 1, 2, 3)   # inside the tick: dropped
         shard.sample(1.0, 30, 1, 2, 3)
@@ -93,7 +136,7 @@ class TestFleetObserver:
         obs.span("CRASH", 1.0, 2.0, shard_id=1, n_requests_hit=2)
         obs.count("retries")
         obs.gauge("shards_up", 1.0, 1.0)
-        obs.shard(1).request_event(0.0, "arrival", 1)
+        obs.shard(1)
         bundle = obs.build()
         assert bundle.trace.n_shards == 2
         crash = next(s for s in bundle.trace.spans if s.name == "CRASH")
@@ -101,22 +144,63 @@ class TestFleetObserver:
         assert crash.attrs_dict == {"n_requests_hit": 2}
         assert bundle.metrics.counter("retries").value == 1.0
 
-    def test_build_snapshot_isolates_later_mutation(self):
+    def test_bound_scheduler_lifecycle_and_counters(self, fast_engine):
         obs = FleetObserver()
-        shard = obs.shard(0)
-        shard.request_event(0.0, "arrival", 1)
-        shard.request_event(0.1, "prefill_start", 1)
+        sched = _scheduler(fast_engine, obs.shard(0))
+        for i in range(3):
+            sched.submit(Request(i, 0.0, 16, 4))
+        sched.advance_until(math.inf)
+        bundle = obs.build()
+        names = sorted(s.name for s in bundle.trace.spans if s.request_id == 1)
+        assert names == ["DECODE", "PREFILL", "PREFILL_STEP", "QUEUE"]
+        reg = bundle.metrics
+        assert reg.counter("requests_admitted", shard="0").value == 3.0
+        assert reg.counter("requests_completed", shard="0").value == 3.0
+        # Rebuilding sets the log counters again; it does not add.
+        obs.build()
+        assert reg.counter("requests_completed", shard="0").value == 3.0
+
+    def test_build_snapshot_isolates_later_mutation(self, fast_engine):
+        obs = FleetObserver()
+        sched = _scheduler(fast_engine, obs.shard(0))
+        sched.submit(Request(1, 0.0, 16, 4))
+        sched.submit(Request(2, 0.0, 16, 4))
+        sched.advance_one()  # request 1's prefill; request 2 waits
         bundle = obs.build()
         # Events recorded after the snapshot must not leak in.
-        shard.request_event(0.2, "withdraw", 1)
-        assert [s.name for s in bundle.trace.spans] == ["QUEUE"]
-        assert bundle.trace.spans[0].attrs == ()
+        sched.withdraw(2)
+        sched.advance_until(math.inf)
+        # Request 1 is decoding: its PREFILL is known, its DECODE not.
+        assert [(s.name, s.request_id) for s in bundle.trace.spans] == [
+            ("QUEUE", 1), ("PREFILL", 1), ("PREFILL_STEP", 1),
+        ]
+        later = obs.build().trace
+        assert {s.name for s in later.spans} >= {"DECODE", "DECODE_RUN"}
+        withdrawn = [s for s in later.spans if s.request_id == 2]
+        assert [s.attrs_dict for s in withdrawn] == [{"outcome": "withdrawn"}]
+
+    def test_routing_decisions_become_instants_and_counters(self):
+        from repro.fleet import RoutingDecision
+
+        obs = FleetObserver()
+        decisions = [RoutingDecision(1, 0.5, 0, 0.25)]
+        obs.bind_routing("jsq", decisions)
+        decisions.append(RoutingDecision(1, 0.75, 1, migrated_from=0))
+        bundle = obs.build()
+        route, migrate = bundle.trace.instants
+        assert (route.name, route.shard_id, route.t_s) == ("ROUTE", 0, 0.5)
+        assert route.attrs_dict == {"policy": "jsq", "predicted_ttft_s": 0.25}
+        assert (migrate.name, migrate.shard_id) == ("MIGRATE", 1)
+        assert migrate.attrs_dict == {"from_shard": 0}
+        reg = bundle.metrics
+        assert reg.counter("requests_routed", shard=0).value == 1.0
+        assert reg.counter("migrations", thief=1, donor=0).value == 1.0
 
 
 class TestObsBundle:
     def test_lazy_trace_is_cached(self):
         obs = FleetObserver()
-        obs.shard(0).request_event(0.0, "arrival", 1)
+        obs.instant("SUBMIT", 0.0, request_id=1)
         bundle = obs.build()
         assert "lazy" in repr(bundle)
         assert bundle.trace is bundle.trace
@@ -126,11 +210,11 @@ class TestObsBundle:
         with pytest.raises(ValueError):
             ObsBundle(metrics=MetricsRegistry())
 
-    def test_write_trace_and_metrics(self, tmp_path):
+    def test_write_trace_and_metrics(self, tmp_path, fast_engine):
         obs = FleetObserver()
-        shard = obs.shard(0)
-        shard.request_event(0.0, "arrival", 1)
-        shard.request_event(0.1, "prefill_start", 1)
+        sched = _scheduler(fast_engine, obs.shard(0))
+        sched.submit(Request(1, 0.0, 16, 4))
+        sched.advance_until(math.inf)
         obs.count("requests_routed", shard=0)
         bundle = obs.build()
 
@@ -138,7 +222,8 @@ class TestObsBundle:
         bundle.write_trace(str(trace_path))
         doc = json.loads(trace_path.read_text())
         assert doc["otherData"]["schema"] == "repro.obs.trace"
-        assert doc["traceEvents"]
+        assert doc == bundle.perfetto()
+        assert {ev["name"] for ev in doc["traceEvents"]} >= {"QUEUE", "DECODE"}
 
         json_path = tmp_path / "metrics.json"
         bundle.write_metrics(str(json_path))
@@ -148,7 +233,9 @@ class TestObsBundle:
         bundle.write_metrics(str(csv_path))
         assert csv_path.read_text().startswith("kind,name,labels,t_s,value")
 
-    def test_explicit_trace_construction(self):
+    def test_explicit_trace_construction(self, tmp_path):
         trace = FleetTrace.build([Span.make("X", "request", 0.0, 1.0)])
         bundle = ObsBundle(metrics=MetricsRegistry(), trace=trace)
         assert bundle.trace is trace
+        bundle.write_trace(str(tmp_path / "trace.json"))
+        assert json.loads((tmp_path / "trace.json").read_text()) == bundle.perfetto()

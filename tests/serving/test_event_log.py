@@ -4,9 +4,10 @@ A scheduler keeps its state-change events as the columns of an
 :class:`~repro.serving.EventLog` and each record's TBT gaps as the
 ``array('d')`` its decode slot filled. These tests pin what readers of
 a :class:`~repro.serving.ServingResult` rely on: the log reads back the
-exact events the scheduler reported (checked against an observer that
-saw each one as it was logged), ``==`` sees every column, and a result
-is a snapshot that later simulation never changes.
+exact events the scheduler reported (checked against a probe on the
+scheduler's ``_log`` that saw each one as it was logged), ``==`` sees
+every column, and a result is a snapshot that later simulation never
+changes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from array import array
 
 import pytest
 
-from repro.obs import FleetObserver
 from repro.serving import (
     ContinuousBatchingScheduler,
     EventKind,
@@ -29,24 +29,21 @@ from repro.serving import (
 COLUMNS = ("t_s", "kind", "request_id", "kv_reserved_bytes", "queue_depth")
 
 
-class _RecordingObs:
-    """A real shard observer that also notes the scheduler state each
-    event carries, so the test sees the whole tuple at logging time."""
+def _record_logging(sched):
+    """Wrap the scheduler's ``_log`` so each event's whole tuple is
+    noted, from the scheduler's own state, at the moment it is logged."""
+    seen = []
+    log = sched._log
 
-    def __init__(self):
-        self.inner = FleetObserver().shard(0)
-        self.scheduler = None
-        self.seen = []
-
-    def request_event(self, t_s, kind, request_id):
-        s = self.scheduler
-        self.seen.append(
-            (t_s, EventKind(kind), request_id, s._kv_reserved, len(s._pending))
+    def recording(kind, request_id):
+        seen.append(
+            (sched._clock, EventLog.KINDS[kind], request_id,
+             sched._kv_reserved, len(sched._pending))
         )
-        self.inner.request_event(t_s, kind, request_id)
+        log(kind, request_id)
 
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
+    sched._log = recording
+    return seen
 
 
 @pytest.fixture
@@ -57,11 +54,10 @@ def make_sched(serving_engine, serving_model, prompt_dist, output_dist):
         serving_model.max_seq_len, serving_engine.config.act_bits
     )
 
-    def _make(n=24, seed=3, obs=None):
+    def _make(n=24, seed=3):
         source = poisson_stream(n, 40.0, prompt_dist, output_dist, seed=seed)
         return ContinuousBatchingScheduler(
             serving_engine, source, kv_budget_bytes=3 * worst, max_batch=4,
-            obs=obs,
         )
 
     return _make
@@ -69,21 +65,20 @@ def make_sched(serving_engine, serving_model, prompt_dist, output_dist):
 
 class TestEventLogReadsBack:
     def test_events_match_the_observer_side_recording(self, make_sched):
-        recorder = _RecordingObs()
-        sched = make_sched(obs=recorder)
-        recorder.scheduler = sched
+        sched = make_sched()
+        recorded = _record_logging(sched)
         events = sched.run().events
         assert isinstance(events, EventLog)
-        assert len(events) == len(recorder.seen) > 0
+        assert len(events) == len(recorded) > 0
         assert [
             (ev.t_s, ev.kind, ev.request_id, ev.kv_reserved_bytes, ev.queue_depth)
             for ev in events
-        ] == recorder.seen
-        for i, seen in enumerate(recorder.seen):
+        ] == recorded
+        for i, seen in enumerate(recorded):
             assert events[i] == SchedulerEvent(*seen)
             assert events[i - len(events)] == SchedulerEvent(*seen)
-        assert events[-1] == SchedulerEvent(*recorder.seen[-1])
-        assert events[2:5] == tuple(SchedulerEvent(*s) for s in recorder.seen[2:5])
+        assert events[-1] == SchedulerEvent(*recorded[-1])
+        assert events[2:5] == tuple(SchedulerEvent(*s) for s in recorded[2:5])
         with pytest.raises(IndexError):
             events[len(events)]
 
