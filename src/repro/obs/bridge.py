@@ -37,17 +37,17 @@ __all__ = [
     "trace_from_report",
 ]
 
-_ARRIVAL, _PREFILL_START, _COMPLETE, _WITHDRAW = map(
+_ARRIVAL, _ADMIT, _PREFILL_START, _COMPLETE = map(
     EventLog.KINDS.index,
-    (EventKind.ARRIVAL, EventKind.PREFILL_START, EventKind.COMPLETE,
-     EventKind.WITHDRAW),
+    (EventKind.ARRIVAL, EventKind.ADMIT, EventKind.PREFILL_START,
+     EventKind.COMPLETE),
 )
 
 _QUEUE = row_kind("X", CAT_REQUEST, "QUEUE", raw=True)
 _PREFILL = row_kind("X", CAT_REQUEST, "PREFILL", raw=True)
 _DECODE = row_kind("X", CAT_REQUEST, "DECODE", raw=True)
 _QUEUE_OUT = row_kind("X", CAT_REQUEST, "QUEUE", ("outcome",))
-_PREFILL_OUT = row_kind("X", CAT_REQUEST, "PREFILL", ("outcome",))
+_DECODE_OUT = row_kind("X", CAT_REQUEST, "DECODE", ("outcome",))
 _ROUTE = row_kind("i", CAT_REQUEST, "ROUTE", ("policy", "predicted_ttft_s"))
 _MIGRATE = row_kind("i", CAT_REQUEST, "MIGRATE", ("from_shard",), raw=True)
 _FAULT_KEYS = ("n_requests_hit",)
@@ -142,9 +142,12 @@ def lifecycle_rows(
     that prefill's first-token instant (``None`` where it is unknown).
     QUEUE runs from arrival to prefill start, or to withdrawal with
     ``outcome: withdrawn``; PREFILL from prefill start to the first
-    token and DECODE from there to completion. A request still open at
-    the end of the log contributes an ``interrupted`` PREFILL when both
-    its ends are known. Rows come out in the order the log closes them.
+    token; DECODE from there to completion, or to the crash that
+    evicted the request (its WITHDRAW after prefill start) with
+    ``outcome: interrupted``. A prefill step is atomic, so only DECODE
+    can be cut short. A phase with an unknown end is left out: a
+    request still decoding at the end of the log has no DECODE yet.
+    Rows come out in the order the log closes them.
     """
     rows: List[tuple] = []
     append = rows.append
@@ -161,24 +164,26 @@ def lifecycle_rows(
                 rec[2] = token
                 append((rec[0], t, CAT_REQUEST, "QUEUE", rid, shard_id,
                         _QUEUE, ()))
-        elif rid not in open_reqs:
-            continue  # an id this log never saw arrive
-        elif code == _COMPLETE:
-            _, start, token = open_reqs.pop(rid)
-            if token is not None:
-                if start is not None:
-                    append((start, token, CAT_REQUEST, "PREFILL", rid, shard_id,
-                            _PREFILL, ()))
-                append((token, t, CAT_REQUEST, "DECODE", rid, shard_id,
-                        _DECODE, ()))
-        elif code == _WITHDRAW:
-            arrival = open_reqs.pop(rid)[0]
-            append((arrival, t, CAT_REQUEST, "QUEUE", rid, shard_id,
-                    _QUEUE_OUT, ("withdrawn",)))
+        elif code == _ADMIT or rid not in open_reqs:
+            continue  # admission closes no phase; or an id never seen
+        else:  # COMPLETE, or WITHDRAW: stolen, shed or crashed
+            arrival, start, token = open_reqs.pop(rid)
+            if start is None:
+                append((arrival, t, CAT_REQUEST, "QUEUE", rid, shard_id,
+                        _QUEUE_OUT, ("withdrawn",)))
+            elif token is not None:
+                append((start, token, CAT_REQUEST, "PREFILL", rid, shard_id,
+                        _PREFILL, ()))
+                if code == _COMPLETE:
+                    append((token, t, CAT_REQUEST, "DECODE", rid, shard_id,
+                            _DECODE, ()))
+                else:
+                    append((token, t, CAT_REQUEST, "DECODE", rid, shard_id,
+                            _DECODE_OUT, ("interrupted",)))
     for rid, (_, start, token) in open_reqs.items():
         if start is not None and token is not None:
             append((start, token, CAT_REQUEST, "PREFILL", rid, shard_id,
-                    _PREFILL_OUT, ("interrupted",)))
+                    _PREFILL, ()))
     return rows
 
 

@@ -315,23 +315,32 @@ def _flow_texts(
 ) -> Iterator[str]:
     """Router→shard arrows: one flow per (request, attempt) hand-off.
 
-    A request's n-th ROUTE (in trace order) pairs with its n-th QUEUE
-    span, whichever shard that span is on.
+    Attempt ``n`` is a request's n-th ROUTE in trace order. It lands on
+    the first QUEUE span of the request on the routed shard that starts
+    at or after the route and before the request's next ROUTE to that
+    shard; a route the shard withdrew before it saw the request gets
+    no arrow.
     """
     routes: Dict[int, List[tuple]] = {}
     for row in instant_rows:
         if row[2] == "ROUTE" and row[3] >= 0:
             routes.setdefault(row[3], []).append(row)
-    landings: Dict[int, List[tuple]] = {}
+    starts: Dict[Tuple[int, int], List[float]] = {}
     for row in span_rows:
         if row[3] == "QUEUE" and row[2] == CAT_REQUEST and row[4] >= 0:
-            landings.setdefault(row[4], []).append(row)
+            starts.setdefault((row[4], row[5]), []).append(row[0])
     for rid in sorted(routes):
-        for attempt, (route, landed) in enumerate(
-            zip(routes[rid], landings.get(rid, ()))
-        ):
-            yield _FLOW_START % (rid, attempt, _pid(route[4]), route[0] * 1e6)
-            yield _FLOW_FINISH % (rid, attempt, _pid(landed[5]), landed[0] * 1e6)
+        attempts = routes[rid]
+        for attempt, (t, _, _, _, shard, _, _) in enumerate(attempts):
+            queued = starts.get((rid, shard), ())
+            i = bisect_left(queued, t)
+            until = next(
+                (r[0] for r in attempts[attempt + 1:] if r[4] == shard), math.inf
+            )
+            if i < len(queued) and queued[i] < until:
+                pid = _pid(shard)
+                yield _FLOW_START % (rid, attempt, pid, t * 1e6)
+                yield _FLOW_FINISH % (rid, attempt, pid, queued[i] * 1e6)
 
 
 def _event_texts(
@@ -389,9 +398,11 @@ def write_perfetto(trace: FleetTrace, path: str) -> None:
 def validate_trace_events(doc: object) -> Dict[str, int]:
     """Structurally validate a ``trace_event`` document.
 
-    Checks the invariants Perfetto's legacy JSON importer relies on and
-    returns summary counts; raises :class:`SimulationError` on the
-    first violation.  Used by tests and the CI ``obs-smoke`` job.
+    Checks the invariants Perfetto's legacy JSON importer relies on
+    (known phases, integer pids and tids, non-negative times, every flow
+    finish matched by a start no later than it) and returns summary
+    counts; raises :class:`SimulationError` on the first violation.
+    Used by tests and the CI ``obs-smoke`` job.
     """
     if not isinstance(doc, dict):
         raise SimulationError("trace document must be a JSON object")
@@ -400,8 +411,8 @@ def validate_trace_events(doc: object) -> Dict[str, int]:
         raise SimulationError("traceEvents must be a non-empty list")
 
     counts = {"events": 0, "complete": 0, "instant": 0, "metadata": 0, "flow": 0}
-    flow_starts = set()
-    flow_ends = set()
+    flow_starts: Dict[object, float] = {}
+    flow_ends: Dict[object, float] = {}
     for n, ev in enumerate(events):
         where = f"traceEvents[{n}]"
         if not isinstance(ev, dict):
@@ -437,10 +448,17 @@ def validate_trace_events(doc: object) -> Dict[str, int]:
             if flow_id is None:
                 raise SimulationError(f"{where}: flow event needs an id")
             counts["flow"] += 1
-            (flow_starts if ph == "s" else flow_ends).add(flow_id)
-    unmatched = flow_ends - flow_starts
+            (flow_starts if ph == "s" else flow_ends)[flow_id] = ts
+    unmatched = flow_ends.keys() - flow_starts.keys()
     if unmatched:
         raise SimulationError(
             f"flow finish without start for ids: {sorted(unmatched)[:5]}"
+        )
+    backward = sorted(
+        flow_id for flow_id, ts in flow_ends.items() if ts < flow_starts[flow_id]
+    )
+    if backward:
+        raise SimulationError(
+            f"flow finish before its start for ids: {backward[:5]}"
         )
     return counts

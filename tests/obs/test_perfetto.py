@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from oracles.obs_reference import document_text, reference_trace
 from repro.errors import SimulationError
 from repro.obs import (
     CAT_FAULT,
@@ -113,6 +114,21 @@ class TestValidator:
         with pytest.raises(SimulationError):
             validate_trace_events(bad)
 
+    def test_rejects_flow_finishing_before_its_start(self):
+        # Retry arrow req1157.1 of the seed-0 perfbench chaos trace, as
+        # n-th-ROUTE-to-n-th-QUEUE pairing drew it: from the route on
+        # shard 2 at 150.001 s back to a QUEUE on shard 0 at 148.693 s.
+        bad = {
+            "traceEvents": [
+                {"ph": "s", "name": "route", "cat": "flow", "id": "req1157.1",
+                 "pid": 4, "tid": 1, "ts": 150001000.0},
+                {"ph": "f", "name": "route", "cat": "flow", "id": "req1157.1",
+                 "pid": 2, "tid": 1, "ts": 148693000.0, "bp": "e"},
+            ]
+        }
+        with pytest.raises(SimulationError, match="before its start"):
+            validate_trace_events(bad)
+
     def test_counts_by_phase(self):
         doc = to_perfetto(_sample_trace())
         counts = validate_trace_events(doc)
@@ -120,6 +136,47 @@ class TestValidator:
         assert counts["instant"] == 2
         assert counts["flow"] == 2
         assert counts["metadata"] > 0
+
+
+class TestRouteFlows:
+    """Each ROUTE lands on the routed shard's next QUEUE span."""
+
+    def _retried_chaos(self, make_fleet, make_stream):
+        # Seed 2's chaos run crashes two requests mid-flight and retries
+        # them onto the other shard.
+        return make_fleet(obs=FleetObserver(tick_s=0.01), faults="chaos").run(
+            make_stream("bursty", 12, 2)
+        )
+
+    def test_original_pairing_is_rejected(self, make_fleet, make_stream):
+        report = self._retried_chaos(make_fleet, make_stream)
+        original = json.loads(document_text(reference_trace(report), fixed=False))
+        with pytest.raises(SimulationError, match="before its start"):
+            validate_trace_events(original)
+
+    def test_arrows_land_on_the_routed_shard_no_earlier(
+        self, make_fleet, make_stream
+    ):
+        report = self._retried_chaos(make_fleet, make_stream)
+        doc = report.obs.perfetto()
+        validate_trace_events(doc)
+        flows = {}
+        for ev in doc["traceEvents"]:
+            if ev["ph"] in ("s", "f"):
+                flows.setdefault(ev["id"], {})[ev["ph"]] = ev
+        queues = {
+            (ev["args"]["request_id"], ev["pid"], ev["ts"])
+            for ev in doc["traceEvents"]
+            if ev["ph"] == "X" and ev["name"] == "QUEUE"
+        }
+        retried = [fid for fid in flows if not fid.endswith(".0")]
+        assert retried
+        for fid, pair in flows.items():
+            start, finish = pair["s"], pair["f"]
+            assert start["pid"] == finish["pid"]
+            assert finish["ts"] >= start["ts"]
+            rid = int(fid[3:].split(".")[0])
+            assert (rid, finish["pid"], finish["ts"]) in queues
 
 
 class TestFleetRunExport:

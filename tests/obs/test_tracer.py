@@ -57,11 +57,22 @@ class TestShardLifecycle:
         assert span.attrs_dict == {"outcome": "withdrawn"}
 
     def test_interrupted_request_reports_known_phases_only(self):
-        log = _log((0.0, A, 5), (0.1, M, 5), (0.2, P, 5))
-        names = sorted(s.name for s in _spans(log, [0.6]))
-        assert names == ["PREFILL", "QUEUE"]
-        prefill = next(s for s in _spans(log, [0.6]) if s.name == "PREFILL")
-        assert prefill.attrs_dict == {"outcome": "interrupted"}
+        # A crash evicts request 5 mid-decode (its WITHDRAW follows its
+        # prefill): one QUEUE, the whole PREFILL, an interrupted DECODE.
+        log = _log((0.0, A, 5), (0.1, M, 5), (0.2, P, 5), (0.9, W, 5))
+        spans = _spans(log, [0.6])
+        assert [(s.name, s.t0_s, s.t1_s, s.attrs_dict) for s in spans] == [
+            ("QUEUE", 0.0, 0.2, {}),
+            ("PREFILL", 0.2, 0.6, {}),
+            ("DECODE", 0.6, 0.9, {"outcome": "interrupted"}),
+        ]
+        # Without the first-token instant only the QUEUE is bounded.
+        assert [s.name for s in _spans(log, [None])] == ["QUEUE"]
+
+    def test_request_still_decoding_has_no_decode_yet(self):
+        log = _log((0.0, A, 6), (0.1, M, 6), (0.2, P, 6))
+        spans = _spans(log, [0.6])
+        assert [(s.name, s.attrs) for s in spans] == [("QUEUE", ()), ("PREFILL", ())]
 
     def test_unknown_request_events_are_ignored(self):
         log = _log((0.0, C, 99), (0.1, P, 98), (0.2, W, 97))
