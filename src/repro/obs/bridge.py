@@ -10,13 +10,11 @@ Two directions:
   :class:`repro.sim.trace.TraceEvent` stays the cycle-domain record,
   and this module is the one place that converts it to an obs
   :class:`~repro.obs.spans.Span`.
-* **up** — :func:`lifecycle_rows` builds every request's QUEUE,
-  PREFILL and DECODE spans from a shard's event log after the run, and
-  :func:`routing_rows` the ROUTE and MIGRATE instants from the fleet's
-  routing decisions. :class:`~repro.obs.FleetObserver` builds an
-  observed run's trace with them, and :func:`trace_from_report` an
-  unobserved :class:`~repro.fleet.FleetReport`'s, so
-  ``FleetReport.timeline()`` draws the same lifecycle either way.
+* **up** — :func:`lifecycle_rows` builds request lifecycle spans from
+  a shard's event log and :func:`routing_rows` ROUTE / MIGRATE instants
+  from routing decisions, after the run: for an observed run's trace
+  (:class:`~repro.obs.FleetObserver`) and, through
+  :func:`trace_from_report`, for an unobserved report's.
 """
 
 from __future__ import annotations
@@ -25,8 +23,15 @@ from typing import Iterable, List, Optional, Sequence
 
 from ..errors import SimulationError
 from ..serving.scheduler import EventKind, EventLog
-from .perfetto import row_kind, rows_trace
-from .spans import CAT_FAULT, CAT_OP, CAT_REQUEST, FleetTrace, Span
+from .spans import (
+    CAT_FAULT,
+    CAT_OP,
+    CAT_REQUEST,
+    FleetTrace,
+    Span,
+    event_row,
+    row_kind,
+)
 
 __all__ = [
     "op_spans",
@@ -43,14 +48,13 @@ _ARRIVAL, _ADMIT, _PREFILL_START, _COMPLETE = map(
      EventKind.COMPLETE),
 )
 
-_QUEUE = row_kind("X", CAT_REQUEST, "QUEUE", raw=True)
-_PREFILL = row_kind("X", CAT_REQUEST, "PREFILL", raw=True)
-_DECODE = row_kind("X", CAT_REQUEST, "DECODE", raw=True)
+_QUEUE, _PREFILL, _DECODE = (
+    row_kind("X", CAT_REQUEST, name) for name in ("QUEUE", "PREFILL", "DECODE")
+)
 _QUEUE_OUT = row_kind("X", CAT_REQUEST, "QUEUE", ("outcome",))
 _DECODE_OUT = row_kind("X", CAT_REQUEST, "DECODE", ("outcome",))
 _ROUTE = row_kind("i", CAT_REQUEST, "ROUTE", ("policy", "predicted_ttft_s"))
 _MIGRATE = row_kind("i", CAT_REQUEST, "MIGRATE", ("from_shard",), raw=True)
-_FAULT_KEYS = ("n_requests_hit",)
 
 
 def op_spans(
@@ -138,52 +142,44 @@ def lifecycle_rows(
 ) -> List[tuple]:
     """One shard's QUEUE, PREFILL and DECODE span rows, from its log.
 
-    ``first_token_s`` yields, for each PREFILL_START event in log order,
-    that prefill's first-token instant (``None`` where it is unknown).
-    QUEUE runs from arrival to prefill start, or to withdrawal with
-    ``outcome: withdrawn``; PREFILL from prefill start to the first
-    token; DECODE from there to completion, or to the crash that
-    evicted the request (its WITHDRAW after prefill start) with
-    ``outcome: interrupted``. A prefill step is atomic, so only DECODE
-    can be cut short. A phase with an unknown end is left out: a
-    request still decoding at the end of the log has no DECODE yet.
-    Rows come out in the order the log closes them.
+    ``first_token_s`` yields, per PREFILL_START event in log order, that
+    prefill's first-token instant (``None`` where unknown). QUEUE runs
+    from arrival to prefill start, or to a withdrawal before it
+    (``outcome: withdrawn``); PREFILL to the first token; DECODE to
+    completion, or to the crash that evicted the request after its
+    prefill (``outcome: interrupted``: a prefill step is atomic, so
+    only DECODE can be cut short). A phase with an unknown end is left
+    out, such as the DECODE of a request still decoding.
     """
     rows: List[tuple] = []
-    append = rows.append
     first = iter(first_token_s)
     open_reqs = {}  # request id -> [arrival, prefill start, first token]
+
+    def add(t0, t1, kind, rid, values=()):
+        rows.append((t0, t1, CAT_REQUEST, kind.name, rid, shard_id, kind, values))
+
     for t, code, rid in zip(log.t_s, log.kind, log.request_id):
         if code == _ARRIVAL:
             open_reqs[rid] = [t, None, None]
         elif code == _PREFILL_START:
             token = next(first, None)
-            rec = open_reqs.get(rid)
-            if rec is not None:
-                rec[1] = t
-                rec[2] = token
-                append((rec[0], t, CAT_REQUEST, "QUEUE", rid, shard_id,
-                        _QUEUE, ()))
-        elif code == _ADMIT or rid not in open_reqs:
-            continue  # admission closes no phase; or an id never seen
-        else:  # COMPLETE, or WITHDRAW: stolen, shed or crashed
+            if rid in open_reqs:
+                rec = open_reqs[rid]
+                rec[1:] = t, token
+                add(rec[0], t, _QUEUE, rid)
+        elif code != _ADMIT and rid in open_reqs:  # COMPLETE or WITHDRAW
             arrival, start, token = open_reqs.pop(rid)
-            if start is None:
-                append((arrival, t, CAT_REQUEST, "QUEUE", rid, shard_id,
-                        _QUEUE_OUT, ("withdrawn",)))
+            if start is None:  # stolen, shed or crashed while waiting
+                add(arrival, t, _QUEUE_OUT, rid, ("withdrawn",))
             elif token is not None:
-                append((start, token, CAT_REQUEST, "PREFILL", rid, shard_id,
-                        _PREFILL, ()))
+                add(start, token, _PREFILL, rid)
                 if code == _COMPLETE:
-                    append((token, t, CAT_REQUEST, "DECODE", rid, shard_id,
-                            _DECODE, ()))
+                    add(token, t, _DECODE, rid)
                 else:
-                    append((token, t, CAT_REQUEST, "DECODE", rid, shard_id,
-                            _DECODE_OUT, ("interrupted",)))
+                    add(token, t, _DECODE_OUT, rid, ("interrupted",))
     for rid, (_, start, token) in open_reqs.items():
         if start is not None and token is not None:
-            append((start, token, CAT_REQUEST, "PREFILL", rid, shard_id,
-                    _PREFILL, ()))
+            add(start, token, _PREFILL, rid)
     return rows
 
 
@@ -207,11 +203,11 @@ def record_first_tokens(log: EventLog, records: Sequence) -> List[Optional[float
 def routing_rows(decisions: Sequence, policy_name: str) -> List[tuple]:
     """ROUTE and MIGRATE instant rows of a fleet's routing decisions."""
     return [
-        (d.arrival_s, CAT_REQUEST, "ROUTE", d.request_id, d.shard_id, _ROUTE,
-         (policy_name, d.predicted_ttft_s))
+        (d.arrival_s, d.arrival_s, CAT_REQUEST, "ROUTE", d.request_id,
+         d.shard_id, _ROUTE, (policy_name, d.predicted_ttft_s))
         if d.migrated_from is None else
-        (d.arrival_s, CAT_REQUEST, "MIGRATE", d.request_id, d.shard_id,
-         _MIGRATE, (d.migrated_from,))
+        (d.arrival_s, d.arrival_s, CAT_REQUEST, "MIGRATE", d.request_id,
+         d.shard_id, _MIGRATE, (d.migrated_from,))
         for d in decisions
     ]
 
@@ -220,12 +216,10 @@ def trace_from_report(report) -> FleetTrace:
     """The lifecycle trace of a built FleetReport, observed or not.
 
     The fallback behind ``FleetReport.timeline()`` for runs without an
-    observer. Spans come from each shard's event log through
-    :func:`lifecycle_rows`, with first tokens from the records (an
-    unobserved run has no prefill slices, so a request a crash cut
-    short shows only what its log bounds); ROUTE and MIGRATE instants
-    from the routing decisions; fault windows from the resilience
-    report when present.
+    observer: :func:`lifecycle_rows` over each shard's log, with first
+    tokens from the records (so a request a crash evicted shows only
+    its QUEUE), ROUTE / MIGRATE from the decisions, and the resilience
+    report's fault windows.
     """
     result = report.result
     spans: List[tuple] = []
@@ -236,13 +230,11 @@ def trace_from_report(report) -> FleetTrace:
                 record_first_tokens(shard.events, shard.records),
             )
         )
-    if report.resilience is not None:
-        for fault in report.resilience.faults:
-            name = fault.kind.value.upper()
-            spans.append(
-                (fault.at_s, fault.until_s, CAT_FAULT, name, -1, fault.shard_id,
-                 row_kind("X", CAT_FAULT, name, _FAULT_KEYS, False),
-                 (fault.n_requests_hit,))
-            )
+    for fault in report.resilience.faults if report.resilience else ():
+        spans.append(
+            event_row("X", fault.at_s, fault.until_s, CAT_FAULT,
+                      fault.kind.value.upper(), None, fault.shard_id,
+                      (("n_requests_hit", fault.n_requests_hit),))
+        )
     instants = routing_rows(result.decisions, result.policy_name)
-    return rows_trace(spans, instants, result.n_shards)
+    return FleetTrace(spans, instants, result.n_shards)

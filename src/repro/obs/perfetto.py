@@ -11,33 +11,14 @@ https://ui.perfetto.dev and ``chrome://tracing``:
   simulated time), instants as ``i`` events;
 * request hand-offs as flow events: a ``s`` (flow start) at the ROUTE
   decision connects to a ``f`` (flow finish) at the request's QUEUE
-  span on the routed shard, so Perfetto draws the arrow from router to
-  shard — one arrow per attempt when retries re-route a request.
+  span on the routed shard — one arrow per attempt when retries
+  re-route a request.
 
-**Rows.** The writer reads events as *rows*, plain tuples that start
-with the sort key :meth:`~repro.obs.spans.FleetTrace.build` orders
-events by:
-
-* a span row is ``(t0_s, t1_s, cat, name, request_id, shard_id, kind,
-  values)``;
-* an instant row is ``(t_s, cat, name, request_id, shard_id, kind,
-  values)``.
-
-An absent request or shard id is ``-1`` (ids are non-negative), which
-is also the value the sort key gives it. ``kind`` is a :class:`RowKind`
-(one per phase, category, name and attribute names); ``values`` are the
-attribute values in sorted-name order. The observer and the log
-builders in :mod:`repro.obs.bridge` produce rows directly, and
-:func:`trace_rows` turns a :class:`~repro.obs.spans.FleetTrace` into
-them, so one formatter serves every export:
-
-* :func:`write_perfetto` / :func:`write_rows` write the document to a
-  file as compact, key-sorted JSON, :data:`WRITE_BATCH` events per
-  write, each event through its kind's ``%``-template: no per-event
-  dict, span or instant object is built;
-* :func:`to_perfetto` / :func:`rows_document` parse the same text back
-  into the document dict.
-
+One formatter writes every export: each of a trace's rows (see
+:mod:`repro.obs.spans`) through its kind's ``%``-template, so no
+per-event dict, span or instant is built. :func:`write_perfetto` writes
+the text :data:`WRITE_BATCH` events per write; :func:`to_perfetto`
+parses the same text back into the document dict.
 :func:`validate_trace_events` is the structural checker used by tests
 and the CI ``obs-smoke`` job.
 """
@@ -45,11 +26,10 @@ and the CI ``obs-smoke`` job.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..errors import SimulationError
 from .spans import (
@@ -57,45 +37,32 @@ from .spans import (
     CAT_OP,
     CAT_REQUEST,
     CAT_STEP,
+    ENCODE,
     OBS_SCHEMA,
     OBS_SCHEMA_VERSION,
+    TIDS,
     FleetTrace,
-    Instant,
-    Span,
 )
 
-__all__ = [
-    "RowKind",
-    "row_kind",
-    "sort_rows",
-    "trace_rows",
-    "rows_trace",
-    "write_rows",
-    "rows_document",
-    "to_perfetto",
-    "write_perfetto",
-    "validate_trace_events",
-]
+__all__ = ["to_perfetto", "write_perfetto", "validate_trace_events"]
 
 #: pid of the synthetic process holding fleet-global events.
 FLEET_PID = 1
 
-#: Events per write in :func:`write_rows`. Large enough that the
+#: Events per write in :func:`write_perfetto`. Large enough that the
 #: per-write overhead vanishes, small enough that a batch's text stays
 #: a small part of a large trace.
 WRITE_BATCH = 2048
 
-#: Sort keys of span and instant rows (``FleetTrace.build``'s order).
-SPAN_KEY = itemgetter(0, 1, 2, 3, 4, 5)
-INSTANT_KEY = itemgetter(0, 1, 2, 3, 4)
-
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_ENCODE_STR = json.encoder.encode_basestring_ascii
-_HEAD = '{"displayTimeUnit":"ms","otherData":%s,"traceEvents":[' % _ENCODE(
+_HEAD = '{"displayTimeUnit":"ms","otherData":%s,"traceEvents":[' % ENCODE(
     {"schema": OBS_SCHEMA, "schema_version": OBS_SCHEMA_VERSION}
 )
+_FLOW = (
+    '{%s"cat":"flow","id":"req%%d.%%d","name":"route","ph":"%s","pid":%%d,'
+    '"tid":1,"ts":%%r}'
+)
+_FLOW_START, _FLOW_FINISH = _FLOW % ("", "s"), _FLOW % ('"bp":"e",', "f")
 
-_TIDS = {CAT_REQUEST: 1, CAT_STEP: 2, CAT_FAULT: 3, CAT_OP: 4}
 _TID_NAMES = {
     CAT_REQUEST: "requests",
     CAT_STEP: "steps",
@@ -104,215 +71,25 @@ _TID_NAMES = {
 }
 _VALID_PHASES = frozenset({"X", "M", "i", "I", "s", "t", "f", "b", "e", "C"})
 
-_FLOW_START = (
-    '{"cat":"flow","id":"req%%d.%%d","name":"route","ph":"s","pid":%%d,'
-    '"tid":%d,"ts":%%r}' % _TIDS[CAT_REQUEST]
-)
-_FLOW_FINISH = (
-    '{"bp":"e","cat":"flow","id":"req%%d.%%d","name":"route","ph":"f",'
-    '"pid":%%d,"tid":%d,"ts":%%r}' % _TIDS[CAT_REQUEST]
-)
 
-
-def _tid(cat: str) -> int:
-    return _TIDS.get(cat, 9)
-
-
-def _json_value(value: object) -> str:
-    """``value`` as the JSON text the document encoder writes for it
-    (scalars directly; anything else through the encoder itself)."""
-    if isinstance(value, str):
-        return _ENCODE_STR(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    return _ENCODE(value)
-
-
-def _literal(value: object) -> str:
-    """``value`` as JSON text, escaped for use inside a %-template."""
-    return _ENCODE(value).replace("%", "%%")
-
-
-class RowKind(object):
-    """How one shape of row is written: phase, category, name, attribute
-    names and whether it carries a request id, compiled to a template.
-
-    A span template takes ``(*args, dur, pid, ts)`` and an instant
-    template ``(*args, pid, ts)``, where ``args`` are the values of the
-    event's ``args`` object in key order, the request id among them. A
-    *raw* kind passes its values through ``%s`` as they are, so they
-    must be ints or finite floats whose names sort before
-    ``request_id``; any other kind JSON-encodes each value first.
-    """
-
-    __slots__ = ("ph", "cat", "name", "keys", "has_rid", "raw", "rid_at", "template")
-
-    def __init__(
-        self, ph: str, cat: str, name: str, keys: Tuple[str, ...],
-        has_rid: bool, raw: bool,
-    ) -> None:
-        self.ph, self.cat, self.name = ph, cat, name
-        self.keys, self.has_rid, self.raw = keys, has_rid, raw
-        self.rid_at = bisect_left(keys, "request_id") if has_rid else None
-        if raw and has_rid and self.rid_at != len(keys):
-            raise SimulationError(
-                f"raw row kind {name!r}: attribute names must sort before "
-                f"request_id, got {keys}"
-            )
-        args = [(key, "%s") for key in keys]
-        if has_rid:
-            args.insert(self.rid_at, ("request_id", "%d"))
-        fields = []
-        if args:
-            fields.append(
-                '"args":{%s}'
-                % ",".join(f"{_literal(key)}:{spec}" for key, spec in args)
-            )
-        fields.append(f'"cat":{_literal(cat)}')
-        if ph == "X":
-            fields.append('"dur":%r')
-        fields.append(f'"name":{_literal(name)}')
-        fields.append(f'"ph":"{ph}","pid":%d')
-        if ph == "i":
-            fields.append('"s":"t"')
-        fields.append(f'"tid":{_tid(cat)},"ts":%r')
-        self.template = "{" + ",".join(fields) + "}"
-
-    def args(self, values: tuple, rid: int) -> tuple:
-        """The template's ``args`` values for one row."""
-        if self.raw:
-            return values + (rid,) if self.has_rid else values
-        encoded = tuple(map(_json_value, values))
-        if self.has_rid:
-            at = self.rid_at
-            return encoded[:at] + (rid,) + encoded[at:]
-        return encoded
-
-    def attrs(self, values: tuple) -> Tuple[Tuple[str, object], ...]:
-        """The row's attributes as a span's or instant's sorted pairs."""
-        return tuple(zip(self.keys, values))
-
-
-_KINDS: Dict[tuple, RowKind] = {}
-
-
-def row_kind(
-    ph: str, cat: str, name: str, keys: Tuple[str, ...] = (),
-    has_rid: bool = True, raw: bool = False,
-) -> RowKind:
-    """The (cached) kind of rows with this shape; ``keys`` sorted."""
-    key = (ph, cat, name, keys, has_rid, raw)
-    kind = _KINDS.get(key)
-    if kind is None:
-        kind = _KINDS[key] = RowKind(ph, cat, name, keys, has_rid, raw)
-    return kind
-
-
-def trace_rows(trace: FleetTrace) -> Tuple[List[tuple], List[tuple]]:
-    """A trace's spans and instants as rows, in the trace's order."""
-    spans = [
-        (
-            float(s.t0_s), float(s.t1_s), s.cat, s.name,
-            -1 if s.request_id is None else s.request_id,
-            -1 if s.shard_id is None else s.shard_id,
-            row_kind(
-                "X", s.cat, s.name, tuple(k for k, _ in s.attrs),
-                s.request_id is not None,
-            ),
-            tuple(v for _, v in s.attrs),
-        )
-        for s in trace.spans
-    ]
-    instants = [
-        (
-            float(i.t_s), i.cat, i.name,
-            -1 if i.request_id is None else i.request_id,
-            -1 if i.shard_id is None else i.shard_id,
-            row_kind(
-                "i", i.cat, i.name, tuple(k for k, _ in i.attrs),
-                i.request_id is not None,
-            ),
-            tuple(v for _, v in i.attrs),
-        )
-        for i in trace.instants
-    ]
-    return spans, instants
-
-
-def sort_rows(span_rows: List[tuple], instant_rows: List[tuple]) -> None:
-    """Sort rows in place by :meth:`FleetTrace.build`'s (stable) keys."""
-    span_rows.sort(key=SPAN_KEY)
-    instant_rows.sort(key=INSTANT_KEY)
-
-
-def rows_trace(
-    span_rows: List[tuple], instant_rows: List[tuple], n_shards: int
-) -> FleetTrace:
-    """Sort rows (in place) and materialize them as a :class:`FleetTrace`."""
-    sort_rows(span_rows, instant_rows)
-    return FleetTrace(
-        spans=tuple(
-            Span(name, cat, t0, t1, None if shard < 0 else shard,
-                 None if rid < 0 else rid, kind.attrs(values))
-            for t0, t1, cat, name, rid, shard, kind, values in span_rows
-        ),
-        instants=tuple(
-            Instant(name, cat, t, None if shard < 0 else shard,
-                    None if rid < 0 else rid, kind.attrs(values))
-            for t, cat, name, rid, shard, kind, values in instant_rows
-        ),
-        n_shards=n_shards,
-    )
-
-
-def _pid(shard: int) -> int:
-    """A row's process id: the fleet's for shard ``-1``."""
-    return FLEET_PID + 1 + shard
-
-
-def _metadata(
-    span_rows: Sequence[tuple], instant_rows: Sequence[tuple]
-) -> Iterator[str]:
+def _metadata(trace: FleetTrace) -> Iterator[str]:
     """Process and thread naming events, fleet process first."""
-    tracks = set(map(itemgetter(5, 2), span_rows))
-    tracks.update(map(itemgetter(4, 1), instant_rows))
+    tracks = set(map(itemgetter(5, 2), chain(trace.span_rows, trace.instant_rows)))
     for shard in sorted({-1} | {shard for shard, _ in tracks}):
-        pid = _pid(shard)
+        pid = FLEET_PID + 1 + shard
         name = "fleet" if shard < 0 else f"shard {shard}"
         yield (
             '{"args":{"name":%s},"name":"process_name","ph":"M","pid":%d,'
-            '"tid":0}' % (_ENCODE(name), pid)
+            '"tid":0}' % (ENCODE(name), pid)
         )
         for cat in sorted(cat for s, cat in tracks if s == shard):
             yield (
                 '{"args":{"name":%s},"name":"thread_name","ph":"M","pid":%d,'
-                '"tid":%d}' % (_ENCODE(_TID_NAMES.get(cat, cat)), pid, _tid(cat))
+                '"tid":%d}' % (ENCODE(_TID_NAMES.get(cat, cat)), pid, TIDS.get(cat, 9))
             )
 
 
-def _span_texts(rows: Iterable[tuple]) -> Iterator[str]:
-    for t0, t1, _, _, rid, shard, kind, values in rows:
-        yield kind.template % (
-            kind.args(values, rid) + ((t1 - t0) * 1e6, shard + 2, t0 * 1e6)
-        )
-
-
-def _instant_texts(rows: Iterable[tuple]) -> Iterator[str]:
-    for t, _, _, rid, shard, kind, values in rows:
-        yield kind.template % (kind.args(values, rid) + (shard + 2, t * 1e6))
-
-
-def _flow_texts(
-    span_rows: Sequence[tuple], instant_rows: Sequence[tuple]
-) -> Iterator[str]:
+def _flows(trace: FleetTrace) -> Iterator[str]:
     """Router→shard arrows: one flow per (request, attempt) hand-off.
 
     Attempt ``n`` is a request's n-th ROUTE in trace order. It lands on
@@ -322,42 +99,36 @@ def _flow_texts(
     no arrow.
     """
     routes: Dict[int, List[tuple]] = {}
-    for row in instant_rows:
-        if row[2] == "ROUTE" and row[3] >= 0:
-            routes.setdefault(row[3], []).append(row)
+    for row in trace.instant_rows:
+        if row[3] == "ROUTE" and row[4] >= 0:
+            routes.setdefault(row[4], []).append(row)
     starts: Dict[Tuple[int, int], List[float]] = {}
-    for row in span_rows:
+    for row in trace.span_rows:
         if row[3] == "QUEUE" and row[2] == CAT_REQUEST and row[4] >= 0:
             starts.setdefault((row[4], row[5]), []).append(row[0])
     for rid in sorted(routes):
         attempts = routes[rid]
-        for attempt, (t, _, _, _, shard, _, _) in enumerate(attempts):
+        for attempt, (t, _, _, _, _, shard, _, _) in enumerate(attempts):
             queued = starts.get((rid, shard), ())
             i = bisect_left(queued, t)
-            until = next(
-                (r[0] for r in attempts[attempt + 1:] if r[4] == shard), math.inf
-            )
-            if i < len(queued) and queued[i] < until:
-                pid = _pid(shard)
-                yield _FLOW_START % (rid, attempt, pid, t * 1e6)
-                yield _FLOW_FINISH % (rid, attempt, pid, queued[i] * 1e6)
+            if i == len(queued):
+                continue
+            later = [r[0] for r in attempts[attempt + 1 :] if r[5] == shard]
+            if later and queued[i] >= later[0]:
+                continue
+            pid = FLEET_PID + 1 + shard
+            yield _FLOW_START % (rid, attempt, pid, t * 1e6)
+            yield _FLOW_FINISH % (rid, attempt, pid, queued[i] * 1e6)
 
 
-def _event_texts(
-    span_rows: Sequence[tuple], instant_rows: Sequence[tuple]
-) -> Iterator[str]:
-    """Every event of the document, in order, as JSON text."""
-    yield from _metadata(span_rows, instant_rows)
-    yield from _span_texts(span_rows)
-    yield from _instant_texts(instant_rows)
-    yield from _flow_texts(span_rows, instant_rows)
-
-
-def _chunks(
-    span_rows: Sequence[tuple], instant_rows: Sequence[tuple]
-) -> Iterator[str]:
+def _chunks(trace: FleetTrace) -> Iterator[str]:
     """The document's text, :data:`WRITE_BATCH` events per chunk."""
-    texts = _event_texts(span_rows, instant_rows)
+    texts = chain(
+        _metadata(trace),
+        (row[6].text(row) for row in trace.span_rows),
+        (row[6].text(row) for row in trace.instant_rows),
+        _flows(trace),
+    )
     yield _HEAD
     sep = ""
     for batch in iter(lambda: list(islice(texts, WRITE_BATCH)), []):
@@ -366,24 +137,9 @@ def _chunks(
     yield "]}"
 
 
-def write_rows(
-    span_rows: Sequence[tuple], instant_rows: Sequence[tuple], path: str
-) -> None:
-    """Write sorted rows to ``path`` as a compact ``trace_event`` file."""
-    with open(path, "w") as fh:
-        fh.writelines(_chunks(span_rows, instant_rows))
-
-
-def rows_document(
-    span_rows: Sequence[tuple], instant_rows: Sequence[tuple]
-) -> Dict[str, object]:
-    """The document :func:`write_rows` writes, parsed back to a dict."""
-    return json.loads("".join(_chunks(span_rows, instant_rows)))
-
-
 def to_perfetto(trace: FleetTrace) -> Dict[str, object]:
     """Render a :class:`FleetTrace` as a ``trace_event`` document."""
-    return rows_document(*trace_rows(trace))
+    return json.loads("".join(_chunks(trace)))
 
 
 def write_perfetto(trace: FleetTrace, path: str) -> None:
@@ -392,7 +148,8 @@ def write_perfetto(trace: FleetTrace, path: str) -> None:
     The file is byte-identical to ``json.dumps(to_perfetto(trace),
     sort_keys=True, separators=(",", ":"))``.
     """
-    write_rows(*trace_rows(trace), path)
+    with open(path, "w") as fh:
+        fh.writelines(_chunks(trace))
 
 
 def validate_trace_events(doc: object) -> Dict[str, int]:

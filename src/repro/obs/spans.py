@@ -7,6 +7,16 @@ op-level cycles from :mod:`repro.sim.trace` rescaled into wall-clock
 seconds.  Everything downstream — the Perfetto exporter, the ASCII
 fleet timeline, the metrics bundle — consumes only these types.
 
+A :class:`FleetTrace` holds its events as *rows*: ``(t0_s, t1_s, cat,
+name, request_id, shard_id, kind, values)`` tuples whose first six
+fields are the trace's sort key (an instant has ``t1_s == t0_s``, an
+absent id is ``-1``: ids are non-negative). ``kind`` is a
+:class:`RowKind`, one per event shape, holding the ``%``-template the
+event's ``trace_event`` JSON is written with; ``values`` are the
+attribute values in sorted-name order. Producers append rows, the
+exporter writes them, and :class:`Span` / :class:`Instant` objects are
+made from them only when a trace's ``spans`` or ``instants`` are read.
+
 The schema is deliberately dependency-light (no imports from the
 serving / fleet / sim layers) so any module can emit spans without
 creating an import cycle.
@@ -14,7 +24,11 @@ creating an import cycle.
 
 from __future__ import annotations
 
+import json
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -28,6 +42,9 @@ __all__ = [
     "CAT_OP",
     "Span",
     "Instant",
+    "RowKind",
+    "row_kind",
+    "event_row",
     "FleetTrace",
 ]
 
@@ -42,13 +59,107 @@ CAT_STEP = "step"  # scheduler iterations: prefill steps, decode runs
 CAT_FAULT = "fault"  # chaos layer: CRASH / REWARM / BROWNOUT
 CAT_OP = "op"  # per-op cycles bridged from repro.sim.trace
 
+#: Each category's track (thread) id within a process.
+TIDS = {CAT_REQUEST: 1, CAT_STEP: 2, CAT_FAULT: 3, CAT_OP: 4}
+
+#: A row's sort key: (time, end, category, name, request id, shard id).
+ROW_KEY = itemgetter(0, 1, 2, 3, 4, 5)
+
 Attrs = Tuple[Tuple[str, object], ...]
+
+ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _freeze_attrs(attrs: Optional[Dict[str, object]]) -> Attrs:
     if not attrs:
         return ()
     return tuple(sorted(attrs.items()))
+
+
+def _json_value(value: object) -> str:
+    """``value`` as the JSON text the document encoder writes for it."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return "null" if value is None else ENCODE(value)
+
+
+def _literal(value: object) -> str:
+    """``value`` as JSON text, escaped for use inside a %-template."""
+    return ENCODE(value).replace("%", "%%")
+
+
+class RowKind(object):
+    """One event shape — phase, category, name, attribute names, with or
+    without a request id — and the template its JSON is written with.
+
+    The template takes the ``args`` values in key order (the request id
+    among them), then ``dur`` for a span, then ``pid`` and ``ts``. A
+    *raw* kind's values are ints or finite floats, which ``%s`` writes
+    as JSON does, or it has none; any other kind JSON-encodes each value
+    first.
+    """
+
+    __slots__ = ("span", "cat", "name", "keys", "raw", "rid_at", "template")
+
+    def __init__(self, ph, cat, name, keys, has_rid, raw) -> None:
+        self.span = ph == "X"
+        self.cat, self.name, self.keys = cat, name, keys
+        self.raw = raw or not keys
+        self.rid_at = bisect_left(keys, "request_id") if has_rid else None
+        args = [f"{_literal(key)}:%s" for key in keys]
+        if has_rid:
+            args.insert(self.rid_at, '"request_id":%d')
+        fields = [f'"args":{{{",".join(args)}}}'] if args else []
+        fields.append(f'"cat":{_literal(cat)}')
+        if self.span:
+            fields.append('"dur":%r')
+        fields.append(f'"name":{_literal(name)},"ph":"{ph}","pid":%d')
+        if not self.span:
+            fields.append('"s":"t"')
+        fields.append(f'"tid":{TIDS.get(cat, 9)},"ts":%r')
+        self.template = "{%s}" % ",".join(fields)
+
+    def text(self, row: tuple) -> str:
+        """One row as its event's JSON text."""
+        t0, t1, _, _, rid, shard, _, values = row
+        args = values if self.raw else tuple(map(_json_value, values))
+        at = self.rid_at
+        if at is not None:
+            args = args + (rid,) if at == len(args) else args[:at] + (rid,) + args[at:]
+        if self.span:
+            return self.template % (*args, (t1 - t0) * 1e6, shard + 2, t0 * 1e6)
+        return self.template % (*args, shard + 2, t0 * 1e6)
+
+
+_KINDS: Dict[tuple, RowKind] = {}
+
+
+def row_kind(
+    ph: str, cat: str, name: str, keys: Tuple[str, ...] = (),
+    has_rid: bool = True, raw: bool = False,
+) -> RowKind:
+    """The (cached) kind of events of this shape; ``keys`` sorted."""
+    key = (ph, cat, name, keys, has_rid, raw)
+    kind = _KINDS.get(key)
+    if kind is None:
+        kind = _KINDS[key] = RowKind(ph, cat, name, keys, has_rid, raw)
+    return kind
+
+
+def event_row(ph, t0, t1, cat, name, rid, shard, attrs) -> tuple:
+    """One event's row; ``attrs`` are sorted ``(name, value)`` pairs."""
+    return (
+        float(t0), float(t1), cat, name,
+        -1 if rid is None else rid, -1 if shard is None else shard,
+        row_kind(ph, cat, name, tuple(k for k, _ in attrs), rid is not None),
+        tuple(v for _, v in attrs),
+    )
+
+
+def _id(value: int) -> Optional[int]:
+    return None if value < 0 else value
 
 
 @dataclass(frozen=True)
@@ -93,6 +204,11 @@ class Span(object):
         """Construct a span with keyword attributes (order-insensitive)."""
         return Span(name, cat, t0_s, t1_s, shard_id, request_id, _freeze_attrs(attrs))
 
+    def row(self) -> tuple:
+        """This span as a trace row."""
+        return event_row("X", self.t0_s, self.t1_s, self.cat, self.name,
+                         self.request_id, self.shard_id, self.attrs)
+
 
 @dataclass(frozen=True)
 class Instant(object):
@@ -122,16 +238,35 @@ class Instant(object):
         """Construct an instant with keyword attributes."""
         return Instant(name, cat, t_s, shard_id, request_id, _freeze_attrs(attrs))
 
+    def row(self) -> tuple:
+        """This instant as a trace row."""
+        return event_row("i", self.t_s, self.t_s, self.cat, self.name,
+                         self.request_id, self.shard_id, self.attrs)
 
-@dataclass(frozen=True)
+
 class FleetTrace(object):
-    """An immutable bag of spans and instants for one simulation run."""
+    """An immutable, sorted trace of spans and instants for one run.
 
-    spans: Tuple[Span, ...]
-    instants: Tuple[Instant, ...]
-    schema: str = OBS_SCHEMA
-    schema_version: int = OBS_SCHEMA_VERSION
-    n_shards: int = 0
+    Holds span and instant rows sorted (stably) by :data:`ROW_KEY`, so
+    traces built from identical runs compare equal regardless of
+    emission order; :attr:`spans` and :attr:`instants` are made from
+    the rows on first access.
+    """
+
+    __slots__ = ("span_rows", "instant_rows", "n_shards", "_spans", "_instants")
+    schema = OBS_SCHEMA
+    schema_version = OBS_SCHEMA_VERSION
+
+    def __init__(
+        self,
+        span_rows: Iterable[tuple],
+        instant_rows: Iterable[tuple] = (),
+        n_shards: int = 0,
+    ) -> None:
+        self.span_rows = tuple(sorted(span_rows, key=ROW_KEY))
+        self.instant_rows = tuple(sorted(instant_rows, key=ROW_KEY))
+        self.n_shards = n_shards
+        self._spans = self._instants = None
 
     @staticmethod
     def build(
@@ -144,56 +279,71 @@ class FleetTrace(object):
         Events are ordered by (time, name, request id) so traces built
         from identical runs compare equal regardless of emission order.
         """
-        def span_key(s: Span):
-            return (
-                s.t0_s, s.t1_s, s.cat, s.name,
-                -1 if s.request_id is None else s.request_id,
-                -1 if s.shard_id is None else s.shard_id,
-            )
-
-        def inst_key(i: Instant):
-            return (
-                i.t_s, i.cat, i.name,
-                -1 if i.request_id is None else i.request_id,
-                -1 if i.shard_id is None else i.shard_id,
-            )
-
         return FleetTrace(
-            spans=tuple(sorted(spans, key=span_key)),
-            instants=tuple(sorted(instants, key=inst_key)),
-            n_shards=n_shards,
+            [s.row() for s in spans], [i.row() for i in instants], n_shards
+        )
+
+    @property
+    def spans(self) -> Tuple[Span, ...]:
+        """The span rows as :class:`Span` objects, in trace order."""
+        if self._spans is None:
+            self._spans = tuple(
+                Span(name, cat, t0, t1, _id(shard), _id(rid),
+                     tuple(zip(kind.keys, values)))
+                for t0, t1, cat, name, rid, shard, kind, values in self.span_rows
+            )
+        return self._spans
+
+    @property
+    def instants(self) -> Tuple[Instant, ...]:
+        """The instant rows as :class:`Instant` objects, in trace order."""
+        if self._instants is None:
+            self._instants = tuple(
+                Instant(name, cat, t, _id(shard), _id(rid),
+                        tuple(zip(kind.keys, values)))
+                for t, _, cat, name, rid, shard, kind, values in self.instant_rows
+            )
+        return self._instants
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FleetTrace):
+            return NotImplemented
+        return (self.spans, self.instants, self.n_shards) == (
+            other.spans, other.instants, other.n_shards
+        )
+
+    __hash__ = None
+
+    def _select(self, index: int, value: Optional[int]) -> "FleetTrace":
+        key = -1 if value is None else value
+        return FleetTrace(
+            [r for r in self.span_rows if r[index] == key],
+            [r for r in self.instant_rows if r[index] == key],
+            self.n_shards,
         )
 
     def for_request(self, request_id: int) -> "FleetTrace":
         """The sub-trace touching one request id."""
-        return FleetTrace(
-            spans=tuple(s for s in self.spans if s.request_id == request_id),
-            instants=tuple(i for i in self.instants if i.request_id == request_id),
-            n_shards=self.n_shards,
-        )
+        return self._select(4, request_id)
 
     def for_shard(self, shard_id: int) -> "FleetTrace":
         """The sub-trace of one shard's track."""
-        return FleetTrace(
-            spans=tuple(s for s in self.spans if s.shard_id == shard_id),
-            instants=tuple(i for i in self.instants if i.shard_id == shard_id),
-            n_shards=self.n_shards,
-        )
+        return self._select(5, shard_id)
 
     def span_names(self) -> List[str]:
         """Distinct span names, sorted (handy in tests and reports)."""
-        return sorted({s.name for s in self.spans})
+        return sorted({row[3] for row in self.span_rows})
 
     @property
     def end_s(self) -> float:
         """Latest timestamp in the trace (0.0 when empty)."""
-        ends = [s.t1_s for s in self.spans] + [i.t_s for i in self.instants]
-        return max(ends) if ends else 0.0
+        rows = self.span_rows + self.instant_rows
+        return max(row[1] for row in rows) if rows else 0.0
 
     def merged(self, extra_spans: Iterable[Span]) -> "FleetTrace":
         """A new trace with ``extra_spans`` folded in (re-sorted)."""
-        return FleetTrace.build(
-            list(self.spans) + list(extra_spans),
-            self.instants,
-            n_shards=self.n_shards,
+        return FleetTrace(
+            self.span_rows + tuple(s.row() for s in extra_spans),
+            self.instant_rows,
+            self.n_shards,
         )

@@ -2,17 +2,13 @@
 
 A :class:`FleetObserver` is handed to :class:`~repro.fleet.FleetSimulator`
 (or :class:`~repro.serving.ServingSimulator`) at construction.  The fleet
-loop records fault windows and request dispositions directly; each
-shard's :class:`~repro.serving.ContinuousBatchingScheduler` receives a
-bound :class:`ShardObs` view, binds itself to it, and reports its step
-slices and gauge samples to it.
-
-Request lifecycles are not mirrored live: the scheduler's event log
-already holds each request's ARRIVAL, PREFILL_START, COMPLETE and
-WITHDRAW instants, and the prefill slices its first tokens, so
-:meth:`FleetObserver.build` reads the logs once the run is over
-(:func:`~repro.obs.bridge.lifecycle_rows`), and the ROUTE and MIGRATE
-instants come from the fleet's routing decisions.
+loop records fault windows and request dispositions directly and binds
+its routing decisions; each shard's
+:class:`~repro.serving.ContinuousBatchingScheduler` binds itself to a
+:class:`ShardObs` view and reports step slices and gauge samples to it.
+Nothing mirrors request lifecycles live: :meth:`FleetObserver.build`
+reads them, and their counters, from the schedulers' event logs and
+the routing decisions once the run is over (:mod:`repro.obs.bridge`).
 
 Design constraints, in priority order:
 
@@ -21,11 +17,10 @@ Design constraints, in priority order:
    disabled path, and observers never feed back into scheduling
    decisions, so ``obs=None`` runs are bit-identical by construction
    (and verified by a hypothesis property test).
-2. **Cheap when on.**  Hot-path hooks append row tuples
-   (:mod:`repro.obs.perfetto`) or bump pre-bound gauges; lifecycle rows
-   are built, sorted and written once, after the run, and span objects
-   only when :attr:`ObsBundle.trace` is read.  Gauge sampling is
-   rate-limited to the observer's ``tick_s`` of *simulated* time per
+2. **Cheap when on.**  Hot-path hooks append event rows
+   (:mod:`repro.obs.spans`) or bump pre-bound gauges; the trace is
+   assembled, sorted and written once, after the run.  Gauge sampling
+   is rate-limited to the observer's ``tick_s`` of *simulated* time per
    shard.
 """
 
@@ -37,25 +32,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..serving.scheduler import EventKind, EventLog
 from .bridge import lifecycle_rows, routing_rows
 from .metrics import MetricsRegistry
-from .perfetto import (
-    rows_document,
-    row_kind,
-    rows_trace,
-    sort_rows,
-    trace_rows,
-    write_rows,
-)
-from .spans import CAT_FAULT, CAT_REQUEST, CAT_STEP, FleetTrace
+from .perfetto import to_perfetto, write_perfetto
+from .spans import CAT_FAULT, CAT_REQUEST, CAT_STEP, FleetTrace, event_row, row_kind
 
 __all__ = ["ShardObs", "FleetObserver", "ObsBundle"]
 
 #: Batch-size histogram boundaries (requests per decode iteration).
 BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
-_STEP_KEYS = ("batch", "k")
-_STEP_NAMES = {"prefill": "PREFILL_STEP", "decode": "DECODE_RUN"}
+#: Step slices by kind: a prefill step names its request, a decode run not.
+_STEPS = {
+    kind: (name, row_kind("X", CAT_STEP, name, ("batch", "k"), has_rid, raw=True))
+    for kind, name, has_rid in (
+        ("prefill", "PREFILL_STEP", True), ("decode", "DECODE_RUN", False)
+    )
+}
 
-#: Log counters: (counter name, the event kind's code in the log).
+#: Counters of logged events: (counter name, the kind's code in a log).
 _LOG_COUNTS = tuple(
     (name, EventLog.KINDS.index(kind))
     for name, kind in (
@@ -90,8 +83,7 @@ class ShardObs(object):
         self._tick_s = tick_s
         self._next_sample_s = 0.0
         self._scheduler = None
-        #: Step slices as span rows (see :mod:`repro.obs.perfetto`).
-        self._steps: List[tuple] = []
+        self._steps: List[tuple] = []  # step slices, as span rows
         shard = str(shard_id)
         self._g_kv = registry.gauge("kv_reserved_bytes", shard=shard)
         self._g_queue = registry.gauge("queue_depth", shard=shard)
@@ -117,19 +109,17 @@ class ShardObs(object):
         batch: int,
         request_id: Optional[int] = None,
     ) -> None:
-        """One scheduler iteration slice: a prefill step or a decode run
-
-        of ``k`` coalesced iterations over ``batch`` requests. The
-        ``batch_size`` histogram counts decode iterations, not slices,
-        so it reads the same however the iterations were coalesced.
+        """One scheduler iteration slice: a prefill step of one request
+        or a decode run of ``k`` coalesced iterations over ``batch``
+        requests (``request_id`` ``None``). The ``batch_size`` histogram
+        counts decode iterations, not slices, so it reads the same
+        however the iterations were coalesced.
         """
-        name = _STEP_NAMES.get(kind) or kind.upper()
-        has_rid = request_id is not None
+        name, shape = _STEPS[kind]
         self._steps.append(
-            (t0_s, t1_s, CAT_STEP, name, request_id if has_rid else -1,
-             self.shard_id,
-             row_kind("X", CAT_STEP, name, _STEP_KEYS, has_rid, raw=True),
-             (batch, k))
+            (t0_s, t1_s, CAT_STEP, name,
+             -1 if request_id is None else request_id, self.shard_id,
+             shape, (batch, k))
         )
         if kind == "decode":
             self._h_batch.observe(float(batch), k)
@@ -152,31 +142,16 @@ class ShardObs(object):
         self._g_decoding.record(t_s, float(n_decoding))
         self._g_waiting.record(t_s, float(n_waiting))
 
-    # -- assembly -----------------------------------------------------
     def _snapshot(self) -> Tuple[Optional[EventLog], List[tuple]]:
-        """The bound scheduler's log so far (which never changes after
-        this) and a copy of the step rows; sets the log counters."""
-        log = None
-        if self._scheduler is not None:
-            log = self._scheduler.event_log()
-            shard = str(self.shard_id)
-            for name, code in _LOG_COUNTS:
-                self._reg.counter(name, shard=shard).value = float(
-                    log.kind.count(code)
-                )
+        """The bound scheduler's log so far (it never changes after this)
+        and a copy of the step rows; sets the logged-event counters."""
+        if self._scheduler is None:
+            return None, list(self._steps)
+        log = self._scheduler.event_log()
+        for name, code in _LOG_COUNTS:
+            counter = self._reg.counter(name, shard=str(self.shard_id))
+            counter.value = float(log.kind.count(code))
         return log, list(self._steps)
-
-
-def _shard_rows(shard_id: int, log: Optional[EventLog], steps: List[tuple]) -> List[tuple]:
-    """One shard's lifecycle and step rows."""
-    if log is None:
-        return steps
-    # The scheduler logs PREFILL_START and then runs the prefill step,
-    # so the n-th prefill slice ends at the n-th prefill's first token.
-    prefill_ends = [
-        row[1] for row in steps if row[3] == "PREFILL_STEP" and row[4] >= 0
-    ]
-    return lifecycle_rows(shard_id, log, prefill_ends) + steps
 
 
 class FleetObserver(object):
@@ -188,8 +163,7 @@ class FleetObserver(object):
         self._spans: List[tuple] = []
         self._instants: List[tuple] = []
         self._shards: Dict[int, ShardObs] = {}
-        self._policy_name = ""
-        self._decisions: Sequence = ()
+        self._routing: Tuple[str, Sequence] = ("", ())
 
     def shard(self, shard_id: int) -> ShardObs:
         """The (created-on-first-use) view bound to one shard."""
@@ -204,8 +178,7 @@ class FleetObserver(object):
         """Attach the fleet's (growing) list of routing decisions, from
         which :meth:`build` derives ROUTE and MIGRATE instants and the
         ``requests_routed`` and ``migrations`` counters."""
-        self._policy_name = policy_name
-        self._decisions = decisions
+        self._routing = (policy_name, decisions)
 
     def instant(
         self,
@@ -217,13 +190,9 @@ class FleetObserver(object):
         **attrs: object,
     ) -> None:
         """Record a fleet-level point event (SUBMIT, RETRY, SHED...)."""
-        keys = tuple(sorted(attrs))
         self._instants.append(
-            (t_s, cat, name,
-             -1 if request_id is None else request_id,
-             -1 if shard_id is None else shard_id,
-             row_kind("i", cat, name, keys, request_id is not None),
-             tuple(attrs[key] for key in keys))
+            event_row("i", t_s, t_s, cat, name, request_id, shard_id,
+                      sorted(attrs.items()))
         )
 
     def span(
@@ -237,13 +206,9 @@ class FleetObserver(object):
         **attrs: object,
     ) -> None:
         """Record a fleet-level interval (CRASH, REWARM, BROWNOUT...)."""
-        keys = tuple(sorted(attrs))
         self._spans.append(
-            (t0_s, t1_s, cat, name,
-             -1 if request_id is None else request_id,
-             -1 if shard_id is None else shard_id,
-             row_kind("X", cat, name, keys, request_id is not None),
-             tuple(attrs[key] for key in keys))
+            event_row("X", t0_s, t1_s, cat, name, request_id, shard_id,
+                      sorted(attrs.items()))
         )
 
     def count(self, name: str, n: float = 1.0, **labels: object) -> None:
@@ -257,44 +222,40 @@ class FleetObserver(object):
     def build(self) -> "ObsBundle":
         """Snapshot the run into a trace + metrics bundle.
 
-        Sets the counters read from the logs and decisions (rebuilding
-        sets them again, it does not add), and takes O(shards +
-        decisions) shallow copies; the trace rows are built from them
-        and sorted on the bundle's first export or ``.trace`` read, so
-        a simulated run never pays for export assembly. The <= 1.5x
+        Sets the counters read from the logs and decisions (building
+        again sets them again, it does not add) and takes O(shards +
+        decisions) shallow copies; the trace is assembled from them on
+        the bundle's first export or ``.trace`` read. The <= 1.5x
         enabled-mode overhead budget that
         ``benchmarks/bench_obs_overhead.py`` enforces covers the run
         alone; the bench records the export's own cost (``export_s``)
         beside it, unbounded.
         """
-        fleet_spans = list(self._spans)
-        fleet_instants = list(self._instants)
-        decisions = tuple(self._decisions)
-        policy_name = self._policy_name
-        snaps = [
-            (shard_id, shard._snapshot())
-            for shard_id, shard in self._shards.items()
-        ]
+        spans, instants = list(self._spans), list(self._instants)
+        policy_name, decisions = self._routing[0], tuple(self._routing[1])
+        snaps = [(i, shard._snapshot()) for i, shard in self._shards.items()]
         n_shards = (max(self._shards) + 1) if self._shards else 0
         routed = _Tally(d.shard_id for d in decisions if d.migrated_from is None)
         for shard_id, n in routed.items():
             self.registry.counter("requests_routed", shard=shard_id).value = float(n)
-        migrated = _Tally(
-            (d.shard_id, d.migrated_from)
-            for d in decisions if d.migrated_from is not None
+        moved = _Tally(
+            (d.shard_id, d.migrated_from) for d in decisions
+            if d.migrated_from is not None
         )
-        for (thief, donor), n in migrated.items():
-            self.registry.counter(
-                "migrations", thief=thief, donor=donor
-            ).value = float(n)
+        for (thief, donor), n in moved.items():
+            self.registry.counter("migrations", thief=thief, donor=donor).value = float(n)
 
-        def assemble() -> Tuple[List[tuple], List[tuple], int]:
-            spans = fleet_spans
+        def assemble() -> FleetTrace:
             for shard_id, (log, steps) in snaps:
-                spans += _shard_rows(shard_id, log, steps)
-            instants = fleet_instants + routing_rows(decisions, policy_name)
-            sort_rows(spans, instants)
-            return spans, instants, n_shards
+                if log is not None:
+                    # The scheduler logs PREFILL_START, then runs that
+                    # prefill: the n-th prefill slice ends at the n-th
+                    # prefill's first token.
+                    ends = [r[1] for r in steps if r[3] == "PREFILL_STEP"]
+                    spans.extend(lifecycle_rows(shard_id, log, ends))
+                spans.extend(steps)
+            instants.extend(routing_rows(decisions, policy_name))
+            return FleetTrace(spans, instants, n_shards)
 
         return ObsBundle(metrics=self.registry, _assemble=assemble)
 
@@ -302,14 +263,14 @@ class FleetObserver(object):
 class ObsBundle(object):
     """The exportable artifact pair attached to a report.
 
-    The trace's rows are assembled from the build-time snapshot on the
-    first export or ``trace`` read (then cached); ``trace`` materializes
-    them as span and instant objects on first access, which writing
-    never needs. ``metrics`` is the live registry. Construct with an
-    explicit ``trace=`` for hand-built bundles in tests.
+    ``trace`` is assembled from the build-time snapshot on first access
+    (then cached): sorted rows, which the exports write directly, with
+    span and instant objects made only if read. ``metrics`` is the live
+    registry. Construct with an explicit ``trace=`` for hand-built
+    bundles in tests.
     """
 
-    __slots__ = ("metrics", "_assemble", "_rows", "_trace")
+    __slots__ = ("metrics", "_assemble", "_trace")
 
     def __init__(
         self,
@@ -321,50 +282,31 @@ class ObsBundle(object):
             raise ValueError("ObsBundle needs a trace or an assembler")
         self.metrics = metrics
         self._assemble = _assemble
-        self._rows = None
         self._trace = trace
-
-    def _sorted_rows(self) -> Tuple[List[tuple], List[tuple], int]:
-        rows = self._rows
-        if rows is None:
-            if self._assemble is not None:
-                rows = self._assemble()
-            else:
-                rows = (*trace_rows(self._trace), self._trace.n_shards)
-            self._rows = rows
-        return rows
 
     @property
     def trace(self) -> FleetTrace:
-        """The immutable span/instant trace (materialized on demand)."""
-        trace = self._trace
-        if trace is None:
-            spans, instants, n_shards = self._sorted_rows()
-            trace = self._trace = rows_trace(spans, instants, n_shards)
-        return trace
+        """The immutable span/instant trace (assembled on demand)."""
+        if self._trace is None:
+            self._trace = self._assemble()
+        return self._trace
 
     def __repr__(self) -> str:
         if self._trace is None:
             return "ObsBundle(trace=<lazy>)"
         return (
-            f"ObsBundle(spans={len(self._trace.spans)}, "
-            f"instants={len(self._trace.instants)})"
+            f"ObsBundle(spans={len(self._trace.span_rows)}, "
+            f"instants={len(self._trace.instant_rows)})"
         )
 
     def perfetto(self) -> Dict[str, object]:
         """The trace as a Perfetto/Chrome ``trace_event`` document."""
-        spans, instants, _ = self._sorted_rows()
-        return rows_document(spans, instants)
+        return to_perfetto(self.trace)
 
     def write_trace(self, path: str) -> None:
-        """Write the Perfetto JSON trace to ``path``.
-
-        Writes compact, key-sorted JSON through
-        :func:`~repro.obs.perfetto.write_rows`; the file parses to
-        exactly :meth:`perfetto`'s document.
-        """
-        spans, instants, _ = self._sorted_rows()
-        write_rows(spans, instants, path)
+        """Write the Perfetto JSON trace to ``path`` (compact, key-sorted
+        JSON that parses to exactly :meth:`perfetto`'s document)."""
+        write_perfetto(self.trace, path)
 
     def write_metrics(self, path: str) -> None:
         """Write the metrics export; ``.csv`` suffix selects CSV."""

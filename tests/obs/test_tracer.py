@@ -9,7 +9,6 @@ import pytest
 
 from repro.obs import FleetObserver, MetricsRegistry, ObsBundle
 from repro.obs.bridge import lifecycle_rows, record_first_tokens
-from repro.obs.perfetto import rows_trace
 from repro.obs.spans import CAT_FAULT, CAT_STEP, FleetTrace, Span
 from repro.serving import ContinuousBatchingScheduler, EventKind, EventLog, Request
 
@@ -27,7 +26,7 @@ def _log(*events) -> EventLog:
 
 
 def _spans(log, first_tokens, shard_id=0):
-    return rows_trace(lifecycle_rows(shard_id, log, first_tokens), [], 1).spans
+    return FleetTrace(lifecycle_rows(shard_id, log, first_tokens), [], 1).spans
 
 
 A, M, P, C, W = (
