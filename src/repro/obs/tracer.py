@@ -4,8 +4,9 @@ A :class:`FleetObserver` is handed to :class:`~repro.fleet.FleetSimulator`
 (or :class:`~repro.serving.ServingSimulator`) at construction.  The fleet
 loop records fault windows and request dispositions directly and binds
 its routing decisions; each shard's
-:class:`~repro.serving.ContinuousBatchingScheduler` binds itself to a
-:class:`ShardObs` view and reports step slices and gauge samples to it.
+:class:`~repro.serving.ContinuousBatchingScheduler` hands a
+:class:`ShardObs` view its event log and reports step slices and gauge
+samples to it.
 Nothing mirrors request lifecycles live: :meth:`FleetObserver.build`
 reads them, and their counters, from the schedulers' event logs and
 the routing decisions once the run is over (:mod:`repro.obs.bridge`).
@@ -67,7 +68,7 @@ class ShardObs(object):
         "_reg",
         "_tick_s",
         "_next_sample_s",
-        "_scheduler",
+        "_log",
         "_steps",
         "_g_kv",
         "_g_queue",
@@ -82,7 +83,7 @@ class ShardObs(object):
         self._reg = registry
         self._tick_s = tick_s
         self._next_sample_s = 0.0
-        self._scheduler = None
+        self._log: Optional[EventLog] = None
         self._steps: List[tuple] = []  # step slices, as span rows
         shard = str(shard_id)
         self._g_kv = registry.gauge("kv_reserved_bytes", shard=shard)
@@ -94,10 +95,12 @@ class ShardObs(object):
             registry.counter(name, shard=shard)
         self._c_decode_iters = registry.counter("decode_iterations", shard=shard)
 
-    def bind(self, scheduler) -> None:
-        """Attach the scheduler whose event log :meth:`FleetObserver.build`
-        reads (the scheduler calls this once, at construction)."""
-        self._scheduler = scheduler
+    def bind(self, log: EventLog) -> None:
+        """Attach the event log :meth:`FleetObserver.build` reads (the
+        scheduler calls this at construction and whenever it starts a
+        new copy of its log). A log refers to nothing, so no cycle keeps
+        the scheduler alive."""
+        self._log = log
 
     # -- scheduler hooks (hot path; keep allocation-light) ------------
     def step(
@@ -143,11 +146,11 @@ class ShardObs(object):
         self._g_waiting.record(t_s, float(n_waiting))
 
     def _snapshot(self) -> Tuple[Optional[EventLog], List[tuple]]:
-        """The bound scheduler's log so far (it never changes after this)
-        and a copy of the step rows; sets the logged-event counters."""
-        if self._scheduler is None:
+        """Copies of the bound log and the step rows so far; sets the
+        logged-event counters."""
+        if self._log is None:
             return None, list(self._steps)
-        log = self._scheduler.event_log()
+        log = self._log.copy()
         for name, code in _LOG_COUNTS:
             counter = self._reg.counter(name, shard=str(self.shard_id))
             counter.value = float(log.kind.count(code))

@@ -429,13 +429,13 @@ class ContinuousBatchingScheduler(_ShardLoad):
             keeps every number bit-identical to exact simulation.
         obs: optional per-shard observability sink (a
             :class:`~repro.obs.ShardObs` view, or anything duck-typed
-            like one). The scheduler binds itself to it once, so the
-            observer can read the event log after the run, and then only
-            ever *reports* to it — step slices and gauge samples — never
-            reading from it, so results are bit-identical with or
-            without an observer. ``None`` (the default) skips every hook
-            behind a single ``is not None`` check: observability is
-            provably free when off.
+            like one). The scheduler hands it its event log (and each
+            new copy of it), which the observer reads after the run,
+            and otherwise only ever *reports* to it — step slices and
+            gauge samples — never reading from it, so results are
+            bit-identical with or without an observer. ``None`` (the
+            default) skips every hook behind a single ``is not None``
+            check: observability is provably free when off.
         shard_id: the shard's index in a fleet (0 for a lone
             scheduler). A label policies report their choice by; it
             changes nothing the scheduler does.
@@ -503,8 +503,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
         self.latency_scale = 1.0
         #: Observability sink (None = all hooks skipped, zero overhead).
         self._obs = obs
-        if obs is not None:
-            obs.bind(self)
         if on_complete is None and source is not None:
             on_complete = source.on_complete
         self._on_complete = on_complete
@@ -542,6 +540,8 @@ class ContinuousBatchingScheduler(_ShardLoad):
         # Set when result() hands the log out: the next event goes to a
         # copy, so a returned result never changes.
         self._events_shared = False
+        if obs is not None:
+            obs.bind(self._events)
         self._records: Dict[int, RequestRecord] = {}
         # Every id this shard currently holds or has completed; guards
         # duplicate submission (withdrawn ids are forgotten, so failover
@@ -826,6 +826,8 @@ class ContinuousBatchingScheduler(_ShardLoad):
         if self._events_shared:
             log = self._events = log.copy()
             self._events_shared = False
+            if self._obs is not None:
+                self._obs.bind(log)
         log.t_s.append(self._clock)
         log.kind.append(kind)
         log.request_id.append(request_id)
@@ -1129,12 +1131,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
             else:
                 return
 
-    def event_log(self) -> EventLog:
-        """The events logged so far. The next event goes to a copy, so
-        the returned log never changes."""
-        self._events_shared = True
-        return self._events
-
     def result(self) -> ServingResult:
         """Package everything simulated so far into a result."""
         # Stable total order: admit time, then request id.
@@ -1149,12 +1145,13 @@ class ContinuousBatchingScheduler(_ShardLoad):
             duration = self._clock - first_arrival
         else:
             duration = 0.0  # a shard that was never routed a request
+        self._events_shared = True
         return ServingResult(
             model_name=self.engine.model.name,
             plan_name=self.engine.plan.name,
             source_name=self.source.name if self.source is not None else "external",
             records=ordered,
-            events=self.event_log(),
+            events=self._events,
             kv_budget_bytes=self.kv_budget_bytes,
             peak_kv_bytes=self._peak_kv,
             max_queue_depth=self._max_queue_depth,
