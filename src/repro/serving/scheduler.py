@@ -160,10 +160,10 @@ class EventLog:
     One ``array`` per :class:`SchedulerEvent` field: ``t_s`` (``'d'``),
     ``kind`` (``'b'``, the :class:`EventKind`'s index in :attr:`KINDS`)
     and ``request_id``, ``kv_reserved_bytes`` and ``queue_depth``
-    (``'q'``), so an event costs 33 bytes and no object. ``len``, iteration and
-    indexing (negative indices and slices included) rebuild the
-    :class:`SchedulerEvent` values exactly as logged; ``==`` compares
-    the columns. Like a list, a log is not hashable.
+    (``'q'``), so an event costs 33 bytes and no object. ``len``,
+    iteration and indexing (negative indices and slices included)
+    rebuild the :class:`SchedulerEvent` values exactly as logged; ``==``
+    compares the columns. Like a list, a log is not hashable.
     """
 
     __slots__ = ("t_s", "kind", "request_id", "kv_reserved_bytes", "queue_depth")

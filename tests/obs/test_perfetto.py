@@ -148,6 +148,28 @@ class TestRouteFlows:
             make_stream("bursty", 12, 2)
         )
 
+    def test_a_stolen_request_keeps_its_arrow_on_the_routed_shard(self):
+        # Request 7 is routed to shard 0 and stolen by idle shard 1 at
+        # the same instant, so its QUEUE on shard 1 sorts before the
+        # withdrawn one on shard 0. The arrow still lands on shard 0.
+        trace = FleetTrace.build(
+            [
+                Span.make("QUEUE", CAT_REQUEST, 0.0, 0.0, shard_id=1, request_id=7),
+                Span.make("QUEUE", CAT_REQUEST, 0.0, 0.25, shard_id=0,
+                          request_id=7, outcome="withdrawn"),
+            ],
+            [
+                Instant.make("ROUTE", CAT_REQUEST, 0.0, shard_id=0, request_id=7),
+                Instant.make("MIGRATE", CAT_REQUEST, 0.0, shard_id=1,
+                             request_id=7, from_shard=0),
+            ],
+            n_shards=2,
+        )
+        flows = [ev for ev in to_perfetto(trace)["traceEvents"] if ev["ph"] in "sf"]
+        assert [(ev["ph"], ev["pid"]) for ev in flows] == [
+            ("s", FLEET_PID + 1), ("f", FLEET_PID + 1),
+        ]
+
     def test_original_pairing_is_rejected(self, make_fleet, make_stream):
         report = self._retried_chaos(make_fleet, make_stream)
         original = json.loads(document_text(reference_trace(report), fixed=False))

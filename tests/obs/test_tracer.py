@@ -189,6 +189,18 @@ class TestFleetObserver:
         withdrawn = [s for s in later.spans if s.request_id == 2]
         assert [s.attrs_dict for s in withdrawn] == [{"outcome": "withdrawn"}]
 
+    def test_lifecycle_follows_the_log_past_a_mid_run_result(self, fast_engine):
+        # result() hands the log out, so the next event goes to a copy;
+        # the observer must read the copy.
+        obs = FleetObserver()
+        sched = _scheduler(fast_engine, obs.shard(0))
+        sched.submit(Request(1, 0.0, 16, 4))
+        sched.advance_one()
+        assert len(sched.result().events)
+        sched.advance_until(math.inf)
+        names = [s.name for s in obs.build().trace.spans if s.cat == "request"]
+        assert names == ["QUEUE", "PREFILL", "DECODE"]
+
     def test_routing_decisions_become_instants_and_counters(self):
         from repro.fleet import RoutingDecision
 
