@@ -54,7 +54,7 @@ _QUEUE, _PREFILL, _DECODE = (
 _QUEUE_OUT = row_kind("X", CAT_REQUEST, "QUEUE", ("outcome",))
 _DECODE_OUT = row_kind("X", CAT_REQUEST, "DECODE", ("outcome",))
 _ROUTE = row_kind("i", CAT_REQUEST, "ROUTE", ("policy", "predicted_ttft_s"))
-_MIGRATE = row_kind("i", CAT_REQUEST, "MIGRATE", ("from_shard",), raw=True)
+_MIGRATE = row_kind("i", CAT_REQUEST, "MIGRATE", ("from_shard",))
 
 
 def op_spans(
@@ -112,29 +112,12 @@ def nest_op_trace(
     merged in — load the result in Perfetto to drill from request
     lifecycle into per-op cycle breakdowns.
     """
-    target = next(
-        (
-            s
-            for s in trace.spans
-            if s.request_id == request_id
-            and s.name == phase
-            and s.cat == CAT_REQUEST
-        ),
-        None,
-    )
-    if target is None:
-        raise SimulationError(
-            f"request {request_id} has no {phase} span in this trace"
-        )
-    return trace.merged(
-        op_spans(
-            stage_report,
-            target.t0_s,
-            duration_s=target.duration_s,
-            shard_id=target.shard_id,
-            request_id=request_id,
-        )
-    )
+    for s in trace.for_request(request_id).spans:
+        if s.name == phase and s.cat == CAT_REQUEST:
+            return trace.merged(
+                op_spans(stage_report, s.t0_s, s.duration_s, s.shard_id, request_id)
+            )
+    raise SimulationError(f"request {request_id} has no {phase} span in this trace")
 
 
 def lifecycle_rows(

@@ -43,7 +43,7 @@ BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 #: Step slices by kind: a prefill step names its request, a decode run not.
 _STEPS = {
-    kind: (name, row_kind("X", CAT_STEP, name, ("batch", "k"), has_rid, raw=True))
+    kind: (name, row_kind("X", CAT_STEP, name, ("batch", "k"), has_rid))
     for kind, name, has_rid in (
         ("prefill", "PREFILL_STEP", True), ("decode", "DECODE_RUN", False)
     )
@@ -68,7 +68,7 @@ class ShardObs(object):
         "_reg",
         "_tick_s",
         "_next_sample_s",
-        "_log",
+        "_runs",
         "_steps",
         "_g_kv",
         "_g_queue",
@@ -83,8 +83,10 @@ class ShardObs(object):
         self._reg = registry
         self._tick_s = tick_s
         self._next_sample_s = 0.0
-        self._log: Optional[EventLog] = None
-        self._steps: List[tuple] = []  # step slices, as span rows
+        self._steps: List[tuple] = []  # the current run's step slices, as span rows
+        # [event log, step rows] of each scheduler bound, after the steps
+        # recorded before any was.
+        self._runs: List[list] = [[None, self._steps]]
         shard = str(shard_id)
         self._g_kv = registry.gauge("kv_reserved_bytes", shard=shard)
         self._g_queue = registry.gauge("queue_depth", shard=shard)
@@ -95,12 +97,18 @@ class ShardObs(object):
             registry.counter(name, shard=shard)
         self._c_decode_iters = registry.counter("decode_iterations", shard=shard)
 
-    def bind(self, log: EventLog) -> None:
-        """Attach the event log :meth:`FleetObserver.build` reads (the
-        scheduler calls this at construction and whenever it starts a
-        new copy of its log). A log refers to nothing, so no cycle keeps
-        the scheduler alive."""
-        self._log = log
+    def bind(self, log: EventLog, copy: bool = False) -> None:
+        """Attach a scheduler's event log for :meth:`FleetObserver.build`
+        to read. A new scheduler's log starts a run of its own, with its
+        own step slices and gauge clock; ``copy=True`` swaps in the copy
+        a scheduler starts once it has handed its log out. A log refers
+        to nothing, so no cycle keeps the scheduler alive."""
+        if copy:
+            self._runs[-1][0] = log
+        else:
+            self._steps = []
+            self._runs.append([log, self._steps])
+            self._next_sample_s = 0.0
 
     # -- scheduler hooks (hot path; keep allocation-light) ------------
     def step(
@@ -145,16 +153,19 @@ class ShardObs(object):
         self._g_decoding.record(t_s, float(n_decoding))
         self._g_waiting.record(t_s, float(n_waiting))
 
-    def _snapshot(self) -> Tuple[Optional[EventLog], List[tuple]]:
-        """Copies of the bound log and the step rows so far; sets the
+    def _snapshot(self) -> List[Tuple[Optional[EventLog], List[tuple]]]:
+        """Copies of each run's log and step rows so far; sets the
         logged-event counters."""
-        if self._log is None:
-            return None, list(self._steps)
-        log = self._log.copy()
+        runs = [
+            (None if log is None else log.copy(), list(steps))
+            for log, steps in self._runs
+        ]
         for name, code in _LOG_COUNTS:
             counter = self._reg.counter(name, shard=str(self.shard_id))
-            counter.value = float(log.kind.count(code))
-        return log, list(self._steps)
+            counter.value = float(
+                sum(log.kind.count(code) for log, _ in runs if log is not None)
+            )
+        return runs
 
 
 class FleetObserver(object):
@@ -166,7 +177,7 @@ class FleetObserver(object):
         self._spans: List[tuple] = []
         self._instants: List[tuple] = []
         self._shards: Dict[int, ShardObs] = {}
-        self._routing: Tuple[str, Sequence] = ("", ())
+        self._routing: List[Tuple[str, Sequence]] = []
 
     def shard(self, shard_id: int) -> ShardObs:
         """The (created-on-first-use) view bound to one shard."""
@@ -178,10 +189,10 @@ class FleetObserver(object):
         return got
 
     def bind_routing(self, policy_name: str, decisions: Sequence) -> None:
-        """Attach the fleet's (growing) list of routing decisions, from
+        """Attach a fleet run's (growing) list of routing decisions, from
         which :meth:`build` derives ROUTE and MIGRATE instants and the
         ``requests_routed`` and ``migrations`` counters."""
-        self._routing = (policy_name, decisions)
+        self._routing.append((policy_name, decisions))
 
     def instant(
         self,
@@ -235,7 +246,8 @@ class FleetObserver(object):
         beside it, unbounded.
         """
         spans, instants = list(self._spans), list(self._instants)
-        policy_name, decisions = self._routing[0], tuple(self._routing[1])
+        routing = [(name, tuple(decisions)) for name, decisions in self._routing]
+        decisions = [d for _, run in routing for d in run]
         snaps = [(i, shard._snapshot()) for i, shard in self._shards.items()]
         n_shards = (max(self._shards) + 1) if self._shards else 0
         routed = _Tally(d.shard_id for d in decisions if d.migrated_from is None)
@@ -249,15 +261,17 @@ class FleetObserver(object):
             self.registry.counter("migrations", thief=thief, donor=donor).value = float(n)
 
         def assemble() -> FleetTrace:
-            for shard_id, (log, steps) in snaps:
-                if log is not None:
-                    # The scheduler logs PREFILL_START, then runs that
-                    # prefill: the n-th prefill slice ends at the n-th
-                    # prefill's first token.
-                    ends = [r[1] for r in steps if r[3] == "PREFILL_STEP"]
-                    spans.extend(lifecycle_rows(shard_id, log, ends))
-                spans.extend(steps)
-            instants.extend(routing_rows(decisions, policy_name))
+            for shard_id, runs in snaps:
+                for log, steps in runs:
+                    if log is not None:
+                        # A scheduler logs PREFILL_START, then runs that
+                        # prefill: its n-th prefill slice ends at its
+                        # n-th prefill's first token.
+                        ends = [r[1] for r in steps if r[3] == "PREFILL_STEP"]
+                        spans.extend(lifecycle_rows(shard_id, log, ends))
+                    spans.extend(steps)
+            for policy_name, run in routing:
+                instants.extend(routing_rows(run, policy_name))
             return FleetTrace(spans, instants, n_shards)
 
         return ObsBundle(metrics=self.registry, _assemble=assemble)

@@ -4,13 +4,22 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.obs import FleetObserver, MetricsRegistry, ObsBundle
 from repro.obs.bridge import lifecycle_rows, record_first_tokens
+from repro.obs.perfetto import write_perfetto
 from repro.obs.spans import CAT_FAULT, CAT_STEP, FleetTrace, Span
-from repro.serving import ContinuousBatchingScheduler, EventKind, EventLog, Request
+from repro.serving import (
+    ContinuousBatchingScheduler,
+    EventKind,
+    EventLog,
+    Request,
+    ServingSimulator,
+)
 
 
 def _log(*events) -> EventLog:
@@ -92,6 +101,14 @@ class TestShardLifecycle:
             ("PREFILL", 0.4, 0.6), ("DECODE", 0.6, 1.0),
         ]
 
+    def test_a_reversed_log_built_span_is_not_written(self, tmp_path):
+        # A first token before its prefill start can only come from a
+        # misaligned first-token source; the writer refuses the span.
+        log = _log((0.0, A, 1), (0.2, P, 1), (0.9, C, 1))
+        trace = FleetTrace(lifecycle_rows(0, log, [0.1]), [], 1)
+        with pytest.raises(SimulationError, match="PREFILL"):
+            write_perfetto(trace, str(tmp_path / "trace.json"))
+
     def test_record_first_tokens_take_the_completing_prefill(self):
         class Rec:
             class request:
@@ -154,6 +171,10 @@ class TestFleetObserver:
         assert crash.attrs_dict == {"n_requests_hit": 2}
         assert bundle.metrics.counter("retries").value == 1.0
 
+    def test_reversed_fleet_span_is_rejected(self):
+        with pytest.raises(SimulationError):
+            FleetObserver().span("X", 2.0, 1.0)
+
     def test_bound_scheduler_lifecycle_and_counters(self, fast_engine):
         obs = FleetObserver()
         sched = _scheduler(fast_engine, obs.shard(0))
@@ -200,6 +221,40 @@ class TestFleetObserver:
         sched.advance_until(math.inf)
         names = [s.name for s in obs.build().trace.spans if s.cat == "request"]
         assert names == ["QUEUE", "PREFILL", "DECODE"]
+
+    def test_each_run_keeps_its_own_lifecycles(self, fast_engine, make_stream):
+        # Each run builds a fresh scheduler on the same shard view; a
+        # run's first tokens come from its own prefill slices.
+        def observe(n_runs):
+            obs = FleetObserver(tick_s=0.001)
+            sim = ServingSimulator(fast_engine, max_batch=4, ctx_bucket=16, obs=obs)
+            for _ in range(n_runs):
+                sim.run(make_stream())
+            return obs.build()
+
+        once, twice = observe(1), observe(2)
+        assert Counter(twice.trace.spans) == Counter(
+            {span: 2 for span in once.trace.spans}
+        )
+        for name in ("requests_admitted", "requests_completed", "decode_iterations"):
+            assert (
+                twice.metrics.counter(name, shard="0").value
+                == 2 * once.metrics.counter(name, shard="0").value
+            )
+        # Each run samples its gauges from its own start.
+        points = once.metrics.gauge("queue_depth", shard="0").points
+        assert len(points) > 1
+        assert twice.metrics.gauge("queue_depth", shard="0").points == points * 2
+
+    def test_each_fleet_run_keeps_its_routing(self, make_fleet, make_stream):
+        obs = FleetObserver()
+        fleet = make_fleet(obs=obs, steal=True)
+        once = fleet.run(make_stream()).obs.trace
+        twice = fleet.run(make_stream()).obs.trace
+        assert Counter(twice.instants) == Counter(
+            {instant: 2 for instant in once.instants}
+        )
+        assert Counter(twice.spans) == Counter({span: 2 for span in once.spans})
 
     def test_routing_decisions_become_instants_and_counters(self):
         from repro.fleet import RoutingDecision
