@@ -130,13 +130,12 @@ class RowKind(object):
 
     def text(self, row: tuple) -> str:
         """One row as its event's JSON text."""
-        t0, t1, _, name, rid, shard, _, values = row
+        t0, t1, _, _, rid, shard, _, values = row
         args = tuple(map(_json_value, values))
         at = self.rid_at
         if at is not None:
             args = args[:at] + (rid,) + args[at:]
         if self.span:
-            _check_interval(name, t0, t1)
             return self.template % (*args, (t1 - t0) * 1e6, shard + 2, t0 * 1e6)
         return self.template % (*args, shard + 2, t0 * 1e6)
 
@@ -254,7 +253,8 @@ class FleetTrace(object):
     Holds span and instant rows sorted (stably) by :data:`ROW_KEY`, so
     traces built from identical runs compare equal regardless of
     emission order; :attr:`spans` and :attr:`instants` are made from
-    the rows on first access.
+    the rows on first access. A span row that ends before it starts
+    raises :class:`SimulationError`, so no export writes one.
     """
 
     __slots__ = ("span_rows", "instant_rows", "n_shards", "_spans", "_instants")
@@ -268,6 +268,9 @@ class FleetTrace(object):
         n_shards: int = 0,
     ) -> None:
         self.span_rows = tuple(sorted(span_rows, key=ROW_KEY))
+        for row in self.span_rows:
+            if row[1] < row[0]:
+                _check_interval(row[3], row[0], row[1])
         self.instant_rows = tuple(sorted(instant_rows, key=ROW_KEY))
         self.n_shards = n_shards
         self._spans = self._instants = None

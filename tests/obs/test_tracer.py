@@ -11,7 +11,6 @@ import pytest
 from repro.errors import SimulationError
 from repro.obs import FleetObserver, MetricsRegistry, ObsBundle
 from repro.obs.bridge import lifecycle_rows, record_first_tokens
-from repro.obs.perfetto import write_perfetto
 from repro.obs.spans import CAT_FAULT, CAT_STEP, FleetTrace, Span
 from repro.serving import (
     ContinuousBatchingScheduler,
@@ -101,13 +100,12 @@ class TestShardLifecycle:
             ("PREFILL", 0.4, 0.6), ("DECODE", 0.6, 1.0),
         ]
 
-    def test_a_reversed_log_built_span_is_not_written(self, tmp_path):
+    def test_a_reversed_log_built_span_is_rejected(self):
         # A first token before its prefill start can only come from a
-        # misaligned first-token source; the writer refuses the span.
+        # misaligned first-token source; no trace holds the span.
         log = _log((0.0, A, 1), (0.2, P, 1), (0.9, C, 1))
-        trace = FleetTrace(lifecycle_rows(0, log, [0.1]), [], 1)
         with pytest.raises(SimulationError, match="PREFILL"):
-            write_perfetto(trace, str(tmp_path / "trace.json"))
+            FleetTrace(lifecycle_rows(0, log, [0.1]), [], 1)
 
     def test_record_first_tokens_take_the_completing_prefill(self):
         class Rec:
