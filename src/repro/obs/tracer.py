@@ -97,18 +97,19 @@ class ShardObs(object):
             registry.counter(name, shard=shard)
         self._c_decode_iters = registry.counter("decode_iterations", shard=shard)
 
-    def bind(self, log: EventLog, copy: bool = False) -> None:
-        """Attach a scheduler's event log for :meth:`FleetObserver.build`
-        to read. A new scheduler's log starts a run of its own, with its
-        own step slices and gauge clock; ``copy=True`` swaps in the copy
-        a scheduler starts once it has handed its log out. A log refers
-        to nothing, so no cycle keeps the scheduler alive."""
-        if copy:
-            self._runs[-1][0] = log
-        else:
-            self._steps = []
-            self._runs.append([log, self._steps])
-            self._next_sample_s = 0.0
+    def bind(self, log: EventLog) -> None:
+        """Start a run for a new scheduler: :meth:`FleetObserver.build`
+        reads ``log`` with the step slices recorded from now on, and
+        gauge sampling starts over. A log refers to nothing, so no cycle
+        keeps the scheduler alive."""
+        self._steps = []
+        self._runs.append([log, self._steps])
+        self._next_sample_s = 0.0
+
+    def rebind(self, log: EventLog) -> None:
+        """Swap in the copy of its log that the current run's scheduler
+        starts once it has handed the log out."""
+        self._runs[-1][0] = log
 
     # -- scheduler hooks (hot path; keep allocation-light) ------------
     def step(

@@ -827,7 +827,7 @@ class ContinuousBatchingScheduler(_ShardLoad):
             log = self._events = log.copy()
             self._events_shared = False
             if self._obs is not None:
-                self._obs.bind(log, copy=True)
+                self._obs.rebind(log)
         log.t_s.append(self._clock)
         log.kind.append(kind)
         log.request_id.append(request_id)
