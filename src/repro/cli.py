@@ -18,6 +18,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -127,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "before simulation (1 = exact; larger = faster)")
     p.add_argument("--kv-budget-mb", type=float, default=None,
                    help="override the DRAM-derived KV budget")
-    _interp_args(p)
     _obs_args(p)
     _store_args(p)
 
@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SCENARIO",
                    help="sweep: fault scenarios to cross with the grid "
                         "(default: [--faults])")
-    _interp_args(p)
     _obs_args(p)
     _store_args(p)
 
@@ -243,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-batch", type=int, default=16)
     p.add_argument("--ctx-bucket", type=int, default=16)
-    _interp_args(p)
     _store_args(p)
 
     p = sub.add_parser(
@@ -264,19 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 0.5 — machine-to-machine noise is real, "
                         "halving the measured ratio is not)")
     return parser
-
-
-def _interp_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--interpolate", action="store_true",
-                   help="allow guarded log-linear surface interpolation "
-                        "for latency lookups (falls back to exact "
-                        "simulation whenever the bracketing points "
-                        "disagree beyond the relative-error guard)")
-    p.add_argument("--interp-rel-err", type=float, default=None,
-                   metavar="FRAC",
-                   help="override the interpolation guard (default: the "
-                        "surface's built-in 0.05; 0 disables "
-                        "interpolation entirely via fallback)")
 
 
 def _store_args(p: argparse.ArgumentParser) -> None:
@@ -335,7 +320,7 @@ def _make_observer(args: argparse.Namespace):
             "only; sweeps evaluate many grid points and keep the "
             "observability-free bit-identical path"
         )
-    if args.obs_tick <= 0:
+    if not args.obs_tick > 0:
         raise CLIError(f"--obs-tick must be positive, got {args.obs_tick:g}")
     from .obs import FleetObserver
 
@@ -540,28 +525,31 @@ def _source_factory(args: argparse.Namespace):
     return factory
 
 
+def _kv_budget_bytes(args: argparse.Namespace) -> Optional[int]:
+    """``--kv-budget-mb`` in bytes, or None to derive it from DRAM."""
+    mb = args.kv_budget_mb
+    if mb is None:
+        return None
+    if not math.isfinite(mb):
+        raise CLIError(f"--kv-budget-mb must be finite, got {mb:g}")
+    return int(mb * 1024 * 1024)
+
+
 def _cmd_serve(args: argparse.Namespace) -> str:
     from .serving import ServingSimulator
 
     model = get_model(args.model)
     source = _source_factory(args)()
     engine = MeadowEngine(model, zcu102_config(args.bandwidth), _PLANS[args.plan]())
-    if args.interp_rel_err is not None:
-        engine.surface.interp_rel_err = args.interp_rel_err
     store = _make_store(args)
     warm = store.load(engine) if store is not None else 0
-    budget = (
-        int(args.kv_budget_mb * 1024 * 1024)
-        if args.kv_budget_mb is not None
-        else None
-    )
+    budget = _kv_budget_bytes(args)
     observer = _make_observer(args)
     sim = ServingSimulator(
         engine,
         kv_budget_bytes=budget,
         max_batch=args.max_batch,
         ctx_bucket=args.ctx_bucket,
-        interpolate=args.interpolate,
         obs=observer,
     )
     report = sim.run(source)
@@ -587,11 +575,7 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
     base = MeadowEngine(
         model, zcu102_config(args.bandwidths[0]), _PLANS[args.plan]()
     )
-    budget = (
-        int(args.kv_budget_mb * 1024 * 1024)
-        if args.kv_budget_mb is not None
-        else None
-    )
+    budget = _kv_budget_bytes(args)
     factory = _source_factory(args)
     _check_fault_names([args.faults], "--faults")
     if args.faults_grid is not None:
@@ -612,9 +596,6 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
 
     if not args.sweep:
         engines = [driver.engine_for(bw) for bw in args.bandwidths]
-        if args.interp_rel_err is not None:
-            for eng in engines:
-                eng.surface.interp_rel_err = args.interp_rel_err
         retry = None
         if args.retry_budget is not None or args.deadline_s is not None:
             retry = RetryPolicy(
@@ -631,7 +612,6 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
             max_batch=args.max_batch,
             ctx_bucket=args.ctx_bucket,
             steal=args.steal,
-            interpolate=args.interpolate,
             faults=None if args.faults == "none" else args.faults,
             retry=retry,
             shedding=None if args.shed == "none" else args.shed,
@@ -651,14 +631,6 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
             lines.append(_store_line(*driver.save_surfaces()))
         return "\n".join(lines)
 
-    if args.interpolate:
-        from .errors import ConfigError
-
-        raise ConfigError(
-            "--interpolate applies to single fleet runs only; sweep "
-            "results are defined exact so serial and --workers runs "
-            "stay bit-identical"
-        )
     result = driver.sweep(
         factory,
         n_engines_grid=args.num_engines or [len(args.bandwidths)],
@@ -712,8 +684,6 @@ def _cmd_plan(args: argparse.Namespace) -> str:
         workload,
         max_batch=args.max_batch,
         ctx_bucket=args.ctx_bucket,
-        interpolate=args.interpolate,
-        interp_rel_err=args.interp_rel_err,
         surface_store=_make_store(args),
     )
     if args.engines is not None:

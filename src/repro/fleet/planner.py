@@ -70,7 +70,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..core.meadow import MeadowEngine
 from ..errors import ConfigError
@@ -238,7 +238,6 @@ class _ShardModel:
         workload: WorkloadModel,
         max_batch: int,
         ctx_bucket: int,
-        interpolate: bool,
     ) -> None:
         max_len = engine.model.max_seq_len
         if max(workload.prompt_tokens) >= max_len:
@@ -250,11 +249,9 @@ class _ShardModel:
         self.workload = workload
         self.max_batch = max_batch
         self.ctx_bucket = ctx_bucket
-        self.interpolate = interpolate
         surface = engine.surface
         self.prefill_s = tuple(
-            surface.prefill(p, interpolate=interpolate).latency_s
-            for p in workload.prompt_tokens
+            surface.prefill(p).latency_s for p in workload.prompt_tokens
         )
         n = workload.n_samples
         self.mean_prefill_s = sum(self.prefill_s) / n
@@ -280,8 +277,7 @@ class _ShardModel:
             end = min(p + o - 1, max_len)
             while ctx <= end:
                 point, run = surface.decode_run(
-                    ctx, batch=batch, ctx_bucket=self.ctx_bucket,
-                    interpolate=self.interpolate,
+                    ctx, batch=batch, ctx_bucket=self.ctx_bucket
                 )
                 take = min(run, end - ctx + 1)
                 total += take * point.latency_s
@@ -307,8 +303,7 @@ class _ShardModel:
             )
             mean_ctx = max(1, min(mean_ctx, self.engine.model.max_seq_len))
             point, _ = self.engine.surface.decode_run(
-                mean_ctx, batch=batch, ctx_bucket=self.ctx_bucket,
-                interpolate=self.interpolate,
+                mean_ctx, batch=batch, ctx_bucket=self.ctx_bucket
             )
             step = point.latency_s
             self._mean_steps[batch] = step
@@ -322,8 +317,8 @@ class _ShardModel:
     # ------------------------------------------------------ steady state
     def wait_params(self, rate_rps: float) -> _WaitParams:
         """Solve the shard's queueing state at one arrival rate."""
-        if rate_rps <= 0:
-            raise ConfigError(f"rate_rps must be positive, got {rate_rps}")
+        if not 0 < rate_rps < math.inf:
+            raise ConfigError(f"rate_rps must be positive and finite, got {rate_rps}")
         rho_p = rate_rps * self.mean_prefill_s
         decode_share = max(1e-9, 1.0 - rho_p)
 
@@ -520,12 +515,6 @@ class CapacityPlanner:
         max_batch / ctx_bucket: the scheduler knobs the fleet would run
             with — they change modeled decode cost, so they change
             capacity.
-        interpolate: allow guarded surface interpolation when filling
-            the model's lookup points (planner answers then inherit the
-            surface's ``interp_rel_err`` bound on top of the queueing
-            approximation).
-        interp_rel_err: override the per-shard surfaces' interpolation
-            guard (``None`` keeps each surface's own setting).
         surface_store: optional :class:`~repro.sim.SurfaceStore`,
             forwarded to the internal :class:`SweepDriver` so shard
             surfaces warm-start across runs; call
@@ -539,8 +528,6 @@ class CapacityPlanner:
         workload: WorkloadModel,
         max_batch: int = 16,
         ctx_bucket: int = 1,
-        interpolate: bool = False,
-        interp_rel_err: Optional[float] = None,
         surface_store=None,
     ) -> None:
         if max_batch < 1:
@@ -553,22 +540,16 @@ class CapacityPlanner:
         self.workload = workload
         self.max_batch = max_batch
         self.ctx_bucket = ctx_bucket
-        self.interpolate = interpolate
-        self.interp_rel_err = interp_rel_err
         self._models: Dict[float, _ShardModel] = {}
 
     def shard_model(self, bandwidth_gbps: float) -> _ShardModel:
         model = self._models.get(bandwidth_gbps)
         if model is None:
-            engine = self.driver.engine_for(bandwidth_gbps)
-            if self.interp_rel_err is not None:
-                engine.surface.interp_rel_err = self.interp_rel_err
             model = _ShardModel(
-                engine,
+                self.driver.engine_for(bandwidth_gbps),
                 self.workload,
                 self.max_batch,
                 self.ctx_bucket,
-                self.interpolate,
             )
             self._models[bandwidth_gbps] = model
         return model
@@ -612,8 +593,8 @@ class CapacityPlanner:
     # ---------------------------------------------------------- forecasts
     def forecast(self, n_engines: int, rate_rps: float) -> FleetForecast:
         """Steady-state fleet forecast at ``rate_rps`` total arrivals."""
-        if rate_rps <= 0:
-            raise ConfigError(f"rate_rps must be positive, got {rate_rps}")
+        if not 0 < rate_rps < math.inf:
+            raise ConfigError(f"rate_rps must be positive and finite, got {rate_rps}")
         profile = self.driver.fleet_profile(n_engines)
         models = [self.shard_model(b) for b in profile]
         rates = self._split_rates(models, rate_rps)
@@ -685,7 +666,7 @@ class CapacityPlanner:
         no-load floor (the p99 prompt's prefill latency on the fastest
         shard).
         """
-        if target_p99_ttft_s <= 0:
+        if not target_p99_ttft_s > 0:
             raise ConfigError(
                 f"target_p99_ttft_s must be positive, got {target_p99_ttft_s}"
             )

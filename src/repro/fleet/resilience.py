@@ -109,7 +109,7 @@ class RetryPolicy:
             )
         if self.jitter_s < 0:
             raise ConfigError(f"jitter_s must be >= 0, got {self.jitter_s}")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise ConfigError(
                 f"deadline_s must be positive, got {self.deadline_s}"
             )

@@ -408,11 +408,6 @@ class FleetSimulator:
             instants live in the records. The parameter exists only for
             ``perfbench/workloads.py``, which still passes
             ``token_events=False``, and goes when that file drops it.
-        interpolate: allow guarded log-linear surface interpolation on
-            every shard's latency lookups (approximate within each
-            surface's ``interp_rel_err`` bound, falling back to exact
-            simulation when the bracket disagrees more). Off by default
-            so fleet numbers stay exact.
         steal: let a shard going idle pull the oldest still-waiting
             request it can hold off the deepest-backlog shard (which
             must stay busy afterwards). Each migration is recorded as a
@@ -450,7 +445,6 @@ class FleetSimulator:
         ctx_bucket=1,
         token_events: bool = False,
         steal: bool = False,
-        interpolate: bool = False,
         faults: Union[FaultSchedule, str, None] = None,
         retry: Optional[RetryPolicy] = None,
         shedding: Union[SheddingPolicy, str, None] = None,
@@ -478,7 +472,6 @@ class FleetSimulator:
         self.max_batch = _per_shard(max_batch, n, "max_batch")
         self.ctx_bucket = _per_shard(ctx_bucket, n, "ctx_bucket")
         self.steal = steal
-        self.interpolate = interpolate
         self.faults = faults
         self.retry = retry
         self.shedding = (
@@ -660,7 +653,6 @@ class FleetSimulator:
                 max_batch=self.max_batch[i],
                 ctx_bucket=self.ctx_bucket[i],
                 on_complete=make_harvest(i),
-                interpolate=self.interpolate,
                 obs=obs.shard(i) if obs is not None else None,
                 shard_id=i,
             )

@@ -523,9 +523,6 @@ class SweepDriver:
         Either way the result — including the versioned Pareto JSON — is
         bit-identical, because every surface point is exact regardless
         of cache warmth and sources are materialized by the parent.
-        (This is also why the sweep has no ``interpolate`` knob:
-        interpolated values depend on which exact points happen to be
-        warm, which differs between the serial and parallel walks.)
 
         ``max_energy_per_token_uj`` drops grid points whose modeled
         ``energy_per_token_uj`` exceeds the ceiling *before* Pareto

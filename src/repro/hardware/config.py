@@ -93,7 +93,7 @@ class HardwareConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.clock_hz <= 0:
             raise ConfigError(f"clock_hz must be positive, got {self.clock_hz}")
-        if self.dram_bandwidth_gbps <= 0:
+        if not self.dram_bandwidth_gbps > 0:
             raise ConfigError(
                 f"dram_bandwidth_gbps must be positive, got {self.dram_bandwidth_gbps}"
             )

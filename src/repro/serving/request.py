@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import floor, log
+from math import floor, inf, log
 from typing import List, Optional, Tuple
 
 from ..errors import ConfigError
@@ -50,13 +50,15 @@ class Request:
     def __post_init__(self) -> None:
         if self.request_id < 0:
             raise ConfigError(f"request_id must be non-negative, got {self.request_id}")
-        if self.arrival_s < 0:
-            raise ConfigError(f"arrival_s must be non-negative, got {self.arrival_s}")
+        if not 0 <= self.arrival_s < inf:
+            raise ConfigError(
+                f"arrival_s must be non-negative and finite, got {self.arrival_s}"
+            )
         if self.prompt_tokens < 1:
             raise ConfigError(f"prompt_tokens must be >= 1, got {self.prompt_tokens}")
         if self.output_tokens < 1:
             raise ConfigError(f"output_tokens must be >= 1, got {self.output_tokens}")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise ConfigError(f"deadline_s must be positive, got {self.deadline_s}")
 
     @property
@@ -162,7 +164,7 @@ def poisson_stream(
     """Open-loop Poisson arrivals at ``rate_rps`` requests per second."""
     if n_requests < 1:
         raise ConfigError(f"n_requests must be >= 1, got {n_requests}")
-    if rate_rps <= 0:
+    if not rate_rps > 0:
         raise ConfigError(f"rate_rps must be positive, got {rate_rps}")
     rng = random.Random(seed)
     t = 0.0
@@ -193,8 +195,10 @@ def bursty_stream(
         raise ConfigError(f"n_requests must be >= 1, got {n_requests}")
     if burst_size < 1:
         raise ConfigError(f"burst_size must be >= 1, got {burst_size}")
-    if burst_gap_s <= 0:
-        raise ConfigError(f"burst_gap_s must be positive, got {burst_gap_s}")
+    if not 0 < burst_gap_s < inf:
+        raise ConfigError(
+            f"burst_gap_s must be positive and finite, got {burst_gap_s}"
+        )
     rng = random.Random(seed)
     requests: List[Request] = []
     for i in range(n_requests):
@@ -237,8 +241,10 @@ class ClosedLoopSource(RequestSource):
             raise ConfigError(
                 f"total_requests ({total_requests}) below n_users ({n_users})"
             )
-        if think_time_s < 0:
-            raise ConfigError(f"think_time_s must be non-negative, got {think_time_s}")
+        if not 0 <= think_time_s < inf:
+            raise ConfigError(
+                f"think_time_s must be non-negative and finite, got {think_time_s}"
+            )
         self.n_users = n_users
         self.total_requests = total_requests
         self.think_time_s = think_time_s

@@ -420,13 +420,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
             callback here so closed-loop follow-ups re-enter the global
             router instead of being pinned to the shard that happened
             to serve their predecessor.
-        interpolate: allow guarded log-linear surface interpolation on
-            latency lookups (see :class:`~repro.sim.surface
-            .LatencySurface`). The guard falls back to exact simulation
-            whenever the bracketing points disagree beyond the surface's
-            ``interp_rel_err`` bound, so modeled numbers stay within
-            that relative error of the exact walk. Default ``False``
-            keeps every number bit-identical to exact simulation.
         obs: optional per-shard observability sink (a
             :class:`~repro.obs.ShardObs` view, or anything duck-typed
             like one). The scheduler hands it its event log (and each
@@ -453,7 +446,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
         max_batch: int = 16,
         ctx_bucket: int = 1,
         on_complete: Optional[Callable[[Request, float], Optional[Request]]] = None,
-        interpolate: bool = False,
         obs=None,
         shard_id: int = 0,
     ) -> None:
@@ -479,7 +471,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
             )
         self.max_batch = max_batch
         self.ctx_bucket = ctx_bucket
-        self.interpolate = interpolate
         self.shard_id = shard_id
         # The largest total_tokens this shard can ever admit: the model's
         # context limit, or less where the KV budget binds first. The
@@ -895,9 +886,7 @@ class ContinuousBatchingScheduler(_ShardLoad):
         active = self._prefill_queue.popleft()
         req = active.request
         self._log(_PREFILL_START, req.request_id)
-        point = self.engine.surface.prefill(
-            req.prompt_tokens, interpolate=self.interpolate
-        )
+        point = self.engine.surface.prefill(req.prompt_tokens)
         t0 = self._clock
         self._clock += point.latency_s * self.latency_scale
         self._energy_uj += point.energy_uj
@@ -954,11 +943,11 @@ class ContinuousBatchingScheduler(_ShardLoad):
         are constant within a run, and the per-iteration work collapses
         to O(batch) bookkeeping. A run may span many ``ctx_bucket``
         contexts: each bucket's surface point is looked up only when the
-        clock reaches it, so a cold or interpolating surface sees the
-        walk's lookups in the walk's order. The clock and energy series
-        are still produced by the same sequential float additions the
-        per-token walk performs, so every timestamp, TBT gap and
-        accumulator matches bit for bit.
+        clock reaches it, so a cold surface simulates the walk's points
+        in the walk's order. The clock and energy series are still
+        produced by the same sequential float additions the per-token
+        walk performs, so every timestamp, TBT gap and accumulator
+        matches bit for bit.
         """
         n = len(self._d_req)
         d_ctx = self._d_ctx
@@ -968,7 +957,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
         stop = min(t_s, self._future[0][0]) if self._future else t_s
         lookup = self.engine.surface.decode_run_many
         ctx_bucket = self.ctx_bucket
-        interpolate = self.interpolate
         scale = self.latency_scale
         energy = self._energy_uj
         # full[i] is the clock after i steps. Sequential float addition
@@ -983,7 +971,7 @@ class ContinuousBatchingScheduler(_ShardLoad):
         full = [self._clock]
         k = 0
         while True:
-            point, bucket_run = lookup((top + k,), n, ctx_bucket, interpolate)
+            point, bucket_run = lookup((top + k,), n, ctx_bucket)
             lat = point.latency_s * scale
             m = min(bucket_run, to_complete - k)
             if m == 1:

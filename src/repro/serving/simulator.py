@@ -50,11 +50,8 @@ class ServingReport:
 class ServingSimulator:
     """Run request scenarios against one deployed engine.
 
-    ``interpolate`` passes straight through to the scheduler: it allows
-    guarded surface interpolation on latency lookups (approximate within
-    the surface's ``interp_rel_err`` bound; off by default so numbers
-    stay exact). The result's event log holds state changes only; every
-    token's instant is in the records.
+    The result's event log holds state changes only; every token's
+    instant is in the records.
 
     ``obs`` takes a :class:`~repro.obs.FleetObserver`; the single-engine
     run reports through its shard-0 view, so the same observer (and
@@ -68,14 +65,12 @@ class ServingSimulator:
         kv_budget_bytes: Optional[int] = None,
         max_batch: int = 16,
         ctx_bucket: int = 1,
-        interpolate: bool = False,
         obs=None,
     ) -> None:
         self.engine = engine
         self.kv_budget_bytes = kv_budget_bytes
         self.max_batch = max_batch
         self.ctx_bucket = ctx_bucket
-        self.interpolate = interpolate
         self.obs = obs
 
     def run(self, source: RequestSource) -> ServingReport:
@@ -86,7 +81,6 @@ class ServingSimulator:
             kv_budget_bytes=self.kv_budget_bytes,
             max_batch=self.max_batch,
             ctx_bucket=self.ctx_bucket,
-            interpolate=self.interpolate,
             obs=self.obs.shard(0) if self.obs is not None else None,
         )
         result = scheduler.run()

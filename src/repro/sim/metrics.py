@@ -95,8 +95,8 @@ def percentile(values: Sequence[float], q: float) -> float:
     """The ``q``-th percentile of ``values`` (linear interpolation).
 
     Uses the inclusive ("linear") method: ``q=0`` is the minimum,
-    ``q=100`` the maximum, and interior points interpolate between the
-    two nearest order statistics — so a single sample is every
+    ``q=100`` the maximum, and interior points lie on the line between
+    the two nearest order statistics — so a single sample is every
     percentile of itself, and ties collapse as expected.
 
     Raises:

@@ -18,26 +18,12 @@ so ``latency_s``, ``total_cycles`` and ``energy_uj`` equal the full
 report's values bit for bit. Per-op breakdowns are still available — ask
 for them explicitly via :meth:`LatencySurface.report`, which
 materializes a full :class:`StageReport` through ``simulate`` on demand.
-
-**Guarded interpolation** (``interpolate=True`` on :meth:`LatencySurface
-.prefill` / :meth:`~LatencySurface.decode` / :meth:`~LatencySurface
-.decode_run`) trades a bounded approximation for skipping simulation
-entirely on misses that fall *between* exact points: the estimate is
-log-linear (a power-law fit between the bracketing exact points of the
-same stage and batch), and a relative-error guard
-(:attr:`LatencySurface.interp_rel_err`) falls back to exact simulation
-whenever the bracketing points disagree by more than the bound. Because
-every scalar is monotone in context length between two exact points, the
-true value lies inside the bracket, so a guarded interpolated value is
-within ``interp_rel_err`` of the exact simulation. Interpolated points
-are marked ``exact=False``, cached separately, and never serialized —
-the exact table stays bit-identical whether or not anyone interpolated.
+Every lookup answers from the table or from a fresh simulation; the
+surface never estimates a point it has not simulated.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -46,7 +32,6 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -80,9 +65,6 @@ class SurfacePoint:
     latency_s: float
     total_cycles: float
     energy_uj: float
-    #: ``True`` for simulator-produced points; ``False`` for guarded
-    #: log-linear interpolations between two exact points.
-    exact: bool = True
 
     @property
     def latency_ms(self) -> float:
@@ -101,32 +83,13 @@ class LatencySurface:
     streams.
     """
 
-    #: Default relative-error guard for interpolated lookups. A guarded
-    #: interpolation is accepted only when the bracketing exact points
-    #: agree within this relative span on every scalar; otherwise the
-    #: lookup falls back to exact simulation.
-    DEFAULT_INTERP_REL_ERR = 0.05
-
-    def __init__(
-        self,
-        simulator: WorkloadSimulator,
-        interp_rel_err: float = DEFAULT_INTERP_REL_ERR,
-    ) -> None:
+    def __init__(self, simulator: WorkloadSimulator) -> None:
         self._sim = simulator
         self._points: Dict[Tuple[Stage, int, int], SurfacePoint] = {}
-        # Sorted token axes per (stage, batch) so interpolation can
-        # bracket a miss in O(log n); maintained by every insert path.
-        self._axes: Dict[Tuple[Stage, int], List[int]] = {}
-        # Interpolated estimates, keyed like exact points but kept in a
-        # separate table: they never shadow exact entries and never
-        # serialize, so the exact table stays bit-identical regardless
-        # of whether anyone interpolated.
-        self._interp_cache: Dict[Tuple[Stage, int, int], SurfacePoint] = {}
         # Batch-1 prefill latency by prompt length: the queued-prefill
         # sum probes this with a plain int instead of hashing a
         # (Stage, tokens, 1) key per distinct length.
         self._prefill_s: Dict[int, float] = {}
-        self.interp_rel_err = interp_rel_err  # validated by the setter
         #: Points filled by *running the simulator* since construction
         #: (loads and merges do not count). The surface store's
         #: warm-start guarantee is phrased in this counter: a run whose
@@ -135,17 +98,6 @@ class LatencySurface:
 
     def __len__(self) -> int:
         return len(self._points)
-
-    @property
-    def interp_rel_err(self) -> float:
-        """Relative-error guard of interpolated lookups (never negative)."""
-        return self._interp_rel_err
-
-    @interp_rel_err.setter
-    def interp_rel_err(self, value: float) -> None:
-        if value < 0.0:
-            raise SimulationError(f"interp_rel_err must be >= 0, got {value}")
-        self._interp_rel_err = value
 
     @property
     def simulator(self) -> WorkloadSimulator:
@@ -157,9 +109,6 @@ class LatencySurface:
         self._points[key] = point
         if key[0] is Stage.PREFILL and key[2] == 1:
             self._prefill_s[key[1]] = point.latency_s
-        insort(self._axes.setdefault((key[0], key[2]), []), key[1])
-        # An exact point supersedes any interpolated estimate at its key.
-        self._interp_cache.pop(key, None)
 
     def _insert(self, workload: Workload) -> SurfacePoint:
         """Simulate one point through the simulator's totals output.
@@ -182,101 +131,22 @@ class LatencySurface:
         self._register((workload.stage, workload.kv_len, workload.batch), point)
         return point
 
-    # ------------------------------------------------------ interpolation
-    @staticmethod
-    def _rel_span(lo: float, hi: float) -> float:
-        denom = max(abs(lo), abs(hi))
-        if denom == 0.0:
-            return 0.0
-        return abs(hi - lo) / denom
-
-    def _try_interpolate(
-        self, stage: Stage, tokens: int, batch: int
-    ) -> Optional[SurfacePoint]:
-        """Guarded log-linear estimate for a missing point, or ``None``.
-
-        Returns an estimate only when (a) exact points of the same stage
-        and batch bracket ``tokens`` strictly on both sides, and (b) the
-        bracketing points agree within :attr:`interp_rel_err` on every
-        scalar. Each scalar is monotone in context length between two
-        exact points, so the true value lies inside the bracket and the
-        relative span bounds the interpolation error. When the guard
-        trips the caller falls back to exact simulation.
-        """
-        key = (stage, tokens, batch)
-        cached = self._interp_cache.get(key)
-        if cached is not None:
-            return cached
-        axis = self._axes.get((stage, batch))
-        if not axis or len(axis) < 2:
-            return None
-        idx = bisect_left(axis, tokens)
-        if idx <= 0 or idx >= len(axis) or axis[idx] == tokens:
-            return None  # outside the hull (no extrapolation) or exact hit
-        lo = self._points[(stage, axis[idx - 1], batch)]
-        hi = self._points[(stage, axis[idx], batch)]
-        scalars = (
-            (lo.latency_s, hi.latency_s),
-            (lo.total_cycles, hi.total_cycles),
-            (lo.energy_uj, hi.energy_uj),
-        )
-        for lo_v, hi_v in scalars:
-            if lo_v <= 0.0 or hi_v <= 0.0:
-                return None  # log-space fit needs positive values
-            if self._rel_span(lo_v, hi_v) > self._interp_rel_err:
-                return None
-        # Power-law fit: linear in (log tokens, log value) between the
-        # bracket endpoints — matches the polynomial-in-context shape of
-        # the analytical latency model better than a linear fit.
-        weight = (math.log(tokens) - math.log(lo.tokens)) / (
-            math.log(hi.tokens) - math.log(lo.tokens)
-        )
-
-        def blend(lo_v: float, hi_v: float) -> float:
-            return math.exp(
-                (1.0 - weight) * math.log(lo_v) + weight * math.log(hi_v)
-            )
-
-        point = SurfacePoint(
-            stage=stage,
-            tokens=tokens,
-            batch=batch,
-            latency_s=blend(lo.latency_s, hi.latency_s),
-            total_cycles=blend(lo.total_cycles, hi.total_cycles),
-            energy_uj=blend(lo.energy_uj, hi.energy_uj),
-            exact=False,
-        )
-        self._interp_cache[key] = point
-        return point
-
-    def prefill(
-        self, prompt_tokens: int, batch: int = 1, interpolate: bool = False
-    ) -> SurfacePoint:
+    def prefill(self, prompt_tokens: int, batch: int = 1) -> SurfacePoint:
         """Point for a prefill pass over ``prompt_tokens`` tokens."""
         point = self._points.get((Stage.PREFILL, prompt_tokens, batch))
-        if point is None and interpolate:
-            point = self._try_interpolate(Stage.PREFILL, prompt_tokens, batch)
         if point is None:
             point = self._insert(prefill_workload(self._sim.model, prompt_tokens, batch))
         return point
 
-    def decode(
-        self, context_len: int, batch: int = 1, interpolate: bool = False
-    ) -> SurfacePoint:
+    def decode(self, context_len: int, batch: int = 1) -> SurfacePoint:
         """Point for one decode step over ``context_len`` total tokens."""
         point = self._points.get((Stage.DECODE, context_len, batch))
-        if point is None and interpolate:
-            point = self._try_interpolate(Stage.DECODE, context_len, batch)
         if point is None:
             point = self._insert(decode_workload(self._sim.model, context_len, batch))
         return point
 
     def decode_run(
-        self,
-        context_len: int,
-        batch: int = 1,
-        ctx_bucket: int = 1,
-        interpolate: bool = False,
+        self, context_len: int, batch: int = 1, ctx_bucket: int = 1
     ) -> Tuple[SurfacePoint, int]:
         """Bucketed decode point plus the run length that shares it.
 
@@ -285,16 +155,10 @@ class LatencySurface:
         the number of consecutive single-token steps
         (``context_len, context_len + 1, ...``) that share it.
         """
-        return self.decode_run_many(
-            (context_len - 1,), batch, ctx_bucket, interpolate
-        )
+        return self.decode_run_many((context_len - 1,), batch, ctx_bucket)
 
     def decode_run_many(
-        self,
-        contexts: Sequence[int],
-        batch: int,
-        ctx_bucket: int = 1,
-        interpolate: bool = False,
+        self, contexts: Sequence[int], batch: int, ctx_bucket: int = 1
     ) -> Tuple[SurfacePoint, int]:
         """One decode-bucket query for a whole stable batch.
 
@@ -325,14 +189,10 @@ class LatencySurface:
             bucketed = max_len
         point = self._points.get((Stage.DECODE, bucketed, batch))
         if point is None:
-            point = self.decode(bucketed, batch=batch, interpolate=interpolate)
+            point = self.decode(bucketed, batch=batch)
         return point, bucketed - context_len + 1
 
-    def queued_prefill_s(
-        self,
-        hist: Iterable[Tuple[int, int]],
-        interpolate: bool = False,
-    ) -> float:
+    def queued_prefill_s(self, hist: Iterable[Tuple[int, int]]) -> float:
         """Total prefill latency of a waiting-prompt histogram.
 
         ``hist`` is ``(prompt_tokens, count)`` pairs — the shape of
@@ -348,7 +208,7 @@ class LatencySurface:
         for tokens, count in hist:
             latency_s = table.get(tokens)
             if latency_s is None:
-                latency_s = self.prefill(tokens, interpolate=interpolate).latency_s
+                latency_s = self.prefill(tokens).latency_s
             total += count * latency_s
         return total
 
@@ -404,7 +264,7 @@ class LatencySurface:
 
     # ------------------------------------------------------ delta shipping
     def point_keys(self) -> FrozenSet[Tuple[Stage, int, int]]:
-        """Keys of every exact point currently in the table.
+        """Keys of every point currently in the table.
 
         Parallel sweep workers snapshot this after loading the parent's
         broadcast surface, then ship only points discovered since
@@ -415,7 +275,7 @@ class LatencySurface:
     def export_points(
         self, exclude: FrozenSet[Tuple[Stage, int, int]] = frozenset()
     ) -> List[Dict[str, Any]]:
-        """JSON entries for exact points whose keys are not in ``exclude``.
+        """JSON entries for points whose keys are not in ``exclude``.
 
         Entries use the :meth:`to_json` point schema and are emitted in
         sorted key order for deterministic payloads.
@@ -465,7 +325,6 @@ class LatencySurface:
         is bit-identical to a re-simulated one. Points are emitted in
         sorted (stage, tokens, batch) order for byte-stable dumps, with
         an ``n_points`` count so truncated dumps fail loudly on load.
-        Interpolated estimates are never serialized.
         """
         return {
             "version": SURFACE_SCHEMA_VERSION,

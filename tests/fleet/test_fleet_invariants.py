@@ -324,34 +324,6 @@ class TestTokenEventsShim:
         assert shim == plain
 
 
-class TestInterpolationKnob:
-    """fleet-wide interpolate=True threads down to every shard."""
-
-    def test_zero_guard_fleet_run_is_bit_identical(
-        self, fast_engine, shard_budget, make_stream
-    ):
-        # Clones own their surfaces, so forcing the guard to zero here
-        # cannot leak into the session engines other tests share.
-        fast = fast_engine.clone()
-        slow = fast.clone(config=fast.config.with_bandwidth(1.0))
-        exact = FleetSimulator(
-            [fast, slow], policy="predicted-latency",
-            kv_budget_bytes=shard_budget, max_batch=8,
-        ).run(make_stream("bursty", n=16, seed=5))
-        fast.surface.interp_rel_err = 0.0
-        slow.surface.interp_rel_err = 0.0
-        guarded = FleetSimulator(
-            [fast, slow], policy="predicted-latency",
-            kv_budget_bytes=shard_budget, max_batch=8, interpolate=True,
-        ).run(make_stream("bursty", n=16, seed=5))
-        assert guarded.metrics == exact.metrics
-        assert guarded.result.decisions == exact.result.decisions
-        for g, e in zip(
-            guarded.result.shard_results, exact.result.shard_results
-        ):
-            assert g.records == e.records
-
-
 class TestChaosConservation:
     """Disposition conservation under *randomized* fault schedules.
 

@@ -193,24 +193,6 @@ class TestEnginesFor:
             homogeneous.engines_for(0.0, 10.0)
 
 
-class TestInterpolationKnob:
-    def test_zero_guard_interpolation_matches_exact_planner(
-        self, fast_engine, workload
-    ):
-        """interpolate=True with a zero-width guard must fall back to
-        exact simulation on every lookup — forecasts are bit-identical
-        to the exact planner's."""
-        exact = CapacityPlanner(
-            fast_engine, [12.0, 1.0], workload, max_batch=8, ctx_bucket=8
-        )
-        guarded = CapacityPlanner(
-            fast_engine, [12.0, 1.0], workload, max_batch=8, ctx_bucket=8,
-            interpolate=True, interp_rel_err=0.0,
-        )
-        for n, rate in [(1, 200.0), (2, 2000.0)]:
-            assert guarded.forecast(n, rate) == exact.forecast(n, rate)
-
-
 class TestValidation:
     def test_p99_within_documented_bound_on_tiny_fleet(
         self, planner, prompt_dist, output_dist

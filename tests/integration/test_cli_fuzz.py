@@ -1,9 +1,10 @@
 """Fuzz the ``serve`` and ``fleet`` CLIs over extreme knobs.
 
 Whatever the knobs, a run either prints a report and exits 0, or prints
-exactly one ``error: ...`` line and exits 2 — never a traceback. Runs
-call :func:`repro.cli.main` in process on a handful of requests, so the
-whole file stays within a few seconds.
+exactly one ``error: ...`` line and exits 2 — never a traceback, and
+never a hang on a non-finite value. Runs call :func:`repro.cli.main` in
+process on a handful of requests, so the whole file stays within a few
+seconds.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ BASE = {
         "--requests", "4", "--users", "2", "--seed", "0",
     ],
 }
+PLAN = ["plan", "--model", "opt-125m", "--engines", "1", "--samples", "8"]
 
 #: Extreme values per knob, with the outcome each has on its own:
-#: ``None`` for a report, else the start of the one error line.
+#: ``None`` for a report, else the start of the one error line. A knob
+#: spelled differently per command maps each command to its argv.
 KNOBS = {
     "max_batch": (
         (("--max-batch", "1"), None),
@@ -44,26 +47,52 @@ KNOBS = {
     "output": ((("--output-tokens", "1", "1"), None),),
     "kv_budget": (
         (("--kv-budget-mb", "0.0001"), "error: request 0 needs "),
+        (("--kv-budget-mb", "nan"), "error: --kv-budget-mb must be finite"),
+        (("--kv-budget-mb", "inf"), "error: --kv-budget-mb must be finite"),
     ),
     "arrival": (
         (("--arrival", "poisson", "--rate", "0"),
          "error: rate_rps must be positive"),
+        (("--arrival", "poisson", "--rate", "nan"),
+         "error: rate_rps must be positive"),
+        (("--arrival", "poisson", "--rate", "inf"), None),
+        (("--arrival", "bursty", "--burst-gap", "nan"),
+         "error: burst_gap_s must be positive"),
+        (("--arrival", "bursty", "--burst-gap", "inf"),
+         "error: burst_gap_s must be positive"),
         (("--arrival", "closed-loop", "--users", "0"),
          "error: n_users must be >= 1"),
         (("--arrival", "closed-loop", "--think-time", "-1"),
          "error: think_time_s must be non-negative"),
+        (("--arrival", "closed-loop", "--think-time", "nan"),
+         "error: think_time_s must be non-negative"),
     ),
-    "interp": (
-        (("--interpolate", "--interp-rel-err", "-1"),
-         "error: interp_rel_err must be >= 0"),
+    "bandwidth": (
+        ({"serve": ("--bandwidth", "nan"), "fleet": ("--bandwidths", "nan")},
+         "error: dram_bandwidth_gbps must be positive"),
+        ({"serve": ("--bandwidth", "inf"), "fleet": ("--bandwidths", "inf")},
+         None),
+    ),
+    "obs_tick": (
+        (("--timeline", "--obs-tick", "nan"),
+         "error: --obs-tick must be positive"),
     ),
 }
 
+
+def knob_argv(knob, command):
+    """The argv of one knob choice for ``command``."""
+    return list(knob[command] if isinstance(knob, dict) else knob)
+
+
 SINGLE_KNOBS = [
-    pytest.param(command, list(argv), expected, id=f"{command}{''.join(argv)}")
+    pytest.param(
+        command, knob_argv(knob, command), expected,
+        id=f"{command}{''.join(knob_argv(knob, command))}",
+    )
     for command in BASE
     for choices in KNOBS.values()
-    for argv, expected in choices
+    for knob, expected in choices
 ]
 
 
@@ -113,7 +142,7 @@ def test_knob_combinations(command, picks):
     argv = list(BASE[command])
     for knob in picks.values():
         if knob is not None:
-            argv.extend(knob)
+            argv.extend(knob_argv(knob, command))
     assert_report_or_error(argv)
 
 
@@ -131,19 +160,33 @@ def test_chaos_grid_on_a_closed_loop(faults, steal, shed):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, expected",
     [
-        BASE["serve"],
-        BASE["fleet"],
-        ["plan", "--model", "opt-125m", "--engines", "1", "--samples", "8"],
+        (PLAN + ["--rate", "nan"], "error: rate_rps must be positive"),
+        (PLAN + ["--rate", "inf"], "error: rate_rps must be positive"),
+        (["plan", "--model", "opt-125m", "--target-p99-ttft-ms", "nan"],
+         "error: target_p99_ttft_s must be positive"),
+        (BASE["fleet"] + ["--deadline-s", "nan"],
+         "error: deadline_s must be positive"),
     ],
-    ids=["serve", "fleet", "plan"],
+    ids=[
+        "plan--ratenan", "plan--rateinf", "plan--target-p99-ttft-msnan",
+        "fleet--deadline-snan",
+    ],
 )
-def test_negative_interpolation_guard_is_rejected(argv):
-    # The guard lives on LatencySurface; every CLI that sets it must go
-    # through its check.
-    _, error = assert_report_or_error(
-        argv + ["--interpolate", "--interp-rel-err", "-1"]
-    )
-    assert error is not None
-    assert error.startswith("error: interp_rel_err must be >= 0"), error
+def test_non_finite_value_of_one_command(argv, expected):
+    _, error = assert_report_or_error(argv)
+    assert error is not None and error.startswith(expected), error
+
+
+@pytest.mark.parametrize("flag", [["--interpolate"], ["--interp-rel-err", "0.1"]])
+@pytest.mark.parametrize(
+    "argv", [BASE["serve"], BASE["fleet"], PLAN], ids=["serve", "fleet", "plan"]
+)
+def test_removed_interpolation_flags_are_usage_errors(argv, flag):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    last = err.getvalue().splitlines()[-1]
+    assert last.endswith("unrecognized arguments: " + " ".join(flag)), last

@@ -48,9 +48,7 @@ def decode_step(scheduler: ContinuousBatchingScheduler, t_s: float) -> None:
         ceil_div(raw_ctx, s.ctx_bucket) * s.ctx_bucket,
         s.engine.model.max_seq_len,
     )
-    point = s.engine.surface.decode(
-        bucketed, batch=n, interpolate=s.interpolate
-    )
+    point = s.engine.surface.decode(bucketed, batch=n)
     t0 = s._clock
     s._clock += point.latency_s * s.latency_scale
     s._energy_uj += point.energy_uj

@@ -8,8 +8,8 @@ is tested against ``tests/oracles/layer_walk.py``:
    produces the *same* :class:`~repro.serving.ServingResult` — records,
    events, clock, energy — field for field, across plans, sources,
    ``ctx_bucket`` and ``max_batch``, under arbitrary chunked
-   ``advance_until`` driving, and with guarded interpolation on. Each
-   side runs on a fresh engine, and both must end with the same surface
+   ``advance_until`` driving, and from a partly warm surface. Each side
+   runs on a fresh engine, and both must end with the same surface
    points simulated: a run spanning many context buckets looks each one
    up only when its clock reaches it, as the walk does.
 2. **Snapshot aggregates match recomputation**: the O(1)
@@ -75,26 +75,17 @@ def _budget(engine, requests: float = 4.0) -> int:
     return int(worst * requests)
 
 
-#: Interpolation guard on the sparse surface. Its decode points 32
-#: contexts apart differ by 11-33% in latency, so at 20% the estimates
-#: at small batches are accepted while deep batches at short contexts
-#: fall back to exact simulation, and those fills tighten the brackets
-#: of later lookups.
-SPARSE_GUARD = 0.2
-
-
 def _fresh(engine, surface=None):
     """A clone of ``engine`` with its own surface: cold, or loaded from
-    the ``surface`` dump (:meth:`~repro.sim.surface.LatencySurface.to_json`)
-    with the :data:`SPARSE_GUARD` interpolation guard."""
+    the ``surface`` dump (:meth:`~repro.sim.surface.LatencySurface.to_json`)."""
     clone = engine.clone()
     if surface is not None:
-        clone.load_surface(surface).interp_rel_err = SPARSE_GUARD
+        clone.load_surface(surface)
     return clone
 
 
 def _run(engine, source, *, walk=False, ctx_bucket=1, max_batch=8,
-         budget_requests=4.0, interpolate=False):
+         budget_requests=4.0):
     """The scheduler's coalesced ``run()``, or the per-token walk."""
     scheduler = ContinuousBatchingScheduler(
         engine,
@@ -102,7 +93,6 @@ def _run(engine, source, *, walk=False, ctx_bucket=1, max_batch=8,
         kv_budget_bytes=_budget(engine, budget_requests),
         max_batch=max_batch,
         ctx_bucket=ctx_bucket,
-        interpolate=interpolate,
     )
     return walk_tokens(scheduler) if walk else scheduler.run()
 
@@ -180,19 +170,17 @@ class TestCoalescedEqualsReference:
 
     @given(seeds, source_kinds, ctx_buckets)
     @settings(max_examples=15, deadline=None)
-    def test_bit_identical_when_interpolating(
+    def test_bit_identical_from_a_partly_warm_surface(
         self, serving_engine, make_source, sparse_surface, seed, kind,
         ctx_bucket,
     ):
-        # Both sides start from the same sparse surface. Which exact
-        # points exist at each lookup decides every later
-        # interpolation, so a lookup out of the walk's order would move
-        # the numbers, not just the point set.
-        surface = _check_equivalent(
+        # Both sides start from the same sparse surface, so each
+        # simulates only the points it lacks, and both must fill the
+        # same ones.
+        _check_equivalent(
             serving_engine, lambda: make_source(kind, seed),
-            surface=sparse_surface, ctx_bucket=ctx_bucket, interpolate=True,
+            surface=sparse_surface, ctx_bucket=ctx_bucket,
         )
-        assert surface._interp_cache, "no lookup interpolated"
 
     @given(seeds, ctx_buckets)
     @settings(max_examples=10, deadline=None)

@@ -29,6 +29,15 @@ class TestRequest:
             Request(0, 0.0, 0, 8)
         with pytest.raises(ConfigError):
             Request(0, 0.0, 8, 0)
+        with pytest.raises(ConfigError):
+            Request(0, 0.0, 8, 8, deadline_s=float("nan"))
+
+    @pytest.mark.parametrize("arrival_s", [float("nan"), float("inf")])
+    def test_rejects_non_finite_arrival(self, arrival_s):
+        # No clock ever reaches a NaN or infinite arrival, so a
+        # scheduler holding one would never ingest it.
+        with pytest.raises(ConfigError, match="arrival_s must be non-negative"):
+            Request(0, arrival_s, 8, 8)
 
 
 class TestLengthDistribution:

@@ -301,113 +301,6 @@ class TestDeltaShipping:
         assert other.decode(64) is incumbent
         assert other.decode(128) == surface.decode(128)
 
-    def test_merged_points_extend_the_interpolation_axes(self, surface):
-        """Merged points must join the bracket axes like simulated ones."""
-        surface.decode(64)
-        surface.decode(128)
-        surface.interp_rel_err = 1.0
-        assert not surface.decode(96, interpolate=True).exact
-
-
-class TestInterpolation:
-    """Guarded log-linear interpolation with exact fallback."""
-
-    @pytest.fixture()
-    def warm(self, surface):
-        surface.decode(128)
-        surface.decode(144)
-        return surface
-
-    def test_within_guard_returns_inexact_point(self, warm):
-        warm.interp_rel_err = 1.0  # bracket always agrees
-        before = len(warm)
-        point = warm.decode(136, interpolate=True)
-        assert not point.exact
-        assert len(warm) == before  # no exact point materialized
-        lo, hi = warm.decode(128), warm.decode(144)
-        assert min(lo.latency_s, hi.latency_s) <= point.latency_s
-        assert point.latency_s <= max(lo.latency_s, hi.latency_s)
-
-    def test_zero_guard_always_falls_back_to_exact(self, warm):
-        warm.interp_rel_err = 0.0
-        point = warm.decode(136, interpolate=True)
-        assert point.exact
-        assert point == warm.decode(136)
-
-    def test_outside_hull_falls_back_to_exact(self, warm):
-        warm.interp_rel_err = 1.0
-        assert warm.decode(64, interpolate=True).exact    # below the axis
-        assert warm.decode(256, interpolate=True).exact   # above the axis
-
-    def test_exact_hit_wins_over_interpolation(self, warm):
-        warm.interp_rel_err = 1.0
-        assert warm.decode(128, interpolate=True) is warm.decode(128)
-
-    def test_interpolated_points_never_serialize(self, warm):
-        warm.interp_rel_err = 1.0
-        warm.decode(136, interpolate=True)
-        dump = warm.to_json()
-        assert dump["n_points"] == 2
-        assert [e["tokens"] for e in dump["points"]] == [128, 144]
-
-    def test_exact_point_supersedes_cached_estimate(self, warm):
-        warm.interp_rel_err = 1.0
-        estimate = warm.decode(136, interpolate=True)
-        assert not estimate.exact
-        exact = warm.decode(136)  # plain lookup simulates and registers
-        assert warm.decode(136, interpolate=True) is exact
-
-    def test_negative_guard_rejected(self, surface):
-        from repro.errors import SimulationError
-        from repro.sim import LatencySurface
-
-        with pytest.raises(SimulationError):
-            LatencySurface(surface.simulator, interp_rel_err=-0.1)
-
-    def test_decode_run_can_interpolate(self, warm):
-        warm.interp_rel_err = 1.0
-        point, run = warm.decode_run(131, batch=1, ctx_bucket=68,
-                                     interpolate=True)
-        assert not point.exact
-        assert point.tokens == 136 and run == 136 - 131 + 1
-        point, _ = warm.decode_run(130, batch=1, ctx_bucket=68)
-        assert point.exact  # plain run still simulates
-
-    def test_property_guarded_error_is_bounded(
-        self, small_model, zcu12, shared_planner
-    ):
-        """For every in-bracket context and every guard setting, an
-        accepted interpolation is within ``guard / (1 - guard)`` of the
-        exact simulation (monotone scalars keep both inside the
-        bracket), and a tripped guard yields the exact point."""
-        from hypothesis import given, settings, strategies as st
-
-        from repro.sim import LatencySurface, WorkloadSimulator
-
-        sim = WorkloadSimulator(
-            small_model, zcu12, ExecutionPlan.meadow(), shared_planner
-        )
-        exact_surface = LatencySurface(sim)
-
-        @settings(max_examples=25, deadline=None)
-        @given(
-            tokens=st.integers(min_value=129, max_value=191),
-            guard=st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.9]),
-        )
-        def check(tokens: int, guard: float) -> None:
-            probe = LatencySurface(sim, interp_rel_err=guard)
-            probe.decode(128)
-            probe.decode(192)
-            point = probe.decode(tokens, interpolate=True)
-            exact = exact_surface.decode(tokens)
-            if point.exact:
-                assert point == exact
-            else:
-                rel_err = abs(point.latency_s - exact.latency_s) / exact.latency_s
-                assert rel_err <= guard / (1.0 - guard) + 1e-12
-
-        check()
-
 
 class TestBatchedKernels:
     """The bulk lookups answer exactly like their scalar equivalents."""
