@@ -682,8 +682,8 @@ def test_calendar_drain_speedup(results_dir):
     """Calendar drain floors, timeline identical on both streams.
 
     The CI-pinned quick stream (the committed ``BENCH_fleet_throughput``
-    workload) must clear 4.5x — it was 3x before the cached-key
-    ``_DrainCalendar`` and the struct-of-arrays scheduler core. The
+    workload) must clear 4.5x — it was 3x before the struct-of-arrays
+    scheduler core and the batched surface kernel. The
     longer tier-2 stream keeps the original 3x floor: its shorter
     per-request outputs leave fewer consecutive decode iterations to
     coalesce, so the ratio is structurally lower there.

@@ -21,20 +21,21 @@ field (only ARRIVAL observations interleave at finer granularity, since
 the fleet hands requests over at routing instants).
 
 **Drain is driven by a global next-event calendar.** Between arrivals
-the fleet holds its busy shards in a heap keyed by
-:meth:`~repro.serving.ContinuousBatchingScheduler.next_event_s` — the
-instant each shard's next iteration would start — pops the global
-minimum and advances that shard in one coalesced pass up to a horizon
-taken from the runner-up's key, interrupted the moment a completion
-injects a global follow-up. The horizon folds in the per-iteration
-walk's tie-break (lowest shard id first), so every drain step is one
-``advance_until`` call, ties included. That makes closed-loop drain cost
-O(fleet events) while executing the *identical* iteration sequence as
-the per-iteration walk (pick the minimal shard, run exactly one
-iteration, repeat) that ``tests/oracles/fleet_walk.py`` keeps as the
-equivalence oracle — records, events, decisions and merged metrics, bit
-for bit. Open-loop sources never inject follow-ups, so there each shard
-runs dry at once.
+each drain step reads every shard's
+:meth:`~repro.serving.ContinuousBatchingScheduler.next_event_s` once —
+the instant its next iteration would start, ``inf`` when idle — picks
+the global minimum and advances that shard in one coalesced pass up to
+a horizon taken from the runner-up's key, interrupted the moment a
+completion injects a global follow-up. The horizon folds in the
+per-iteration walk's tie-break (lowest shard id first), so every drain
+step is one ``advance_until`` call, ties included. A drain step thus
+costs O(shards) plus its coalesced run, the order every arrival's sync
+already pays, while executing the *identical* iteration sequence as the
+per-iteration walk (pick the minimal shard, run exactly one iteration,
+repeat) that ``tests/oracles/fleet_walk.py`` keeps as the equivalence
+oracle — records, events, decisions and merged metrics, bit for bit.
+Open-loop sources never inject follow-ups, so there each shard runs dry
+at once.
 
 Closed-loop sources compose: a completion anywhere in the fleet hands
 its follow-up back to the *global* router (completion hooks are
@@ -87,10 +88,6 @@ __all__ = [
     "FleetReport",
     "FleetSimulator",
 ]
-
-#: Memoization sentinel (a cached calibration may legitimately be None).
-_UNSET = object()
-
 
 @dataclass(frozen=True, slots=True)
 class RoutingDecision:
@@ -215,13 +212,8 @@ class FleetReport:
         from the request records, so rejected follow-ups never enter;
         only each request's *final* decision is paired (a migrated
         request's original prediction describes a placement that never
-        ran). The O(records) pass is memoized on this frozen report —
-        ``describe()`` and sweep loops hit the cache after the first
-        call.
+        ran).
         """
-        cached = self.__dict__.get("_ttft_calibration_cache", _UNSET)
-        if cached is not _UNSET:
-            return cached
         realized: Dict[int, float] = {}
         for shard in self.result.shard_results:
             for rec in shard.records:
@@ -236,16 +228,13 @@ class FleetReport:
             and request_id in realized
         ]
         if not errors:
-            value = None
-        else:
-            value = TTFTCalibration(
-                n_predictions=len(errors),
-                mean_error_s=sum(errors) / len(errors),
-                mean_abs_error_s=sum(abs(e) for e in errors) / len(errors),
-                max_abs_error_s=max(abs(e) for e in errors),
-            )
-        object.__setattr__(self, "_ttft_calibration_cache", value)
-        return value
+            return None
+        return TTFTCalibration(
+            n_predictions=len(errors),
+            mean_error_s=sum(errors) / len(errors),
+            mean_abs_error_s=sum(abs(e) for e in errors) / len(errors),
+            max_abs_error_s=max(abs(e) for e in errors),
+        )
 
     def describe(self) -> str:
         """Human-readable report: fleet summary plus per-shard load."""
@@ -300,54 +289,22 @@ def _per_shard(value, n: int, name: str) -> List:
 
 
 class _DrainCalendar:
-    """Cached next-event calendar over the fleet's shards.
+    """Next-event calendar over the fleet's shards.
 
-    Each shard's current key (``next_event_s()``, or +inf when idle)
-    is cached in ``_keys``; state-touching sites mark the shards dirty
-    via :meth:`invalidate_all` and the next :meth:`pop` re-keys only
-    the dirty ones, pushing a heap entry only when the key actually
-    changed. Superseded heap entries are removed lazily — an entry is
-    live iff its value still equals the shard's cached key — so no
-    heapify ever runs after construction.
-
-    Invariant: every shard with a finite cached key has at least one
-    live heap entry. :meth:`pop` consumes the winner's entries, so the
-    caller must call :meth:`reschedule` after advancing that shard
-    (it re-pushes unconditionally: an advance may leave the key
-    numerically unchanged, e.g. an admission that does not move the
-    clock, and the entry still has to come back). A shard whose key
-    returns to an earlier value may therefore hold two live entries.
-    An ``open_loop`` fleet's shards are independent once it drains (no
+    Keeps no copy of shard state: each :meth:`pop` reads every shard's
+    ``next_event_s()`` (``inf`` exactly when the shard is idle), so
+    nothing the fleet loop does to a shard needs reporting. An
+    ``open_loop`` fleet's shards are independent once it drains (no
     completion can inject an arrival), so its horizons are +inf.
     """
 
-    __slots__ = ("_heap", "_keys", "_dirty", "_shards", "_open_loop")
+    __slots__ = ("_shards", "_open_loop")
 
     def __init__(
         self, shards: Sequence[ContinuousBatchingScheduler], open_loop: bool
     ) -> None:
         self._shards = shards
-        self._heap: List[Tuple[float, int]] = []
-        self._keys = [math.inf] * len(shards)
-        self._dirty = set(range(len(shards)))
         self._open_loop = open_loop
-
-    def invalidate_all(self) -> None:
-        """Mark every shard dirty (arrival syncs advance all of them)."""
-        self._dirty.update(range(len(self._shards)))
-
-    def _flush(self) -> None:
-        if not self._dirty:
-            return
-        heap, keys, shards = self._heap, self._keys, self._shards
-        for i in sorted(self._dirty):
-            shard = shards[i]
-            key = math.inf if shard.idle else shard.next_event_s()
-            if key != keys[i]:
-                keys[i] = key
-                if key != math.inf:
-                    heapq.heappush(heap, (key, i))
-        self._dirty.clear()
 
     def pop(self) -> Optional[Tuple[int, float]]:
         """Next acting shard as ``(shard_id, horizon)``, or None.
@@ -357,37 +314,27 @@ class _DrainCalendar:
         while its clock is before ``horizon``, which folds in the walk's
         lowest-id-first tie-break: the runner-up's key when the
         runner-up has the lower id (it wins a tie), else the next float
-        above that key (the winner does). The runner-up is the next live
-        entry of a *different* shard, stale tops and the winner's
-        duplicates being discarded first; with none, or for an
-        open-loop fleet, the horizon is +inf. ``None`` means every
-        shard is idle.
+        above that key (the winner does). With no busy runner-up, or
+        for an open-loop fleet, the horizon is +inf. ``None`` means
+        every shard is idle.
         """
-        self._flush()
-        heap, keys = self._heap, self._keys
-        while heap:
-            key, i = heapq.heappop(heap)
-            if key != keys[i]:
-                continue  # superseded entry
-            if self._open_loop:
-                return i, math.inf
-            while heap and (heap[0][1] == i or heap[0][0] != keys[heap[0][1]]):
-                heapq.heappop(heap)
-            if not heap:
-                return i, math.inf
-            runner_key, j = heap[0]
-            if j < i:
-                return i, runner_key
-            return i, math.nextafter(runner_key, math.inf)
-        return None
-
-    def reschedule(self, shard_id: int) -> None:
-        """Re-key one shard after the caller advanced it."""
-        shard = self._shards[shard_id]
-        key = math.inf if shard.idle else shard.next_event_s()
-        self._keys[shard_id] = key
-        if key != math.inf:
-            heapq.heappush(self._heap, (key, shard_id))
+        key = runner_key = math.inf
+        i = j = -1
+        # Strict comparisons in ascending id: equal keys keep the lower id.
+        for shard_id, shard in enumerate(self._shards):
+            k = shard.next_event_s()
+            if k < key:
+                runner_key, j = key, i
+                key, i = k, shard_id
+            elif k < runner_key:
+                runner_key, j = k, shard_id
+        if key == math.inf:
+            return None
+        if self._open_loop or runner_key == math.inf:
+            return i, math.inf
+        if j < i:
+            return i, runner_key
+        return i, math.nextafter(runner_key, math.inf)
 
 
 class FleetSimulator:
@@ -697,14 +644,10 @@ class FleetSimulator:
         decisions: List[RoutingDecision] = []
         if obs is not None:
             obs.bind_routing(policy.name, decisions)
-        # Routing, stealing, faults and arrival syncs mark the shards
-        # they touched dirty; only changed keys re-enter the calendar.
         calendar = _DrainCalendar(shards, open_loop)
         while True:
-            if self.steal and self._steal_pass(
-                shards, decisions, pending_predictions, up
-            ):
-                calendar.invalidate_all()
+            if self.steal:
+                self._steal_pass(shards, decisions, pending_predictions, up)
             t_fault = fault_heap[0][0] if fault_heap else math.inf
             t_arr = arrivals[0][0] if arrivals else math.inf
             if t_fault <= t_arr and t_fault < math.inf:
@@ -718,7 +661,6 @@ class FleetSimulator:
                 if not sync(t_fault):
                     continue
                 t, _, action, s, payload = heapq.heappop(fault_heap)
-                calendar.invalidate_all()
                 if action == "crash":
                     if not up[s]:
                         continue  # absorbed: the shard is already down
@@ -772,7 +714,6 @@ class FleetSimulator:
                     shards[s].latency_scale = 1.0
                 continue
             if arrivals:
-                calendar.invalidate_all()
                 t, request_id, req = heapq.heappop(arrivals)
                 # No live shard may lag the routing instant: advance each
                 # to t (steps in flight may overshoot — shards are busy
@@ -846,7 +787,6 @@ class FleetSimulator:
                 shards[idx].advance_until(
                     horizon, interrupt=lambda: bool(arrivals)
                 )
-                calendar.reschedule(idx)
 
         shard_results = tuple(shard.result() for shard in shards)
         resilience = None
@@ -893,7 +833,7 @@ class FleetSimulator:
         decisions: List[RoutingDecision],
         pending_predictions: Dict[int, float],
         up: Sequence[bool],
-    ) -> bool:
+    ) -> None:
         """Idle thieves pull waiting work off backlogged donors.
 
         Deterministic: thieves are visited in ascending shard id;
@@ -908,7 +848,7 @@ class FleetSimulator:
         prefill, ignoring the donor's queue), so work never
         migrates onto a shard slow enough to make the wait look
         good. One steal per thief per pass (the thief is busy
-        afterwards). Returns whether anything moved.
+        afterwards).
 
         ``up`` masks crashed shards: a down shard is "idle" because
         its queue was harvested, not because it has capacity — it
@@ -921,13 +861,12 @@ class FleetSimulator:
             prefill = shard.engine.surface.prefill(candidate.prompt_tokens)
             return max(shard.clock_s, candidate.arrival_s) + prefill.latency_s
 
-        stole = False
         for thief_id, thief in enumerate(shards):
             if not up[thief_id] or not thief.idle:
                 continue
             donors = sorted(
-                (d_id for d_id, d in enumerate(shards) if d.n_stealable),
-                key=lambda d_id: (-shards[d_id].n_stealable, d_id),
+                (d_id for d_id, d in enumerate(shards) if d.n_waiting),
+                key=lambda d_id: (-shards[d_id].n_waiting, d_id),
             )
             for donor_id in donors:
                 donor = shards[donor_id]
@@ -959,6 +898,4 @@ class FleetSimulator:
                         migrated_from=donor_id,
                     )
                 )
-                stole = True
                 break
-        return stole

@@ -89,9 +89,9 @@ class HardwareConfig:
             "output_rf_bytes",
         )
         for name in positive_fields:
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.clock_hz <= 0:
+        if not self.clock_hz > 0:
             raise ConfigError(f"clock_hz must be positive, got {self.clock_hz}")
         if not self.dram_bandwidth_gbps > 0:
             raise ConfigError(
@@ -101,7 +101,7 @@ class HardwareConfig:
             raise ConfigError(
                 f"dram_burst_efficiency must be in (0, 1], got {self.dram_burst_efficiency}"
             )
-        if self.dram_capacity_bytes <= 0:
+        if not self.dram_capacity_bytes > 0:
             raise ConfigError(
                 f"dram_capacity_bytes must be positive, got {self.dram_capacity_bytes}"
             )

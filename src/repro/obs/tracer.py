@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import Counter as _Tally
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..errors import ConfigError
 from ..serving.scheduler import EventKind, EventLog
 from .bridge import lifecycle_rows, routing_rows
 from .metrics import MetricsRegistry
@@ -173,6 +174,8 @@ class FleetObserver(object):
     """Root observer: fleet-level events plus per-shard views."""
 
     def __init__(self, tick_s: float = 0.05) -> None:
+        if not tick_s > 0:
+            raise ConfigError(f"tick_s must be positive, got {tick_s}")
         self.tick_s = tick_s
         self.registry = MetricsRegistry()
         self._spans: List[tuple] = []

@@ -62,12 +62,15 @@ is appended to an event log, kept as columns (:class:`EventLog`);
 tokens are not logged, their gaps live in each record's ``array('d')``.
 The property tests in ``tests/serving/`` assert the scheduler's
 invariants (clock monotonicity, budget respect, FCFS order) against
-the log and the records. Routing-facing state is served from
-incremental aggregates maintained at submit / ingest / admit / prefill
-/ complete time, as read-only properties named like the
-:class:`SchedulerSnapshot` fields: the fleet's policies read a live
-shard directly, O(1) in queue depth, and :meth:`snapshot` is the
-frozen copy of the same properties.
+the log and the records. Routing-facing state is served as read-only
+properties named like the :class:`SchedulerSnapshot` fields. The
+queue-side figures (the prompt histogram and its prefill sum, waiting
+and reserved KV) are aggregates kept at submit / admit / prefill /
+complete / withdraw time, O(1) in queue depth; the decode-side figures
+(tokens left to decode, deepest context) are computed from the at most
+``max_batch`` decode slots when read. The fleet's policies read a live
+shard directly, and :meth:`snapshot` is the frozen copy of the same
+properties.
 """
 
 from __future__ import annotations
@@ -551,18 +554,14 @@ class ContinuousBatchingScheduler(_ShardLoad):
         # still that object the sum is still exact.
         self._queued_hist = self._hist
         self._queued_s = 0.0
-        self._remaining_decode = 0  # tokens left across the decode slots
-        self._decode_ctx = 0  # max context across the decode slots
 
     # ------------------------------------------------- live routing state
-    # Read-only views of the incremental aggregates, named and meant
-    # like the SchedulerSnapshot fields (snapshot() copies them).
-    # Routing, shedding and work stealing read a live shard through
-    # these.
+    # Read-only views named and meant like the SchedulerSnapshot
+    # fields (snapshot() copies them): the incremental aggregates, and
+    # the decode-slot figures computed when read. Routing, shedding and
+    # work stealing read a live shard through these.
     clock_s = _view("_clock", "The simulated clock (busy until this instant).")
     waiting_prompt_hist = _view("_hist", "Sorted (prompt length, count) pairs.")
-    remaining_decode_tokens = _view("_remaining_decode", "Tokens left to decode.")
-    decode_context = _view("_decode_ctx", "Deepest in-flight context (0 if none).")
     kv_reserved_bytes = _view("_kv_reserved", "KV bytes admitted requests hold.")
     waiting_kv_bytes = _view("_waiting_kv", "Worst-case KV of unadmitted requests.")
 
@@ -575,6 +574,16 @@ class ContinuousBatchingScheduler(_ShardLoad):
     def n_decoding(self) -> int:
         """Requests in the decode phase (never more than ``max_batch``)."""
         return len(self._d_req)
+
+    @property
+    def remaining_decode_tokens(self) -> int:
+        """Tokens left to decode, summed over the decode slots."""
+        return sum(self._d_left)
+
+    @property
+    def decode_context(self) -> int:
+        """Deepest in-flight context (0 if none)."""
+        return max(self._d_ctx, default=0)
 
     @property
     def queued_prefill_s(self) -> float:
@@ -694,11 +703,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
         return self._records.get(request_id)
 
     # ------------------------------------------------------- work stealing
-    @property
-    def n_stealable(self) -> int:
-        """Requests another shard could take over (not yet prefilled)."""
-        return len(self._future) + len(self._pending) + len(self._prefill_queue)
-
     def steal_candidates(self) -> List[Request]:
         """Every not-yet-prefilled request, in FCFS order.
 
@@ -794,8 +798,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
             self._log(_WITHDRAW, req.request_id)
             inflight.append((req, req.output_tokens - self._d_left[i]))
         self._permute_decode(())
-        self._remaining_decode = 0
-        self._decode_ctx = 0
         return waiting, inflight
 
     def _permute_decode(self, order: Tuple[int, ...]) -> None:
@@ -909,9 +911,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
             self._d_first.append(self._clock)
             self._d_last.append(self._clock)
             self._d_tbt.append(array("d"))
-            self._remaining_decode += req.output_tokens - 1
-            if req.prompt_tokens > self._decode_ctx:
-                self._decode_ctx = req.prompt_tokens
         if obs is not None:
             obs.sample(
                 self._clock, self._kv_reserved, len(self._pending),
@@ -930,7 +929,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
         self._permute_decode(tuple(i for i in range(n) if d_left[i] > 0))
         for args in finished:
             self._complete(*args)
-        self._decode_ctx = max(self._d_ctx, default=0)
 
     def _decode_run(self, t_s: float) -> None:
         """Coalesce a stable run of decode iterations (bit-identical).
@@ -993,7 +991,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
         self._clock = c
         self._energy_uj = energy
         self._n_decodes += k
-        self._remaining_decode -= k * n
         # Inter-token gaps: the first gap of the run is member-specific
         # (it includes any stall since that member's previous token);
         # gaps 2..k are the shared consecutive-clock deltas, built once
@@ -1015,8 +1012,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
             # run ends at tokens-to-next-completion), so one retirement
             # reproduces the reference step's.
             self._retire_finished()
-        else:
-            self._decode_ctx = top + k
         obs = self._obs
         if obs is not None:
             obs.step(t0, c, "decode", k, n)

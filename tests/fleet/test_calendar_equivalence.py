@@ -1,7 +1,7 @@
 """The fleet's calendar drain is bit-identical to the per-iteration walk.
 
 The event-calendar drain advances the globally next-acting shard in
-coalesced runs between heap keys, and runs an open-loop fleet's shards
+coalesced runs between shard keys, and runs an open-loop fleet's shards
 dry at once; the per-iteration walk kept in ``tests/oracles/fleet_walk.py``
 picks the minimal shard and runs exactly one iteration at a time. These
 tests pin the claim: the two execute the *identical* fleet timeline —
@@ -279,24 +279,20 @@ class TestDrainCalendarHorizon:
     def test_duplicate_live_entries_never_serve_as_runner_up(
         self, fast_engine, shard_budget, tail
     ):
-        # Shards 1 and 2 act first and keep shard 0's heap entry buried
-        # while its key leaves (its only request withdrawn) and returns
-        # (the request resubmitted): shard 0 then holds two live entries.
+        # Shard 0's key leaves (its only request withdrawn) and returns
+        # (the request resubmitted) while shards 1 and 2 act first, and
+        # no pop is told about either change: each reads the shards as
+        # they stand.
         shards = _one_request_shards(
             fast_engine, shard_budget, [0.3, 0.1, 0.2, *tail]
         )
         calendar = _DrainCalendar(shards, open_loop=False)
         assert calendar.pop() == (1, _after(0.2))
-        calendar.reschedule(1)
         request = shards[0].withdraw(0)
-        calendar.invalidate_all()
         assert calendar.pop() == (1, _after(0.2))
-        calendar.reschedule(1)
-        assert (0.3, 0) in calendar._heap  # superseded, not yet discarded
         shards[0].submit(request)
         shards[1].withdraw(1)
         shards[2].withdraw(2)
-        calendar.invalidate_all()
         # The horizon comes from another shard, or is +inf without one.
         expected = _after(0.5) if tail else math.inf
         assert calendar.pop() == (0, expected)

@@ -1,11 +1,10 @@
-"""Fleet metric merging: the incremental peak sweep and report caching.
+"""Fleet metric merging: the incremental peak sweep and shard summaries.
 
 ``merged_peak_kv_bytes`` maintains the fleet-wide running KV total by
 per-shard delta — O(events), not O(shards * events). These tests check
-it against a brute-force re-sum over all shards at every event, check
-that the report's one-fold-per-shard summary equals the separate
-merge and per-shard folds, and pin the ``ttft_calibration``
-memoization on :class:`FleetReport`.
+it against a brute-force re-sum over all shards at every event, and
+check that the report's one-fold-per-shard summary equals the separate
+merge and per-shard folds.
 """
 
 from __future__ import annotations
@@ -169,20 +168,3 @@ class TestShardSummaries:
         assert merged.total_generated_tokens == sum(
             rec.generated_tokens for rec in records
         )
-
-
-class TestTtftCalibrationMemo:
-    def test_repeated_calls_return_cached_tuple(
-        self, fast_engine, slow_engine, shard_budget, make_stream
-    ):
-        fleet = FleetSimulator(
-            [fast_engine, slow_engine],
-            policy="predicted-latency",
-            kv_budget_bytes=shard_budget,
-            max_batch=8,
-        )
-        report = fleet.run(make_stream("bursty", n=16, seed=2))
-        first = report.ttft_calibration()
-        assert first  # predictive policy: every served request has a pair
-        # Memoized: the identical object, not a recomputation.
-        assert report.ttft_calibration() is first

@@ -28,13 +28,13 @@ class TestWithdraw:
         sched = _scheduler(fast_engine, shard_budget)
         req = Request(request_id=7, arrival_s=1.0, prompt_tokens=16, output_tokens=8)
         sched.submit(req)
-        assert sched.n_stealable == 1
+        assert sched.n_waiting == 1
         assert sched.snapshot().waiting_kv_bytes > 0
 
         got = sched.withdraw(7)
 
         assert got is req
-        assert sched.n_stealable == 0
+        assert sched.n_waiting == 0
         assert sched.snapshot().waiting_kv_bytes == 0
         # Never ingested means never logged: the event timeline only
         # narrates requests the shard actually observed.
@@ -48,13 +48,13 @@ class TestWithdraw:
         # leaving request 1 admitted (KV reserved) but not yet prefilled.
         sched.advance_one()
         reserved_before = sched.snapshot().kv_reserved_bytes
-        assert sched.n_stealable == 1
+        assert sched.n_waiting == 1
 
         sched.withdraw(1)
 
         snap = sched.snapshot()
         assert snap.kv_reserved_bytes < reserved_before
-        assert sched.n_stealable == 0
+        assert sched.n_waiting == 0
         events = [ev for ev in sched.result().events if ev.kind == EventKind.WITHDRAW]
         assert len(events) == 1 and events[0].request_id == 1
         # The event snapshots the shard's KV *after* the release.
@@ -82,7 +82,7 @@ class TestWithdraw:
         sched = _scheduler(fast_engine, shard_budget)
         sched.submit(Request(request_id=0, arrival_s=0.0, prompt_tokens=16, output_tokens=8))
         sched.advance_one()  # request 0 is prefilled: decoding, not stealable
-        assert sched.n_stealable == 0
+        assert sched.n_waiting == 0
         with pytest.raises(ConfigError):
             sched.withdraw(0)
         with pytest.raises(ConfigError):

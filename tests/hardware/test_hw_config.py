@@ -110,3 +110,11 @@ class TestValidation:
     def test_rejects_tiny_pe_total(self):
         with pytest.raises(ConfigError):
             ZCU102.with_total_pes(1)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["clock_hz", "dram_capacity_bytes", "weight_bram_bytes", "n_parallel_pe"],
+    )
+    def test_rejects_nan(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be positive"):
+            zcu102_config().replace(**{name: float("nan")})

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.obs import FleetObserver, MetricsRegistry, ObsBundle
 from repro.obs.bridge import lifecycle_rows, record_first_tokens
 from repro.obs.spans import CAT_FAULT, CAT_STEP, FleetTrace, Span
@@ -172,6 +172,11 @@ class TestFleetObserver:
     def test_reversed_fleet_span_is_rejected(self):
         with pytest.raises(SimulationError):
             FleetObserver().span("X", 2.0, 1.0)
+
+    @pytest.mark.parametrize("tick_s", [math.nan, 0.0, -1.0])
+    def test_non_positive_tick_is_rejected(self, tick_s):
+        with pytest.raises(ConfigError, match="tick_s must be positive"):
+            FleetObserver(tick_s=tick_s)
 
     def test_bound_scheduler_lifecycle_and_counters(self, fast_engine):
         obs = FleetObserver()

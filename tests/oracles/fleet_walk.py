@@ -1,6 +1,6 @@
 """Per-iteration fleet drain: the event calendar's equivalence oracle.
 
-:meth:`repro.fleet.FleetSimulator.run` drains its shards off a cached
+:meth:`repro.fleet.FleetSimulator.run` drains its shards off a
 next-event calendar (``repro.fleet.simulator._DrainCalendar``): it pops
 the globally next-acting shard and advances it in one coalesced pass up
 to a horizon taken from the runner-up's key, or runs an open-loop
@@ -37,9 +37,8 @@ __all__ = ["WalkingDrain", "run_reference"]
 class WalkingDrain:
     """``_DrainCalendar`` stand-in that rescans every shard per pop.
 
-    It caches nothing, so the calendar's invalidation calls are no-ops,
-    and it ignores ``open_loop``. Constructing it makes every shard step
-    one token at a time.
+    It ignores ``open_loop``. Constructing it makes every shard step one
+    token at a time.
     """
 
     def __init__(
@@ -48,12 +47,6 @@ class WalkingDrain:
         self._shards = shards
         for shard in shards:
             bind_decode_step(shard)
-
-    def invalidate_all(self) -> None:
-        pass
-
-    def reschedule(self, shard_id: int) -> None:
-        pass
 
     def pop(self) -> Optional[Tuple[int, float]]:
         """The minimal busy shard as ``(shard_id, nextafter(key))``, or None."""

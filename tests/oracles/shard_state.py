@@ -1,12 +1,11 @@
 """Brute-force recounts of a scheduler's routing-facing state.
 
 A :class:`~repro.serving.ContinuousBatchingScheduler` keeps its routing
-aggregates (waiting count, prompt histogram, remaining decode tokens,
-KV reservations, the queued-prefill sum) incrementally and serves them
-as properties, which :meth:`snapshot` copies. These helpers rebuild the
-same values from the queues and decode slots, so a test can compare
-the two at any instant without comparing a property with a copy of
-itself.
+aggregates (prompt histogram, KV reservations, the queued-prefill sum)
+incrementally and serves them as properties, which :meth:`snapshot`
+copies. These helpers rebuild the same values from the queues and
+decode slots, so a test can compare the two at any instant without
+comparing a property with a copy of itself.
 """
 
 from __future__ import annotations

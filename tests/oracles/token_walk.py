@@ -53,7 +53,6 @@ def decode_step(scheduler: ContinuousBatchingScheduler, t_s: float) -> None:
     s._clock += point.latency_s * s.latency_scale
     s._energy_uj += point.energy_uj
     s._n_decodes += 1
-    s._remaining_decode -= n
     c = s._clock
     for i in range(n):
         d_ctx[i] += 1
@@ -65,8 +64,6 @@ def decode_step(scheduler: ContinuousBatchingScheduler, t_s: float) -> None:
         d_last[i] = c
     if min(d_left) <= 0:
         s._retire_finished()
-    elif raw_ctx > s._decode_ctx:
-        s._decode_ctx = raw_ctx
     obs = s._obs
     if obs is not None:
         obs.step(t0, c, "decode", 1, n)
