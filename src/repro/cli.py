@@ -272,14 +272,11 @@ def _store_args(p: argparse.ArgumentParser) -> None:
                         f"(bare flag uses ./{DEFAULT_STORE_DIR}); numbers "
                         "are bit-identical with or without the store — "
                         "it only skips re-simulating known points")
-    p.add_argument("--no-surface-store", action="store_true",
-                   help="force the store off even when --surface-store "
-                        "is set (e.g. by a wrapper script)")
 
 
 def _make_store(args: argparse.Namespace):
     """A SurfaceStore when requested, else None (store fully off)."""
-    if args.no_surface_store or args.surface_store is None:
+    if args.surface_store is None:
         return None
     from .sim.surface_store import SurfaceStore
 

@@ -206,13 +206,3 @@ class MeadowEngine:
     def with_bandwidth(self, gbps: float) -> "MeadowEngine":
         """Clone the engine at a different DRAM bandwidth (sweeps)."""
         return self.clone(config=self.config.with_bandwidth(gbps))
-
-    def load_surface(self, data) -> LatencySurface:
-        """Adopt a serialized surface (see :meth:`LatencySurface.to_json`).
-
-        Subsequent :meth:`simulate_fast` / scheduler lookups hit the
-        loaded points without simulating; misses still fall through to
-        this engine's simulator. Replaces any surface built so far.
-        """
-        self._surface = LatencySurface.from_json(data, self._sim)
-        return self._surface

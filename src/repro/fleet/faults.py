@@ -30,6 +30,7 @@ seed maps to exactly one chaos timeline.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
@@ -78,11 +79,11 @@ class ShardFault:
     def __post_init__(self) -> None:
         if self.shard_id < 0:
             raise ConfigError(f"shard_id must be >= 0, got {self.shard_id}")
-        if self.at_s < 0:
-            raise ConfigError(f"at_s must be >= 0, got {self.at_s}")
-        if self.duration_s <= 0:
+        if not 0 <= self.at_s < math.inf:
+            raise ConfigError(f"at_s must be >= 0 and finite, got {self.at_s}")
+        if not 0 < self.duration_s < math.inf:
             raise ConfigError(
-                f"duration_s must be positive, got {self.duration_s}"
+                f"duration_s must be positive and finite, got {self.duration_s}"
             )
         if self.kind is FaultKind.BROWNOUT and not (
             0.0 < self.bandwidth_factor < 1.0

@@ -29,6 +29,7 @@ chaos run is bit-reproducible no matter how failures interleave.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -98,17 +99,17 @@ class RetryPolicy:
             raise ConfigError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.base_backoff_s < 0:
+        if not 0 <= self.base_backoff_s < math.inf:
             raise ConfigError(
-                f"base_backoff_s must be >= 0, got {self.base_backoff_s}"
+                f"base_backoff_s must be >= 0 and finite, got {self.base_backoff_s}"
             )
-        if self.backoff_multiplier < 1.0:
+        if not 1.0 <= self.backoff_multiplier < math.inf:
             raise ConfigError(
-                f"backoff_multiplier must be >= 1, got "
+                f"backoff_multiplier must be >= 1 and finite, got "
                 f"{self.backoff_multiplier}"
             )
-        if self.jitter_s < 0:
-            raise ConfigError(f"jitter_s must be >= 0, got {self.jitter_s}")
+        if not 0 <= self.jitter_s < math.inf:
+            raise ConfigError(f"jitter_s must be >= 0 and finite, got {self.jitter_s}")
         if self.deadline_s is not None and not self.deadline_s > 0:
             raise ConfigError(
                 f"deadline_s must be positive, got {self.deadline_s}"
@@ -257,6 +258,10 @@ class AppliedFault:
     #: Crash: instant the shard is serving again (outage + re-warm).
     #: Brownout: instant nominal bandwidth returns.
     until_s: float
+    #: Crash: end of the outage, where the re-warm starts. Brownout: until_s.
+    outage_end_s: float
+    #: Brownout: the fraction of nominal bandwidth left. Crash: 1.0.
+    bandwidth_factor: float
     #: Requests destroyed by a crash (waiting + in-flight); 0 for
     #: brownouts.
     n_requests_hit: int = 0

@@ -643,7 +643,7 @@ class FleetSimulator:
 
         decisions: List[RoutingDecision] = []
         if obs is not None:
-            obs.bind_routing(policy.name, decisions)
+            obs.bind_routing(policy.name, decisions, applied)
         calendar = _DrainCalendar(shards, open_loop)
         while True:
             if self.steal:
@@ -668,7 +668,8 @@ class FleetSimulator:
                     up[s] = False
                     # Cold-start cost from the engine's packed weight
                     # image (crashes on the same shard re-warm alike).
-                    recover_at = t + payload + rewarm_s(self.engines[s])
+                    outage_end_s = t + payload
+                    recover_at = outage_end_s + rewarm_s(self.engines[s])
                     down_until_s[s] = recover_at
                     push_fault(recover_at, "recover", s, None)
                     lost = sum(gen for _, gen in inflight)
@@ -676,17 +677,11 @@ class FleetSimulator:
                     victims = waiting + [req for req, _ in inflight]
                     applied.append(
                         AppliedFault(
-                            FaultKind.CRASH, s, t, recover_at,
-                            len(victims), lost,
+                            FaultKind.CRASH, s, t, recover_at, outage_end_s,
+                            1.0, len(victims), lost,
                         )
                     )
                     if obs is not None:
-                        obs.span(
-                            "CRASH", t, t + payload, shard_id=s,
-                            n_requests_hit=len(victims),
-                            lost_generated_tokens=lost,
-                        )
-                        obs.span("REWARM", t + payload, recover_at, shard_id=s)
                         obs.count("crashes", shard=s)
                         obs.gauge("shards_up", t, float(sum(up)))
                     for victim in victims:
@@ -702,13 +697,11 @@ class FleetSimulator:
                     # bandwidth; everything starting after t runs slow.
                     shards[s].latency_scale = 1.0 / factor
                     applied.append(
-                        AppliedFault(FaultKind.BROWNOUT, s, t, end_s)
+                        AppliedFault(
+                            FaultKind.BROWNOUT, s, t, end_s, end_s, factor
+                        )
                     )
                     if obs is not None:
-                        obs.span(
-                            "BROWNOUT", t, end_s, shard_id=s,
-                            bandwidth_factor=factor,
-                        )
                         obs.count("brownouts", shard=s)
                 else:  # brownout_end — most recent event wins on overlap
                     shards[s].latency_scale = 1.0

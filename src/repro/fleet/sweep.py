@@ -20,7 +20,7 @@ smoke job validates.
 
 Grid points are independent, so :meth:`SweepDriver.sweep` can fan them
 out across a ``ProcessPoolExecutor`` (``workers=N``). The parent
-broadcasts its warm :class:`~repro.sim.surface.LatencySurface` dumps to
+broadcasts its warm surface points (``export_points()`` entries) to
 each worker once at pool start, workers ship back only the surface
 points they newly discover with each result, and the parent merges those
 deltas — so later grid points still benefit from earlier points' work,
@@ -457,10 +457,10 @@ class SweepDriver:
         """Fan the grid over a process pool; bit-identical to serial.
 
         The parent pre-materializes every engine the grid can touch and
-        broadcasts their surface dumps through the pool initializer, so
-        children start as warm as the parent. Each task returns its
-        :class:`SweepPoint` plus the surface points that worker
-        discovered since it last shipped any; the parent merges the
+        broadcasts their ``export_points()`` entries through the pool
+        initializer, so children start as warm as the parent. Each task
+        returns its :class:`SweepPoint` plus the surface points that
+        worker discovered since it last shipped any; the parent merges the
         deltas so the warm cache survives the sweep exactly as in the
         serial walk. Futures are collected in submission order, so point
         order — and therefore the versioned Pareto JSON — is identical.
@@ -471,11 +471,13 @@ class SweepDriver:
             for bandwidth in set(self.fleet_profile(gp.n_engines)):
                 self.engine_for(bandwidth)
         payload = (
-            self.base_engine,
+            # A clone has an empty surface: the base engine's points
+            # travel as entries too, not pickled inside it.
+            self.base_engine.clone(),
             self.bandwidths_gbps,
             self.kv_budget_bytes,
             {
-                bandwidth: engine.surface.to_json()
+                bandwidth: engine.surface.export_points()
                 for bandwidth, engine in self._engines.items()
             },
         )
@@ -601,16 +603,16 @@ def _init_sweep_worker(
         MeadowEngine,
         Tuple[float, ...],
         Optional[Tuple[Optional[int], ...]],
-        Mapping[float, Mapping[str, Any]],
+        Mapping[float, List[Dict[str, Any]]],
     ],
 ) -> None:
     global _WORKER_DRIVER, _WORKER_SHIPPED
-    base_engine, bandwidths_gbps, kv_budget_bytes, surface_dumps = payload
+    base_engine, bandwidths_gbps, kv_budget_bytes, surface_points = payload
     _WORKER_DRIVER = SweepDriver(base_engine, bandwidths_gbps, kv_budget_bytes)
     _WORKER_SHIPPED = {}
-    for bandwidth, dump in surface_dumps.items():
+    for bandwidth, entries in surface_points.items():
         engine = _WORKER_DRIVER.engine_for(bandwidth)
-        engine.load_surface(dump)
+        engine.surface.merge_points(entries)
         _WORKER_SHIPPED[bandwidth] = engine.surface.point_keys()
 
 

@@ -11,8 +11,9 @@ Two directions:
   and this module is the one place that converts it to an obs
   :class:`~repro.obs.spans.Span`.
 * **up** — :func:`lifecycle_rows` builds request lifecycle spans from
-  a shard's event log and :func:`routing_rows` ROUTE / MIGRATE instants
-  from routing decisions, after the run: for an observed run's trace
+  a shard's event log, :func:`routing_rows` ROUTE / MIGRATE instants
+  from routing decisions and :func:`fault_rows` fault windows from the
+  fault ledger, after the run: for an observed run's trace
   (:class:`~repro.obs.FleetObserver`) and, through
   :func:`trace_from_report`, for an unobserved report's.
 """
@@ -39,6 +40,7 @@ __all__ = [
     "lifecycle_rows",
     "record_first_tokens",
     "routing_rows",
+    "fault_rows",
     "trace_from_report",
 ]
 
@@ -195,14 +197,37 @@ def routing_rows(decisions: Sequence, policy_name: str) -> List[tuple]:
     ]
 
 
+def fault_rows(faults: Iterable) -> List[tuple]:
+    """CRASH, REWARM and BROWNOUT rows of a run's ``AppliedFault`` ledger.
+
+    A crash is its outage (CRASH, with the requests and generated tokens
+    it destroyed), then its re-warm (REWARM) until the shard serves
+    again; a brownout is one window (BROWNOUT, with its bandwidth factor).
+    """
+    rows: List[tuple] = []
+    for f in faults:
+        if f.kind.value == "crash":
+            hit = (("lost_generated_tokens", f.lost_generated_tokens),
+                   ("n_requests_hit", f.n_requests_hit))
+            rows.append(event_row("X", f.at_s, f.outage_end_s, CAT_FAULT,
+                                  "CRASH", None, f.shard_id, hit))
+            rows.append(event_row("X", f.outage_end_s, f.until_s, CAT_FAULT,
+                                  "REWARM", None, f.shard_id, ()))
+        else:
+            rows.append(event_row("X", f.at_s, f.until_s, CAT_FAULT, "BROWNOUT",
+                                  None, f.shard_id,
+                                  (("bandwidth_factor", f.bandwidth_factor),)))
+    return rows
+
+
 def trace_from_report(report) -> FleetTrace:
     """The lifecycle trace of a built FleetReport, observed or not.
 
     The fallback behind ``FleetReport.timeline()`` for runs without an
     observer: :func:`lifecycle_rows` over each shard's log, with first
     tokens from the records (so a request a crash evicted shows only
-    its QUEUE), ROUTE / MIGRATE from the decisions, and the resilience
-    report's fault windows.
+    its QUEUE), ROUTE / MIGRATE from the decisions, and
+    :func:`fault_rows` over the resilience report's fault ledger.
     """
     result = report.result
     spans: List[tuple] = []
@@ -213,11 +238,7 @@ def trace_from_report(report) -> FleetTrace:
                 record_first_tokens(shard.events, shard.records),
             )
         )
-    for fault in report.resilience.faults if report.resilience else ():
-        spans.append(
-            event_row("X", fault.at_s, fault.until_s, CAT_FAULT,
-                      fault.kind.value.upper(), None, fault.shard_id,
-                      (("n_requests_hit", fault.n_requests_hit),))
-        )
+    if report.resilience is not None:
+        spans.extend(fault_rows(report.resilience.faults))
     instants = routing_rows(result.decisions, result.policy_name)
     return FleetTrace(spans, instants, result.n_shards)

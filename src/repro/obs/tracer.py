@@ -2,14 +2,15 @@
 
 A :class:`FleetObserver` is handed to :class:`~repro.fleet.FleetSimulator`
 (or :class:`~repro.serving.ServingSimulator`) at construction.  The fleet
-loop records fault windows and request dispositions directly and binds
-its routing decisions; each shard's
+loop records request dispositions directly and binds its routing
+decisions and fault ledger; each shard's
 :class:`~repro.serving.ContinuousBatchingScheduler` hands a
 :class:`ShardObs` view its event log and reports step slices and gauge
 samples to it.
-Nothing mirrors request lifecycles live: :meth:`FleetObserver.build`
-reads them, and their counters, from the schedulers' event logs and
-the routing decisions once the run is over (:mod:`repro.obs.bridge`).
+Nothing mirrors request lifecycles or fault windows live:
+:meth:`FleetObserver.build` reads them, and their counters, from the
+schedulers' event logs, the routing decisions and the fault ledger
+once the run is over (:mod:`repro.obs.bridge`).
 
 Design constraints, in priority order:
 
@@ -32,10 +33,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from ..serving.scheduler import EventKind, EventLog
-from .bridge import lifecycle_rows, routing_rows
+from .bridge import fault_rows, lifecycle_rows, routing_rows
 from .metrics import MetricsRegistry
 from .perfetto import to_perfetto, write_perfetto
-from .spans import CAT_FAULT, CAT_REQUEST, CAT_STEP, FleetTrace, event_row, row_kind
+from .spans import CAT_REQUEST, CAT_STEP, FleetTrace, event_row, row_kind
 
 __all__ = ["ShardObs", "FleetObserver", "ObsBundle"]
 
@@ -80,6 +81,8 @@ class ShardObs(object):
     )
 
     def __init__(self, shard_id: int, registry: MetricsRegistry, tick_s: float) -> None:
+        if not tick_s > 0:
+            raise ConfigError(f"tick_s must be positive, got {tick_s}")
         self.shard_id = shard_id
         self._reg = registry
         self._tick_s = tick_s
@@ -178,10 +181,9 @@ class FleetObserver(object):
             raise ConfigError(f"tick_s must be positive, got {tick_s}")
         self.tick_s = tick_s
         self.registry = MetricsRegistry()
-        self._spans: List[tuple] = []
         self._instants: List[tuple] = []
         self._shards: Dict[int, ShardObs] = {}
-        self._routing: List[Tuple[str, Sequence]] = []
+        self._runs: List[Tuple[str, Sequence, Sequence]] = []
 
     def shard(self, shard_id: int) -> ShardObs:
         """The (created-on-first-use) view bound to one shard."""
@@ -192,11 +194,14 @@ class FleetObserver(object):
             )
         return got
 
-    def bind_routing(self, policy_name: str, decisions: Sequence) -> None:
-        """Attach a fleet run's (growing) list of routing decisions, from
-        which :meth:`build` derives ROUTE and MIGRATE instants and the
-        ``requests_routed`` and ``migrations`` counters."""
-        self._routing.append((policy_name, decisions))
+    def bind_routing(
+        self, policy_name: str, decisions: Sequence, faults: Sequence
+    ) -> None:
+        """Attach a fleet run's (growing) lists of routing decisions and
+        applied faults, from which :meth:`build` derives ROUTE and
+        MIGRATE instants, the ``requests_routed`` and ``migrations``
+        counters, and the CRASH, REWARM and BROWNOUT windows."""
+        self._runs.append((policy_name, decisions, faults))
 
     def instant(
         self,
@@ -213,22 +218,6 @@ class FleetObserver(object):
                       sorted(attrs.items()))
         )
 
-    def span(
-        self,
-        name: str,
-        t0_s: float,
-        t1_s: float,
-        shard_id: Optional[int] = None,
-        request_id: Optional[int] = None,
-        cat: str = CAT_FAULT,
-        **attrs: object,
-    ) -> None:
-        """Record a fleet-level interval (CRASH, REWARM, BROWNOUT...)."""
-        self._spans.append(
-            event_row("X", t0_s, t1_s, cat, name, request_id, shard_id,
-                      sorted(attrs.items()))
-        )
-
     def count(self, name: str, n: float = 1.0, **labels: object) -> None:
         """Bump a fleet-level counter."""
         self.registry.counter(name, **labels).inc(n)
@@ -242,16 +231,19 @@ class FleetObserver(object):
 
         Sets the counters read from the logs and decisions (building
         again sets them again, it does not add) and takes O(shards +
-        decisions) shallow copies; the trace is assembled from them on
-        the bundle's first export or ``.trace`` read. The <= 1.5x
+        decisions + faults) shallow copies; the trace is assembled from
+        them on the bundle's first export or ``.trace`` read. The <= 1.5x
         enabled-mode overhead budget that
         ``benchmarks/bench_obs_overhead.py`` enforces covers the run
         alone; the bench records the export's own cost (``export_s``)
         beside it, unbounded.
         """
-        spans, instants = list(self._spans), list(self._instants)
-        routing = [(name, tuple(decisions)) for name, decisions in self._routing]
-        decisions = [d for _, run in routing for d in run]
+        instants = list(self._instants)
+        runs = [
+            (name, tuple(decisions), tuple(faults))
+            for name, decisions, faults in self._runs
+        ]
+        decisions = [d for _, run, _ in runs for d in run]
         snaps = [(i, shard._snapshot()) for i, shard in self._shards.items()]
         n_shards = (max(self._shards) + 1) if self._shards else 0
         routed = _Tally(d.shard_id for d in decisions if d.migrated_from is None)
@@ -265,8 +257,12 @@ class FleetObserver(object):
             self.registry.counter("migrations", thief=thief, donor=donor).value = float(n)
 
         def assemble() -> FleetTrace:
-            for shard_id, runs in snaps:
-                for log, steps in runs:
+            spans: List[tuple] = []
+            for policy_name, run, faults in runs:
+                spans.extend(fault_rows(faults))
+                instants.extend(routing_rows(run, policy_name))
+            for shard_id, shard_runs in snaps:
+                for log, steps in shard_runs:
                     if log is not None:
                         # A scheduler logs PREFILL_START, then runs that
                         # prefill: its n-th prefill slice ends at its
@@ -274,8 +270,6 @@ class FleetObserver(object):
                         ends = [r[1] for r in steps if r[3] == "PREFILL_STEP"]
                         spans.extend(lifecycle_rows(shard_id, log, ends))
                     spans.extend(steps)
-            for policy_name, run in routing:
-                instants.extend(routing_rows(run, policy_name))
             return FleetTrace(spans, instants, n_shards)
 
         return ObsBundle(metrics=self.registry, _assemble=assemble)

@@ -42,13 +42,7 @@ from ..utils import ceil_div
 from .breakdown import StageReport
 from .layer_sim import WorkloadSimulator
 
-__all__ = ["SURFACE_SCHEMA_VERSION", "SurfacePoint", "LatencySurface"]
-
-#: Version stamped into serialized surfaces; bump on any schema change
-#: so stale dumps fail loudly instead of silently misloading. (The
-#: optional ``n_points`` integrity count is additive: v1 dumps without
-#: it still load.)
-SURFACE_SCHEMA_VERSION = 1
+__all__ = ["SurfacePoint", "LatencySurface"]
 
 
 @dataclass(frozen=True)
@@ -262,12 +256,12 @@ class LatencySurface:
         """
         return self._sim.simulate(workload)
 
-    # ------------------------------------------------------ delta shipping
+    # ------------------------------------------------------- point entries
     def point_keys(self) -> FrozenSet[Tuple[Stage, int, int]]:
         """Keys of every point currently in the table.
 
-        Parallel sweep workers snapshot this after loading the parent's
-        broadcast surface, then ship only points discovered since
+        Parallel sweep workers snapshot this after merging the parent's
+        broadcast entries, then ship only points discovered since
         (:meth:`export_points`) back with each result.
         """
         return frozenset(self._points)
@@ -277,8 +271,10 @@ class LatencySurface:
     ) -> List[Dict[str, Any]]:
         """JSON entries for points whose keys are not in ``exclude``.
 
-        Entries use the :meth:`to_json` point schema and are emitted in
-        sorted key order for deterministic payloads.
+        The one format surface points travel in (the surface store's
+        files, the parallel sweep's broadcasts and deltas), read back by
+        :meth:`merge_points`. Floats round-trip exactly through ``json``;
+        entries are in sorted key order for deterministic payloads.
         """
         return [
             {
@@ -302,86 +298,17 @@ class LatencySurface:
         Existing keys are kept as-is — both sides computed the same
         exact simulation, so the values are identical and keeping the
         incumbent avoids any order dependence. Returns the number of
-        newly added points.
+        newly added points (not counted in :attr:`n_simulated`). A
+        malformed entry raises :class:`SimulationError` before any entry
+        is merged, so a caller that falls back cold has merged nothing.
         """
         added = 0
-        for entry in entries:
-            point = _parse_point_entry(entry)
+        for point in [_parse_point_entry(entry) for entry in entries]:
             key = (point.stage, point.tokens, point.batch)
             if key not in self._points:
                 self._register(key, point)
                 added += 1
         return added
-
-    # -------------------------------------------------------- serialization
-    def to_json(self) -> Dict[str, Any]:
-        """JSON-serializable dump of every materialized point.
-
-        The dump is a few floats per point (a whole serving stream's
-        surface is KBs), versioned, and keyed to the producing model so
-        a load against the wrong deployment fails instead of silently
-        serving another config's latencies. Floats round-trip exactly
-        through ``json`` (shortest-repr encoding), so a loaded surface
-        is bit-identical to a re-simulated one. Points are emitted in
-        sorted (stage, tokens, batch) order for byte-stable dumps, with
-        an ``n_points`` count so truncated dumps fail loudly on load.
-        """
-        return {
-            "version": SURFACE_SCHEMA_VERSION,
-            "model": self._sim.model.name,
-            "plan": self._sim.plan.name,
-            "n_points": len(self._points),
-            "points": self.export_points(),
-        }
-
-    @classmethod
-    def from_json(
-        cls, data: Mapping[str, Any], simulator: WorkloadSimulator
-    ) -> "LatencySurface":
-        """Rebuild a surface from :meth:`to_json` output.
-
-        The surface binds to ``simulator`` for future misses; loaded
-        points fill the table directly, so sweeps and notebooks skip
-        simulation entirely for every dumped operating point. Raises
-        :class:`SimulationError` on version or model mismatch — a dump
-        only speaks for the (model, plan) that produced it — and on a
-        missing, truncated, or malformed point table.
-        """
-        version = data.get("version")
-        if version != SURFACE_SCHEMA_VERSION:
-            raise SimulationError(
-                f"surface dump version {version!r} is not the supported "
-                f"version {SURFACE_SCHEMA_VERSION}"
-            )
-        if data.get("model") != simulator.model.name:
-            raise SimulationError(
-                f"surface dump was produced for model {data.get('model')!r}, "
-                f"not {simulator.model.name!r}"
-            )
-        if data.get("plan") != simulator.plan.name:
-            raise SimulationError(
-                f"surface dump was produced for plan {data.get('plan')!r}, "
-                f"not {simulator.plan.name!r}"
-            )
-        points = data.get("points")
-        if not isinstance(points, list):
-            raise SimulationError("surface dump has no point table")
-        expected = data.get("n_points")
-        if expected is not None and expected != len(points):
-            raise SimulationError(
-                f"surface dump point table is truncated: header says "
-                f"{expected} points but {len(points)} are present"
-            )
-        surface = cls(simulator)
-        for index, entry in enumerate(points):
-            try:
-                point = _parse_point_entry(entry)
-            except SimulationError as exc:
-                raise SimulationError(
-                    f"surface dump point {index} is malformed: {exc}"
-                ) from None
-            surface._register((point.stage, point.tokens, point.batch), point)
-        return surface
 
 
 def _parse_point_entry(entry: Mapping[str, Any]) -> SurfacePoint:

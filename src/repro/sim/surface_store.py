@@ -4,20 +4,22 @@ Every fresh CLI invocation or sweep used to re-simulate operating
 points a previous run had already computed. The store makes surfaces
 outlive the process: one JSON file per *engine fingerprint* — a hash of
 everything that determines the numbers (model, hardware config,
-execution plan, packing-planner signature, schema versions) — holding
-that engine's exact-point table. Callers warm-start by merging the
-file's points into a fresh surface and append new discoveries back
-with an atomic read-merge-replace, so concurrent writers can only lose
-a few freshly simulated points, never corrupt the file.
+execution plan, packing-planner signature, store version) — holding
+that engine's exact points as ``LatencySurface.export_points()``
+entries. Callers warm-start by merging the file's entries into a fresh
+surface (``merge_points()``) and append new discoveries back with an
+atomic read-merge-replace, so concurrent writers can only lose a few
+freshly simulated points, never corrupt the file.
 
 Failure policy: the store is a cache, not a source of truth. *Every*
-failure path — unreadable directory, corrupt or truncated JSON, schema
-version drift, a file whose fingerprint does not match its name,
-read-only store directory — degrades to in-memory simulation with a
-:class:`RuntimeWarning`; nothing here ever raises into the serving
-path. Numbers are unaffected either way: stored points were produced
-by the same simulator and round-trip exactly through JSON, so a
-warm-started run is bit-identical to a cold one.
+failure path — unreadable directory, corrupt JSON, a missing or
+truncated point table, malformed entries, version drift, a file whose
+fingerprint does not match its name, read-only store directory —
+degrades to in-memory simulation with a :class:`RuntimeWarning`;
+nothing here ever raises into the serving path. Numbers are unaffected
+either way: stored points were produced by the same simulator and
+round-trip exactly through JSON, so a warm-started run is
+bit-identical to a cold one.
 """
 
 from __future__ import annotations
@@ -30,9 +32,7 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
-
-from .surface import SURFACE_SCHEMA_VERSION
+from typing import Any, Dict, List, Optional, Union
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
@@ -41,10 +41,12 @@ __all__ = [
     "engine_fingerprint",
 ]
 
-#: Version of the per-file store envelope (not the surface dump inside
-#: it — that carries its own ``SURFACE_SCHEMA_VERSION``). Bump on any
-#: envelope change so stale files are skipped, not misread.
-STORE_SCHEMA_VERSION = 1
+#: Version of the store file envelope ``{store_version, fingerprint,
+#: model, plan, n_points, points}``, whose ``points`` are
+#: ``export_points()`` entries. Bump on any change to either so stale
+#: files are skipped, not misread (it is part of the fingerprint, so
+#: they are not even found).
+STORE_SCHEMA_VERSION = 2
 
 #: Where the CLIs put the store when ``--surface-store`` is passed
 #: without a directory.
@@ -74,13 +76,12 @@ def engine_fingerprint(engine) -> str:
     interchangeable: same model, same hardware config, same execution
     plan, same packing-planner signature (``depth_buckets`` changes the
     modeled numbers, so a custom planner changes the fingerprint), and
-    same schema versions. Truncated to 16 hex chars — collision odds
+    same store version. Truncated to 16 hex chars — collision odds
     are negligible at fleet scale and the filenames stay readable.
     """
     planner = engine.planner
     payload = {
         "store_version": STORE_SCHEMA_VERSION,
-        "surface_version": SURFACE_SCHEMA_VERSION,
         "model": _canon(engine.model),
         "hardware": _canon(engine.config),
         "plan": _canon(engine.plan),
@@ -109,13 +110,14 @@ class SurfaceStore:
         return self.root / f"surface-{fingerprint}.json"
 
     # --------------------------------------------------------------- load
-    def _read(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        """Validated store envelope for a fingerprint, or None.
+    def _read(self, fingerprint: str) -> Optional[List[Dict[str, Any]]]:
+        """The point entries stored for a fingerprint, or None.
 
         Warns and returns None on any defect: unreadable file, corrupt
-        JSON, a non-object payload, envelope version drift, or a
-        foreign fingerprint (a file copied or renamed across engines
-        must not leak another deployment's numbers).
+        JSON, a non-object document, envelope version drift, a foreign
+        fingerprint (a file copied or renamed across engines must not
+        leak another deployment's numbers), or a missing or truncated
+        point table.
         """
         path = self.path_for(fingerprint)
         try:
@@ -145,10 +147,17 @@ class SurfaceStore:
                 f"{doc.get('fingerprint')!r}, expected {fingerprint!r}"
             )
             return None
-        if not isinstance(doc.get("surface"), dict):
-            self._warn(f"surface store file {path} has no surface payload")
+        points = doc.get("points")
+        if not isinstance(points, list):
+            self._warn(f"surface store file {path} has no point table")
             return None
-        return doc
+        if doc.get("n_points") != len(points):
+            self._warn(
+                f"surface store file {path} is truncated: header says "
+                f"{doc.get('n_points')!r} points, {len(points)} present"
+            )
+            return None
+        return points
 
     def load(self, engine) -> int:
         """Warm-start an engine's surface from the store.
@@ -162,24 +171,8 @@ class SurfaceStore:
         measures.
         """
         fingerprint = engine_fingerprint(engine)
-        doc = self._read(fingerprint)
-        if doc is None:
-            return 0
-        dump = doc["surface"]
-        points = dump.get("points")
-        if not isinstance(points, list):
-            self._warn(
-                f"surface store file {self.path_for(fingerprint)} has no "
-                f"point table"
-            )
-            return 0
-        expected = dump.get("n_points")
-        if expected is not None and expected != len(points):
-            self._warn(
-                f"surface store file {self.path_for(fingerprint)} is "
-                f"truncated: header says {expected} points, {len(points)} "
-                f"present"
-            )
+        points = self._read(fingerprint)
+        if points is None:
             return 0
         try:
             return engine.surface.merge_points(points)
@@ -195,32 +188,24 @@ class SurfaceStore:
         """Append an engine's exact points to its store file atomically.
 
         Read-merge-union: the current file's points are folded into the
-        engine's surface first, so a concurrent writer's discoveries
-        survive (last-writer-wins only over the few points both
-        simulated — which are identical anyway). The union is written
-        to a temp file and moved over the target with ``os.replace``,
-        so readers never observe a partial file. Returns the number of
-        points written; 0 (with a warning) when the directory cannot be
-        created or written.
+        engine's surface first (:meth:`load`), so a concurrent writer's
+        discoveries survive (last-writer-wins only over the few points
+        both simulated — which are identical anyway). The union is
+        written to a temp file and moved over the target with
+        ``os.replace``, so readers never observe a partial file.
+        Returns the number of points written; 0 (with a warning) when
+        the directory cannot be created or written.
         """
+        self.load(engine)
         fingerprint = engine_fingerprint(engine)
-        doc = self._read(fingerprint)
-        if doc is not None:
-            points = doc["surface"].get("points")
-            if isinstance(points, list):
-                try:
-                    engine.surface.merge_points(points)
-                except Exception as exc:
-                    self._warn(
-                        f"discarding malformed points in "
-                        f"{self.path_for(fingerprint)}: {exc}"
-                    )
+        points = engine.surface.export_points()
         envelope = {
             "store_version": STORE_SCHEMA_VERSION,
             "fingerprint": fingerprint,
             "model": engine.model.name,
             "plan": engine.plan.name,
-            "surface": engine.surface.to_json(),
+            "n_points": len(points),
+            "points": points,
         }
         path = self.path_for(fingerprint)
         try:
@@ -241,7 +226,7 @@ class SurfaceStore:
         except OSError as exc:
             self._warn(f"cannot write surface store file {path}: {exc}")
             return 0
-        return envelope["surface"]["n_points"]
+        return len(points)
 
     @staticmethod
     def _warn(message: str) -> None:

@@ -8,6 +8,8 @@ image over DRAM bandwidth) the fleet loop charges on every crash.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
@@ -30,6 +32,16 @@ class TestShardFault:
             ShardFault(FaultKind.CRASH, shard_id=0, at_s=-0.1, duration_s=1.0)
         with pytest.raises(ConfigError):
             ShardFault(FaultKind.CRASH, shard_id=0, at_s=0.0, duration_s=0.0)
+
+    @pytest.mark.parametrize("kind", list(FaultKind))
+    @pytest.mark.parametrize("field", ["at_s", "duration_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_times_are_rejected(self, kind, field, value):
+        # A NaN or inf instant never fires (or never recovers), so the
+        # schedule refuses it instead of the run hanging or dropping it.
+        times = {"at_s": 1.0, "duration_s": 1.0, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            ShardFault(kind, shard_id=0, bandwidth_factor=0.5, **times)
 
     @pytest.mark.parametrize("factor", [0.0, 1.0, 1.5, -0.25])
     def test_brownout_factor_must_be_fractional(self, factor):

@@ -81,7 +81,7 @@ class TestFleetOverload:
             "fleet", "--model", "opt-125m", "--bandwidths", "12", "6", "1", "12",
             "--requests", "5000", "--arrival", "poisson", "--rate", "30",
             "--policy", "predicted-latency", "--max-batch", "16",
-            "--ctx-bucket", "16", "--no-surface-store",
+            "--ctx-bucket", "16",
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out

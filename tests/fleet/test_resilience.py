@@ -18,6 +18,7 @@ lost tokens).
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.fleet as fleet_pkg
 import repro.serving as serving_pkg
+from repro.errors import ConfigError
 from repro.fleet import (
     Disposition,
     DropOldestShedding,
@@ -89,6 +91,18 @@ def _counts(report):
     assert by[Disposition.LOST] == res.n_lost
     assert sum(by.values()) == res.n_submitted
     return res
+
+
+class TestRetryPolicyValidation:
+    @pytest.mark.parametrize(
+        "field", ["base_backoff_s", "backoff_multiplier", "jitter_s"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_backoff_is_rejected(self, field, value):
+        # Caught at construction, not as a non-finite retry arrival
+        # after the first crash.
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            RetryPolicy(**{field: value})
 
 
 class TestZeroFaultBitIdentity:

@@ -179,11 +179,16 @@ def test_non_finite_value_of_one_command(argv, expected):
     assert error is not None and error.startswith(expected), error
 
 
-@pytest.mark.parametrize("flag", [["--interpolate"], ["--interp-rel-err", "0.1"]])
+@pytest.mark.parametrize(
+    "flag",
+    [["--interpolate"], ["--interp-rel-err", "0.1"], ["--no-surface-store"]],
+)
 @pytest.mark.parametrize(
     "argv", [BASE["serve"], BASE["fleet"], PLAN], ids=["serve", "fleet", "plan"]
 )
 def test_removed_interpolation_flags_are_usage_errors(argv, flag):
+    """The interpolation flags and the store override are gone: argparse
+    rejects them as unknown arguments."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
         main(argv + flag)

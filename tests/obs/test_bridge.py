@@ -9,6 +9,7 @@ from repro.core import ExecutionPlan
 from repro.errors import SimulationError
 from repro.models import TransformerConfig, prefill_workload
 from repro.obs import (
+    CAT_FAULT,
     CAT_OP,
     CAT_REQUEST,
     FleetObserver,
@@ -123,10 +124,25 @@ class TestTraceFromReport:
                 ]
                 assert queue.t1_s == starts[rid] >= rec.admit_s
 
-    def test_chaos_report_carries_fault_spans(self, chaos_reports):
+    def test_chaos_report_carries_fault_spans(
+        self, chaos_reports, make_fleet, make_stream
+    ):
         report_off, _ = chaos_reports
-        names = set(trace_from_report(report_off).span_names())
-        assert "CRASH" in names
+        assert "CRASH" in set(trace_from_report(report_off).span_names())
+        # One builder draws the fault windows of both runs from the
+        # ledger: the unobserved CRASH, REWARM and BROWNOUT spans are
+        # the observed ones, attributes included.
+        brownout = [
+            make_fleet(obs=obs, faults="brownout").run(make_stream())
+            for obs in (None, FleetObserver())
+        ]
+        for off, on in (chaos_reports, brownout):
+            faults = [
+                s for s in trace_from_report(off).spans if s.cat == CAT_FAULT
+            ]
+            assert faults and faults == [
+                s for s in on.obs.trace.spans if s.cat == CAT_FAULT
+            ]
 
 
 class TestRenderFleetTimeline:

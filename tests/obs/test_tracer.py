@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from repro.errors import ConfigError, SimulationError
-from repro.obs import FleetObserver, MetricsRegistry, ObsBundle
+from repro.obs import FleetObserver, MetricsRegistry, ObsBundle, ShardObs
 from repro.obs.bridge import lifecycle_rows, record_first_tokens
 from repro.obs.spans import CAT_FAULT, CAT_STEP, FleetTrace, Span
 from repro.serving import (
@@ -156,27 +156,33 @@ class TestStepsAndSamples:
 
 class TestFleetObserver:
     def test_fleet_level_events_and_build(self):
+        from repro.fleet import AppliedFault, FaultKind
+
         obs = FleetObserver()
         obs.instant("SUBMIT", 0.0, request_id=1)
-        obs.span("CRASH", 1.0, 2.0, shard_id=1, n_requests_hit=2)
+        obs.bind_routing("jsq", [], [
+            AppliedFault(FaultKind.CRASH, 1, 1.0, 2.5, 2.0, 1.0, 2, 5),
+        ])
         obs.count("retries")
         obs.gauge("shards_up", 1.0, 1.0)
         obs.shard(1)
         bundle = obs.build()
         assert bundle.trace.n_shards == 2
-        crash = next(s for s in bundle.trace.spans if s.name == "CRASH")
-        assert crash.cat == CAT_FAULT
-        assert crash.attrs_dict == {"n_requests_hit": 2}
+        # The crash's outage, then its re-warm until the shard serves.
+        crash, rewarm = bundle.trace.spans
+        assert (crash.name, crash.cat, crash.shard_id) == ("CRASH", CAT_FAULT, 1)
+        assert (crash.t0_s, crash.t1_s) == (1.0, 2.0)
+        assert crash.attrs_dict == {"n_requests_hit": 2, "lost_generated_tokens": 5}
+        assert (rewarm.name, rewarm.t0_s, rewarm.t1_s) == ("REWARM", 2.0, 2.5)
+        assert rewarm.attrs == ()
         assert bundle.metrics.counter("retries").value == 1.0
-
-    def test_reversed_fleet_span_is_rejected(self):
-        with pytest.raises(SimulationError):
-            FleetObserver().span("X", 2.0, 1.0)
 
     @pytest.mark.parametrize("tick_s", [math.nan, 0.0, -1.0])
     def test_non_positive_tick_is_rejected(self, tick_s):
         with pytest.raises(ConfigError, match="tick_s must be positive"):
             FleetObserver(tick_s=tick_s)
+        with pytest.raises(ConfigError, match="tick_s must be positive"):
+            ShardObs(0, MetricsRegistry(), tick_s)
 
     def test_bound_scheduler_lifecycle_and_counters(self, fast_engine):
         obs = FleetObserver()
@@ -264,7 +270,7 @@ class TestFleetObserver:
 
         obs = FleetObserver()
         decisions = [RoutingDecision(1, 0.5, 0, 0.25)]
-        obs.bind_routing("jsq", decisions)
+        obs.bind_routing("jsq", decisions, [])
         decisions.append(RoutingDecision(1, 0.75, 1, migrated_from=0))
         bundle = obs.build()
         route, migrate = bundle.trace.instants

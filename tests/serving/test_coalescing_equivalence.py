@@ -76,11 +76,12 @@ def _budget(engine, requests: float = 4.0) -> int:
 
 
 def _fresh(engine, surface=None):
-    """A clone of ``engine`` with its own surface: cold, or loaded from
-    the ``surface`` dump (:meth:`~repro.sim.surface.LatencySurface.to_json`)."""
+    """A clone of ``engine`` with its own surface: cold, or holding the
+    ``surface`` entries
+    (:meth:`~repro.sim.surface.LatencySurface.export_points`)."""
     clone = engine.clone()
     if surface is not None:
-        clone.load_surface(surface)
+        clone.surface.merge_points(surface)
     return clone
 
 
@@ -125,13 +126,13 @@ def _check_equivalent(engine, make_source, *, surface=None, **knobs):
 
 @pytest.fixture(scope="module")
 def sparse_surface(serving_engine):
-    """A surface dump with exact decode points every 32 contexts."""
+    """Surface entries with exact decode points every 32 contexts."""
     surface = serving_engine.clone().surface
     surface.materialize(prefill_tokens=range(8, 65, 28))
     surface.materialize(
         decode_contexts=range(32, 257, 32), batches=range(1, 9)
     )
-    return surface.to_json()
+    return surface.export_points()
 
 
 class TestCoalescedEqualsReference:

@@ -147,14 +147,6 @@ class TestSurfaceStoreFlags:
         assert "surface store: simulated 0 new points" in warm
         assert cold.split("surface store")[0] == warm.split("surface store")[0]
 
-    def test_no_surface_store_forces_off(self, tmp_path, capsys):
-        assert main([
-            "serve", "--requests", "4", "--plan", "gemm",
-            "--surface-store", str(tmp_path / "store"), "--no-surface-store",
-        ]) == 0
-        assert "surface store" not in capsys.readouterr().out
-        assert not (tmp_path / "store").exists()
-
     def test_corrupt_store_degrades_to_cold_run(self, tmp_path, capsys):
         store = tmp_path / "store"
         argv = [

@@ -1,10 +1,10 @@
 """The queued-prefill sum on every way a surface gets its points.
 
 :meth:`~repro.sim.surface.LatencySurface.queued_prefill_s` probes a
-table of batch-1 prefill latencies keyed by prompt length, which every
-insert path fills: simulation, :meth:`merge_points` and
-:meth:`from_json`. Whichever path filled the surface, and whether or
-not a length is in the table yet, the sum must equal the sequential
+table of batch-1 prefill latencies keyed by prompt length, which both
+insert paths fill: simulation and :meth:`merge_points`. Whichever path
+filled the surface, and whether or not a length is in the table yet,
+the sum must equal the sequential
 ``count * prefill(tokens).latency_s`` reference exactly.
 """
 
@@ -57,11 +57,7 @@ def _merged(simulator):
     return surface
 
 
-def _loaded(simulator):
-    return LatencySurface.from_json(_simulated(simulator).to_json(), simulator)
-
-
-FILLS = {"simulate": _simulated, "merge_points": _merged, "from_json": _loaded}
+FILLS = {"simulate": _simulated, "merge_points": _merged}
 
 
 @pytest.mark.parametrize("fill", sorted(FILLS))
@@ -73,7 +69,7 @@ def test_every_insert_path_fills_the_prefill_table(simulator, fill):
     }
     assert prefill_keys == set(FILLED)
     assert set(surface._prefill_s) == prefill_keys
-    # Loaded or merged lengths are summed without simulating anything.
+    # Lengths in the table are summed without simulating anything.
     before = surface.n_simulated
     surface.queued_prefill_s([(t, 2) for t in FILLED])
     assert surface.n_simulated == before

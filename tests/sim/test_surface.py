@@ -139,7 +139,8 @@ class TestMaterialization:
 
 
 class TestSerialization:
-    """to_json()/from_json(): versioned, exact, model-guarded."""
+    """export_points()/merge_points(): the one format surface points
+    travel in, exact through ``json``."""
 
     def test_round_trip_is_exact(self, surface, small_model):
         import json
@@ -148,13 +149,14 @@ class TestSerialization:
         surface.prefill(128)
         surface.decode(128, batch=2)
         surface.decode(144)
-        dump = json.loads(json.dumps(surface.to_json()))
+        entries = json.loads(json.dumps(surface.export_points()))
 
         from repro.sim import LatencySurface
 
-        loaded = LatencySurface.from_json(dump, surface.simulator)
+        loaded = LatencySurface(surface.simulator)
+        assert loaded.merge_points(entries) == 4
         assert len(loaded) == len(surface) == 4
-        # Bit-exact: a loaded point equals the freshly simulated one.
+        # Bit-exact: a merged point equals the freshly simulated one.
         assert loaded.prefill(64) == surface.prefill(64)
         assert loaded.decode(128, batch=2) == surface.decode(128, batch=2)
 
@@ -162,7 +164,8 @@ class TestSerialization:
         from repro.sim import LatencySurface
 
         surface.decode(160)
-        loaded = LatencySurface.from_json(surface.to_json(), surface.simulator)
+        loaded = LatencySurface(surface.simulator)
+        loaded.merge_points(surface.export_points())
 
         class Exploding:
             def __getattr__(self, name):
@@ -171,103 +174,13 @@ class TestSerialization:
         loaded._sim = Exploding()  # any miss would now blow up
         assert loaded.decode(160).latency_s == surface.decode(160).latency_s
 
-    def test_dump_is_versioned_and_sorted(self, surface):
-        from repro.sim.surface import SURFACE_SCHEMA_VERSION
-
+    def test_entries_are_sorted(self, surface):
         surface.decode(96)
         surface.prefill(32)
         surface.decode(64)
-        dump = surface.to_json()
-        assert dump["version"] == SURFACE_SCHEMA_VERSION
-        keys = [(p["stage"], p["tokens"], p["batch"]) for p in dump["points"]]
+        entries = surface.export_points()
+        keys = [(p["stage"], p["tokens"], p["batch"]) for p in entries]
         assert keys == sorted(keys)
-
-    def test_wrong_version_rejected(self, surface):
-        from repro.errors import SimulationError
-        from repro.sim import LatencySurface
-
-        dump = surface.to_json()
-        dump["version"] = 999
-        with pytest.raises(SimulationError):
-            LatencySurface.from_json(dump, surface.simulator)
-
-    def test_foreign_model_dump_rejected(self, surface, tiny_model):
-        from repro.core import ExecutionPlan
-        from repro.errors import SimulationError
-        from repro.sim import LatencySurface, WorkloadSimulator
-
-        dump = surface.to_json()
-        foreign = WorkloadSimulator(
-            tiny_model, surface.simulator.config, ExecutionPlan.meadow()
-        )
-        with pytest.raises(SimulationError):
-            LatencySurface.from_json(dump, foreign)
-
-    def test_engine_load_surface(self, small_model, zcu12, shared_planner):
-        from repro.core import ExecutionPlan, MeadowEngine
-
-        engine = MeadowEngine(
-            small_model, zcu12, ExecutionPlan.meadow(), shared_planner
-        )
-        engine.surface.decode(128)
-        dump = engine.surface.to_json()
-        clone = engine.clone()
-        loaded = clone.load_surface(dump)
-        assert clone.surface is loaded
-        assert len(loaded) == 1
-        assert loaded.decode(128) == engine.surface.decode(128)
-
-    def test_foreign_plan_dump_rejected(self, surface, small_model):
-        from repro.errors import SimulationError
-        from repro.sim import LatencySurface, WorkloadSimulator
-
-        dump = surface.to_json()
-        foreign = WorkloadSimulator(
-            small_model, surface.simulator.config, ExecutionPlan.gemm_baseline()
-        )
-        with pytest.raises(SimulationError, match="plan"):
-            LatencySurface.from_json(dump, foreign)
-
-    def test_missing_point_table_rejected(self, surface):
-        from repro.errors import SimulationError
-        from repro.sim import LatencySurface
-
-        dump = surface.to_json()
-        dump["points"] = None
-        with pytest.raises(SimulationError, match="no point table"):
-            LatencySurface.from_json(dump, surface.simulator)
-
-    def test_truncated_dump_rejected(self, surface):
-        from repro.errors import SimulationError
-        from repro.sim import LatencySurface
-
-        surface.decode(64)
-        surface.decode(128)
-        dump = surface.to_json()
-        dump["points"] = dump["points"][:-1]  # lose the tail, keep the count
-        with pytest.raises(SimulationError, match="truncated"):
-            LatencySurface.from_json(dump, surface.simulator)
-
-    def test_malformed_entry_rejected_with_index(self, surface):
-        from repro.errors import SimulationError
-        from repro.sim import LatencySurface
-
-        surface.decode(64)
-        surface.decode(128)
-        dump = surface.to_json()
-        del dump["points"][1]["latency_s"]
-        with pytest.raises(SimulationError, match="point 1 is malformed"):
-            LatencySurface.from_json(dump, surface.simulator)
-
-    def test_legacy_dump_without_count_still_loads(self, surface):
-        """``n_points`` is additive to schema v1: old dumps lack it."""
-        from repro.sim import LatencySurface
-
-        surface.decode(96)
-        dump = surface.to_json()
-        del dump["n_points"]
-        loaded = LatencySurface.from_json(dump, surface.simulator)
-        assert len(loaded) == 1
 
 
 class TestDeltaShipping:

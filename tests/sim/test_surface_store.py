@@ -137,7 +137,7 @@ class TestFailurePaths:
     def test_truncated_point_table_warns(self, engine, twin, store):
         path = self._saved(engine, store)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["surface"]["points"] = doc["surface"]["points"][:1]
+        doc["points"] = doc["points"][:1]
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.warns(RuntimeWarning, match="truncated"):
             assert store.load(twin) == 0
@@ -158,21 +158,33 @@ class TestFailurePaths:
             assert store.load(twin) == 0
 
     def test_missing_surface_payload_warns(self, engine, twin, store):
+        # The payload is the envelope's point table.
         path = self._saved(engine, store)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        del doc["surface"]
+        del doc["points"]
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="no surface payload"):
+        with pytest.warns(RuntimeWarning, match="no point table"):
             assert store.load(twin) == 0
 
     def test_malformed_points_warn(self, engine, twin, store):
         path = self._saved(engine, store)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["surface"]["points"] = [{"bogus": True}]
-        doc["surface"]["n_points"] = 1
+        doc["points"] = [{"bogus": True}]
+        doc["n_points"] = 1
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.warns(RuntimeWarning, match="malformed"):
             assert store.load(twin) == 0
+
+    def test_malformed_last_entry_merges_nothing(self, engine, twin, store):
+        path = self._saved(engine, store)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["points"][-1]["latency_s"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.warns(RuntimeWarning, match="malformed"):
+            assert store.load(twin) == 0
+        # Cold means cold: the valid entries before the bad one are not
+        # merged either, so a warm-start count of 0 is the truth.
+        assert len(twin.surface) == 0
 
     def test_store_file_is_a_directory_warns(self, engine, store):
         store.root.mkdir(parents=True)
