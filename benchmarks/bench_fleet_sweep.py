@@ -320,8 +320,9 @@ OVERLOAD_MAX_RATIO = 5.0
 #: superlinear by design.)
 OVERLOAD_MAX_PL_OVER_RR = 3.0
 #: Heap bytes per request a finished 20k-request report may keep alive.
-#: Gap arrays and columnar event logs read ~630; per-token tuples of
-#: boxed floats and one object per event read ~1,260.
+#: Gap arrays and columnar event and step logs read ~692 (~630 before
+#: the step log, 28 B a step at about two steps a request); per-token
+#: tuples of boxed floats and one object per event read ~1,260.
 OVERLOAD_MAX_RETAINED_B = 800
 
 

@@ -308,14 +308,13 @@ def _obs_args(p: argparse.ArgumentParser) -> None:
 
 
 def _make_observer(args: argparse.Namespace):
-    """A FleetObserver when any obs flag is set, else None (zero cost)."""
+    """A FleetObserver when any obs flag is set, else None."""
     if args.trace_out is None and args.metrics_out is None and not args.timeline:
         return None
     if getattr(args, "sweep", False):
         raise CLIError(
             "--trace-out/--metrics-out/--timeline apply to single runs "
-            "only; sweeps evaluate many grid points and keep the "
-            "observability-free bit-identical path"
+            "only; sweeps evaluate many grid points and export none"
         )
     if not args.obs_tick > 0:
         raise CLIError(f"--obs-tick must be positive, got {args.obs_tick:g}")
@@ -547,7 +546,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         kv_budget_bytes=budget,
         max_batch=args.max_batch,
         ctx_bucket=args.ctx_bucket,
-        obs=observer,
     )
     report = sim.run(source)
     title = (
@@ -557,7 +555,7 @@ def _cmd_serve(args: argparse.Namespace) -> str:
     )
     lines = [report.metrics.format_report(title)]
     if observer is not None:
-        lines.extend(_obs_outputs(observer.build(), args))
+        lines.extend(_obs_outputs(observer.build(report), args))
     if store is not None:
         new = max(0, len(engine.surface) - warm)
         store.save(engine)

@@ -289,6 +289,12 @@ class ResilienceReport:
     lost_generated_tokens: int
     #: Every fault that landed, in timeline order.
     faults: Tuple[AppliedFault, ...]
+    #: The fleet's other chaos decisions, in the order it took them:
+    #: ``(t_s, "RETRY", request_id, attempt, backoff_s)``,
+    #: ``(t_s, "EXPIRED" or "LOST", request_id)``, ``(t_s, "SHED",
+    #: request_id, reason, evicting shard or None)`` and ``(t_s,
+    #: "SHARDS_UP", live shards)`` when a crash or recovery changed it.
+    ledger: Tuple[tuple, ...]
     #: Seconds each shard spent down (crash outage + re-warm), clipped
     #: to the run's makespan.
     shard_downtime_s: Tuple[float, ...]
@@ -316,6 +322,7 @@ class ResilienceReport:
         faults: Sequence[AppliedFault],
         shard_downtime_s: Sequence[float],
         makespan_s: float,
+        ledger: Sequence[tuple] = (),
     ) -> "ResilienceReport":
         """Aggregate per-request fates, enforcing exactly-once accounting.
 
@@ -357,6 +364,7 @@ class ResilienceReport:
             n_retries=n_retries,
             lost_generated_tokens=lost_generated_tokens,
             faults=tuple(faults),
+            ledger=tuple(ledger),
             shard_downtime_s=tuple(clipped),
             availability=availability,
             offered_rps=offered_rps,

@@ -138,6 +138,10 @@ class FleetResult:
     decisions: Tuple[RoutingDecision, ...]
     #: Follow-ups no shard could ever admit (rejected at submission).
     n_rejected_followups: int
+    #: Every request the fleet accepted: the source's initial stream
+    #: (the first :attr:`n_initial`), then the closed-loop follow-ups.
+    submitted: Tuple[Request, ...]
+    n_initial: int
 
     @property
     def n_shards(self) -> int:
@@ -182,27 +186,21 @@ class FleetReport:
     #: :class:`~repro.fleet.faults.FaultSchedule` reports, so zero-fault
     #: configurations compare equal whichever way they were spelled.
     resilience: Optional[ResilienceReport] = None
-    #: Observability bundle (lifecycle trace + metrics registry) when
-    #: the run carried a :class:`~repro.obs.FleetObserver`; ``None``
-    #: otherwise. Excluded from equality so an observed run's report
-    #: still compares ``==`` to the identical unobserved run — the
-    #: bit-identity property the obs layer guarantees and the
-    #: equivalence tests assert directly on report equality.
+    #: What the run's observer built of this report (``None`` without
+    #: one); excluded from equality, as it derives from the other fields.
     obs: Optional[ObsBundle] = field(default=None, compare=False, repr=False)
 
     def timeline(self, width: int = 80) -> str:
         """ASCII fleet timeline: one row per shard, faults overlaid.
 
-        Runs that carried an observer render their trace; unobserved
-        runs build the same request lifecycle from the shards' event
-        logs and records (see :func:`repro.obs.trace_from_report`),
-        without the step slices only an observer records.
+        Renders the trace :meth:`FleetObserver.build
+        <repro.obs.FleetObserver.build>` makes of this report, the same
+        whether or not the run carried an observer.
         """
-        from ..obs.bridge import trace_from_report
         from ..obs.gantt import render_fleet_timeline
 
-        trace = self.obs.trace if self.obs is not None else trace_from_report(self)
-        return render_fleet_timeline(trace, width=width)
+        obs = self.obs if self.obs is not None else FleetObserver().build(self)
+        return render_fleet_timeline(obs.trace, width=width)
 
     def ttft_calibration(self) -> Optional[TTFTCalibration]:
         """Aggregate predicted-vs-realized TTFT error, or ``None``.
@@ -375,12 +373,10 @@ class FleetSimulator:
             ``"drop-oldest"``).
         fault_seed: seed for named fault scenarios (ignored when a
             concrete schedule is passed).
-        obs: a :class:`~repro.obs.FleetObserver` collecting request
-            lifecycle spans, fault windows and per-shard metric samples;
-            the built bundle lands on :attr:`FleetReport.obs`. ``None``
-            (the default) wires no hooks anywhere — runs are then
-            bit-identical to a build without the obs layer, a property
-            the equivalence tests enforce.
+        obs: a :class:`~repro.obs.FleetObserver`; the bundle its
+            :meth:`~repro.obs.FleetObserver.build` makes of the finished
+            report lands on :attr:`FleetReport.obs`. The run itself is
+            the same with or without one.
     """
 
     def __init__(
@@ -470,11 +466,11 @@ class FleetSimulator:
         n_shards = len(self.engines)
         policy = self.policy
         policy.reset(n_shards)
-        obs = self.obs
 
         # (arrival_s, request_id, Request): the same deterministic FCFS
         # total order the per-shard schedulers use.
         arrivals: List[Tuple[float, int, Request]] = []
+        submitted: List[Request] = list(initial)  # see FleetResult
         n_rejected = 0
         # Predictions awaiting realization (request id -> predicted
         # TTFT on its current shard). Entries are dropped when a steal
@@ -490,6 +486,7 @@ class FleetSimulator:
         n_retries = 0
         lost_tokens = 0
         applied: List[AppliedFault] = []
+        ledger: List[tuple] = []  # see ResilienceReport.ledger
         up = [True] * n_shards
         down_until_s = [0.0] * n_shards
 
@@ -531,12 +528,7 @@ class FleetSimulator:
                     n_retries += 1
                     resub = replace(req, arrival_s=t + backoff)
                     heapq.heappush(arrivals, (resub.arrival_s, rid, resub))
-                    if obs is not None:
-                        obs.instant(
-                            "RETRY", t, request_id=rid,
-                            attempt=used + 1, backoff_s=backoff,
-                        )
-                        obs.count("retries")
+                    ledger.append((t, "RETRY", rid, used + 1, backoff))
                     return
                 # The retry could not even re-enter before the deadline.
                 fate = Disposition.EXPIRED
@@ -546,15 +538,11 @@ class FleetSimulator:
             else:
                 fate = Disposition.LOST
             dispositions[rid] = fate
-            if obs is not None:
-                obs.instant(fate.name, t, request_id=rid)
-                obs.count(f"requests_{fate.name.lower()}")
+            ledger.append((t, fate.name, rid))
 
-        def shed(rid: int, t: float, reason: str, **where) -> None:
+        def shed(rid: int, t: float, reason: str, shard_id=None) -> None:
             dispositions[rid] = Disposition.SHED
-            if obs is not None:
-                obs.instant("SHED", t, request_id=rid, reason=reason, **where)
-                obs.count("requests_shed", reason=reason)
+            ledger.append((t, "SHED", rid, reason, shard_id))
 
         def make_harvest(shard_id: int):
             # Completion hook: record the disposition (exactly once, at
@@ -581,11 +569,7 @@ class FleetSimulator:
                         arrivals,
                         (follow_up.arrival_s, follow_up.request_id, follow_up),
                     )
-                    if obs is not None:
-                        obs.instant(
-                            "SUBMIT", follow_up.arrival_s,
-                            request_id=follow_up.request_id, follow_up=True,
-                        )
+                    submitted.append(follow_up)
                 else:
                     n_rejected += 1
                 return None
@@ -600,7 +584,6 @@ class FleetSimulator:
                 max_batch=self.max_batch[i],
                 ctx_bucket=self.ctx_bucket[i],
                 on_complete=make_harvest(i),
-                obs=obs.shard(i) if obs is not None else None,
                 shard_id=i,
             )
             for i, engine in enumerate(self.engines)
@@ -628,8 +611,6 @@ class FleetSimulator:
                 # that can never run anywhere is a configuration error.
                 shards[0]._check(req)  # raises with the precise reason
             heapq.heappush(arrivals, (req.arrival_s, req.request_id, req))
-            if obs is not None:
-                obs.instant("SUBMIT", req.arrival_s, request_id=req.request_id)
         del seen_ids  # only the start-up check reads it
 
         def sync(t: float) -> bool:
@@ -642,8 +623,6 @@ class FleetSimulator:
             return not preempted()
 
         decisions: List[RoutingDecision] = []
-        if obs is not None:
-            obs.bind_routing(policy.name, decisions, applied)
         calendar = _DrainCalendar(shards, open_loop)
         while True:
             if self.steal:
@@ -681,16 +660,13 @@ class FleetSimulator:
                             1.0, len(victims), lost,
                         )
                     )
-                    if obs is not None:
-                        obs.count("crashes", shard=s)
-                        obs.gauge("shards_up", t, float(sum(up)))
+                    ledger.append((t, "SHARDS_UP", sum(up)))
                     for victim in victims:
                         pending_predictions.pop(victim.request_id, None)
                         handle_failure(victim, t)
                 elif action == "recover":
                     up[s] = True
-                    if obs is not None:
-                        obs.gauge("shards_up", t, float(sum(up)))
+                    ledger.append((t, "SHARDS_UP", sum(up)))
                 elif action == "brownout":
                     factor, end_s = payload
                     # Steps already in flight finish at their original
@@ -701,8 +677,6 @@ class FleetSimulator:
                             FaultKind.BROWNOUT, s, t, end_s, end_s, factor
                         )
                     )
-                    if obs is not None:
-                        obs.count("brownouts", shard=s)
                 else:  # brownout_end — most recent event wins on overlap
                     shards[s].latency_scale = 1.0
                 continue
@@ -760,7 +734,7 @@ class FleetSimulator:
                         victim = victims[0].request_id
                         chosen.withdraw(victim)
                         pending_predictions.pop(victim, None)
-                        shed(victim, t, "evicted", shard_id=choice)
+                        shed(victim, t, "evicted", choice)
                 chosen.submit(req)
                 if predicted is not None:
                     pending_predictions[request_id] = predicted
@@ -802,6 +776,7 @@ class FleetSimulator:
                 faults=applied,
                 shard_downtime_s=downtime,
                 makespan_s=max(0.0, end_s - start_s),
+                ledger=ledger,
             )
         result = FleetResult(
             model_name=self.engines[0].model.name,
@@ -810,15 +785,19 @@ class FleetSimulator:
             shard_results=shard_results,
             decisions=tuple(decisions),
             n_rejected_followups=n_rejected,
+            submitted=tuple(submitted),
+            n_initial=len(initial),
         )
         metrics, shard_metrics = summarize_shards(shard_results)
-        return FleetReport(
+        report = FleetReport(
             result=result,
             metrics=metrics,
             shard_metrics=shard_metrics,
             resilience=resilience,
-            obs=obs.build() if obs is not None else None,
         )
+        if self.obs is not None:
+            report = replace(report, obs=self.obs.build(report))
+        return report
 
     @staticmethod
     def _steal_pass(

@@ -1,32 +1,30 @@
 """Unified observability: request spans, fleet metrics, trace export.
 
-The reproduction's production-style telemetry layer.  A
-:class:`FleetObserver` threads through the serving scheduler, the fleet
-event calendar, routing, and the chaos layer, collecting:
+The reproduction's production-style telemetry layer. A run records
+nothing for it, so observing a run cannot change it:
+:meth:`FleetObserver.build` reads a finished fleet or serving report
+(the shards' event and step logs, the routing decisions and the
+resilience ledgers, :mod:`repro.obs.bridge`) and builds
 
-* **spans & instants** — every request gets a lifecycle trace
-  (SUBMIT → ROUTE → QUEUE → PREFILL → DECODE → COMPLETE, plus
-  RETRY/SHED/EXPIRED/LOST dispositions, WITHDRAW/MIGRATE steals, and
-  CRASH/REWARM/BROWNOUT fault windows). The QUEUE/PREFILL/DECODE spans
-  are built after the run from the shards' event logs, and ROUTE and
-  MIGRATE from the routing decisions (:mod:`repro.obs.bridge`);
-* **metrics** — labeled counters/gauges/histograms sampled on
-  simulated-time ticks (per-shard KV occupancy, queue depth, batch
-  size, in-flight decodes, retry/shed rates), exported as versioned
-  JSON or CSV;
+* **spans & instants** — every request's lifecycle (SUBMIT → ROUTE →
+  QUEUE → PREFILL → DECODE → COMPLETE, plus RETRY/SHED/EXPIRED/LOST
+  dispositions, WITHDRAW/MIGRATE steals, and CRASH/REWARM/BROWNOUT
+  fault windows) and each shard's prefill steps and decode runs;
+* **metrics** — labeled counters/gauges/histograms (per-shard KV
+  occupancy, queue depth, batch size, in-flight decodes, retry/shed
+  rates), gauges sampled on simulated-time ticks, exported as
+  versioned JSON or CSV;
 * **exporters** — Perfetto/Chrome ``trace_event`` JSON written from
   compact rows through per-kind templates (one track per shard,
   router→shard flow arrows), an ASCII fleet timeline, and the
   :mod:`repro.obs.bridge` that nests op-level cycle traces from
   :mod:`repro.sim.trace` under a request's PREFILL span.
 
-Observability is opt-in and free when off: with ``obs=None`` (the
-default everywhere) no observer code runs and results are bit-identical
-— a property test enforces it, and ``benchmarks/bench_obs_overhead.py``
-bounds the enabled-mode cost in CI.
+``benchmarks/bench_obs_overhead.py`` bounds what an observed run
+costs in CI.
 """
 
-from .bridge import nest_op_trace, op_spans, trace_from_report
+from .bridge import nest_op_trace, op_spans
 from .gantt import render_fleet_timeline
 from .metrics import (
     METRICS_SCHEMA,
@@ -48,7 +46,7 @@ from .spans import (
     Instant,
     Span,
 )
-from .tracer import FleetObserver, ObsBundle, ShardObs
+from .tracer import FleetObserver, ObsBundle
 
 __all__ = [
     "OBS_SCHEMA",
@@ -67,7 +65,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "FleetObserver",
-    "ShardObs",
     "ObsBundle",
     "to_perfetto",
     "write_perfetto",
@@ -75,5 +72,4 @@ __all__ = [
     "render_fleet_timeline",
     "op_spans",
     "nest_op_trace",
-    "trace_from_report",
 ]

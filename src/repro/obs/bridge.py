@@ -10,12 +10,13 @@ Two directions:
   :class:`repro.sim.trace.TraceEvent` stays the cycle-domain record,
   and this module is the one place that converts it to an obs
   :class:`~repro.obs.spans.Span`.
-* **up** — :func:`lifecycle_rows` builds request lifecycle spans from
-  a shard's event log, :func:`routing_rows` ROUTE / MIGRATE instants
-  from routing decisions and :func:`fault_rows` fault windows from the
-  fault ledger, after the run: for an observed run's trace
-  (:class:`~repro.obs.FleetObserver`) and, through
-  :func:`trace_from_report`, for an unobserved report's.
+* **up** — after the run, for :meth:`repro.obs.FleetObserver.build`:
+  :func:`lifecycle_rows` builds request lifecycle spans from a shard's
+  event log and :func:`step_rows` its step slices from its step log;
+  :func:`fleet_rows` builds SUBMIT instants from the fleet's submitted
+  requests and RETRY / EXPIRED / LOST / SHED from its decision ledger,
+  :func:`routing_rows` ROUTE / MIGRATE from its routing decisions and
+  :func:`fault_rows` fault windows from its fault ledger.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from ..errors import SimulationError
-from ..serving.scheduler import EventKind, EventLog
+from ..serving.scheduler import EventKind, EventLog, StepLog
 from .spans import (
     CAT_FAULT,
     CAT_OP,
     CAT_REQUEST,
+    CAT_STEP,
     FleetTrace,
     Span,
     event_row,
@@ -38,16 +40,17 @@ __all__ = [
     "op_spans",
     "nest_op_trace",
     "lifecycle_rows",
-    "record_first_tokens",
+    "step_rows",
+    "fleet_rows",
     "routing_rows",
     "fault_rows",
-    "trace_from_report",
 ]
 
-_ARRIVAL, _ADMIT, _PREFILL_START, _COMPLETE = map(
+#: Each event kind's code in a log's ``kind`` column.
+_ARRIVAL, _ADMIT, _PREFILL_START, _COMPLETE, _WITHDRAW = map(
     EventLog.KINDS.index,
     (EventKind.ARRIVAL, EventKind.ADMIT, EventKind.PREFILL_START,
-     EventKind.COMPLETE),
+     EventKind.COMPLETE, EventKind.WITHDRAW),
 )
 
 _QUEUE, _PREFILL, _DECODE = (
@@ -57,6 +60,8 @@ _QUEUE_OUT = row_kind("X", CAT_REQUEST, "QUEUE", ("outcome",))
 _DECODE_OUT = row_kind("X", CAT_REQUEST, "DECODE", ("outcome",))
 _ROUTE = row_kind("i", CAT_REQUEST, "ROUTE", ("policy", "predicted_ttft_s"))
 _MIGRATE = row_kind("i", CAT_REQUEST, "MIGRATE", ("from_shard",))
+_PREFILL_STEP = row_kind("X", CAT_STEP, "PREFILL_STEP", ("batch", "k"))
+_DECODE_RUN = row_kind("X", CAT_STEP, "DECODE_RUN", ("batch", "k"), False)
 
 
 def op_spans(
@@ -168,21 +173,23 @@ def lifecycle_rows(
     return rows
 
 
-def record_first_tokens(log: EventLog, records: Sequence) -> List[Optional[float]]:
-    """First-token instants for :func:`lifecycle_rows`, from records.
+def step_rows(shard_id: int, log: EventLog, steps: StepLog) -> List[tuple]:
+    """One shard's PREFILL_STEP and DECODE_RUN slices, from its step log.
 
-    A completed request's record holds the first token of its last
-    prefill on the shard; earlier prefills of the same id (cut short by
-    a crash) and prefills of unfinished requests are unknown.
+    A prefill step names its request (the event log's row before the
+    step's ``events`` mark) and runs one iteration of batch 1; a decode
+    run names none and runs ``k`` iterations over ``batch`` requests.
     """
-    first = {rec.request.request_id: rec.first_token_s for rec in records}
-    starts = [
-        rid for code, rid in zip(log.kind, log.request_id)
-        if code == _PREFILL_START
+    rids = log.request_id
+    return [
+        (t0, t1, CAT_STEP, "DECODE_RUN", -1, shard_id, _DECODE_RUN, (batch, k))
+        if k else
+        (t0, t1, CAT_STEP, "PREFILL_STEP", rids[end - 1], shard_id,
+         _PREFILL_STEP, (batch, 1))
+        for t0, t1, k, batch, end in zip(
+            steps.t0_s, steps.t1_s, steps.k, steps.batch, steps.events
+        )
     ]
-    tokens = [first.pop(rid, None) for rid in reversed(starts)]
-    tokens.reverse()
-    return tokens
 
 
 def routing_rows(decisions: Sequence, policy_name: str) -> List[tuple]:
@@ -220,25 +227,28 @@ def fault_rows(faults: Iterable) -> List[tuple]:
     return rows
 
 
-def trace_from_report(report) -> FleetTrace:
-    """The lifecycle trace of a built FleetReport, observed or not.
+def fleet_rows(submitted: Sequence, n_initial: int, ledger: Iterable) -> List[tuple]:
+    """The fleet's SUBMIT, RETRY, EXPIRED, LOST and SHED instant rows.
 
-    The fallback behind ``FleetReport.timeline()`` for runs without an
-    observer: :func:`lifecycle_rows` over each shard's log, with first
-    tokens from the records (so a request a crash evicted shows only
-    its QUEUE), ROUTE / MIGRATE from the decisions, and
-    :func:`fault_rows` over the resilience report's fault ledger.
+    SUBMIT marks each accepted request's arrival; those past the first
+    ``n_initial`` are closed-loop follow-ups. The others come from the
+    decision ledger (``ResilienceReport.ledger``): a retry carries its
+    attempt and backoff, a shed its reason, and an eviction lands on the
+    evicting shard's track. ``SHARDS_UP`` entries are a gauge's.
     """
-    result = report.result
-    spans: List[tuple] = []
-    for shard_id, shard in enumerate(result.shard_results):
-        spans.extend(
-            lifecycle_rows(
-                shard_id, shard.events,
-                record_first_tokens(shard.events, shard.records),
-            )
-        )
-    if report.resilience is not None:
-        spans.extend(fault_rows(report.resilience.faults))
-    instants = routing_rows(result.decisions, result.policy_name)
-    return FleetTrace(spans, instants, result.n_shards)
+    rows = [
+        event_row("i", req.arrival_s, req.arrival_s, CAT_REQUEST, "SUBMIT",
+                  req.request_id, None,
+                  (("follow_up", True),) if i >= n_initial else ())
+        for i, req in enumerate(submitted)
+    ]
+    for t, name, *rest in ledger:
+        shard, attrs = None, ()
+        if name == "RETRY":
+            attrs = (("attempt", rest[1]), ("backoff_s", rest[2]))
+        elif name == "SHED":
+            attrs, shard = (("reason", rest[1]),), rest[2]
+        elif name == "SHARDS_UP":
+            continue
+        rows.append(event_row("i", t, t, CAT_REQUEST, name, rest[0], shard, attrs))
+    return rows

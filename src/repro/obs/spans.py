@@ -1,8 +1,8 @@
 """Span and event schema shared by every observability producer.
 
-One vocabulary covers the whole stack: request-lifecycle spans emitted
-by the serving scheduler and fleet loop, fault spans from the chaos
-layer, iteration-level step slices, and (via :mod:`repro.obs.bridge`)
+One vocabulary covers the whole stack: request-lifecycle spans built
+from the serving scheduler's and fleet's logs, fault spans from the
+chaos layer, iteration-level step slices, and (via :mod:`repro.obs.bridge`)
 op-level cycles from :mod:`repro.sim.trace` rescaled into wall-clock
 seconds.  Everything downstream — the Perfetto exporter, the ASCII
 fleet timeline, the metrics bundle — consumes only these types.

@@ -1,286 +1,170 @@
-"""The fleet observer: collects step slices, fault windows and metrics.
+"""The fleet observer: a run's trace and metrics, built from its report.
 
-A :class:`FleetObserver` is handed to :class:`~repro.fleet.FleetSimulator`
-(or :class:`~repro.serving.ServingSimulator`) at construction.  The fleet
-loop records request dispositions directly and binds its routing
-decisions and fault ledger; each shard's
-:class:`~repro.serving.ContinuousBatchingScheduler` hands a
-:class:`ShardObs` view its event log and reports step slices and gauge
-samples to it.
-Nothing mirrors request lifecycles or fault windows live:
-:meth:`FleetObserver.build` reads them, and their counters, from the
-schedulers' event logs, the routing decisions and the fault ledger
-once the run is over (:mod:`repro.obs.bridge`).
-
-Design constraints, in priority order:
-
-1. **Free when off.**  Every producer guards with a single
-   ``if obs is not None`` — no observer object is ever allocated on the
-   disabled path, and observers never feed back into scheduling
-   decisions, so ``obs=None`` runs are bit-identical by construction
-   (and verified by a hypothesis property test).
-2. **Cheap when on.**  Hot-path hooks append event rows
-   (:mod:`repro.obs.spans`) or bump pre-bound gauges; the trace is
-   assembled, sorted and written once, after the run.  Gauge sampling
-   is rate-limited to the observer's ``tick_s`` of *simulated* time per
-   shard.
+:meth:`FleetObserver.build` reads a finished fleet or serving report:
+each shard's event and step logs, and a fleet's submitted requests,
+routing decisions and resilience ledgers (:mod:`repro.obs.bridge`).
+Nothing is recorded while the simulation runs, so observing a run
+cannot change it, and a report builds the same bundle whether or not
+its run carried an observer.
 """
 
 from __future__ import annotations
 
-from collections import Counter as _Tally
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..errors import ConfigError
-from ..serving.scheduler import EventKind, EventLog
-from .bridge import fault_rows, lifecycle_rows, routing_rows
+from ..serving.scheduler import EventLog, StepLog
+from .bridge import _ADMIT, _ARRIVAL, _COMPLETE, _PREFILL_START, _WITHDRAW
+from .bridge import fault_rows, fleet_rows, lifecycle_rows, routing_rows, step_rows
 from .metrics import MetricsRegistry
 from .perfetto import to_perfetto, write_perfetto
-from .spans import CAT_REQUEST, CAT_STEP, FleetTrace, event_row, row_kind
+from .spans import FleetTrace
 
-__all__ = ["ShardObs", "FleetObserver", "ObsBundle"]
+__all__ = ["FleetObserver", "ObsBundle"]
 
 #: Batch-size histogram boundaries (requests per decode iteration).
 BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
-#: Step slices by kind: a prefill step names its request, a decode run not.
-_STEPS = {
-    kind: (name, row_kind("X", CAT_STEP, name, ("batch", "k"), has_rid))
-    for kind, name, has_rid in (
-        ("prefill", "PREFILL_STEP", True), ("decode", "DECODE_RUN", False)
-    )
-}
-
 #: Counters of logged events: (counter name, the kind's code in a log).
-_LOG_COUNTS = tuple(
-    (name, EventLog.KINDS.index(kind))
-    for name, kind in (
-        ("requests_admitted", EventKind.ADMIT),
-        ("requests_completed", EventKind.COMPLETE),
-        ("requests_withdrawn", EventKind.WITHDRAW),
-    )
+_LOG_COUNTS = (
+    ("requests_admitted", _ADMIT),
+    ("requests_completed", _COMPLETE),
+    ("requests_withdrawn", _WITHDRAW),
 )
 
+#: Fault counters by fault kind.
+_FAULT_COUNTS = {"crash": "crashes", "brownout": "brownouts"}
 
-class ShardObs(object):
-    """One shard's view of the observer; called from scheduler steps."""
+#: The per-shard gauges, in the order :func:`_samples` yields values.
+_GAUGES = ("kv_reserved_bytes", "queue_depth", "inflight_decodes", "waiting_requests")
 
-    __slots__ = (
-        "shard_id",
-        "_reg",
-        "_tick_s",
-        "_next_sample_s",
-        "_runs",
-        "_steps",
-        "_g_kv",
-        "_g_queue",
-        "_g_decoding",
-        "_g_waiting",
-        "_h_batch",
-        "_c_decode_iters",
-    )
 
-    def __init__(self, shard_id: int, registry: MetricsRegistry, tick_s: float) -> None:
-        if not tick_s > 0:
-            raise ConfigError(f"tick_s must be positive, got {tick_s}")
-        self.shard_id = shard_id
-        self._reg = registry
-        self._tick_s = tick_s
-        self._next_sample_s = 0.0
-        self._steps: List[tuple] = []  # the current run's step slices, as span rows
-        # [event log, step rows] of each scheduler bound, after the steps
-        # recorded before any was.
-        self._runs: List[list] = [[None, self._steps]]
-        shard = str(shard_id)
-        self._g_kv = registry.gauge("kv_reserved_bytes", shard=shard)
-        self._g_queue = registry.gauge("queue_depth", shard=shard)
-        self._g_decoding = registry.gauge("inflight_decodes", shard=shard)
-        self._g_waiting = registry.gauge("waiting_requests", shard=shard)
-        self._h_batch = registry.histogram("batch_size", BATCH_BUCKETS, shard=shard)
-        for name, _ in _LOG_COUNTS:
-            registry.counter(name, shard=shard)
-        self._c_decode_iters = registry.counter("decode_iterations", shard=shard)
+def _samples(
+    log: EventLog, steps: StepLog, tick_s: float
+) -> Iterator[Tuple[float, int, int, int, int]]:
+    """A shard's gauge samples, ``(t_s, *values)`` in :data:`_GAUGES`
+    order: at the end of its first step, then at each step end at least
+    ``tick_s`` after its last sample, as a live sampler would take them.
 
-    def bind(self, log: EventLog) -> None:
-        """Start a run for a new scheduler: :meth:`FleetObserver.build`
-        reads ``log`` with the step slices recorded from now on, and
-        gauge sampling starts over. A log refers to nothing, so no cycle
-        keeps the scheduler alive."""
-        self._steps = []
-        self._runs.append([log, self._steps])
-        self._next_sample_s = 0.0
-
-    def rebind(self, log: EventLog) -> None:
-        """Swap in the copy of its log that the current run's scheduler
-        starts once it has handed the log out."""
-        self._runs[-1][0] = log
-
-    # -- scheduler hooks (hot path; keep allocation-light) ------------
-    def step(
-        self,
-        t0_s: float,
-        t1_s: float,
-        kind: str,
-        k: int,
-        batch: int,
-        request_id: Optional[int] = None,
-    ) -> None:
-        """One scheduler iteration slice: a prefill step of one request
-        or a decode run of ``k`` coalesced iterations over ``batch``
-        requests (``request_id`` ``None``). The ``batch_size`` histogram
-        counts decode iterations, not slices, so it reads the same
-        however the iterations were coalesced.
-        """
-        name, shape = _STEPS[kind]
-        self._steps.append(
-            (t0_s, t1_s, CAT_STEP, name,
-             -1 if request_id is None else request_id, self.shard_id,
-             shape, (batch, k))
-        )
-        if kind == "decode":
-            self._h_batch.observe(float(batch), k)
-            self._c_decode_iters.inc(k)
-
-    def sample(
-        self,
-        t_s: float,
-        kv_reserved_bytes: int,
-        queue_depth: int,
-        n_decoding: int,
-        n_waiting: int,
-    ) -> None:
-        """Rate-limited gauge sampling on the simulated clock."""
-        if t_s < self._next_sample_s:
-            return
-        self._next_sample_s = t_s + self._tick_s
-        self._g_kv.record(t_s, float(kv_reserved_bytes))
-        self._g_queue.record(t_s, float(queue_depth))
-        self._g_decoding.record(t_s, float(n_decoding))
-        self._g_waiting.record(t_s, float(n_waiting))
-
-    def _snapshot(self) -> List[Tuple[Optional[EventLog], List[tuple]]]:
-        """Copies of each run's log and step rows so far; sets the
-        logged-event counters."""
-        runs = [
-            (None if log is None else log.copy(), list(steps))
-            for log, steps in self._runs
-        ]
-        for name, code in _LOG_COUNTS:
-            counter = self._reg.counter(name, shard=str(self.shard_id))
-            counter.value = float(
-                sum(log.kind.count(code) for log, _ in runs if log is not None)
-            )
-        return runs
+    KV and queue depth are the last logged event's; decoding and
+    waiting requests come from replaying the log to the step's end.
+    """
+    events = zip(log.kind, log.request_id)
+    decoding = set()
+    waiting = done = 0
+    next_s = 0.0
+    for t_s, end in zip(steps.t1_s, steps.events):
+        for code, rid in islice(events, end - done):
+            if code == _ARRIVAL:
+                waiting += 1
+            elif code == _PREFILL_START:
+                waiting -= 1
+                decoding.add(rid)
+            elif code == _WITHDRAW and rid not in decoding:
+                waiting -= 1
+            elif code != _ADMIT:  # a completion, or a crash mid-decode
+                decoding.discard(rid)
+        done = end
+        if t_s >= next_s:
+            next_s = t_s + tick_s
+            yield (t_s, log.kv_reserved_bytes[end - 1],
+                   log.queue_depth[end - 1], len(decoding), waiting)
 
 
 class FleetObserver(object):
-    """Root observer: fleet-level events plus per-shard views."""
+    """Builds a finished run's trace and metrics; ``tick_s`` is the
+    simulated-time gauge sampling interval."""
 
     def __init__(self, tick_s: float = 0.05) -> None:
         if not tick_s > 0:
             raise ConfigError(f"tick_s must be positive, got {tick_s}")
         self.tick_s = tick_s
-        self.registry = MetricsRegistry()
-        self._instants: List[tuple] = []
-        self._shards: Dict[int, ShardObs] = {}
-        self._runs: List[Tuple[str, Sequence, Sequence]] = []
 
-    def shard(self, shard_id: int) -> ShardObs:
-        """The (created-on-first-use) view bound to one shard."""
-        got = self._shards.get(shard_id)
-        if got is None:
-            got = self._shards[shard_id] = ShardObs(
-                shard_id, self.registry, self.tick_s
-            )
-        return got
+    def build(self, report) -> "ObsBundle":
+        """The trace and metrics of one finished run.
 
-    def bind_routing(
-        self, policy_name: str, decisions: Sequence, faults: Sequence
-    ) -> None:
-        """Attach a fleet run's (growing) lists of routing decisions and
-        applied faults, from which :meth:`build` derives ROUTE and
-        MIGRATE instants, the ``requests_routed`` and ``migrations``
-        counters, and the CRASH, REWARM and BROWNOUT windows."""
-        self._runs.append((policy_name, decisions, faults))
-
-    def instant(
-        self,
-        name: str,
-        t_s: float,
-        request_id: Optional[int] = None,
-        shard_id: Optional[int] = None,
-        cat: str = CAT_REQUEST,
-        **attrs: object,
-    ) -> None:
-        """Record a fleet-level point event (SUBMIT, RETRY, SHED...)."""
-        self._instants.append(
-            event_row("i", t_s, t_s, cat, name, request_id, shard_id,
-                      sorted(attrs.items()))
-        )
-
-    def count(self, name: str, n: float = 1.0, **labels: object) -> None:
-        """Bump a fleet-level counter."""
-        self.registry.counter(name, **labels).inc(n)
-
-    def gauge(self, name: str, t_s: float, value: float, **labels: object) -> None:
-        """Record one fleet-level gauge sample."""
-        self.registry.gauge(name, **labels).record(t_s, value)
-
-    def build(self) -> "ObsBundle":
-        """Snapshot the run into a trace + metrics bundle.
-
-        Sets the counters read from the logs and decisions (building
-        again sets them again, it does not add) and takes O(shards +
-        decisions + faults) shallow copies; the trace is assembled from
-        them on the bundle's first export or ``.trace`` read. The <= 1.5x
-        enabled-mode overhead budget that
-        ``benchmarks/bench_obs_overhead.py`` enforces covers the run
-        alone; the bench records the export's own cost (``export_s``)
-        beside it, unbounded.
+        ``report`` is a ``FleetReport``, a ``ServingReport`` or a
+        ``ServingResult`` (shard 0). Metrics are computed now, in a
+        registry of this run's own; the trace is assembled on the
+        bundle's first export or ``.trace`` read. Building twice gives
+        equal bundles.
         """
-        instants = list(self._instants)
-        runs = [
-            (name, tuple(decisions), tuple(faults))
-            for name, decisions, faults in self._runs
-        ]
-        decisions = [d for _, run, _ in runs for d in run]
-        snaps = [(i, shard._snapshot()) for i, shard in self._shards.items()]
-        n_shards = (max(self._shards) + 1) if self._shards else 0
-        routed = _Tally(d.shard_id for d in decisions if d.migrated_from is None)
-        for shard_id, n in routed.items():
-            self.registry.counter("requests_routed", shard=shard_id).value = float(n)
-        moved = _Tally(
-            (d.shard_id, d.migrated_from) for d in decisions
-            if d.migrated_from is not None
-        )
-        for (thief, donor), n in moved.items():
-            self.registry.counter("migrations", thief=thief, donor=donor).value = float(n)
+        result = getattr(report, "result", report)
+        shards = getattr(result, "shard_results", (result,))
+        decisions = getattr(result, "decisions", ())
+        resilience = getattr(report, "resilience", None)
+        faults = ledger = ()
+        if resilience is not None:
+            faults, ledger = resilience.faults, resilience.ledger
+        registry = MetricsRegistry()
+        for shard_id, shard in enumerate(shards):
+            self._shard_metrics(registry, str(shard_id), shard.events, shard.steps)
+        for d in decisions:
+            if d.migrated_from is None:
+                registry.counter("requests_routed", shard=d.shard_id).inc()
+            else:
+                registry.counter(
+                    "migrations", thief=d.shard_id, donor=d.migrated_from
+                ).inc()
+        for f in faults:
+            registry.counter(_FAULT_COUNTS[f.kind.value], shard=f.shard_id).inc()
+        for t, name, *rest in ledger:
+            if name == "SHARDS_UP":
+                registry.gauge("shards_up").record(t, float(rest[0]))
+            elif name == "RETRY":
+                registry.counter("retries").inc()
+            elif name == "SHED":
+                registry.counter("requests_shed", reason=rest[1]).inc()
+            else:
+                registry.counter(f"requests_{name.lower()}").inc()
 
         def assemble() -> FleetTrace:
-            spans: List[tuple] = []
-            for policy_name, run, faults in runs:
-                spans.extend(fault_rows(faults))
-                instants.extend(routing_rows(run, policy_name))
-            for shard_id, shard_runs in snaps:
-                for log, steps in shard_runs:
-                    if log is not None:
-                        # A scheduler logs PREFILL_START, then runs that
-                        # prefill: its n-th prefill slice ends at its
-                        # n-th prefill's first token.
-                        ends = [r[1] for r in steps if r[3] == "PREFILL_STEP"]
-                        spans.extend(lifecycle_rows(shard_id, log, ends))
-                    spans.extend(steps)
-            return FleetTrace(spans, instants, n_shards)
+            spans = fault_rows(faults)
+            for shard_id, shard in enumerate(shards):
+                log, steps = shard.events, shard.steps
+                # A scheduler logs PREFILL_START, then runs that prefill:
+                # its n-th prefill step ends at its n-th prefill's first
+                # token.
+                first = [t1 for t1, k in zip(steps.t1_s, steps.k) if not k]
+                spans.extend(lifecycle_rows(shard_id, log, first))
+                spans.extend(step_rows(shard_id, log, steps))
+            instants = fleet_rows(
+                getattr(result, "submitted", ()), getattr(result, "n_initial", 0),
+                ledger,
+            )
+            if decisions:
+                instants.extend(routing_rows(decisions, result.policy_name))
+            return FleetTrace(spans, instants, len(shards))
 
-        return ObsBundle(metrics=self.registry, _assemble=assemble)
+        return ObsBundle(metrics=registry, _assemble=assemble)
+
+    def _shard_metrics(
+        self, registry: MetricsRegistry, shard: str, log: EventLog, steps: StepLog
+    ) -> None:
+        """One shard's logged-event counters, decode iterations, batch
+        histogram and gauges. The histogram counts decode iterations,
+        not runs, so it reads the same however they were coalesced."""
+        for name, code in _LOG_COUNTS:
+            registry.counter(name, shard=shard).value = float(log.kind.count(code))
+        batch = registry.histogram("batch_size", BATCH_BUCKETS, shard=shard)
+        iterations = registry.counter("decode_iterations", shard=shard)
+        for k, n in zip(steps.k, steps.batch):
+            if k:
+                batch.observe(float(n), k)
+                iterations.inc(k)
+        gauges = [registry.gauge(name, shard=shard) for name in _GAUGES]
+        for t_s, *values in _samples(log, steps, self.tick_s):
+            for gauge, value in zip(gauges, values):
+                gauge.record(t_s, float(value))
 
 
 class ObsBundle(object):
     """The exportable artifact pair attached to a report.
 
-    ``trace`` is assembled from the build-time snapshot on first access
-    (then cached): sorted rows, which the exports write directly, with
-    span and instant objects made only if read. ``metrics`` is the live
+    ``trace`` is assembled from the report on first access (then
+    cached): sorted rows, which the exports write directly, with span
+    and instant objects made only if read. ``metrics`` is the run's
     registry. Construct with an explicit ``trace=`` for hand-built
     bundles in tests.
     """

@@ -65,13 +65,13 @@ def absmax_scale(x: np.ndarray, bits: int = 8, axis: int | None = None) -> np.nd
     """
     _check_bits(bits)
     limit = 2 ** (bits - 1) - 1
+    # A zero range, or one so small that the quotient underflows (a
+    # subnormal max|x|), falls back to 1/limit.
     if axis is None:
-        amax = np.abs(x).max() if x.size else 0.0
-        amax = float(amax)
-        return np.asarray(amax / limit if amax > 0 else 1.0 / limit)
+        amax = float(np.abs(x).max()) if x.size else 0.0
+        return np.asarray(amax / limit if amax / limit > 0 else 1.0 / limit)
     amax = np.abs(x).max(axis=axis, keepdims=True)
-    amax = np.where(amax > 0, amax, 1.0)
-    return amax / limit
+    return np.where(amax / limit > 0, amax, 1.0) / limit
 
 
 def quantize(x: np.ndarray, bits: int = 8, axis: int | None = None) -> QuantizedTensor:

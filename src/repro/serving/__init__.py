@@ -30,6 +30,7 @@ from .scheduler import (
     SchedulerEvent,
     SchedulerSnapshot,
     ServingResult,
+    StepLog,
 )
 from .simulator import ServingReport, ServingSimulator
 
@@ -44,6 +45,7 @@ __all__ = [
     "EventKind",
     "SchedulerEvent",
     "EventLog",
+    "StepLog",
     "SchedulerSnapshot",
     "RequestRecord",
     "ServingResult",

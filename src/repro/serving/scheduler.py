@@ -60,6 +60,9 @@ relative to a one-shot run.
 Every state change (ARRIVAL, ADMIT, PREFILL_START, COMPLETE, WITHDRAW)
 is appended to an event log, kept as columns (:class:`EventLog`);
 tokens are not logged, their gaps live in each record's ``array('d')``.
+Each prefill step and each decode run appends one row to a step log
+(:class:`StepLog`) beside it; :mod:`repro.obs` builds traces and
+metrics from the two logs after the run.
 The property tests in ``tests/serving/`` assert the scheduler's
 invariants (clock monotonicity, budget respect, FCFS order) against
 the log and the records. Routing-facing state is served as read-only
@@ -101,6 +104,7 @@ __all__ = [
     "EventKind",
     "SchedulerEvent",
     "EventLog",
+    "StepLog",
     "RequestRecord",
     "ServingResult",
     "SchedulerSnapshot",
@@ -157,7 +161,41 @@ class SchedulerEvent:
     queue_depth: int
 
 
-class EventLog:
+class _Columns:
+    """A log held as one ``array`` per column (``_TYPECODES``, by slot)."""
+
+    __slots__ = ()
+    _TYPECODES = ""
+
+    def __init__(self) -> None:
+        for name, code in zip(self.__slots__, self._TYPECODES):
+            setattr(self, name, array(code))
+
+    def copy(self):
+        """An independent log of the same rows (a memcpy per column)."""
+        new = type(self).__new__(type(self))
+        for name in self.__slots__:
+            setattr(new, name, getattr(self, name)[:])
+        return new
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name)
+            for name in self.__slots__
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)} rows)"
+
+
+class EventLog(_Columns):
     """A scheduler's event log, held as columns and read as events.
 
     One ``array`` per :class:`SchedulerEvent` field: ``t_s`` (``'d'``),
@@ -170,26 +208,10 @@ class EventLog:
     """
 
     __slots__ = ("t_s", "kind", "request_id", "kv_reserved_bytes", "queue_depth")
+    _TYPECODES = "dbqqq"
 
     #: The kinds the ``kind`` column's codes index.
     KINDS = _KINDS
-
-    def __init__(self) -> None:
-        self.t_s = array("d")
-        self.kind = array("b")
-        self.request_id = array("q")
-        self.kv_reserved_bytes = array("q")
-        self.queue_depth = array("q")
-
-    def copy(self) -> "EventLog":
-        """An independent log of the same events (a memcpy per column)."""
-        new = EventLog.__new__(EventLog)
-        for name in self.__slots__:
-            setattr(new, name, getattr(self, name)[:])
-        return new
-
-    def __len__(self) -> int:
-        return len(self.t_s)
 
     def __iter__(self) -> Iterator[SchedulerEvent]:
         return map(
@@ -205,18 +227,20 @@ class EventLog:
             self.kv_reserved_bytes[i], self.queue_depth[i],
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EventLog):
-            return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name)
-            for name in self.__slots__
-        )
 
-    __hash__ = None
+class StepLog(_Columns):
+    """One row per prefill step and per coalesced decode run, as columns.
 
-    def __repr__(self) -> str:
-        return f"EventLog({len(self)} events)"
+    ``t0_s`` and ``t1_s`` (``'d'``) bound the step, ``k`` (``'i'``) is
+    its decode iterations (0 for a prefill), ``batch`` (``'i'``) the
+    requests it ran and ``events`` (``'i'``) the event log's length when
+    it ended: a prefill row's request is ``request_id[events - 1]``,
+    its PREFILL_START or, if the prefill emitted every token, its
+    COMPLETE. A row costs 28 bytes.
+    """
+
+    __slots__ = ("t0_s", "t1_s", "k", "batch", "events")
+    _TYPECODES = "ddiii"
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,12 +290,12 @@ class ServingResult:
     #: WITHDRAW), in log order, read as :class:`SchedulerEvent` values;
     #: token instants live in :attr:`records`.
     events: EventLog
+    #: Not compared: the per-token walk logs a row per decode iteration.
+    steps: StepLog = field(compare=False, repr=False)
     kv_budget_bytes: int
     peak_kv_bytes: int
     max_queue_depth: int
     duration_s: float
-    n_prefill_iterations: int
-    n_decode_iterations: int
     #: Closed-loop follow-ups whose drawn lengths could never fit the KV
     #: budget or model context; rejected at submission, never simulated.
     n_rejected_followups: int = 0
@@ -279,6 +303,16 @@ class ServingResult:
     #: accumulated in iteration order so the coalesced and reference
     #: paths agree bit for bit).
     total_energy_uj: float = 0.0
+
+    @property
+    def n_prefill_iterations(self) -> int:
+        """Prefill steps run: the step log's rows with no decode."""
+        return self.steps.k.count(0)
+
+    @property
+    def n_decode_iterations(self) -> int:
+        """Batched decode iterations run, over every decode run."""
+        return sum(self.steps.k)
 
     @property
     def total_generated_tokens(self) -> int:
@@ -423,15 +457,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
             callback here so closed-loop follow-ups re-enter the global
             router instead of being pinned to the shard that happened
             to serve their predecessor.
-        obs: optional per-shard observability sink (a
-            :class:`~repro.obs.ShardObs` view, or anything duck-typed
-            like one). The scheduler hands it its event log (and each
-            new copy of it), which the observer reads after the run,
-            and otherwise only ever *reports* to it — step slices and
-            gauge samples — never reading from it, so results are
-            bit-identical with or without an observer. ``None`` (the
-            default) skips every hook behind a single ``is not None``
-            check: observability is provably free when off.
         shard_id: the shard's index in a fleet (0 for a lone
             scheduler). A label policies report their choice by; it
             changes nothing the scheduler does.
@@ -449,7 +474,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
         max_batch: int = 16,
         ctx_bucket: int = 1,
         on_complete: Optional[Callable[[Request, float], Optional[Request]]] = None,
-        obs=None,
         shard_id: int = 0,
     ) -> None:
         if max_batch < 1:
@@ -495,8 +519,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
         #: scaled: a brownout stretches time, not the modeled joules of
         #: the work performed.
         self.latency_scale = 1.0
-        #: Observability sink (None = all hooks skipped, zero overhead).
-        self._obs = obs
         if on_complete is None and source is not None:
             on_complete = source.on_complete
         self._on_complete = on_complete
@@ -526,16 +548,13 @@ class ContinuousBatchingScheduler(_ShardLoad):
         self._kv_reserved = 0
         self._peak_kv = 0
         self._max_queue_depth = 0
-        self._n_prefills = 0
-        self._n_decodes = 0
         self._n_rejected = 0  # infeasible closed-loop follow-ups
         self._energy_uj = 0.0
         self._events = EventLog()
-        # Set when result() hands the log out: the next event goes to a
-        # copy, so a returned result never changes.
-        self._events_shared = False
-        if obs is not None:
-            obs.bind(self._events)
+        self._steps = StepLog()
+        # Set when result() hands the logs out: the next row of either
+        # goes to a copy of both, so a returned result never changes.
+        self._logs_shared = False
         self._records: Dict[int, RequestRecord] = {}
         # Every id this shard currently holds or has completed; guards
         # duplicate submission (withdrawn ids are forgotten, so failover
@@ -813,14 +832,17 @@ class ContinuousBatchingScheduler(_ShardLoad):
         self._d_tbt = [self._d_tbt[i] for i in order]
 
     # ----------------------------------------------------------- internals
+    def _unshare_logs(self) -> None:
+        """Write to copies of the logs result() handed out."""
+        self._events = self._events.copy()
+        self._steps = self._steps.copy()
+        self._logs_shared = False
+
     def _log(self, kind: int, request_id: int) -> None:
         """Append one event; ``kind`` is its index in ``_KINDS``."""
+        if self._logs_shared:
+            self._unshare_logs()
         log = self._events
-        if self._events_shared:
-            log = self._events = log.copy()
-            self._events_shared = False
-            if self._obs is not None:
-                self._obs.rebind(log)
         log.t_s.append(self._clock)
         log.kind.append(kind)
         log.request_id.append(request_id)
@@ -884,6 +906,17 @@ class ContinuousBatchingScheduler(_ShardLoad):
             else:
                 self._n_rejected += 1
 
+    def _log_step(self, t0_s: float, k: int, batch: int) -> None:
+        """Append the step that ran from ``t0_s`` to the clock."""
+        if self._logs_shared:
+            self._unshare_logs()
+        steps = self._steps
+        steps.t0_s.append(t0_s)
+        steps.t1_s.append(self._clock)
+        steps.k.append(k)
+        steps.batch.append(batch)
+        steps.events.append(len(self._events.t_s))
+
     def _prefill_step(self) -> None:
         active = self._prefill_queue.popleft()
         req = active.request
@@ -892,11 +925,7 @@ class ContinuousBatchingScheduler(_ShardLoad):
         t0 = self._clock
         self._clock += point.latency_s * self.latency_scale
         self._energy_uj += point.energy_uj
-        self._n_prefills += 1
         self._forget_waiting(req)
-        obs = self._obs
-        if obs is not None:
-            obs.step(t0, self._clock, "prefill", 1, 1, req.request_id)
         if req.output_tokens <= 1:  # prefill emits the first token
             self._complete(
                 req, active.admit_s, active.kv_reserved_bytes, self._clock,
@@ -911,11 +940,7 @@ class ContinuousBatchingScheduler(_ShardLoad):
             self._d_first.append(self._clock)
             self._d_last.append(self._clock)
             self._d_tbt.append(array("d"))
-        if obs is not None:
-            obs.sample(
-                self._clock, self._kv_reserved, len(self._pending),
-                len(self._d_req), len(self._prefill_queue) + len(self._pending),
-            )
+        self._log_step(t0, 0, 1)
 
     def _retire_finished(self) -> None:
         """Complete every slot that owes no more tokens, in slot order."""
@@ -990,7 +1015,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
         t0 = self._clock
         self._clock = c
         self._energy_uj = energy
-        self._n_decodes += k
         # Inter-token gaps: the first gap of the run is member-specific
         # (it includes any stall since that member's previous token);
         # gaps 2..k are the shared consecutive-clock deltas, built once
@@ -1012,13 +1036,7 @@ class ContinuousBatchingScheduler(_ShardLoad):
             # run ends at tokens-to-next-completion), so one retirement
             # reproduces the reference step's.
             self._retire_finished()
-        obs = self._obs
-        if obs is not None:
-            obs.step(t0, c, "decode", k, n)
-            obs.sample(
-                c, self._kv_reserved, len(self._pending),
-                len(self._d_req), len(self._prefill_queue) + len(self._pending),
-            )
+        self._log_step(t0, k, n)
 
     # ---------------------------------------------------------------- run
     @property
@@ -1128,19 +1146,18 @@ class ContinuousBatchingScheduler(_ShardLoad):
             duration = self._clock - first_arrival
         else:
             duration = 0.0  # a shard that was never routed a request
-        self._events_shared = True
+        self._logs_shared = True
         return ServingResult(
             model_name=self.engine.model.name,
             plan_name=self.engine.plan.name,
             source_name=self.source.name if self.source is not None else "external",
             records=ordered,
             events=self._events,
+            steps=self._steps,
             kv_budget_bytes=self.kv_budget_bytes,
             peak_kv_bytes=self._peak_kv,
             max_queue_depth=self._max_queue_depth,
             duration_s=duration,
-            n_prefill_iterations=self._n_prefills,
-            n_decode_iterations=self._n_decodes,
             n_rejected_followups=self._n_rejected,
             total_energy_uj=self._energy_uj,
         )

@@ -51,12 +51,9 @@ class ServingSimulator:
     """Run request scenarios against one deployed engine.
 
     The result's event log holds state changes only; every token's
-    instant is in the records.
-
-    ``obs`` takes a :class:`~repro.obs.FleetObserver`; the single-engine
-    run reports through its shard-0 view, so the same observer (and
-    exporters) work for standalone serving and fleet runs alike.
-    ``None`` — the default — skips every hook and is bit-identical.
+    instant is in the records. To trace a run or sample its metrics,
+    hand the report to :meth:`repro.obs.FleetObserver.build`, which
+    reads them from the result's logs as shard 0.
     """
 
     def __init__(
@@ -65,13 +62,11 @@ class ServingSimulator:
         kv_budget_bytes: Optional[int] = None,
         max_batch: int = 16,
         ctx_bucket: int = 1,
-        obs=None,
     ) -> None:
         self.engine = engine
         self.kv_budget_bytes = kv_budget_bytes
         self.max_batch = max_batch
         self.ctx_bucket = ctx_bucket
-        self.obs = obs
 
     def run(self, source: RequestSource) -> ServingReport:
         """Simulate one scenario to completion."""
@@ -81,7 +76,6 @@ class ServingSimulator:
             kv_budget_bytes=self.kv_budget_bytes,
             max_batch=self.max_batch,
             ctx_bucket=self.ctx_bucket,
-            obs=self.obs.shard(0) if self.obs is not None else None,
         )
         result = scheduler.run()
         return ServingReport(result=result, metrics=FleetMetrics.from_result(result))

@@ -32,7 +32,7 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Set, Union
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
@@ -99,11 +99,13 @@ class SurfaceStore:
 
     The directory is created lazily on first save. All methods are
     total: failures warn and return a harmless value instead of
-    raising (see the module docstring for the policy).
+    raising (see the module docstring for the policy), each defect
+    once: :meth:`save`'s read-merge repeats no warning of :meth:`load`.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
+        self._reported: Set[str] = set()  # the warnings given so far
 
     def path_for(self, fingerprint: str) -> Path:
         """The store file backing one engine fingerprint."""
@@ -193,11 +195,17 @@ class SurfaceStore:
         both simulated — which are identical anyway). The union is
         written to a temp file and moved over the target with
         ``os.replace``, so readers never observe a partial file.
-        Returns the number of points written; 0 (with a warning) when
-        the directory cannot be created or written.
+        Returns the number of points written; 0 (with a warning, and
+        no read) when the directory cannot be created or written.
         """
-        self.load(engine)
         fingerprint = engine_fingerprint(engine)
+        path = self.path_for(fingerprint)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            self._warn(f"cannot write surface store file {path}: {exc}")
+            return 0
+        self.load(engine)
         points = engine.surface.export_points()
         envelope = {
             "store_version": STORE_SCHEMA_VERSION,
@@ -207,9 +215,7 @@ class SurfaceStore:
             "n_points": len(points),
             "points": points,
         }
-        path = self.path_for(fingerprint)
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
                 dir=str(self.root), prefix=path.name, suffix=".tmp"
             )
@@ -228,8 +234,10 @@ class SurfaceStore:
             return 0
         return len(points)
 
-    @staticmethod
-    def _warn(message: str) -> None:
+    def _warn(self, message: str) -> None:
+        if message in self._reported:
+            return
+        self._reported.add(message)
         warnings.warn(
             f"surface store: {message}; falling back to in-memory "
             f"simulation",

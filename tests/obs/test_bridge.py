@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro import zcu102_config
+from repro import MeadowEngine, zcu102_config
 from repro.core import ExecutionPlan
 from repro.errors import SimulationError
-from repro.models import TransformerConfig, prefill_workload
+from repro.fleet import FleetSimulator, RetryPolicy
+from repro.models import TransformerConfig, get_model, prefill_workload
 from repro.obs import (
     CAT_FAULT,
     CAT_OP,
@@ -18,10 +19,9 @@ from repro.obs import (
     nest_op_trace,
     op_spans,
     render_fleet_timeline,
-    trace_from_report,
 )
 from repro.packing import PackingPlanner
-from repro.serving import EventKind
+from repro.serving import EventKind, LengthDistribution, bursty_stream
 from repro.sim import WorkloadSimulator
 
 
@@ -91,27 +91,22 @@ class TestNestOpTrace:
 
 
 class TestTraceFromReport:
-    """An unobserved report's trace comes from the same log builder."""
+    """An unobserved report builds the observed run's trace."""
 
     def test_unobserved_report_reconstructs_lifecycle(
         self, make_fleet, make_stream
     ):
         plain = make_fleet(steal=True).run(make_stream())
         observed = make_fleet(obs=FleetObserver(), steal=True).run(make_stream())
-        trace = trace_from_report(plain)
+        trace = FleetObserver().build(plain).trace
         assert trace.n_shards == 2
         assert {"QUEUE", "PREFILL", "DECODE"} <= set(trace.span_names())
-        lifecycle = [s for s in observed.obs.trace.spans if s.cat == CAT_REQUEST]
-        assert list(trace.spans) == lifecycle
-        routing = [
-            i for i in observed.obs.trace.instants
-            if i.name in ("ROUTE", "MIGRATE")
-        ]
-        assert list(trace.instants) == routing
+        assert trace == observed.obs.trace
+        assert {"SUBMIT", "ROUTE"} <= {i.name for i in trace.instants}
 
     def test_queue_ends_at_prefill_start(self, make_fleet, make_stream):
         report = make_fleet().run(make_stream())
-        trace = trace_from_report(report)
+        trace = FleetObserver().build(report).trace
         for shard in report.result.shard_results:
             starts = {
                 ev.request_id: ev.t_s for ev in shard.events
@@ -128,7 +123,7 @@ class TestTraceFromReport:
         self, chaos_reports, make_fleet, make_stream
     ):
         report_off, _ = chaos_reports
-        assert "CRASH" in set(trace_from_report(report_off).span_names())
+        assert "CRASH" in set(FleetObserver().build(report_off).trace.span_names())
         # One builder draws the fault windows of both runs from the
         # ledger: the unobserved CRASH, REWARM and BROWNOUT spans are
         # the observed ones, attributes included.
@@ -138,11 +133,61 @@ class TestTraceFromReport:
         ]
         for off, on in (chaos_reports, brownout):
             faults = [
-                s for s in trace_from_report(off).spans if s.cat == CAT_FAULT
+                s for s in FleetObserver().build(off).trace.spans
+                if s.cat == CAT_FAULT
             ]
             assert faults and faults == [
                 s for s in on.obs.trace.spans if s.cat == CAT_FAULT
             ]
+
+    def test_unobserved_crash_victims_match_the_observed_trace(
+        self, crash_fleet
+    ):
+        # The `repro fleet ... --faults crash --retry-budget 2 --steal`
+        # run of the export golden: its crash evicts three requests
+        # mid-decode, which the trace shows as PREFILL plus an
+        # interrupted DECODE, with their RETRY instants.
+        plain, observed = (crash_fleet(obs).run(stream) for obs, stream in (
+            (None, _crash_stream()), (FleetObserver(), _crash_stream()),
+        ))
+        assert plain == observed
+        trace = FleetObserver().build(plain).trace
+        assert trace.spans == observed.obs.trace.spans
+        assert trace.instants == observed.obs.trace.instants
+        interrupted = [
+            s for s in trace.spans
+            if s.name == "DECODE" and s.attrs_dict.get("outcome") == "interrupted"
+        ]
+        assert len(interrupted) == 3
+        retried = {i.request_id for i in trace.instants if i.name == "RETRY"}
+        assert {s.request_id for s in interrupted} <= retried
+
+
+def _crash_stream():
+    """The fleet CLI's default bursty stream at 24 requests, seed 0."""
+    return bursty_stream(
+        24, 8, 0.25,
+        LengthDistribution("uniform", 64, 256),
+        LengthDistribution("geometric", 24, 96),
+        seed=0,
+    )
+
+
+@pytest.fixture(scope="module")
+def crash_fleet():
+    """A factory for the fleet CLI's 12/1 Gbps OPT-125M crash fleet."""
+    base = MeadowEngine(get_model("opt-125m"), zcu102_config(12.0),
+                        ExecutionPlan.meadow())
+    engines = [base, base.clone(config=base.config.with_bandwidth(1.0))]
+
+    def _make(obs):
+        return FleetSimulator(
+            engines, policy="predicted-latency", max_batch=16, ctx_bucket=16,
+            steal=True, faults="crash", retry=RetryPolicy(max_retries=2),
+            obs=obs,
+        )
+
+    return _make
 
 
 class TestRenderFleetTimeline:
@@ -168,7 +213,8 @@ class TestFleetReportTimeline:
                                                      make_stream):
         observed = make_fleet(obs=FleetObserver()).run(make_stream())
         plain = make_fleet().run(make_stream())
-        for report in (observed, plain):
-            text = report.timeline(width=50)
-            assert text.startswith("fleet timeline — 2 shard(s)")
-            assert text.splitlines()[-1].startswith("legend:")
+        text = plain.timeline(width=50)
+        assert text.startswith("fleet timeline — 2 shard(s)")
+        assert text.splitlines()[-1].startswith("legend:")
+        # Both render the one trace the report builds.
+        assert observed.timeline(width=50) == text

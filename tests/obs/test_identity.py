@@ -1,10 +1,11 @@
 """The obs layer's central guarantee: observation never changes results.
 
-``obs=None`` runs and observed runs must produce *equal* reports —
-``FleetReport.obs`` is excluded from equality, every other field
-(records, metrics, resilience accounting, routing decisions) is
-bit-compared. The hypothesis property sweeps scenario shape, seeds,
-chaos scenarios, stealing and routing policy.
+The observer only reads a finished report, so unobserved and observed
+runs must produce *equal* reports — ``FleetReport.obs`` is excluded
+from equality, every other field (records, metrics, resilience
+accounting, routing decisions) is bit-compared. The hypothesis
+property sweeps scenario shape, seeds, chaos scenarios, stealing and
+routing policy.
 """
 
 from __future__ import annotations
@@ -63,22 +64,23 @@ class TestFleetIdentity:
 
 class TestServingIdentity:
     def test_single_engine_run_reports_equal(self, fast_engine, make_stream):
-        off = ServingSimulator(fast_engine, max_batch=8, ctx_bucket=16).run(
-            make_stream()
-        )
-        on = ServingSimulator(
-            fast_engine, max_batch=8, ctx_bucket=16, obs=FleetObserver()
-        ).run(make_stream())
+        sim = ServingSimulator(fast_engine, max_batch=8, ctx_bucket=16)
+        off = sim.run(make_stream())
+        on = sim.run(make_stream())
+        bundle = FleetObserver().build(on)
         assert on == off
+        # A report and its result build the same bundle.
+        again = FleetObserver().build(on.result)
+        assert again.trace == bundle.trace
+        assert again.metrics.to_json() == bundle.metrics.to_json()
 
     def test_serving_obs_reports_through_shard_zero(
         self, fast_engine, make_stream
     ):
-        observer = FleetObserver()
-        ServingSimulator(
-            fast_engine, max_batch=8, ctx_bucket=16, obs=observer
-        ).run(make_stream())
-        trace = observer.build().trace
+        report = ServingSimulator(fast_engine, max_batch=8, ctx_bucket=16).run(
+            make_stream()
+        )
+        trace = FleetObserver().build(report).trace
         assert trace.n_shards == 1
         assert {s.shard_id for s in trace.spans} == {0}
         assert "PREFILL" in trace.span_names()
@@ -87,9 +89,9 @@ class TestServingIdentity:
 class TestCoalescingInvisible:
     """Counters and histograms count iterations, however they coalesce.
 
-    The coalesced scheduler reports one ``DECODE_RUN`` slice per run
-    and the per-token walk one per iteration; gauges are sampled at
-    slice ends, so only they may differ between the two.
+    The coalesced scheduler logs one step row per decode run and the
+    per-token walk one per iteration; gauges are sampled at step ends,
+    so only they may differ between the two.
     """
 
     @pytest.mark.parametrize("ctx_bucket", [1, 16])
@@ -99,13 +101,12 @@ class TestCoalescingInvisible:
     ):
         docs = []
         for walk in (False, True):
-            observer = FleetObserver()
             scheduler = ContinuousBatchingScheduler(
                 fast_engine, make_stream(kind, 24, 3), max_batch=8,
-                ctx_bucket=ctx_bucket, obs=observer.shard(0),
+                ctx_bucket=ctx_bucket,
             )
             result = walk_tokens(scheduler) if walk else scheduler.run()
-            docs.append(observer.build().metrics.to_dict())
+            docs.append(FleetObserver().build(result).metrics.to_dict())
         coalesced, walked = docs
         assert coalesced["counters"] == walked["counters"]
         assert coalesced["histograms"] == walked["histograms"]

@@ -1,16 +1,16 @@
-"""Unit tests for the log-built lifecycle, ShardObs, FleetObserver, ObsBundle."""
+"""Unit tests for the log-built lifecycle, FleetObserver and ObsBundle."""
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ConfigError, SimulationError
-from repro.obs import FleetObserver, MetricsRegistry, ObsBundle, ShardObs
-from repro.obs.bridge import lifecycle_rows, record_first_tokens
+from repro.obs import FleetObserver, MetricsRegistry, ObsBundle
+from repro.obs.bridge import lifecycle_rows
 from repro.obs.spans import CAT_FAULT, CAT_STEP, FleetTrace, Span
 from repro.serving import (
     ContinuousBatchingScheduler,
@@ -18,19 +18,36 @@ from repro.serving import (
     EventLog,
     Request,
     ServingSimulator,
+    StepLog,
 )
 
 
 def _log(*events) -> EventLog:
-    """An event log holding ``(t_s, EventKind, request_id)`` events."""
+    """An event log holding ``(t_s, EventKind, request_id)`` events,
+    or ``(t_s, EventKind, request_id, kv_reserved_bytes, queue_depth)``."""
     log = EventLog()
-    for t_s, kind, request_id in events:
+    for t_s, kind, request_id, *state in events:
+        kv, queue = state or (0, 0)
         log.t_s.append(t_s)
         log.kind.append(EventLog.KINDS.index(kind))
         log.request_id.append(request_id)
-        log.kv_reserved_bytes.append(0)
-        log.queue_depth.append(0)
+        log.kv_reserved_bytes.append(kv)
+        log.queue_depth.append(queue)
     return log
+
+
+def _steps(*rows) -> StepLog:
+    """A step log holding ``(t0_s, t1_s, k, batch, events)`` rows."""
+    steps = StepLog()
+    for row in rows:
+        for column, value in zip(StepLog.__slots__, row):
+            getattr(steps, column).append(value)
+    return steps
+
+
+def _shard(log, steps):
+    """A one-shard result as :meth:`FleetObserver.build` reads it."""
+    return SimpleNamespace(events=log, steps=steps)
 
 
 def _spans(log, first_tokens, shard_id=0):
@@ -107,37 +124,54 @@ class TestShardLifecycle:
         with pytest.raises(SimulationError, match="PREFILL"):
             FleetTrace(lifecycle_rows(0, log, [0.1]), [], 1)
 
-    def test_record_first_tokens_take_the_completing_prefill(self):
-        class Rec:
-            class request:
-                request_id = 7
-            first_token_s = 2.5
-
+    def test_first_tokens_come_from_the_prefill_steps(self):
+        # Request 7's first prefill is cut short by a crash (its DECODE
+        # is interrupted), its second completes; request 8 prefills in
+        # one step and completes in it (one output token), so that
+        # step's last event is its COMPLETE.
         log = _log(
             (0.0, A, 7), (0.1, P, 7), (1.0, W, 7),
             (1.5, A, 7), (2.0, P, 7), (3.0, C, 7),
-            (0.0, A, 8), (0.1, P, 8),
+            (3.0, A, 8), (3.0, P, 8), (3.2, C, 8),
         )
-        assert record_first_tokens(log, [Rec]) == [None, 2.5, None]
+        steps = _steps(
+            (0.1, 0.4, 0, 1, 2), (2.0, 2.5, 0, 1, 5), (2.5, 3.0, 4, 1, 6),
+            (3.0, 3.2, 0, 1, 9),
+        )
+        trace = FleetObserver().build(_shard(log, steps)).trace
+        assert [
+            (s.name, s.request_id, s.t0_s, s.t1_s, s.attrs_dict)
+            for s in trace.spans if s.name in ("PREFILL", "DECODE")
+        ] == [
+            ("PREFILL", 7, 0.1, 0.4, {}),
+            ("DECODE", 7, 0.4, 1.0, {"outcome": "interrupted"}),
+            ("PREFILL", 7, 2.0, 2.5, {}),
+            ("DECODE", 7, 2.5, 3.0, {}),
+            ("PREFILL", 8, 3.0, 3.2, {}),
+            ("DECODE", 8, 3.2, 3.2, {}),
+        ]
+        assert [
+            s.request_id for s in trace.spans if s.name == "PREFILL_STEP"
+        ] == [7, 7, 8]
 
 
-def _scheduler(fast_engine, obs):
-    return ContinuousBatchingScheduler(fast_engine, max_batch=4, obs=obs)
+def _scheduler(fast_engine):
+    return ContinuousBatchingScheduler(fast_engine, max_batch=4)
 
 
 class TestStepsAndSamples:
     def test_step_spans_and_decode_metrics(self):
-        obs = FleetObserver()
-        shard = obs.shard(0)
-        shard.step(0.0, 0.1, "prefill", 1, 1, 7)
-        shard.step(0.1, 0.9, "decode", 8, 4)
-        spans = [s for s in obs.build().trace.spans if s.cat == CAT_STEP]
+        log = _log((0.0, A, 7), (0.0, M, 7), (0.0, P, 7))
+        bundle = FleetObserver().build(
+            _shard(log, _steps((0.0, 0.1, 0, 1, 3), (0.1, 0.9, 8, 4, 3)))
+        )
+        spans = [s for s in bundle.trace.spans if s.cat == CAT_STEP]
         by_name = {s.name: s for s in spans}
         assert by_name["PREFILL_STEP"].request_id == 7
         assert by_name["PREFILL_STEP"].attrs_dict == {"k": 1, "batch": 1}
         assert by_name["DECODE_RUN"].attrs_dict == {"k": 8, "batch": 4}
         assert by_name["DECODE_RUN"].request_id is None
-        reg = obs.registry
+        reg = bundle.metrics
         assert reg.counter("decode_iterations", shard="0").value == 8
         # batch_size counts decode iterations: one run of 8 over 4.
         batch = reg.histogram("batch_size", shard="0")
@@ -145,28 +179,52 @@ class TestStepsAndSamples:
         assert batch.total == 32
 
     def test_sampling_is_tick_rate_limited(self):
-        obs = FleetObserver(tick_s=1.0)
-        shard = obs.shard(0)
-        shard.sample(0.0, 10, 1, 2, 3)
-        shard.sample(0.5, 20, 1, 2, 3)   # inside the tick: dropped
-        shard.sample(1.0, 30, 1, 2, 3)
-        g = obs.registry.gauge("kv_reserved_bytes", shard="0")
-        assert [v for _, v in g.points] == [10.0, 30.0]
+        # Two requests arrive; 1 is admitted and prefilled, then decodes
+        # while 2 waits in the queue until 1 completes.
+        log = _log(
+            (0.0, A, 1, 0, 1), (0.0, A, 2, 0, 2), (0.0, M, 1, 10, 1),
+            (0.0, P, 1, 10, 1), (0.6, C, 1, 0, 1), (0.6, M, 2, 20, 0),
+            (0.6, P, 2, 20, 0),
+        )
+        steps = _steps(
+            (0.0, 0.2, 0, 1, 4),  # sampled: the shard's first step
+            (0.2, 0.6, 3, 1, 5),  # inside the tick: dropped
+            (0.6, 1.0, 0, 1, 7),
+        )
+        bundle = FleetObserver(tick_s=0.5).build(_shard(log, steps))
+        gauges = {
+            name: bundle.metrics.gauge(name, shard="0").points
+            for name in ("kv_reserved_bytes", "queue_depth",
+                         "inflight_decodes", "waiting_requests")
+        }
+        assert gauges == {
+            "kv_reserved_bytes": [(0.2, 10.0), (1.0, 20.0)],
+            "queue_depth": [(0.2, 1.0), (1.0, 0.0)],
+            "inflight_decodes": [(0.2, 1.0), (1.0, 1.0)],
+            "waiting_requests": [(0.2, 1.0), (1.0, 0.0)],
+        }
 
 
 class TestFleetObserver:
     def test_fleet_level_events_and_build(self):
         from repro.fleet import AppliedFault, FaultKind
 
-        obs = FleetObserver()
-        obs.instant("SUBMIT", 0.0, request_id=1)
-        obs.bind_routing("jsq", [], [
-            AppliedFault(FaultKind.CRASH, 1, 1.0, 2.5, 2.0, 1.0, 2, 5),
-        ])
-        obs.count("retries")
-        obs.gauge("shards_up", 1.0, 1.0)
-        obs.shard(1)
-        bundle = obs.build()
+        empty = _shard(EventLog(), StepLog())
+        report = SimpleNamespace(
+            result=SimpleNamespace(
+                shard_results=(empty, empty), decisions=(),
+                submitted=(Request(1, 0.0, 16, 4),), n_initial=1,
+            ),
+            resilience=SimpleNamespace(
+                faults=(AppliedFault(FaultKind.CRASH, 1, 1.0, 2.5, 2.0, 1.0, 2, 5),),
+                ledger=(
+                    (1.0, "SHARDS_UP", 1),
+                    (1.0, "RETRY", 1, 1, 0.25),
+                    (2.5, "SHARDS_UP", 2),
+                ),
+            ),
+        )
+        bundle = FleetObserver().build(report)
         assert bundle.trace.n_shards == 2
         # The crash's outage, then its re-warm until the shard serves.
         crash, rewarm = bundle.trace.spans
@@ -175,104 +233,101 @@ class TestFleetObserver:
         assert crash.attrs_dict == {"n_requests_hit": 2, "lost_generated_tokens": 5}
         assert (rewarm.name, rewarm.t0_s, rewarm.t1_s) == ("REWARM", 2.0, 2.5)
         assert rewarm.attrs == ()
-        assert bundle.metrics.counter("retries").value == 1.0
+        submit, retry = bundle.trace.instants
+        assert (submit.name, submit.request_id, submit.attrs) == ("SUBMIT", 1, ())
+        assert (retry.name, retry.t_s) == ("RETRY", 1.0)
+        assert retry.attrs_dict == {"attempt": 1, "backoff_s": 0.25}
+        reg = bundle.metrics
+        assert reg.counter("retries").value == 1.0
+        assert reg.counter("crashes", shard=1).value == 1.0
+        assert reg.gauge("shards_up").points == [(1.0, 1.0), (2.5, 2.0)]
 
     @pytest.mark.parametrize("tick_s", [math.nan, 0.0, -1.0])
     def test_non_positive_tick_is_rejected(self, tick_s):
         with pytest.raises(ConfigError, match="tick_s must be positive"):
             FleetObserver(tick_s=tick_s)
-        with pytest.raises(ConfigError, match="tick_s must be positive"):
-            ShardObs(0, MetricsRegistry(), tick_s)
 
     def test_bound_scheduler_lifecycle_and_counters(self, fast_engine):
-        obs = FleetObserver()
-        sched = _scheduler(fast_engine, obs.shard(0))
+        sched = _scheduler(fast_engine)
         for i in range(3):
             sched.submit(Request(i, 0.0, 16, 4))
         sched.advance_until(math.inf)
-        bundle = obs.build()
+        result = sched.result()
+        bundle = FleetObserver().build(result)
         names = sorted(s.name for s in bundle.trace.spans if s.request_id == 1)
         assert names == ["DECODE", "PREFILL", "PREFILL_STEP", "QUEUE"]
         reg = bundle.metrics
         assert reg.counter("requests_admitted", shard="0").value == 3.0
         assert reg.counter("requests_completed", shard="0").value == 3.0
-        # Rebuilding sets the log counters again; it does not add.
-        obs.build()
-        assert reg.counter("requests_completed", shard="0").value == 3.0
+        # Building again reads the same logs into a fresh registry.
+        again = FleetObserver().build(result)
+        assert again.metrics.to_json() == reg.to_json()
+        assert again.trace == bundle.trace
 
     def test_build_snapshot_isolates_later_mutation(self, fast_engine):
-        obs = FleetObserver()
-        sched = _scheduler(fast_engine, obs.shard(0))
+        sched = _scheduler(fast_engine)
         sched.submit(Request(1, 0.0, 16, 4))
         sched.submit(Request(2, 0.0, 16, 4))
         sched.advance_one()  # request 1's prefill; request 2 waits
-        bundle = obs.build()
-        # Events recorded after the snapshot must not leak in.
+        bundle = FleetObserver().build(sched.result())
+        # Events and steps after the result must not leak in.
         sched.withdraw(2)
         sched.advance_until(math.inf)
         # Request 1 is decoding: its PREFILL is known, its DECODE not.
         assert [(s.name, s.request_id) for s in bundle.trace.spans] == [
             ("QUEUE", 1), ("PREFILL", 1), ("PREFILL_STEP", 1),
         ]
-        later = obs.build().trace
+        later = FleetObserver().build(sched.result()).trace
         assert {s.name for s in later.spans} >= {"DECODE", "DECODE_RUN"}
         withdrawn = [s for s in later.spans if s.request_id == 2]
         assert [s.attrs_dict for s in withdrawn] == [{"outcome": "withdrawn"}]
 
     def test_lifecycle_follows_the_log_past_a_mid_run_result(self, fast_engine):
-        # result() hands the log out, so the next event goes to a copy;
-        # the observer must read the copy.
-        obs = FleetObserver()
-        sched = _scheduler(fast_engine, obs.shard(0))
+        # result() hands the logs out, so the next row of either goes
+        # to a copy of both; the final result reads the copies.
+        sched = _scheduler(fast_engine)
         sched.submit(Request(1, 0.0, 16, 4))
         sched.advance_one()
-        assert len(sched.result().events)
+        first = sched.result()
+        assert (len(first.events), len(first.steps)) == (3, 1)
         sched.advance_until(math.inf)
-        names = [s.name for s in obs.build().trace.spans if s.cat == "request"]
+        assert (len(first.events), len(first.steps)) == (3, 1)
+        trace = FleetObserver().build(sched.result()).trace
+        names = [s.name for s in trace.spans if s.cat == "request"]
         assert names == ["QUEUE", "PREFILL", "DECODE"]
 
-    def test_each_run_keeps_its_own_lifecycles(self, fast_engine, make_stream):
-        # Each run builds a fresh scheduler on the same shard view; a
-        # run's first tokens come from its own prefill slices.
-        def observe(n_runs):
-            obs = FleetObserver(tick_s=0.001)
-            sim = ServingSimulator(fast_engine, max_batch=4, ctx_bucket=16, obs=obs)
-            for _ in range(n_runs):
-                sim.run(make_stream())
-            return obs.build()
-
-        once, twice = observe(1), observe(2)
-        assert Counter(twice.trace.spans) == Counter(
-            {span: 2 for span in once.trace.spans}
-        )
-        for name in ("requests_admitted", "requests_completed", "decode_iterations"):
-            assert (
-                twice.metrics.counter(name, shard="0").value
-                == 2 * once.metrics.counter(name, shard="0").value
-            )
+    def test_a_reused_observer_builds_each_run_alone(self, fast_engine, make_stream):
+        obs = FleetObserver(tick_s=0.001)
+        sim = ServingSimulator(fast_engine, max_batch=4, ctx_bucket=16)
+        once, twice = (obs.build(sim.run(make_stream())) for _ in range(2))
+        assert twice.trace == once.trace
+        assert twice.metrics.to_json() == once.metrics.to_json()
         # Each run samples its gauges from its own start.
         points = once.metrics.gauge("queue_depth", shard="0").points
-        assert len(points) > 1
-        assert twice.metrics.gauge("queue_depth", shard="0").points == points * 2
+        assert len(points) > 1 and points[0][0] < points[-1][0]
 
-    def test_each_fleet_run_keeps_its_routing(self, make_fleet, make_stream):
+    def test_a_reused_observer_builds_each_fleet_run_alone(
+        self, make_fleet, make_stream
+    ):
         obs = FleetObserver()
         fleet = make_fleet(obs=obs, steal=True)
-        once = fleet.run(make_stream()).obs.trace
-        twice = fleet.run(make_stream()).obs.trace
-        assert Counter(twice.instants) == Counter(
-            {instant: 2 for instant in once.instants}
-        )
-        assert Counter(twice.spans) == Counter({span: 2 for span in once.spans})
+        once = fleet.run(make_stream()).obs
+        twice = fleet.run(make_stream()).obs
+        assert twice.trace == once.trace
+        assert twice.metrics.to_json() == once.metrics.to_json()
 
     def test_routing_decisions_become_instants_and_counters(self):
         from repro.fleet import RoutingDecision
 
-        obs = FleetObserver()
-        decisions = [RoutingDecision(1, 0.5, 0, 0.25)]
-        obs.bind_routing("jsq", decisions, [])
-        decisions.append(RoutingDecision(1, 0.75, 1, migrated_from=0))
-        bundle = obs.build()
+        empty = _shard(EventLog(), StepLog())
+        result = SimpleNamespace(
+            shard_results=(empty, empty), policy_name="jsq",
+            decisions=(
+                RoutingDecision(1, 0.5, 0, 0.25),
+                RoutingDecision(1, 0.75, 1, migrated_from=0),
+            ),
+        )
+        bundle = FleetObserver().build(result)
         route, migrate = bundle.trace.instants
         assert (route.name, route.shard_id, route.t_s) == ("ROUTE", 0, 0.5)
         assert route.attrs_dict == {"policy": "jsq", "predicted_ttft_s": 0.25}
@@ -285,9 +340,7 @@ class TestFleetObserver:
 
 class TestObsBundle:
     def test_lazy_trace_is_cached(self):
-        obs = FleetObserver()
-        obs.instant("SUBMIT", 0.0, request_id=1)
-        bundle = obs.build()
+        bundle = FleetObserver().build(_shard(EventLog(), StepLog()))
         assert "lazy" in repr(bundle)
         assert bundle.trace is bundle.trace
         assert "lazy" not in repr(bundle)
@@ -297,12 +350,10 @@ class TestObsBundle:
             ObsBundle(metrics=MetricsRegistry())
 
     def test_write_trace_and_metrics(self, tmp_path, fast_engine):
-        obs = FleetObserver()
-        sched = _scheduler(fast_engine, obs.shard(0))
+        sched = _scheduler(fast_engine)
         sched.submit(Request(1, 0.0, 16, 4))
         sched.advance_until(math.inf)
-        obs.count("requests_routed", shard=0)
-        bundle = obs.build()
+        bundle = FleetObserver().build(sched.result())
 
         trace_path = tmp_path / "trace.json"
         bundle.write_trace(str(trace_path))

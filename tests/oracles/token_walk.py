@@ -52,7 +52,6 @@ def decode_step(scheduler: ContinuousBatchingScheduler, t_s: float) -> None:
     t0 = s._clock
     s._clock += point.latency_s * s.latency_scale
     s._energy_uj += point.energy_uj
-    s._n_decodes += 1
     c = s._clock
     for i in range(n):
         d_ctx[i] += 1
@@ -64,13 +63,7 @@ def decode_step(scheduler: ContinuousBatchingScheduler, t_s: float) -> None:
         d_last[i] = c
     if min(d_left) <= 0:
         s._retire_finished()
-    obs = s._obs
-    if obs is not None:
-        obs.step(t0, c, "decode", 1, n)
-        obs.sample(
-            c, s._kv_reserved, len(s._pending),
-            len(s._d_req), len(s._prefill_queue) + len(s._pending),
-        )
+    s._log_step(t0, 1, n)
 
 
 def bind_decode_step(scheduler: ContinuousBatchingScheduler) -> None:

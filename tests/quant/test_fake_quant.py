@@ -1,8 +1,10 @@
 """Tests for absmax W8A8 fake quantization."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import ConfigError
@@ -61,10 +63,17 @@ class TestQuantize:
             elements=st.floats(-100, 100, allow_nan=False),
         )
     )
+    # max|x| / 127 underflows to 0.0 here: the scale must still be
+    # positive, and quantizing must not divide by it.
+    @example(np.array([5e-324, 0.0]))
     def test_quantized_values_in_range(self, x):
-        q = quantize(x, bits=8)
-        assert q.data.max(initial=0) <= 127
-        assert q.data.min(initial=0) >= -127
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # Per tensor, and per slice along the only axis.
+            for q in (quantize(x, bits=8), quantize(x, bits=8, axis=0)):
+                assert np.all(q.scale > 0)
+                assert q.data.max(initial=0) <= 127
+                assert q.data.min(initial=0) >= -127
 
 
 class TestPerChannel:

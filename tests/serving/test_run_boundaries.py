@@ -52,7 +52,8 @@ def _record_runs(scheduler):
 
     Each entry is ``(start clock, stop, k, end clock, completed)``,
     where ``stop`` is the earlier of the horizon and the next submitted
-    arrival when the run began.
+    arrival when the run began, and ``k`` the iterations of the step
+    log row the run appended.
     """
     runs = []
     inner = scheduler._decode_run
@@ -61,10 +62,11 @@ def _record_runs(scheduler):
         s = scheduler
         start = s.clock_s
         next_arrival = s._future[0][0] if s._future else math.inf
-        n_done, n_decodes = len(s._records), s._n_decodes
+        n_done, n_steps = len(s._records), len(s._steps)
         inner(t_s)
+        assert len(s._steps) == n_steps + 1
         runs.append((
-            start, min(t_s, next_arrival), s._n_decodes - n_decodes,
+            start, min(t_s, next_arrival), s._steps.k[-1],
             s.clock_s, len(s._records) > n_done,
         ))
 

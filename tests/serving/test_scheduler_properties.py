@@ -7,6 +7,8 @@ The scheduler's event log (state changes) and its records (every
 token's instant) are the witnesses.
 """
 
+import math
+
 from hypothesis import given, settings, strategies as st
 
 from oracles.token_walk import walk_tokens
@@ -244,6 +246,28 @@ class TestSlotBoundUnderOverload:
                 in_flight -= 1
         assert ran.events == walked.events
         assert ran.records == walked.records
+
+        # The coalesced step log: batches within the slot bound, steps
+        # in clock order and never overlapping, event marks that never
+        # go back, one prefill row per PREFILL_START (naming it), and
+        # every decode iteration the walk ran.
+        steps = ran.steps
+        assert len(steps) and max(steps.batch) <= max_batch
+        starts = list(steps.t0_s[1:]) + [math.inf]
+        assert all(
+            t0 <= t1 <= nxt for t0, t1, nxt in zip(steps.t0_s, steps.t1_s, starts)
+        )
+        assert all(a <= b for a, b in zip(steps.events, steps.events[1:]))
+        prefills = [
+            ran.events.request_id[end - 1]
+            for k, end in zip(steps.k, steps.events) if not k
+        ]
+        assert prefills == [
+            ev.request_id for ev in ran.events
+            if ev.kind is EventKind.PREFILL_START
+        ]
+        assert ran.n_decode_iterations == sum(steps.k) == walked.n_decode_iterations
+        assert ran.n_prefill_iterations == walked.n_prefill_iterations
 
 
 class TestFcfsAdmission:

@@ -200,8 +200,27 @@ class TestFailurePaths:
         blocker.write_text("not a directory", encoding="utf-8")
         store = SurfaceStore(blocker / "store")
         _warm(engine)
-        with pytest.warns(RuntimeWarning, match="cannot write"):
+        with pytest.warns(RuntimeWarning, match="cannot write") as caught:
             assert store.save(engine) == 0
+        # The directory cannot be made, so there is no file to merge
+        # and nothing else to report.
+        assert len(caught) == 1
+
+    def test_load_then_save_reports_a_malformed_file_once(
+        self, engine, twin, store
+    ):
+        path = self._saved(engine, store)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["points"] = [{"bogus": True}]
+        doc["n_points"] = 1
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.warns(RuntimeWarning, match="malformed") as caught:
+            assert store.load(twin) == 0
+            twin.surface.decode(96)
+            # The read-merge finds the same defect and says nothing;
+            # the save still writes the engine's points over it.
+            assert store.save(twin) == 1
+        assert len(caught) == 1
 
     def test_unreadable_store_dir_is_cold_not_fatal(self, engine, tmp_path):
         blocker = tmp_path / "blocker"
