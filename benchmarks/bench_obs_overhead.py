@@ -19,10 +19,13 @@ the chaos layer, and the metrics document must declare the current
 schema version.
 
 The bound covers the run and the build. The export's own cost is
-recorded beside it, unbounded: ``export_s`` is the best-of-N wall clock
-of ``write_trace`` + ``write_metrics`` of a freshly built bundle, and
-``trace_bytes`` the size of the trace file written. Run it standalone
-for the JSON artifact CI tracks::
+recorded beside it, unbounded, from freshly built bundles (best of N
+each): ``build_s`` is :meth:`~repro.obs.FleetObserver.build` (the
+metrics), ``trace_export_s`` is ``write_trace`` (the trace's assembly
+and its text), ``metrics_export_s`` is ``write_metrics``, and
+``export_s`` the two writes together, so a change in export cost names
+the part that moved. ``trace_bytes`` is the size of the trace file
+written. Run it standalone for the JSON artifact CI tracks::
 
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py \
         --quick --json results/obs_overhead.json
@@ -118,24 +121,31 @@ def _best_of_interleaved(fn_a, fn_b, rounds: int) -> tuple:
     return best_a, best_b
 
 
-def _best_export(observer: FleetObserver, report, rounds: int) -> tuple:
-    """Best-of wall clock to export a fresh bundle, and the trace size.
+def _best_export(observer: FleetObserver, report, rounds: int) -> Dict[str, float]:
+    """Best-of wall clocks to build and export fresh bundles of ``report``.
 
-    Each round builds a new bundle of ``report``, so the lazy trace
-    assembly is timed along with the trace and metrics writes.
+    Each round builds a new bundle, so the lazy trace assembly is timed
+    with ``write_trace``. Returns ``build_s``, ``trace_export_s``,
+    ``metrics_export_s``, ``export_s`` (the two writes of one round) and
+    ``trace_bytes``.
     """
-    best = float("inf")
+    names = ("build_s", "trace_export_s", "metrics_export_s", "export_s")
+    best = dict.fromkeys(names, float("inf"))
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = os.path.join(tmp, "trace.json")
         metrics_path = os.path.join(tmp, "metrics.json")
         for _ in range(rounds):
-            bundle = observer.build(report)
             t0 = time.perf_counter()
+            bundle = observer.build(report)
+            t1 = time.perf_counter()
             bundle.write_trace(trace_path)
+            t2 = time.perf_counter()
             bundle.write_metrics(metrics_path)
-            best = min(best, time.perf_counter() - t0)
-        trace_bytes = os.path.getsize(trace_path)
-    return best, trace_bytes
+            t3 = time.perf_counter()
+            took = (t1 - t0, t2 - t1, t3 - t2, t3 - t1)
+            best = {name: min(best[name], s) for name, s in zip(names, took)}
+        best["trace_bytes"] = os.path.getsize(trace_path)
+    return best
 
 
 def run_overhead_bench(quick: bool = False) -> Dict[str, object]:
@@ -174,7 +184,7 @@ def run_overhead_bench(quick: bool = False) -> Dict[str, object]:
     assert metrics_doc["schema"] == METRICS_SCHEMA
     assert metrics_doc["schema_version"] == METRICS_SCHEMA_VERSION
 
-    export_s, trace_bytes = _best_export(observer, report_off, rounds)
+    export = _best_export(observer, report_off, rounds)
 
     return {
         "n_requests": n_requests,
@@ -186,8 +196,7 @@ def run_overhead_bench(quick: bool = False) -> Dict[str, object]:
         "overhead_ratio": on_s / off_s,
         "bound": OBS_OVERHEAD_BOUND,
         "bit_identical": True,
-        "export_s": export_s,
-        "trace_bytes": trace_bytes,
+        **export,
         "trace_events": counts["events"],
         "trace_flow_events": counts["flow"],
         "n_spans": len(bundle.trace.spans),
@@ -216,7 +225,9 @@ def main(argv=None) -> int:
         f"  obs on:  {record['on_wall_s'] * 1e3:.1f} ms "
         f"({record['overhead_ratio']:.2f}x; bound {args.bound:g}x)\n"
         f"  export: {record['export_s'] * 1e3:.1f} ms "
-        f"(write_trace + write_metrics, unbounded), "
+        f"(write_trace {record['trace_export_s'] * 1e3:.1f} + write_metrics "
+        f"{record['metrics_export_s'] * 1e3:.1f}; build "
+        f"{record['build_s'] * 1e3:.1f}; unbounded), "
         f"trace file {record['trace_bytes']:,} B\n"
         f"  trace: {record['trace_events']} events, "
         f"{record['n_spans']} spans, {record['n_instants']} instants, "

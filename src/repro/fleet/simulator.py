@@ -449,6 +449,14 @@ class FleetSimulator:
         ``(seed, request_id, attempt)``-keyed RNGs, and all tie-breaks
         are total orders: two same-seed runs produce ``==`` reports.
         """
+        shards: List[ContinuousBatchingScheduler] = []
+        try:
+            return self._run(source, shards)
+        finally:
+            shards.clear()  # the shards' hooks hold it: leave no cycle
+
+    def _run(self, source: RequestSource, shards: list) -> FleetReport:
+        """:meth:`run`, filling ``shards`` with the run's schedulers."""
         initial = tuple(source.initial())
         if not initial:
             raise ConfigError(f"source {source.name!r} produced no requests")
@@ -477,7 +485,6 @@ class FleetSimulator:
         # migrates the request or a crash evicts it, so completions
         # only report placements that actually ran.
         pending_predictions: Dict[int, float] = {}
-        shards: List[ContinuousBatchingScheduler] = []
 
         # -------------------------------------------- resilience state
         dispositions: Dict[int, Disposition] = {}

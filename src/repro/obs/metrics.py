@@ -11,11 +11,12 @@ same simulation produces byte-identical JSON and CSV.
 from __future__ import annotations
 
 import io
-import json
 from bisect import bisect_left
+from operator import eq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
+from .spans import ENCODE, NumberTexts
 
 __all__ = [
     "METRICS_SCHEMA",
@@ -59,26 +60,45 @@ class Counter(object):
 
 
 class Gauge(object):
-    """A sampled time series of (simulated time, value) points."""
+    """A sampled time series, as columns ``t_s`` and ``values``."""
 
-    __slots__ = ("name", "labels", "points")
+    __slots__ = ("name", "labels", "t_s", "values")
 
     def __init__(self, name: str, labels: LabelKey) -> None:
         self.name = name
         self.labels = labels
-        self.points: List[Tuple[float, float]] = []
+        self.t_s: List[float] = []
+        self.values: List[float] = []
 
     def record(self, t_s: float, value: float) -> None:
         """Append one sample; repeated timestamps overwrite in place."""
-        if self.points and self.points[-1][0] == t_s:
-            self.points[-1] = (t_s, value)
+        if self.t_s and self.t_s[-1] == t_s:
+            self.t_s[-1], self.values[-1] = t_s, value
         else:
-            self.points.append((t_s, value))
+            self.t_s.append(t_s)
+            self.values.append(value)
+
+    def extend(self, t_s: Sequence[float], values: Sequence[float]) -> None:
+        """:meth:`record` each ``(t_s[i], values[i])`` pair in order."""
+        if len(t_s) != len(values):
+            raise SimulationError(f"gauge {self.name!r}: unequal columns")
+        joined = self.t_s[-1:] + list(t_s)
+        if any(map(eq, joined, joined[1:])):  # a repeated time overwrites
+            for t, value in zip(t_s, values):
+                self.record(t, value)
+        else:
+            self.t_s += t_s
+            self.values += values
+
+    @property
+    def points(self) -> List[Tuple[float, float]]:
+        """The samples as ``(t_s, value)`` pairs, built on each read."""
+        return list(zip(self.t_s, self.values))
 
     @property
     def last(self) -> Optional[float]:
         """Most recent sampled value, or ``None`` before any sample."""
-        return self.points[-1][1] if self.points else None
+        return self.values[-1] if self.values else None
 
 
 class Histogram(object):
@@ -162,6 +182,12 @@ class MetricsRegistry(object):
     # -- exports ------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """The versioned, JSON-ready document (deterministic ordering)."""
+        return self._document(lambda g: {
+            "name": g.name, "labels": dict(g.labels),
+            "points": [[t, v] for t, v in zip(g.t_s, g.values)],
+        })
+
+    def _document(self, gauge) -> Dict[str, object]:  # gauge(g): its entry
         return {
             "schema": METRICS_SCHEMA,
             "schema_version": METRICS_SCHEMA_VERSION,
@@ -169,14 +195,7 @@ class MetricsRegistry(object):
                 {"name": c.name, "labels": dict(c.labels), "value": c.value}
                 for _, c in sorted(self._counters.items())
             ],
-            "gauges": [
-                {
-                    "name": g.name,
-                    "labels": dict(g.labels),
-                    "points": [[t, v] for t, v in g.points],
-                }
-                for _, g in sorted(self._gauges.items())
-            ],
+            "gauges": [gauge(g) for _, g in sorted(self._gauges.items())],
             "histograms": [
                 {
                     "name": h.name,
@@ -191,12 +210,20 @@ class MetricsRegistry(object):
         }
 
     def to_json(self) -> str:
-        """The versioned document as compact, key-sorted JSON text.
-
-        No ``indent``: an indented dump runs CPython's pure-Python
-        encoder, a compact one its C encoder.
-        """
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """``json.dumps(to_dict(), sort_keys=True, separators=(",", ":"))``,
+        with no point built: each is written as ``[%s,%s]`` from one
+        :class:`~repro.obs.spans.NumberTexts`, the rest by the encoder."""
+        num = NumberTexts()
+        texts = lambda column: map(  # a float-only column indexes num directly
+            num.__getitem__ if set(map(type, column)) <= {float} else num, column)
+        doc = self._document(lambda g: '{"labels":%s,"name":%s,"points":[%s]}' % (
+            ENCODE(dict(g.labels)), ENCODE(g.name),
+            ",".join(map("[%s,%s]".__mod__, zip(texts(g.t_s), texts(g.values)))),
+        ))
+        # The other keys sort after "counters" and "gauges".
+        return '{"counters":%s,"gauges":[%s],%s' % (
+            ENCODE(doc.pop("counters")), ",".join(doc.pop("gauges")), ENCODE(doc)[1:]
+        )
 
     def to_csv(self) -> str:
         """Long-format CSV: ``kind,name,labels,t_s,value`` rows.
@@ -214,7 +241,7 @@ class MetricsRegistry(object):
             out.write(f"counter,{c.name},{fmt_labels(c.labels)},,{c.value}\n")
         for _, g in sorted(self._gauges.items()):
             labels = fmt_labels(g.labels)
-            for t, v in g.points:
+            for t, v in zip(g.t_s, g.values):
                 out.write(f"gauge,{g.name},{labels},{t},{v}\n")
         for _, h in sorted(self._histograms.items()):
             labels = fmt_labels(h.labels)

@@ -15,9 +15,10 @@ https://ui.perfetto.dev and ``chrome://tracing``:
   re-route a request.
 
 One formatter writes every export: each of a trace's rows (see
-:mod:`repro.obs.spans`) through its kind's ``%``-template, so no
-per-event dict, span or instant is built. :func:`write_perfetto` writes
-the text :data:`WRITE_BATCH` events per write; :func:`to_perfetto`
+:mod:`repro.obs.spans`) through its kind's writer and every number
+through one :class:`~repro.obs.spans.NumberTexts`, built per export, so
+no per-event dict, span or instant is built. :func:`write_perfetto`
+writes the text :data:`WRITE_BATCH` events per write; :func:`to_perfetto`
 parses the same text back into the document dict.
 :func:`validate_trace_events` is the structural checker used by tests
 and the CI ``obs-smoke`` job.
@@ -42,6 +43,7 @@ from .spans import (
     OBS_SCHEMA_VERSION,
     TIDS,
     FleetTrace,
+    NumberTexts,
 )
 
 __all__ = ["to_perfetto", "write_perfetto", "validate_trace_events"]
@@ -59,7 +61,7 @@ _HEAD = '{"displayTimeUnit":"ms","otherData":%s,"traceEvents":[' % ENCODE(
 )
 _FLOW = (
     '{%s"cat":"flow","id":"req%%d.%%d","name":"route","ph":"%s","pid":%%d,'
-    '"tid":1,"ts":%%r}'
+    '"tid":1,"ts":%%s}'
 )
 _FLOW_START, _FLOW_FINISH = _FLOW % ("", "s"), _FLOW % ('"bp":"e",', "f")
 
@@ -89,7 +91,7 @@ def _metadata(trace: FleetTrace) -> Iterator[str]:
             )
 
 
-def _flows(trace: FleetTrace) -> Iterator[str]:
+def _flows(trace: FleetTrace, num: NumberTexts) -> Iterator[str]:
     """Router→shard arrows: one flow per (request, attempt) hand-off.
 
     Attempt ``n`` is a request's n-th ROUTE in trace order. It lands on
@@ -117,17 +119,20 @@ def _flows(trace: FleetTrace) -> Iterator[str]:
             if later and queued[i] >= later[0]:
                 continue
             pid = FLEET_PID + 1 + shard
-            yield _FLOW_START % (rid, attempt, pid, t * 1e6)
-            yield _FLOW_FINISH % (rid, attempt, pid, queued[i] * 1e6)
+            yield _FLOW_START % (rid, attempt, pid, num[t * 1e6])
+            yield _FLOW_FINISH % (rid, attempt, pid, num[queued[i] * 1e6])
 
 
 def _chunks(trace: FleetTrace) -> Iterator[str]:
     """The document's text, :data:`WRITE_BATCH` events per chunk."""
+    num = NumberTexts()
+    rows = trace.span_rows + trace.instant_rows
+    writers = {kind: kind.writer(num) for kind in set(map(itemgetter(6), rows))}
     texts = chain(
         _metadata(trace),
-        (row[6].text(row) for row in trace.span_rows),
-        (row[6].text(row) for row in trace.instant_rows),
-        _flows(trace),
+        (writers[kind](t0, t1, rid, shard, values)
+         for t0, t1, _, _, rid, shard, kind, values in rows),
+        _flows(trace, num),
     )
     yield _HEAD
     sep = ""

@@ -29,7 +29,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -42,6 +42,7 @@ __all__ = [
     "CAT_OP",
     "Span",
     "Instant",
+    "NumberTexts",
     "RowKind",
     "row_kind",
     "event_row",
@@ -62,9 +63,6 @@ CAT_OP = "op"  # per-op cycles bridged from repro.sim.trace
 #: Each category's track (thread) id within a process.
 TIDS = {CAT_REQUEST: 1, CAT_STEP: 2, CAT_FAULT: 3, CAT_OP: 4}
 
-#: A row's sort key: (time, end, category, name, request id, shard id).
-ROW_KEY = itemgetter(0, 1, 2, 3, 4, 5)
-
 Attrs = Tuple[Tuple[str, object], ...]
 
 ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -76,16 +74,28 @@ def _freeze_attrs(attrs: Optional[Dict[str, object]]) -> Attrs:
     return tuple(sorted(attrs.items()))
 
 
-def _json_value(value: object) -> str:
-    """``value`` as the JSON text the document encoder writes for it.
+class NumberTexts(dict):
+    """One export's value texts as :data:`ENCODE` writes them: call it on
+    any value, index it with a float. Finite non-zero floats are formatted
+    once; only floats key that cache (``True == 1 == 1.0``, ``0.0 == -0.0``)."""
 
-    An int or finite float is its ``repr``, as the encoder writes it,
-    without the encoder's 1-2 us per call; anything else is encoded.
-    """
-    kind = type(value)
-    if kind is int or (kind is float and math.isfinite(value)):
-        return repr(value)
-    return ENCODE(value)
+    def __missing__(self, value: float) -> str:
+        if not math.isfinite(value):
+            return ENCODE(value)
+        text = float.__repr__(value)
+        if value:
+            self[value] = text
+        return text
+
+    def __call__(self, value: object) -> str:
+        kind = type(value)
+        if kind is float:
+            return self[value]
+        if kind is int:
+            return repr(value)
+        if kind is bool:
+            return "true" if value else "false"
+        return ENCODE(value)
 
 
 def _check_interval(name: str, t0_s: float, t1_s: float) -> None:
@@ -121,23 +131,27 @@ class RowKind(object):
         fields = [f'"args":{{{",".join(args)}}}'] if args else []
         fields.append(f'"cat":{_literal(cat)}')
         if self.span:
-            fields.append('"dur":%r')
+            fields.append('"dur":%s')
         fields.append(f'"name":{_literal(name)},"ph":"{ph}","pid":%d')
         if not self.span:
             fields.append('"s":"t"')
-        fields.append(f'"tid":{TIDS.get(cat, 9)},"ts":%r')
+        fields.append(f'"tid":{TIDS.get(cat, 9)},"ts":%s')
         self.template = "{%s}" % ",".join(fields)
 
-    def text(self, row: tuple) -> str:
-        """One row as its event's JSON text."""
-        t0, t1, _, _, rid, shard, _, values = row
-        args = tuple(map(_json_value, values))
-        at = self.rid_at
-        if at is not None:
-            args = args[:at] + (rid,) + args[at:]
-        if self.span:
-            return self.template % (*args, (t1 - t0) * 1e6, shard + 2, t0 * 1e6)
-        return self.template % (*args, shard + 2, t0 * 1e6)
+    def writer(self, num: NumberTexts) -> Callable[..., str]:
+        """This kind's writer for one export: a row's ``(t0, t1, rid, shard,
+        values)`` to its event's JSON text, values and times as ``num`` has them."""
+        template, at, span = self.template, self.rid_at, self.span
+
+        def write(t0, t1, rid, shard, values):
+            args = [*map(num, values)]
+            if at is not None:
+                args.insert(at, rid)
+            if span:
+                args.append(num[(t1 - t0) * 1e6])
+            return template % (*args, shard + 2, num[t0 * 1e6])
+
+        return write
 
 
 _KINDS: Dict[tuple, RowKind] = {}
@@ -250,11 +264,12 @@ class Instant(object):
 class FleetTrace(object):
     """An immutable, sorted trace of spans and instants for one run.
 
-    Holds span and instant rows sorted (stably) by :data:`ROW_KEY`, so
-    traces built from identical runs compare equal regardless of
-    emission order; :attr:`spans` and :attr:`instants` are made from
-    the rows on first access. A span row that ends before it starts
-    raises :class:`SimulationError`, so no export writes one.
+    Holds span and instant rows sorted (stably) by their first six
+    fields, so traces built from identical runs compare equal regardless
+    of emission order; one sort per field builds no key tuple for the
+    garbage collector to scan. :attr:`spans` and :attr:`instants` are
+    made from the rows on first access. A span row that ends before it
+    starts raises :class:`SimulationError`, so no export writes one.
     """
 
     __slots__ = ("span_rows", "instant_rows", "n_shards", "_spans", "_instants")
@@ -267,11 +282,14 @@ class FleetTrace(object):
         instant_rows: Iterable[tuple] = (),
         n_shards: int = 0,
     ) -> None:
-        self.span_rows = tuple(sorted(span_rows, key=ROW_KEY))
+        spans, instants = list(span_rows), list(instant_rows)
+        for field in (5, 4, 3, 2, 1, 0):  # the last key field first
+            spans.sort(key=itemgetter(field))
+            instants.sort(key=itemgetter(field))
+        self.span_rows, self.instant_rows = tuple(spans), tuple(instants)
         for row in self.span_rows:
             if row[1] < row[0]:
                 _check_interval(row[3], row[0], row[1])
-        self.instant_rows = tuple(sorted(instant_rows, key=ROW_KEY))
         self.n_shards = n_shards
         self._spans = self._instants = None
 

@@ -11,7 +11,7 @@ its run carried an observer.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
 from ..serving.scheduler import EventLog, StepLog
@@ -36,21 +36,20 @@ _LOG_COUNTS = (
 #: Fault counters by fault kind.
 _FAULT_COUNTS = {"crash": "crashes", "brownout": "brownouts"}
 
-#: The per-shard gauges, in the order :func:`_samples` yields values.
+#: The per-shard gauges, in the order :func:`_samples` returns values.
 _GAUGES = ("kv_reserved_bytes", "queue_depth", "inflight_decodes", "waiting_requests")
 
 
-def _samples(
-    log: EventLog, steps: StepLog, tick_s: float
-) -> Iterator[Tuple[float, int, int, int, int]]:
-    """A shard's gauge samples, ``(t_s, *values)`` in :data:`_GAUGES`
-    order: at the end of its first step, then at each step end at least
-    ``tick_s`` after its last sample, as a live sampler would take them.
+def _samples(log: EventLog, steps: StepLog, tick_s: float) -> Tuple[List[float], ...]:
+    """A shard's gauge samples as columns (times, then float values per
+    gauge in :data:`_GAUGES` order), taken at its first step's end, then
+    at each step end ``tick_s`` or more after the last, as a live sampler.
 
     KV and queue depth are the last logged event's; decoding and
     waiting requests come from replaying the log to the step's end.
     """
     events = zip(log.kind, log.request_id)
+    columns = times, kv_col, queue_col, decoding_col, waiting_col = [], [], [], [], []
     decoding = set()
     waiting = done = 0
     next_s = 0.0
@@ -68,8 +67,12 @@ def _samples(
         done = end
         if t_s >= next_s:
             next_s = t_s + tick_s
-            yield (t_s, log.kv_reserved_bytes[end - 1],
-                   log.queue_depth[end - 1], len(decoding), waiting)
+            times.append(t_s)
+            kv_col.append(float(log.kv_reserved_bytes[end - 1]))
+            queue_col.append(float(log.queue_depth[end - 1]))
+            decoding_col.append(float(len(decoding)))
+            waiting_col.append(float(waiting))
+    return columns
 
 
 class FleetObserver(object):
@@ -153,10 +156,9 @@ class FleetObserver(object):
             if k:
                 batch.observe(float(n), k)
                 iterations.inc(k)
-        gauges = [registry.gauge(name, shard=shard) for name in _GAUGES]
-        for t_s, *values in _samples(log, steps, self.tick_s):
-            for gauge, value in zip(gauges, values):
-                gauge.record(t_s, float(value))
+        times, *columns = _samples(log, steps, self.tick_s)
+        for name, values in zip(_GAUGES, columns):
+            registry.gauge(name, shard=shard).extend(times, values)
 
 
 class ObsBundle(object):

@@ -8,6 +8,8 @@ inequality at every decision point.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from repro.fleet import (
 )
 from repro.serving import (
     ClosedLoopSource,
+    ContinuousBatchingScheduler,
     EventKind,
     LengthDistribution,
     Request,
@@ -300,6 +303,49 @@ class TestClosedLoopComposition:
             report.metrics.n_requests + report.result.n_rejected_followups <= 8
         )
         assert report.result.n_rejected_followups >= 1
+
+
+class TestSchedulersDieWithTheRun:
+    """A run's schedulers are freed by reference counting once its
+    report is dropped, or once it raised: each shard's completion hook
+    closes over the fleet's shard list, which must not keep a cycle
+    through the schedulers alive for the cycle collector."""
+
+    @staticmethod
+    def _n_schedulers() -> int:
+        return sum(
+            isinstance(o, ContinuousBatchingScheduler) for o in gc.get_objects()
+        )
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["finished", "raised"])
+    def test_no_scheduler_outlives_its_run(
+        self, fast_engine, slow_engine, shard_budget, make_stream, raises
+    ):
+        class MisroutesFifth(JoinShortestQueuePolicy):
+            def route(self, request, now_s, shards):
+                choice, predicted = super().route(request, now_s, shards)
+                return (99 if request.request_id == 4 else choice), predicted
+
+        fleet = FleetSimulator(
+            [fast_engine, slow_engine],
+            policy=MisroutesFifth() if raises else "jsq",
+            kv_budget_bytes=shard_budget,
+            max_batch=8,
+        )
+        gc.collect()
+        before = self._n_schedulers()
+        gc.disable()
+        try:
+            try:
+                report = fleet.run(make_stream("bursty", n=16, seed=3))
+            except ConfigError:
+                assert raises
+            else:
+                assert not raises and report.metrics.n_requests == 16
+                del report
+            assert self._n_schedulers() == before
+        finally:
+            gc.enable()
 
 
 class TestTokenEventsShim:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.obs import (
@@ -14,6 +16,19 @@ from repro.obs import (
     MetricsRegistry,
     ObsBundle,
 )
+
+
+#: Values that compare or hash alike across types (``True == 1 == 1.0``,
+#: ``0.0 == -0.0``), non-finite floats, and floats whose shortest text
+#: is easy to get wrong.
+HOSTILE = (
+    True, 1, 1.0, 0.0, -0.0, float("nan"), float("inf"), -float("inf"),
+    5e-324, 1e16, 1e22,
+)
+#: Sample times: int and float, and some that collide.
+TIMES = (0, 1, 2, 0.0, -0.0, 1.0, 2.0, 0.5, 5e-324, 1e16, 1e22)
+#: Strings with template, quote, escape and non-ASCII characters.
+NAMES = st.text(alphabet='ab%"\\\u00e9\u20ac\u2028\U0001F600', max_size=6)
 
 
 class TestCounter:
@@ -51,6 +66,27 @@ class TestGauge:
         g.record(1.0, 2.0)
         g.record(1.0, 5.0)
         assert g.points == [(1.0, 5.0)]
+
+    @given(st.lists(st.tuples(st.sampled_from(TIMES), st.sampled_from(HOSTILE))))
+    @settings(max_examples=50, deadline=None)
+    def test_extend_records_each_pair_in_order(self, points):
+        one, bulk = MetricsRegistry().gauge("one"), MetricsRegistry().gauge("bulk")
+        for t, v in [(0.0, 7)] + points:
+            one.record(t, v)
+        bulk.record(0.0, 7)
+        bulk.extend([t for t, _ in points], [v for _, v in points])
+        # Same items of the same types: 1 and 1.0 (or 0.0 and -0.0)
+        # compare equal but are written differently.
+        assert [(type(t), repr(t)) for t in bulk.t_s] == [
+            (type(t), repr(t)) for t in one.t_s
+        ]
+        assert [(type(v), repr(v)) for v in bulk.values] == [
+            (type(v), repr(v)) for v in one.values
+        ]
+
+    def test_extend_rejects_unequal_columns(self):
+        with pytest.raises(SimulationError):
+            MetricsRegistry().gauge("g").extend([0.0, 1.0], [1.0])
 
 
 class TestHistogram:
@@ -127,3 +163,43 @@ class TestExports:
 
     def test_len_counts_all_families(self, populated):
         assert len(populated) == 4
+
+    @given(
+        st.permutations(HOSTILE),
+        st.lists(
+            st.tuples(
+                NAMES, NAMES,
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(TIMES) | st.floats(0, 1e3),
+                        st.sampled_from(HOSTILE) | st.floats() | st.integers(),
+                    ),
+                    max_size=12,
+                ),
+            ),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_to_json_is_the_encoders_text_on_hostile_values(
+        self, hostile, gauges
+    ):
+        reg = MetricsRegistry()
+        every = reg.gauge("every%", shard="\u00e9\"%")
+        for t, v in enumerate(hostile):  # int times, every hostile value
+            every.record(t, v)
+        for t, v in zip(TIMES, hostile):  # -0.0 overwrites 0.0's sample
+            every.record(t, v)
+        floats = reg.gauge("floats")  # float times and values only
+        for t, v in enumerate(h for h in hostile if type(h) is float):
+            floats.record(float(t), v)
+        for i, v in enumerate(hostile):
+            reg.counter("c", k=str(i)).value = v
+            reg.histogram("h%", bounds=(0.0, 1.0), k=str(i)).observe(v)
+        for name, label, points in gauges:
+            gauge = reg.gauge(name, **{label or "x": label})
+            for t, v in points:
+                gauge.record(t, v)
+        assert reg.to_json() == json.dumps(
+            reg.to_dict(), sort_keys=True, separators=(",", ":")
+        )

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles.obs_reference import document_text, reference_trace
 from repro.errors import SimulationError
 from repro.obs import (
     CAT_FAULT,
     CAT_REQUEST,
+    CAT_STEP,
     FleetObserver,
     FleetTrace,
     Instant,
@@ -234,6 +238,41 @@ def _trace_of(n_events: int) -> FleetTrace:
     return FleetTrace.build(spans, n_shards=1)
 
 
+#: Attribute values that compare or hash alike across types
+#: (``True == 1 == 1.0``, ``0.0 == -0.0``), non-finite floats, and floats
+#: whose shortest text is easy to get wrong.
+HOSTILE = (
+    True, 1, 1.0, 0.0, -0.0, float("nan"), float("inf"), -float("inf"),
+    5e-324, 1e16, 1e22,
+)
+#: Event times: int and float, finite (a trace time is never NaN).
+TIMES = st.sampled_from((0, 1, 3, 0.0, -0.0, 1.0, 0.25, 5e-324, 1e16)) | st.floats(
+    0, 1e4
+)
+#: Strings with template, quote, escape and non-ASCII characters.
+TEXTS = st.text(alphabet='ab%"\\\u00e9\u20ac\U0001F600', max_size=5)
+#: Attribute names; some sort after ``request_id``. Not a ``make`` argument.
+KEYS = (TEXTS | st.sampled_from(("k", "shard_note", "zz"))).filter(
+    lambda k: k not in {"name", "cat", "t0_s", "t1_s", "t_s", "shard_id", "request_id"}
+)
+EVENTS = st.lists(
+    st.tuples(
+        st.booleans(),  # span or instant
+        st.sampled_from((CAT_REQUEST, CAT_STEP, CAT_FAULT, 'o%"\u00e9')),
+        TEXTS.filter(bool) | st.sampled_from(("ROUTE", "QUEUE")),
+        TIMES,
+        st.sampled_from((0, 1, 0.5, 1e-7, 3.0)),
+        st.none() | st.integers(0, 3),
+        st.none() | st.integers(0, 99),
+        st.dictionaries(
+            KEYS, st.sampled_from(HOSTILE) | TEXTS | st.none() | st.integers(),
+            max_size=3,
+        ),
+    ),
+    max_size=12,
+)
+
+
 class TestWritePerfetto:
     """The streamed file is the one-shot compact dump, byte for byte."""
 
@@ -264,3 +303,35 @@ class TestWritePerfetto:
         assert (tmp_path / "bundle.json").read_text() == (
             tmp_path / "trace.json"
         ).read_text()
+
+    @given(st.permutations(HOSTILE), EVENTS)
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_hostile_values_write_the_encoders_text(self, tmp_path, hostile, drawn):
+        # Every draw holds every hostile value, as attributes of one
+        # request's span and instant on shard 0 and at times of its own.
+        attrs = {f"v{i}": v for i, v in enumerate(hostile)}
+        spans = [Span.make("QUEUE", CAT_REQUEST, 0, 1.0, shard_id=0, request_id=7,
+                           **attrs)]
+        instants = [
+            Instant.make("ROUTE", CAT_REQUEST, 0.0, shard_id=0, request_id=7,
+                         **attrs),
+            Instant.make("MARK", CAT_REQUEST, -0.0, shard_id=0, note='"%\u00e9'),
+        ]
+        finite = [h for h in hostile if type(h) is float and math.isfinite(h)]
+        for i, t in enumerate(finite):
+            spans.append(Span.make("T", CAT_STEP, t, t + i, shard_id=1, k=t))
+        for span, cat, name, t0, dur, shard, rid, extra in drawn:
+            if span:
+                spans.append(Span.make(name, cat, t0, t0 + dur, shard, rid, **extra))
+            else:
+                instants.append(Instant.make(name, cat, t0, shard, rid, **extra))
+        trace = FleetTrace.build(spans, instants, n_shards=4)
+        self._assert_streams_compact_dump(trace, tmp_path / "trace.json")
+        # The same bytes as the dict-per-event oracle, whose values never
+        # pass through the writers.
+        assert (tmp_path / "trace.json").read_text() == document_text(
+            trace, fixed=True
+        )
