@@ -320,9 +320,11 @@ OVERLOAD_MAX_RATIO = 5.0
 #: superlinear by design.)
 OVERLOAD_MAX_PL_OVER_RR = 3.0
 #: Heap bytes per request a finished 20k-request report may keep alive.
-#: Gap arrays and columnar event and step logs read ~692 (~630 before
-#: the step log, 28 B a step at about two steps a request); per-token
-#: tuples of boxed floats and one object per event read ~1,260.
+#: Exact-size gap arrays sliced from each shard's token clock and
+#: columnar event and step logs read ~663 (~692 while each decode slot
+#: grew its own gap array, with growth slack; ~630 before the step log,
+#: 28 B a step at about two steps a request); per-token tuples of boxed
+#: floats and one object per event read ~1,260.
 OVERLOAD_MAX_RETAINED_B = 800
 
 

@@ -65,7 +65,10 @@ COALESCE_CTX_BUCKET = 64
 #: 7.5x while the walk also built one event per token; without them the
 #: walk is 3.5-5.7x faster, and 3.2x keeps the floor this puts on the
 #: coalesced path's absolute iterations/s above where 7.5x put it (see
-#: docs/performance.md).
+#: docs/performance.md). Since the decode slots share a token clock the
+#: walk also rebuilds every slot's gaps token by token to check each
+#: record against, so it is slower and the quick ratio reads ~9-12x
+#: (~6-7x before) at level coalesced iterations/s; the floor is kept.
 COALESCE_MIN_SPEEDUP = 3.2
 
 

@@ -7,6 +7,8 @@ on the precise subclass.
 
 from __future__ import annotations
 
+from numbers import Real
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
@@ -61,3 +63,20 @@ class SchedulerClosedError(ConfigError):
     one scenario; re-running would silently continue a stale timeline.
     Subclasses :class:`ConfigError` for backward compatibility.
     """
+
+
+def check_count(name: str, value, lo: int = 1) -> int:
+    """``value`` as an ``int``, if it is an integral number ``>= lo``.
+
+    The count rule for public inputs: bools, non-numbers and non-finite
+    or fractional values are refused, and integral floats (``1.5e9``)
+    are accepted. Raises :class:`ConfigError` starting
+    ``"<name> must be >= <lo>"``.
+    """
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, Real) or value % 1:
+            raise ConfigError(f"{name} must be >= {lo} and integral, got {value!r}")
+        value = int(value)
+    if value < lo:
+        raise ConfigError(f"{name} must be >= {lo}, got {value}")
+    return value

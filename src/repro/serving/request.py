@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import floor, inf, log
 from typing import List, Optional, Tuple
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_count
 
 __all__ = [
     "Request",
@@ -54,10 +54,10 @@ class Request:
             raise ConfigError(
                 f"arrival_s must be non-negative and finite, got {self.arrival_s}"
             )
-        if self.prompt_tokens < 1:
-            raise ConfigError(f"prompt_tokens must be >= 1, got {self.prompt_tokens}")
-        if self.output_tokens < 1:
-            raise ConfigError(f"output_tokens must be >= 1, got {self.output_tokens}")
+        for name in ("prompt_tokens", "output_tokens"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                object.__setattr__(self, name, check_count(name, value))
         if self.deadline_s is not None and not self.deadline_s > 0:
             raise ConfigError(f"deadline_s must be positive, got {self.deadline_s}")
 
@@ -86,11 +86,16 @@ class LengthDistribution:
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "uniform", "geometric"):
             raise ConfigError(f"unknown length distribution kind {self.kind!r}")
-        if self.lo < 1:
-            raise ConfigError(f"lo must be >= 1, got {self.lo}")
+        # Token-count bounds follow the count rule; a geometric lo is a
+        # mean, so it need only be finite.
+        if self.kind != "geometric":
+            object.__setattr__(self, "lo", check_count("lo", self.lo))
+        elif not 1 <= self.lo < inf:
+            raise ConfigError(f"lo must be >= 1 and finite, got {self.lo}")
         if self.kind != "fixed":
             if self.hi is None:
                 raise ConfigError(f"{self.kind!r} distribution needs an upper bound")
+            object.__setattr__(self, "hi", check_count("hi", self.hi))
             if self.hi < self.lo:
                 raise ConfigError(f"hi={self.hi} below lo={self.lo}")
 

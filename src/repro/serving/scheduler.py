@@ -16,18 +16,21 @@ few floats, so simulator overhead no longer dominates long streams.
 **The hot loop is event-compressed.** A decode batch is *stable* until
 a member completes, the next submitted arrival is due, or the
 ``advance_until`` horizon is reached. :meth:`advance_until` advances
-such runs of ``k`` iterations with O(batch) bookkeeping plus O(k)
-scalar clock arithmetic instead of ``k`` full Python iterations — and
-is **bit-identical** to the per-token walk (same records, same events,
-same clock: the clock series is reproduced by the very float additions
-the walk would issue). A run may cross context buckets (``ctx_bucket``
-consecutive contexts share one surface point); it looks up each
-bucket's point when its clock reaches that bucket. There is one step
-loop and one decode step: :meth:`advance_one` is :meth:`advance_until`
-bounded just past the next event. The per-token walk, which swaps a
-one-iteration decode step in for the coalesced run, is a test oracle
-(``tests/oracles/token_walk.py``), beside the simulator's
-layer-by-layer walk (``tests/oracles/layer_walk.py``).
+such runs of ``k`` iterations with O(k) scalar clock arithmetic and no
+per-slot work: the slots share a *token clock* (each decode iteration's
+end instant and gap, two ``array('d')`` columns a run extends once),
+and a slot is fixed at prefill as the indices of its first and last
+token on it. The result is **bit-identical** to the per-token walk
+(same records, same events, same clock: the clock series is reproduced
+by the very float additions the walk would issue). A run may cross
+context buckets (``ctx_bucket`` consecutive contexts share one surface
+point); it looks up each bucket's point when its clock reaches that
+bucket. There is one step loop and one decode step: :meth:`advance_one`
+is :meth:`advance_until` bounded just past the next event. The
+per-token walk, which swaps a one-iteration decode step in for the
+coalesced run, is a test oracle (``tests/oracles/token_walk.py``),
+beside the simulator's layer-by-layer walk
+(``tests/oracles/layer_walk.py``).
 
 Admission is slot- and KV-memory constrained and strictly FCFS: a
 request is admitted only while fewer than ``max_batch`` requests hold a
@@ -70,8 +73,8 @@ properties named like the :class:`SchedulerSnapshot` fields. The
 queue-side figures (the prompt histogram and its prefill sum, waiting
 and reserved KV) are aggregates kept at submit / admit / prefill /
 complete / withdraw time, O(1) in queue depth; the decode-side figures
-(tokens left to decode, deepest context) are computed from the at most
-``max_batch`` decode slots when read. The fleet's policies read a live
+(tokens left to decode, deepest context) are a sum or max over the
+slots' fixed indices when read. The fleet's policies read a live
 shard directly, and :meth:`snapshot` is the frozen copy of the same
 properties.
 """
@@ -96,6 +99,7 @@ from ..errors import (
     ConfigError,
     SchedulerClosedError,
     UnknownRequestError,
+    check_count,
 )
 from ..hardware.memory import kv_cache_budget_bytes
 from .request import Request, RequestSource
@@ -256,8 +260,9 @@ class RequestRecord:
     first_token_s: float
     finish_s: float
     #: Wall-clock gap before each subsequent token (stalls included), so
-    #: ``ttft_s + sum(tbt_s)`` equals ``e2e_s`` up to rounding. The exact
-    #: ``array('d')`` the request's decode slot filled: 8 bytes a gap.
+    #: ``ttft_s + sum(tbt_s)`` equals ``e2e_s`` up to rounding. An
+    #: ``array('d')`` sliced from the shard's token clock when the
+    #: request completes: 8 bytes a gap.
     tbt_s: array
 
     __hash__ = None
@@ -418,12 +423,8 @@ _SNAPSHOT_FIELDS = tuple(f.name for f in fields(SchedulerSnapshot))
 
 @dataclass
 class _Active:
-    """Book-keeping for one admitted-but-unprefilled request.
-
-    Once its prefill runs, the request's live state moves into the
-    scheduler's struct-of-arrays decode slots (``_d_*`` parallel lists)
-    — the hot loop reads plain int/float arrays, never objects.
-    """
+    """Book-keeping for one admitted-but-unprefilled request; once its
+    prefill runs it becomes a decode slot (``_d_*``), fixed from then on."""
 
     request: Request
     admit_s: float
@@ -476,10 +477,8 @@ class ContinuousBatchingScheduler(_ShardLoad):
         on_complete: Optional[Callable[[Request, float], Optional[Request]]] = None,
         shard_id: int = 0,
     ) -> None:
-        if max_batch < 1:
-            raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
-        if ctx_bucket < 1:
-            raise ConfigError(f"ctx_bucket must be >= 1, got {ctx_bucket}")
+        max_batch = check_count("max_batch", max_batch)
+        ctx_bucket = check_count("ctx_bucket", ctx_bucket)
         self.engine = engine
         self.source = source
         if kv_budget_bytes is None:
@@ -492,9 +491,9 @@ class ContinuousBatchingScheduler(_ShardLoad):
                 engine.config, engine.model, packed_weight_bits=packed_bits
             )
         self.kv_budget_bytes = kv_budget_bytes
-        if self.kv_budget_bytes <= 0:
+        if not 0 < kv_budget_bytes < math.inf:
             raise ConfigError(
-                f"kv_budget_bytes must be positive, got {self.kv_budget_bytes}"
+                f"kv_budget_bytes must be positive and finite, got {kv_budget_bytes}"
             )
         self.max_batch = max_batch
         self.ctx_bucket = ctx_bucket
@@ -532,19 +531,20 @@ class ContinuousBatchingScheduler(_ShardLoad):
         self._future: List[Tuple[float, int, Request]] = []
         self._pending: Deque[Request] = deque()  # arrived, awaiting KV admission
         self._prefill_queue: Deque[_Active] = deque()  # admitted, awaiting prefill
-        # ---- struct-of-arrays decode state ----
+        # ---- decode state ----
+        # The token clock: each decode iteration's end instant and gap
+        # from the one before; entry i is iteration ``_tok_off + i``.
+        self._tok_s = array("d")
+        self._tok_gap = array("d")
+        self._tok_off = 0
         # One slot per in-flight generation, parallel by index, FCFS by
-        # admission (the order the old `_decoding` object list kept).
-        # The hot loop's reductions — deepest context, tokens to the
-        # next completion — are C-level min/max over plain int lists.
-        self._d_req: List[Request] = []  # the request in each slot
-        self._d_admit: List[float] = []  # admit instant
-        self._d_kv: List[int] = []  # ADMIT-time KV reservation (bytes)
-        self._d_ctx: List[int] = []  # tokens resident in KV
-        self._d_left: List[int] = []  # output tokens still owed
-        self._d_first: List[float] = []  # first-token instant
-        self._d_last: List[float] = []  # previous-token instant
-        self._d_tbt: List[array] = []  # gaps so far; becomes the record's tbt_s
+        # admission, fixed at prefill: (request, admit instant, ADMIT-time
+        # KV bytes, first-token instant, iteration of its first decode).
+        # At ``at`` iterations a slot owes ``end - at`` tokens at context
+        # ``base + at``: the hot loop's reductions are C-level min/max.
+        self._d_slot: List[Tuple[Request, float, int, float, int]] = []
+        self._d_end: List[int] = []  # iteration count at its last token
+        self._d_base: List[int] = []  # prompt_tokens - start
         self._kv_reserved = 0
         self._peak_kv = 0
         self._max_queue_depth = 0
@@ -592,17 +592,20 @@ class ContinuousBatchingScheduler(_ShardLoad):
     @property
     def n_decoding(self) -> int:
         """Requests in the decode phase (never more than ``max_batch``)."""
-        return len(self._d_req)
+        return len(self._d_end)
 
     @property
     def remaining_decode_tokens(self) -> int:
         """Tokens left to decode, summed over the decode slots."""
-        return sum(self._d_left)
+        at = self._tok_off + len(self._tok_s)
+        return sum(self._d_end) - at * len(self._d_end)
 
     @property
     def decode_context(self) -> int:
         """Deepest in-flight context (0 if none)."""
-        return max(self._d_ctx, default=0)
+        if not self._d_base:
+            return 0
+        return max(self._d_base) + self._tok_off + len(self._tok_s)
 
     @property
     def queued_prefill_s(self) -> float:
@@ -707,7 +710,7 @@ class ContinuousBatchingScheduler(_ShardLoad):
         shard therefore executes fleet iterations in exactly the order
         the per-iteration walk does.
         """
-        if self._prefill_queue or self._d_req or self._pending:
+        if self._prefill_queue or self._d_end or self._pending:
             return self._clock
         if self._future:
             return max(self._clock, self._future[0][0])
@@ -811,25 +814,27 @@ class ContinuousBatchingScheduler(_ShardLoad):
             self.withdraw(req.request_id) for req in self.steal_candidates()
         ]
         inflight: List[Tuple[Request, int]] = []
-        for i, req in enumerate(self._d_req):
-            self._kv_reserved -= self._d_kv[i]
+        at = self._tok_off + len(self._tok_s)
+        for req, _, kv, _, start in self._d_slot:
+            self._kv_reserved -= kv
             self._known_ids.discard(req.request_id)
             self._log(_WITHDRAW, req.request_id)
-            inflight.append((req, req.output_tokens - self._d_left[i]))
-        self._permute_decode(())
+            inflight.append((req, 1 + at - start))
+        del self._d_slot[:], self._d_end[:], self._d_base[:]
+        self._trim_clock()
         return waiting, inflight
 
-    def _permute_decode(self, order: Tuple[int, ...]) -> None:
-        """Keep only the decode slots in ``order`` (finished or evicted
-        slots are dropped; survivors keep their FCFS order)."""
-        self._d_req = [self._d_req[i] for i in order]
-        self._d_admit = [self._d_admit[i] for i in order]
-        self._d_kv = [self._d_kv[i] for i in order]
-        self._d_ctx = [self._d_ctx[i] for i in order]
-        self._d_left = [self._d_left[i] for i in order]
-        self._d_first = [self._d_first[i] for i in order]
-        self._d_last = [self._d_last[i] for i in order]
-        self._d_tbt = [self._d_tbt[i] for i in order]
+    def _trim_clock(self) -> None:
+        """Empty the token clock with the decode set, or drop the prefix
+        before the oldest slot's start once it passes half the clock."""
+        if not self._d_slot:
+            del self._tok_s[:], self._tok_gap[:]
+            self._tok_off = 0
+            return
+        dead = self._d_slot[0][-1] - self._tok_off
+        if 2 * dead > len(self._tok_s):
+            del self._tok_s[:dead], self._tok_gap[:dead]
+            self._tok_off += dead
 
     # ----------------------------------------------------------- internals
     def _unshare_logs(self) -> None:
@@ -860,7 +865,7 @@ class ContinuousBatchingScheduler(_ShardLoad):
         # or does not fit in KV.
         while (
             self._pending
-            and len(self._prefill_queue) + len(self._d_req) < self.max_batch
+            and len(self._prefill_queue) + len(self._d_end) < self.max_batch
         ):
             need = self.kv_bytes(self._pending[0].total_tokens)
             if self._kv_reserved + need > self.kv_budget_bytes:
@@ -884,8 +889,8 @@ class ContinuousBatchingScheduler(_ShardLoad):
     ) -> None:
         self._kv_reserved -= kv_reserved_bytes
         self._log(_COMPLETE, request.request_id)
-        # The record takes the slot's gap array as it is: the slot is
-        # gone, so nothing writes to it again.
+        # The record takes the gap array as it is: a fresh, exact-size
+        # slice of the token clock that nothing else holds.
         self._records[request.request_id] = RequestRecord(
             request=request,
             admit_s=admit_s,
@@ -932,27 +937,29 @@ class ContinuousBatchingScheduler(_ShardLoad):
                 array("d"),
             )
         else:
-            self._d_req.append(req)
-            self._d_admit.append(active.admit_s)
-            self._d_kv.append(active.kv_reserved_bytes)
-            self._d_ctx.append(req.prompt_tokens)
-            self._d_left.append(req.output_tokens - 1)
-            self._d_first.append(self._clock)
-            self._d_last.append(self._clock)
-            self._d_tbt.append(array("d"))
+            start = self._tok_off + len(self._tok_s)
+            self._d_slot.append(
+                (req, active.admit_s, active.kv_reserved_bytes, self._clock, start)
+            )
+            self._d_end.append(start + req.output_tokens - 1)
+            self._d_base.append(req.prompt_tokens - start)
         self._log_step(t0, 0, 1)
 
     def _retire_finished(self) -> None:
-        """Complete every slot that owes no more tokens, in slot order."""
-        d_left = self._d_left
-        n = len(d_left)
-        finished = [
-            (self._d_req[i], self._d_admit[i], self._d_kv[i],
-             self._d_first[i], self._d_tbt[i])
-            for i in range(n) if d_left[i] <= 0
-        ]
-        self._permute_decode(tuple(i for i in range(n) if d_left[i] > 0))
-        for args in finished:
+        """Complete every slot whose last token is the clock's latest, in
+        slot order. Its gaps are the clock's from its start on, the first
+        taken from its own first token."""
+        instants, off = self._tok_s, self._tok_off
+        at = off + len(instants)
+        finished = []
+        for i in reversed([i for i, end in enumerate(self._d_end) if end == at]):
+            req, admit_s, kv, first_s, start = self._d_slot.pop(i)
+            del self._d_end[i], self._d_base[i]
+            tbt = self._tok_gap[start - off :]
+            tbt[0] = instants[start - off] - first_s
+            finished.append((req, admit_s, kv, first_s, tbt))
+        self._trim_clock()
+        for args in reversed(finished):
             self._complete(*args)
 
     def _decode_run(self, t_s: float) -> None:
@@ -964,19 +971,20 @@ class ContinuousBatchingScheduler(_ShardLoad):
         return or ingest it). Admission needs a completion or an
         arrival, so the batch, the KV reservation and the queue depth
         are constant within a run, and the per-iteration work collapses
-        to O(batch) bookkeeping. A run may span many ``ctx_bucket``
-        contexts: each bucket's surface point is looked up only when the
-        clock reaches it, so a cold surface simulates the walk's points
-        in the walk's order. The clock and energy series are still
-        produced by the same sequential float additions the per-token
-        walk performs, so every timestamp, TBT gap and accumulator
-        matches bit for bit.
+        to extending the token clock: the run reads the slots only
+        through the min and max of two fixed columns, and writes none.
+        A run may span many ``ctx_bucket`` contexts: each bucket's
+        surface point is looked up only when the clock reaches it, so a
+        cold surface simulates the walk's points in the walk's order.
+        The clock and energy series are still produced by the same
+        sequential float additions the per-token walk performs, so
+        every timestamp, TBT gap and accumulator matches bit for bit.
         """
-        n = len(self._d_req)
-        d_ctx = self._d_ctx
-        d_left = self._d_left
-        to_complete = min(d_left)
-        top = max(d_ctx)
+        instants = self._tok_s
+        at = self._tok_off + len(instants)
+        n = len(self._d_end)
+        to_complete = min(self._d_end) - at
+        top = max(self._d_base) + at
         stop = min(t_s, self._future[0][0]) if self._future else t_s
         lookup = self.engine.surface.decode_run_many
         ctx_bucket = self.ctx_bucket
@@ -1011,26 +1019,16 @@ class ContinuousBatchingScheduler(_ShardLoad):
                 k = end
             if k == to_complete or full[k] >= stop:
                 break
-        c = full[k]
         t0 = self._clock
-        self._clock = c
+        self._clock = full[k]
         self._energy_uj = energy
-        # Inter-token gaps: the first gap of the run is member-specific
-        # (it includes any stall since that member's previous token);
-        # gaps 2..k are the shared consecutive-clock deltas, built once
-        # and copied into each member's array.
-        shared = array("d", map(_float_sub, full[2:], full[1:]))
-        c0 = full[1]
-        d_last = self._d_last
-        d_tbt = self._d_tbt
-        for i in range(n):
-            gaps = d_tbt[i]
-            gaps.append(c0 - d_last[i])
-            if shared:
-                gaps.extend(shared)
-            d_last[i] = c
-        self._d_ctx = [x + k for x in d_ctx]
-        self._d_left = [x - k for x in d_left]
+        # The run's instants extend the clock with their gaps; the first
+        # is from the clock's last instant, stalls since included.
+        if instants:
+            full[0] = instants[-1]
+        tail = full[1:]
+        self._tok_gap.fromlist(list(map(_float_sub, tail, full)))
+        instants.fromlist(tail)
         if k == to_complete:
             # Completions only happen on the run's final iteration (the
             # run ends at tokens-to-next-completion), so one retirement
@@ -1043,7 +1041,7 @@ class ContinuousBatchingScheduler(_ShardLoad):
     def idle(self) -> bool:
         """True when nothing is queued, admitted or in flight."""
         return not (
-            self._future or self._pending or self._prefill_queue or self._d_req
+            self._future or self._pending or self._prefill_queue or self._d_end
         )
 
     def advance_one(self) -> bool:
@@ -1115,7 +1113,7 @@ class ContinuousBatchingScheduler(_ShardLoad):
 
             if self._prefill_queue:
                 self._prefill_step()
-            elif self._d_req:
+            elif self._d_end:
                 self._decode_run(t_s)
             elif self._pending:
                 # Head blocked on KV with nothing in flight can only mean

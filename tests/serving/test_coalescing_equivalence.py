@@ -17,6 +17,10 @@ is tested against ``tests/oracles/layer_walk.py``:
    incrementally equal a brute-force walk of the queues
    (``tests/oracles/shard_state.py``) at every iteration boundary, and
    the scheduler's kept queued-prefill sum equals a fresh one.
+3. **The token clock holds under overload**: at four times capacity the
+   decode set stays full and the shard's token clock never empties, so
+   only its dead prefix is ever dropped; the results stay the walk's,
+   the clock stays bounded, and it is empty whenever the decode set is.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from repro import ExecutionPlan, MeadowEngine
 from repro.serving import (
     ClosedLoopSource,
     ContinuousBatchingScheduler,
+    Request,
+    RequestStream,
     bursty_stream,
     poisson_stream,
 )
@@ -216,6 +222,83 @@ class TestCoalescedEqualsReference:
         _assert_same_lookups(chunked_engine.surface, ref_engine.surface)
 
 
+def _assert_clock_empty_with_decode_set(scheduler):
+    """No token-clock entry outlives the decode set."""
+    assert scheduler._d_slot or not scheduler._tok_s
+
+
+class TestTokenClockUnderOverload:
+    @pytest.mark.parametrize("ctx_bucket", [1, 16])
+    def test_bit_identical_at_four_times_capacity(
+        self, serving_engine, prompt_dist, output_dist, capacity_rps, ctx_bucket
+    ):
+        # 240 requests at 4x the 16-slot capacity: once decoding starts
+        # the slots stay full until the stream drains, so the clock is
+        # emptied once, at the end, and lives on dead-prefix drops.
+        rate = 4.0 * capacity_rps(serving_engine, 16)
+        stream = poisson_stream(240, rate, prompt_dist, output_dist, seed=ctx_bucket)
+        lengths, resets = [], []
+
+        def check(s):
+            _assert_clock_empty_with_decode_set(s)
+            if lengths and lengths[-1] and not s._tok_s:
+                resets.append(s.clock_s)
+            lengths.append(len(s._tok_s))
+
+        knobs = dict(max_batch=16, ctx_bucket=ctx_bucket)
+        ref_engine, fast_engine = _fresh(serving_engine), _fresh(serving_engine)
+        budget = _budget(serving_engine, 16.0)
+        ref = walk_tokens(
+            ContinuousBatchingScheduler(
+                ref_engine, stream, kv_budget_bytes=budget, **knobs
+            ),
+            on_step=check,
+        )
+        fast = ContinuousBatchingScheduler(
+            fast_engine, stream, kv_budget_bytes=budget, **knobs
+        ).run()
+        _assert_identical(fast, ref)
+        _assert_same_lookups(fast_engine.surface, ref_engine.surface)
+        assert ref.max_queue_depth > 16
+        assert resets == [max(rec.finish_s for rec in ref.records)]
+        # Iterations a live slot can still read, plus one run's worth
+        # before the next retirement trims it.
+        assert max(lengths) <= 3 * output_dist.hi
+
+    @pytest.mark.parametrize("ctx_bucket", [1, 16])
+    def test_dead_prefix_drop_keeps_gaps(self, serving_engine, ctx_bucket):
+        # A 60-token generation beside a chain of 6-token ones on two
+        # slots: when it retires, everything before the other slot's
+        # start is more than half the clock and is dropped, and the
+        # chain goes on decoding at offset indices.
+        stream = RequestStream("chain", tuple(
+            [Request(0, 0.0, 8, 60)]
+            + [Request(i, 0.0, 8 + i, 6) for i in range(1, 40)]
+        ))
+        knobs = dict(kv_budget_bytes=_budget(serving_engine), max_batch=2,
+                     ctx_bucket=ctx_bucket)
+        walk_offsets = []
+
+        def check(s):
+            _assert_clock_empty_with_decode_set(s)
+            walk_offsets.append(s._tok_off)
+
+        ref = walk_tokens(
+            ContinuousBatchingScheduler(serving_engine, stream, **knobs),
+            on_step=check,
+        )
+        fast = ContinuousBatchingScheduler(serving_engine, stream, **knobs)
+        trim, fast_offsets = fast._trim_clock, []
+
+        def recording_trim():
+            trim()
+            fast_offsets.append(fast._tok_off)
+
+        fast._trim_clock = recording_trim
+        _assert_identical(fast.run(), ref)
+        assert max(walk_offsets) > 0 and max(fast_offsets) > 0
+
+
 def _assert_queued_sum_fresh(scheduler):
     """The kept queued-prefill sum equals one summed afresh, bit for bit."""
     fresh = queued_prefill_reference(
@@ -246,6 +329,7 @@ class TestSnapshotAggregates:
             for field_name, value in expected.items():
                 assert getattr(snap, field_name) == value, field_name
             _assert_queued_sum_fresh(scheduler)
+            _assert_clock_empty_with_decode_set(scheduler)
             checked += 1
             if not scheduler.advance_one():
                 break
@@ -288,6 +372,7 @@ class TestSnapshotAggregates:
             for field_name, value in recount_shard_state(s).items():
                 assert getattr(snap, field_name) == value, field_name
             _assert_queued_sum_fresh(s)
+            _assert_clock_empty_with_decode_set(s)
 
         reqs = stream.initial()
         for i, req in enumerate(reqs):

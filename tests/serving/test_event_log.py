@@ -1,13 +1,13 @@
 """The columnar event log and the gap arrays of a scheduler's results.
 
 A scheduler keeps its state-change events as the columns of an
-:class:`~repro.serving.EventLog` and each record's TBT gaps as the
-``array('d')`` its decode slot filled. These tests pin what readers of
-a :class:`~repro.serving.ServingResult` rely on: the log reads back the
-exact events the scheduler reported (checked against a probe on the
-scheduler's ``_log`` that saw each one as it was logged), ``==`` sees
-every column, and a result is a snapshot that later simulation never
-changes.
+:class:`~repro.serving.EventLog` and each record's TBT gaps as an
+``array('d')`` sliced from its shard's token clock. These tests pin
+what readers of a :class:`~repro.serving.ServingResult` rely on: the
+log reads back the exact events the scheduler reported (checked against
+a probe on the scheduler's ``_log`` that saw each one as it was
+logged), ``==`` sees every column, and a result is a snapshot that
+later simulation never changes.
 """
 
 from __future__ import annotations

@@ -221,8 +221,9 @@ class TestSlotBoundUnderOverload:
             )
 
         def check(walk):
-            assert len(walk._prefill_queue) + len(walk._d_req) <= max_batch
+            assert len(walk._prefill_queue) + len(walk._d_slot) <= max_batch
             assert walk._kv_reserved <= walk.kv_budget_bytes
+            assert walk._d_slot or not walk._tok_s  # the clock ends with them
             snap = walk.snapshot()
             assert snap.n_decoding <= snap.max_batch
 
