@@ -25,7 +25,7 @@ from ..models import (
     prefill_workload,
     vit_workload,
 )
-from ..packing import PackingPlanner, WeightTransferStats
+from ..packing import PackingPlanner
 from ..sim.breakdown import StageReport
 from ..sim.layer_sim import WorkloadSimulator
 from ..sim.metrics import GenerationLatency, end_to_end
@@ -149,17 +149,7 @@ class MeadowEngine:
             return self._packing_summary
         if self._sim.planner is None or self.plan.packing is None:
             raise ConfigError(f"plan {self.plan.name!r} does not pack weights")
-        raw = 0
-        packed = 0
-        from ..models import WEIGHT_OP_KINDS  # local to avoid cycle at import
-
-        for layer in range(self.model.n_layers):
-            for kind in WEIGHT_OP_KINDS:
-                stats: WeightTransferStats = self._sim.planner.stats_for(
-                    self.model, kind, layer
-                )
-                raw += stats.raw_bits
-                packed += stats.effective_bits
+        raw, packed = self._sim.planner.model_bits(self.model)
         self._packing_summary = PackingSummary(raw_bits=raw, packed_bits=packed)
         return self._packing_summary
 

@@ -26,7 +26,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_count, check_real
 from ..packing import PackingConfig, PackingLevel
 
 __all__ = ["DataflowMode", "SparsityConfig", "ExecutionPlan"]
@@ -61,8 +61,8 @@ class SparsityConfig:
     def __post_init__(self) -> None:
         if not (0 < self.n <= self.m):
             raise ConfigError(f"need 0 < n <= m, got {self.n}:{self.m}")
-        if self.index_bits < 0:
-            raise ConfigError(f"index_bits must be non-negative, got {self.index_bits}")
+        bits = check_count("index_bits", self.index_bits, 0)
+        object.__setattr__(self, "index_bits", bits)
 
     @property
     def density(self) -> float:
@@ -90,10 +90,7 @@ class ExecutionPlan:
     decode_onchip_intermediates: bool = False
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.token_keep_ratio <= 1.0):
-            raise ConfigError(
-                f"token_keep_ratio must be in (0, 1], got {self.token_keep_ratio}"
-            )
+        check_real("token_keep_ratio", self.token_keep_ratio, 0, 1, "(]")
         if self.packing is not None and self.sparsity is not None:
             raise ConfigError("packing and N:M sparsity are mutually exclusive here")
         if self.token_keep_ratio < 1.0 and self.attention_dataflow is not DataflowMode.GEMM:

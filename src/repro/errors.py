@@ -7,6 +7,7 @@ on the precise subclass.
 
 from __future__ import annotations
 
+from math import inf, isfinite
 from numbers import Real
 
 
@@ -65,18 +66,48 @@ class SchedulerClosedError(ConfigError):
     """
 
 
-def check_count(name: str, value, lo: int = 1) -> int:
+def check_count(name: str, value, lo: int | None = 1) -> int:
     """``value`` as an ``int``, if it is an integral number ``>= lo``.
 
     The count rule for public inputs: bools, non-numbers and non-finite
     or fractional values are refused, and integral floats (``1.5e9``)
-    are accepted. Raises :class:`ConfigError` starting
-    ``"<name> must be >= <lo>"``.
+    are accepted. ``lo=None`` sets no bound (seeds). Raises
+    :class:`ConfigError` starting ``"<name> must be >= <lo>"``, or
+    ``"<name> must be an integer"`` without a bound.
     """
     if type(value) is not int:
-        if isinstance(value, bool) or not isinstance(value, Real) or value % 1:
-            raise ConfigError(f"{name} must be >= {lo} and integral, got {value!r}")
+        if isinstance(value, bool) or not (
+            isinstance(value, Real) and isfinite(value) and value % 1 == 0
+        ):
+            rule = "an integer" if lo is None else f">= {lo} and integral"
+            raise ConfigError(f"{name} must be {rule}, got {value!r}")
         value = int(value)
-    if value < lo:
+    if lo is not None and value < lo:
         raise ConfigError(f"{name} must be >= {lo}, got {value}")
+    return value
+
+
+def check_real(name: str, value, lo: float, hi: float, ends: str = "[]"):
+    """``value`` unchanged, if it is a real number from ``lo`` to ``hi``.
+
+    The real rule for public inputs: bools, non-numbers and NaN are
+    refused. ``ends`` holds the interval's brackets; ``(`` or ``)``
+    opens an end, so an infinite value passes only at a closed infinite
+    end. Raises :class:`ConfigError` starting ``"<name> must be"``.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not (lo < value if ends[0] == "(" else lo <= value)
+        or not (value < hi if ends[1] == ")" else value <= hi)
+    ):
+        if hi != inf:
+            rule = f"in {ends[0]}{lo:g}, {hi:g}{ends[1]}"
+        elif lo == 0:
+            rule = "positive" if ends[0] == "(" else "non-negative"
+        else:
+            rule = f"{'>' if ends[0] == '(' else '>='} {lo:g}"
+        if hi == inf and ends[1] == ")":
+            rule += " and finite"
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
     return value

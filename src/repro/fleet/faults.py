@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from ..core.meadow import MeadowEngine
-from ..errors import ConfigError
+from ..errors import ConfigError, check_count, check_real
 
 __all__ = [
     "FaultKind",
@@ -77,21 +77,11 @@ class ShardFault:
     bandwidth_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.shard_id < 0:
-            raise ConfigError(f"shard_id must be >= 0, got {self.shard_id}")
-        if not 0 <= self.at_s < math.inf:
-            raise ConfigError(f"at_s must be >= 0 and finite, got {self.at_s}")
-        if not 0 < self.duration_s < math.inf:
-            raise ConfigError(
-                f"duration_s must be positive and finite, got {self.duration_s}"
-            )
-        if self.kind is FaultKind.BROWNOUT and not (
-            0.0 < self.bandwidth_factor < 1.0
-        ):
-            raise ConfigError(
-                f"brownout bandwidth_factor must be in (0, 1), got "
-                f"{self.bandwidth_factor}"
-            )
+        object.__setattr__(self, "shard_id", check_count("shard_id", self.shard_id, 0))
+        check_real("at_s", self.at_s, 0, math.inf, "[)")
+        check_real("duration_s", self.duration_s, 0, math.inf, "()")
+        if self.kind is FaultKind.BROWNOUT:
+            check_real("brownout bandwidth_factor", self.bandwidth_factor, 0, 1, "()")
 
 
 @dataclass(frozen=True)
@@ -280,10 +270,9 @@ def make_fault_schedule(
             f"unknown fault scenario {name!r}; available: "
             f"{', '.join(FAULT_SCENARIO_NAMES)}"
         ) from None
-    if n_shards < 1:
-        raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
-    if span_s < 0:
-        raise ConfigError(f"span_s must be >= 0, got {span_s}")
+    n_shards = check_count("n_shards", n_shards)
+    check_real("span_s", span_s, 0, math.inf, "[)")
+    seed = check_count("seed", seed, None)
     # Degenerate spans (a single-burst stream arrives at t=0) still get
     # a meaningful schedule: pretend the stream spans one second.
     return factory(n_shards, span_s if span_s > 0 else 1.0, seed)

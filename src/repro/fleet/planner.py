@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..core.meadow import MeadowEngine
-from ..errors import ConfigError
+from ..errors import ConfigError, check_count, check_real
 from ..serving.request import LengthDistribution, RequestSource, poisson_stream
 from .sweep import SweepDriver
 
@@ -117,8 +117,9 @@ class WorkloadModel:
                 f"prompt/output sample lengths differ: "
                 f"{len(self.prompt_tokens)} vs {len(self.output_tokens)}"
             )
-        if min(self.prompt_tokens) < 1 or min(self.output_tokens) < 1:
-            raise ConfigError("workload samples must be >= 1 token")
+        for name in ("prompt_tokens", "output_tokens"):
+            samples = tuple(check_count(name, t) for t in getattr(self, name))
+            object.__setattr__(self, name, samples)
 
     @classmethod
     def from_dists(
@@ -129,9 +130,8 @@ class WorkloadModel:
         seed: int = 0,
     ) -> "WorkloadModel":
         """Sample the mixture with the stream generators' draw order."""
-        if n_samples < 1:
-            raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-        rng = random.Random(seed)
+        n_samples = check_count("n_samples", n_samples)
+        rng = random.Random(check_count("seed", seed, None))
         prompts: List[int] = []
         outputs: List[int] = []
         for _ in range(n_samples):
@@ -317,8 +317,7 @@ class _ShardModel:
     # ------------------------------------------------------ steady state
     def wait_params(self, rate_rps: float) -> _WaitParams:
         """Solve the shard's queueing state at one arrival rate."""
-        if not 0 < rate_rps < math.inf:
-            raise ConfigError(f"rate_rps must be positive and finite, got {rate_rps}")
+        check_real("rate_rps", rate_rps, 0, math.inf, "()")
         rho_p = rate_rps * self.mean_prefill_s
         decode_share = max(1e-9, 1.0 - rho_p)
 
@@ -530,16 +529,12 @@ class CapacityPlanner:
         ctx_bucket: int = 1,
         surface_store=None,
     ) -> None:
-        if max_batch < 1:
-            raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
-        if ctx_bucket < 1:
-            raise ConfigError(f"ctx_bucket must be >= 1, got {ctx_bucket}")
+        self.max_batch = check_count("max_batch", max_batch)
+        self.ctx_bucket = check_count("ctx_bucket", ctx_bucket)
         self.driver = SweepDriver(
             base_engine, bandwidths_gbps, surface_store=surface_store
         )
         self.workload = workload
-        self.max_batch = max_batch
-        self.ctx_bucket = ctx_bucket
         self._models: Dict[float, _ShardModel] = {}
 
     def shard_model(self, bandwidth_gbps: float) -> _ShardModel:
@@ -593,8 +588,7 @@ class CapacityPlanner:
     # ---------------------------------------------------------- forecasts
     def forecast(self, n_engines: int, rate_rps: float) -> FleetForecast:
         """Steady-state fleet forecast at ``rate_rps`` total arrivals."""
-        if not 0 < rate_rps < math.inf:
-            raise ConfigError(f"rate_rps must be positive and finite, got {rate_rps}")
+        check_real("rate_rps", rate_rps, 0, math.inf, "()")
         profile = self.driver.fleet_profile(n_engines)
         models = [self.shard_model(b) for b in profile]
         rates = self._split_rates(models, rate_rps)
@@ -666,10 +660,8 @@ class CapacityPlanner:
         no-load floor (the p99 prompt's prefill latency on the fastest
         shard).
         """
-        if not target_p99_ttft_s > 0:
-            raise ConfigError(
-                f"target_p99_ttft_s must be positive, got {target_p99_ttft_s}"
-            )
+        check_real("target_p99_ttft_s", target_p99_ttft_s, 0, math.inf, "(]")
+        max_engines = check_count("max_engines", max_engines)
         last = None
         for n in range(1, max_engines + 1):
             forecast = self.forecast(n, rate_rps)

@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ..errors import ConfigError, SimulationError
+from ..errors import ConfigError, SimulationError, check_count, check_real
 from ..serving.request import Request
 from .faults import FaultKind
 from .routing import Shard, model_ttft_s
@@ -95,25 +95,14 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if not 0 <= self.base_backoff_s < math.inf:
-            raise ConfigError(
-                f"base_backoff_s must be >= 0 and finite, got {self.base_backoff_s}"
-            )
-        if not 1.0 <= self.backoff_multiplier < math.inf:
-            raise ConfigError(
-                f"backoff_multiplier must be >= 1 and finite, got "
-                f"{self.backoff_multiplier}"
-            )
-        if not 0 <= self.jitter_s < math.inf:
-            raise ConfigError(f"jitter_s must be >= 0 and finite, got {self.jitter_s}")
-        if self.deadline_s is not None and not self.deadline_s > 0:
-            raise ConfigError(
-                f"deadline_s must be positive, got {self.deadline_s}"
-            )
+        set_field = object.__setattr__
+        set_field(self, "max_retries", check_count("max_retries", self.max_retries, 0))
+        check_real("base_backoff_s", self.base_backoff_s, 0, math.inf, "[)")
+        check_real("backoff_multiplier", self.backoff_multiplier, 1, math.inf, "[)")
+        check_real("jitter_s", self.jitter_s, 0, math.inf, "[)")
+        if self.deadline_s is not None:
+            check_real("deadline_s", self.deadline_s, 0, math.inf, "(]")
+        set_field(self, "seed", check_count("seed", self.seed, None))
 
     def effective_deadline_s(self, request: Request) -> Optional[float]:
         """The deadline governing one request (its own wins)."""
@@ -130,8 +119,7 @@ class RetryPolicy:
         failures in different internal orders still draw identical
         jitter for the same (request, attempt).
         """
-        if attempt < 1:
-            raise ConfigError(f"attempt must be >= 1, got {attempt}")
+        attempt = check_count("attempt", attempt)
         rng = random.Random(self.seed * 1000003 + request_id * 101 + attempt)
         backoff = self.base_backoff_s * self.backoff_multiplier ** (attempt - 1)
         return backoff + rng.uniform(0.0, self.jitter_s)
@@ -217,9 +205,7 @@ class DropOldestShedding(SheddingPolicy):
     name = "drop-oldest"
 
     def __init__(self, max_waiting: int = 8) -> None:
-        if max_waiting < 1:
-            raise ConfigError(f"max_waiting must be >= 1, got {max_waiting}")
-        self.max_waiting = max_waiting
+        self.max_waiting = check_count("max_waiting", max_waiting)
 
     def evict(self, chosen: Shard) -> bool:
         return chosen.n_waiting >= self.max_waiting

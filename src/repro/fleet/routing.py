@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_real
 from ..serving.request import Request
 from ..serving.scheduler import ContinuousBatchingScheduler, SchedulerSnapshot
 
@@ -261,9 +261,7 @@ class CalibratedLatencyPolicy(PredictedLatencyPolicy):
     name = "calibrated-latency"
 
     def __init__(self, alpha: float = 0.25) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
+        self.alpha = check_real("alpha", alpha, 0, 1, "(]")
         self._bias: Dict[int, float] = {}
 
     def reset(self, n_shards: int) -> None:

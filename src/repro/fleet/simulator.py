@@ -64,11 +64,12 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.meadow import MeadowEngine
-from ..errors import ConfigError
+from ..errors import ConfigError, check_count
 from ..obs.tracer import FleetObserver, ObsBundle
 from ..serving.metrics import FleetMetrics
 from ..serving.request import Request, RequestSource
 from ..serving.scheduler import ContinuousBatchingScheduler, ServingResult
+from ..serving.scheduler import check_kv_budget
 from .faults import FaultKind, FaultSchedule, make_fault_schedule, rewarm_s
 from .metrics import summarize_shards
 from .resilience import (
@@ -275,15 +276,16 @@ class FleetReport:
         return "\n".join(lines)
 
 
-def _per_shard(value, n: int, name: str) -> List:
-    """Broadcast a scalar knob to n shards, or validate a sequence."""
+def _per_shard(value, n: int, name: str, check) -> List:
+    """Broadcast a scalar knob to n shards, or validate a sequence;
+    each value is ``check(name, value)``."""
     if isinstance(value, (list, tuple)):
         if len(value) != n:
             raise ConfigError(
                 f"{name} has {len(value)} entries for a {n}-shard fleet"
             )
-        return list(value)
-    return [value] * n
+        return [check(name, v) for v in value]
+    return [check(name, value)] * n
 
 
 class _DrainCalendar:
@@ -411,16 +413,18 @@ class FleetSimulator:
         self.engines = tuple(engines)
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
         n = len(self.engines)
-        self.kv_budget_bytes = _per_shard(kv_budget_bytes, n, "kv_budget_bytes")
-        self.max_batch = _per_shard(max_batch, n, "max_batch")
-        self.ctx_bucket = _per_shard(ctx_bucket, n, "ctx_bucket")
+        self.kv_budget_bytes = _per_shard(
+            kv_budget_bytes, n, "kv_budget_bytes", check_kv_budget
+        )
+        self.max_batch = _per_shard(max_batch, n, "max_batch", check_count)
+        self.ctx_bucket = _per_shard(ctx_bucket, n, "ctx_bucket", check_count)
         self.steal = steal
         self.faults = faults
         self.retry = retry
         self.shedding = (
             make_shedding(shedding) if isinstance(shedding, str) else shedding
         )
-        self.fault_seed = fault_seed
+        self.fault_seed = check_count("fault_seed", fault_seed, None)
         self.obs = obs
 
     def _resolve_faults(

@@ -32,6 +32,7 @@ are collected in submission order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import (
     TYPE_CHECKING,
@@ -50,9 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from ..sim.surface_store import SurfaceStore
 
 from ..core.meadow import MeadowEngine
-from ..errors import ConfigError
+from ..errors import ConfigError, check_count, check_real
 from ..models import Stage
 from ..serving.request import RequestSource
+from ..serving.scheduler import check_kv_budget
 from .routing import POLICY_NAMES, make_policy
 from .simulator import FleetReport, FleetSimulator
 
@@ -281,9 +283,12 @@ class SweepDriver:
         if not bandwidths_gbps:
             raise ConfigError("bandwidths_gbps must not be empty")
         self.base_engine = base_engine
-        self.bandwidths_gbps = tuple(float(b) for b in bandwidths_gbps)
-        self.kv_budget_bytes = (
-            tuple(kv_budget_bytes) if kv_budget_bytes is not None else None
+        self.bandwidths_gbps = tuple(
+            float(check_real("bandwidths_gbps", b, 0, math.inf, "(]"))
+            for b in bandwidths_gbps
+        )
+        self.kv_budget_bytes = None if kv_budget_bytes is None else tuple(
+            check_kv_budget("kv_budget_bytes", b) for b in kv_budget_bytes
         )
         if self.kv_budget_bytes is not None and len(self.kv_budget_bytes) != len(
             self.bandwidths_gbps
@@ -333,8 +338,7 @@ class SweepDriver:
 
     def fleet_profile(self, n_engines: int) -> Tuple[float, ...]:
         """Bandwidths of a fleet of ``n_engines`` (profile cycled)."""
-        if n_engines < 1:
-            raise ConfigError(f"n_engines must be >= 1, got {n_engines}")
+        n_engines = check_count("n_engines", n_engines)
         profile = self.bandwidths_gbps
         return tuple(profile[i % len(profile)] for i in range(n_engines))
 
@@ -532,6 +536,12 @@ class SweepDriver:
         candidate set shrinks. Raises :class:`ConfigError` if the
         filter rejects every point.
         """
+        if workers is not None:
+            workers = check_count("workers", workers)
+        if max_energy_per_token_uj is not None:
+            check_real(
+                "max_energy_per_token_uj", max_energy_per_token_uj, 0, math.inf, "(]"
+            )
         grid = self.grid_points(
             n_engines_grid, policies, max_batch_grid, ctx_bucket_grid,
             steal_grid, faults_grid, fault_seed,

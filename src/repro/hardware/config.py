@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from math import inf
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_real
 from ..utils import gbps_to_bits_per_cycle
 
 __all__ = ["HardwareConfig", "ZCU102", "zcu102_config", "scaled_pe_config"]
@@ -74,7 +75,7 @@ class HardwareConfig:
     double_buffered: bool = True
 
     def __post_init__(self) -> None:
-        positive_fields = (
+        finite_fields = (
             "n_parallel_pe",
             "n_broadcast_pe",
             "mults_per_pe",
@@ -87,24 +88,13 @@ class HardwareConfig:
             "weight_rf_bytes",
             "input_rf_bytes",
             "output_rf_bytes",
+            "clock_hz",
+            "dram_capacity_bytes",
         )
-        for name in positive_fields:
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.clock_hz > 0:
-            raise ConfigError(f"clock_hz must be positive, got {self.clock_hz}")
-        if not self.dram_bandwidth_gbps > 0:
-            raise ConfigError(
-                f"dram_bandwidth_gbps must be positive, got {self.dram_bandwidth_gbps}"
-            )
-        if not (0.0 < self.dram_burst_efficiency <= 1.0):
-            raise ConfigError(
-                f"dram_burst_efficiency must be in (0, 1], got {self.dram_burst_efficiency}"
-            )
-        if not self.dram_capacity_bytes > 0:
-            raise ConfigError(
-                f"dram_capacity_bytes must be positive, got {self.dram_capacity_bytes}"
-            )
+        for name in finite_fields:
+            check_real(name, getattr(self, name), 0, inf, "()")
+        check_real("dram_bandwidth_gbps", self.dram_bandwidth_gbps, 0, inf, "(]")
+        check_real("dram_burst_efficiency", self.dram_burst_efficiency, 0, 1, "(]")
         for name in ("act_bits", "weight_bits"):
             if getattr(self, name) not in (4, 8, 16, 32):
                 raise ConfigError(f"{name} must be one of 4/8/16/32, got {getattr(self, name)}")

@@ -23,10 +23,11 @@ than on-chip work per byte, which is the property the conclusions rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
-from ..errors import ConfigError
+from ..errors import check_real
 
 __all__ = ["EnergyCosts", "EnergyLedger", "DEFAULT_ENERGY_COSTS"]
 
@@ -44,8 +45,7 @@ class EnergyCosts:
     def __post_init__(self) -> None:
         for name in ("mac_pj", "rf_pj_per_byte", "bram_pj_per_byte",
                      "noc_pj_per_byte", "dram_pj_per_bit"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+            check_real(name, getattr(self, name), 0, math.inf, "[)")
 
 
 DEFAULT_ENERGY_COSTS = EnergyCosts()

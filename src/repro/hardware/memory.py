@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import CapacityError, ConfigError
+from ..errors import CapacityError, ConfigError, check_count, check_real
 from ..utils import ceil_div
 from .config import HardwareConfig
 
@@ -141,17 +141,11 @@ def kv_cache_budget_bytes(
     Raises:
         CapacityError: the model does not leave any KV headroom.
     """
-    if not (0.0 <= reserve_fraction < 1.0):
-        raise ConfigError(
-            f"reserve_fraction must be in [0, 1), got {reserve_fraction}"
-        )
+    check_real("reserve_fraction", reserve_fraction, 0, 1, "[)")
     if packed_weight_bits is None:
         weight_bytes = model.total_weight_params * config.weight_bits // 8
     else:
-        if packed_weight_bits < 0:
-            raise ConfigError(
-                f"packed_weight_bits must be non-negative, got {packed_weight_bits}"
-            )
+        packed_weight_bits = check_count("packed_weight_bits", packed_weight_bits, 0)
         weight_bytes = ceil_div(packed_weight_bits, 8)
     reserve = int(config.dram_capacity_bytes * reserve_fraction)
     budget = config.dram_capacity_bytes - weight_bytes - reserve

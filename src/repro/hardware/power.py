@@ -15,9 +15,10 @@ relative-order values, documented here so sweeps remain interpretable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from ..errors import ConfigError
+from ..errors import check_real
 from .config import HardwareConfig
 from .energy import EnergyLedger
 from .resources import ResourceEstimate, estimate_resources
@@ -67,7 +68,6 @@ class PowerModel:
 
     def report(self, energy: EnergyLedger, elapsed_s: float) -> PowerReport:
         """Average power for a workload with measured energy and runtime."""
-        if elapsed_s <= 0:
-            raise ConfigError(f"elapsed time must be positive, got {elapsed_s}")
+        check_real("elapsed time", elapsed_s, 0, math.inf, "(]")
         dynamic_w = energy.total_pj * 1e-12 / elapsed_s
         return PowerReport(static_w=self.static_power_w(), dynamic_w=dynamic_w)

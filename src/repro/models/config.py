@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_count
 
 __all__ = ["TransformerConfig"]
 
@@ -49,26 +49,21 @@ class TransformerConfig:
     n_kv_heads: int | None = None
 
     def __post_init__(self) -> None:
-        for field_name in ("n_layers", "d_model", "n_heads", "d_ff", "max_seq_len"):
-            if getattr(self, field_name) <= 0:
-                raise ConfigError(f"{field_name} must be positive, got {getattr(self, field_name)}")
+        for name in ("n_layers", "d_model", "n_heads", "d_ff", "max_seq_len"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
         if self.activation not in ("relu", "gelu"):
             raise ConfigError(f"unsupported activation {self.activation!r}")
-        if self.fixed_tokens is not None and self.fixed_tokens <= 0:
-            raise ConfigError(f"fixed_tokens must be positive, got {self.fixed_tokens}")
-        if self.n_kv_heads is not None:
-            if not (0 < self.n_kv_heads <= self.n_heads):
-                raise ConfigError(
-                    f"n_kv_heads must be in [1, {self.n_heads}], got {self.n_kv_heads}"
-                )
-            if self.n_heads % self.n_kv_heads != 0:
-                raise ConfigError(
-                    f"n_heads={self.n_heads} not divisible by n_kv_heads={self.n_kv_heads}"
-                )
+        for name in ("fixed_tokens", "n_kv_heads"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check_count(name, getattr(self, name)))
+        if self.n_kv_heads is not None and self.n_heads % self.n_kv_heads != 0:
+            raise ConfigError(
+                f"n_heads={self.n_heads} not divisible by n_kv_heads={self.n_kv_heads}"
+            )
 
     @property
     def head_dim(self) -> int:

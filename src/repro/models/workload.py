@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_count
 from .config import TransformerConfig
 from .layers import LayerOp, decoder_layer_ops
 
@@ -52,12 +52,12 @@ class Workload:
     batch: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("n_tokens", "kv_len", "batch"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
         if self.stage is Stage.DECODE and self.n_tokens != 1:
             raise ConfigError("decode workloads process exactly one token per sequence")
         if self.stage is Stage.PREFILL and self.kv_len != self.n_tokens:
             raise ConfigError("prefill attends over exactly the prompt tokens")
-        if self.batch < 1:
-            raise ConfigError(f"batch must be >= 1, got {self.batch}")
 
     def layer_ops(self) -> Tuple[LayerOp, ...]:
         """Op sequence of one block under this workload."""
@@ -80,8 +80,7 @@ def prefill_workload(
     model: TransformerConfig, prompt_tokens: int, batch: int = 1
 ) -> Workload:
     """Prefill of ``prompt_tokens`` tokens (TTFT measurement point)."""
-    if prompt_tokens <= 0:
-        raise ConfigError(f"prompt_tokens must be positive, got {prompt_tokens}")
+    prompt_tokens = check_count("prompt_tokens", prompt_tokens)
     model.validate_context(prompt_tokens)
     return Workload(model, Stage.PREFILL, prompt_tokens, prompt_tokens, batch)
 
@@ -95,8 +94,7 @@ def decode_workload(
     ``context_len = P + N``. With ``batch > 1``, every sequence decodes
     one token at the same context length.
     """
-    if context_len < 1:
-        raise ConfigError(f"context_len must be >= 1, got {context_len}")
+    context_len = check_count("context_len", context_len)
     model.validate_context(context_len)
     return Workload(model, Stage.DECODE, 1, context_len, batch)
 

@@ -10,10 +10,11 @@ its run carried an observer.
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import ConfigError
+from ..errors import check_real
 from ..serving.scheduler import EventLog, StepLog
 from .bridge import _ADMIT, _ARRIVAL, _COMPLETE, _PREFILL_START, _WITHDRAW
 from .bridge import fault_rows, fleet_rows, lifecycle_rows, routing_rows, step_rows
@@ -80,9 +81,7 @@ class FleetObserver(object):
     simulated-time gauge sampling interval."""
 
     def __init__(self, tick_s: float = 0.05) -> None:
-        if not tick_s > 0:
-            raise ConfigError(f"tick_s must be positive, got {tick_s}")
-        self.tick_s = tick_s
+        self.tick_s = check_real("tick_s", tick_s, 0, math.inf, "(]")
 
     def build(self, report) -> "ObsBundle":
         """The trace and metrics of one finished run.

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import PackingError
+from ..errors import ConfigError, PackingError, check_count
 from .bitpack import PackedStream, pack_ids, stream_bits_only
 from .chunking import EncodedMatrix, encode_matrix
 from .modes import ModeTable, optimal_mode_table, spread_mode_table, uniform_mode_table
@@ -62,12 +62,11 @@ class PackingConfig:
     weight_bits: int = 8
 
     def __post_init__(self) -> None:
-        if self.chunk_size < 1:
-            raise PackingError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.packet_size < 1:
-            raise PackingError(f"packet_size must be >= 1, got {self.packet_size}")
-        if self.n_modes < 1:
-            raise PackingError(f"n_modes must be >= 1, got {self.n_modes}")
+        try:
+            for name in ("chunk_size", "packet_size", "n_modes"):
+                object.__setattr__(self, name, check_count(name, getattr(self, name)))
+        except ConfigError as exc:
+            raise PackingError(str(exc)) from None
         if self.weight_bits not in (4, 8):
             raise PackingError(f"weight_bits must be 4 or 8, got {self.weight_bits}")
 
@@ -130,17 +129,28 @@ def _check_value_range(w: np.ndarray, weight_bits: int) -> None:
         )
 
 
-def _mode_table_for(
-    encoded: EncodedMatrix, config: PackingConfig
-) -> ModeTable:
-    """Choose the mode table a level/config implies."""
+def _encode(
+    w: np.ndarray, config: Optional[PackingConfig], overrides: dict
+) -> Tuple[PackingConfig, EncodedMatrix, ModeTable]:
+    """The config, (re-indexed) encoding and mode table packing ``w``
+    implies: everything but the packet stream itself."""
+    if config is None:
+        config = PackingConfig(**overrides)  # type: ignore[arg-type]
+    elif overrides:
+        raise PackingError("pass either a PackingConfig or keyword overrides, not both")
+    _check_value_range(w, config.weight_bits)
+    encoded = encode_matrix(w, config.chunk_size)
+    if config.level is PackingLevel.REINDEX:
+        encoded = frequency_reindex(encoded)
     if config.level is PackingLevel.NAIVE:
-        return uniform_mode_table(encoded.id_bits)
-    if config.optimize_modes:
-        return optimal_mode_table(
+        table = uniform_mode_table(encoded.id_bits)
+    elif config.optimize_modes:
+        table = optimal_mode_table(
             encoded.ids, config.packet_size, config.n_modes, id_bits=encoded.id_bits
         )
-    return spread_mode_table(encoded.id_bits, config.n_modes)
+    else:
+        table = spread_mode_table(encoded.id_bits, config.n_modes)
+    return config, encoded, table
 
 
 def pack_weights(
@@ -158,15 +168,7 @@ def pack_weights(
     Returns:
         :class:`PackedWeights`; ``.decode()`` equals ``w`` exactly.
     """
-    if config is None:
-        config = PackingConfig(**overrides)  # type: ignore[arg-type]
-    elif overrides:
-        raise PackingError("pass either a PackingConfig or keyword overrides, not both")
-    _check_value_range(w, config.weight_bits)
-    encoded = encode_matrix(w, config.chunk_size)
-    if config.level is PackingLevel.REINDEX:
-        encoded = frequency_reindex(encoded)
-    table = _mode_table_for(encoded, config)
+    config, encoded, table = _encode(w, config, overrides)
     stream = pack_ids(encoded.ids, config.packet_size, table)
     return PackedWeights(
         encoded=encoded, stream=stream, config=config, weight_bits=config.weight_bits
@@ -179,15 +181,7 @@ def packed_size_bits(w: np.ndarray, config: Optional[PackingConfig] = None, **ov
     Identical accounting to :attr:`PackedWeights.total_bits`; used by the
     performance planner where only the size matters.
     """
-    if config is None:
-        config = PackingConfig(**overrides)  # type: ignore[arg-type]
-    elif overrides:
-        raise PackingError("pass either a PackingConfig or keyword overrides, not both")
-    _check_value_range(w, config.weight_bits)
-    encoded = encode_matrix(w, config.chunk_size)
-    if config.level is PackingLevel.REINDEX:
-        encoded = frequency_reindex(encoded)
-    table = _mode_table_for(encoded, config)
+    config, encoded, table = _encode(w, config, overrides)
     payload = stream_bits_only(encoded.ids, config.packet_size, table)
     return (
         payload

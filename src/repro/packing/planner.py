@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_count
 from ..models import OpKind, TransformerConfig, WEIGHT_OP_KINDS
 from ..quant.synthetic import (
     generate_int8_weights,
@@ -112,11 +112,11 @@ class PackingPlanner:
             layers when generating statistics (``None`` = exact per-layer).
         base_seed: RNG stream selector for the synthetic weights.
         """
-        if depth_buckets is not None and depth_buckets < 1:
-            raise ConfigError(f"depth_buckets must be >= 1, got {depth_buckets}")
+        if depth_buckets is not None:
+            depth_buckets = check_count("depth_buckets", depth_buckets)
         self.config = config or PackingConfig()
         self.depth_buckets = depth_buckets
-        self.base_seed = base_seed
+        self.base_seed = check_count("base_seed", base_seed, None)
         self._bits_tables: Dict[TransformerConfig, Dict[OpKind, Tuple[int, ...]]] = {}
 
     def _representative_layer(self, layer_index: int, n_layers: int) -> int:
@@ -187,13 +187,17 @@ class PackingPlanner:
             self._bits_tables[model] = table
         return table
 
-    def model_compression(self, model: TransformerConfig) -> float:
-        """Whole-model raw/packed ratio (the average packing win)."""
-        raw = 0
-        packed = 0
+    def model_bits(self, model: TransformerConfig) -> Tuple[int, int]:
+        """Whole-model ``(raw, effective)`` weight transfer bits."""
+        raw = packed = 0
         for layer in range(model.n_layers):
             for kind in WEIGHT_OP_KINDS:
                 stats = self.stats_for(model, kind, layer)
                 raw += stats.raw_bits
                 packed += stats.effective_bits
+        return raw, packed
+
+    def model_compression(self, model: TransformerConfig) -> float:
+        """Whole-model raw/packed ratio (the average packing win)."""
+        raw, packed = self.model_bits(model)
         return raw / packed

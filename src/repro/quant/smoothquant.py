@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_real
 from .fake_quant import QuantizedTensor, quantize
 
 __all__ = ["SmoothedPair", "smooth_scales", "smooth", "w8a8_matmul_error"]
@@ -49,8 +49,7 @@ def smooth_scales(x: np.ndarray, w: np.ndarray, alpha: float = 0.5) -> np.ndarra
     Returns:
         ``s`` of shape ``[d_in]``, strictly positive.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
+    check_real("alpha", alpha, 0, 1)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ConfigError(
             f"shape mismatch: activations {x.shape} vs weights {w.shape}"

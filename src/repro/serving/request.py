@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import floor, inf, log
 from typing import List, Optional, Tuple
 
-from ..errors import ConfigError, check_count
+from ..errors import ConfigError, check_count, check_real
 
 __all__ = [
     "Request",
@@ -48,18 +48,21 @@ class Request:
     deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.request_id < 0:
-            raise ConfigError(f"request_id must be non-negative, got {self.request_id}")
-        if not 0 <= self.arrival_s < inf:
-            raise ConfigError(
-                f"arrival_s must be non-negative and finite, got {self.arrival_s}"
-            )
-        for name in ("prompt_tokens", "output_tokens"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                object.__setattr__(self, name, check_count(name, value))
-        if self.deadline_s is not None and not self.deadline_s > 0:
-            raise ConfigError(f"deadline_s must be positive, got {self.deadline_s}")
+        # Requests are built per arrival and per retry: exact types in
+        # range skip the helpers, which would accept them unchanged.
+        if (
+            type(self.request_id) is int and self.request_id >= 0
+            and type(self.arrival_s) is float and 0.0 <= self.arrival_s < inf
+            and type(self.prompt_tokens) is int and self.prompt_tokens >= 1
+            and type(self.output_tokens) is int and self.output_tokens >= 1
+            and self.deadline_s is None
+        ):
+            return
+        for name, lo in (("request_id", 0), ("prompt_tokens", 1), ("output_tokens", 1)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), lo))
+        check_real("arrival_s", self.arrival_s, 0, inf, "[)")
+        if self.deadline_s is not None:
+            check_real("deadline_s", self.deadline_s, 0, inf, "(]")
 
     @property
     def total_tokens(self) -> int:
@@ -90,8 +93,8 @@ class LengthDistribution:
         # mean, so it need only be finite.
         if self.kind != "geometric":
             object.__setattr__(self, "lo", check_count("lo", self.lo))
-        elif not 1 <= self.lo < inf:
-            raise ConfigError(f"lo must be >= 1 and finite, got {self.lo}")
+        else:
+            check_real("lo", self.lo, 1, inf, "[)")
         if self.kind != "fixed":
             if self.hi is None:
                 raise ConfigError(f"{self.kind!r} distribution needs an upper bound")
@@ -166,12 +169,11 @@ def poisson_stream(
     output_dist: LengthDistribution,
     seed: int = 0,
 ) -> RequestStream:
-    """Open-loop Poisson arrivals at ``rate_rps`` requests per second."""
-    if n_requests < 1:
-        raise ConfigError(f"n_requests must be >= 1, got {n_requests}")
-    if not rate_rps > 0:
-        raise ConfigError(f"rate_rps must be positive, got {rate_rps}")
-    rng = random.Random(seed)
+    """Open-loop Poisson arrivals at ``rate_rps`` requests per second
+    (``inf``: every request at t=0)."""
+    n_requests = check_count("n_requests", n_requests)
+    check_real("rate_rps", rate_rps, 0, inf, "(]")
+    rng = random.Random(check_count("seed", seed, None))
     t = 0.0
     requests: List[Request] = []
     for i in range(n_requests):
@@ -196,15 +198,10 @@ def bursty_stream(
     the hardest admission-control case, since a whole burst contends for
     KV memory at one instant.
     """
-    if n_requests < 1:
-        raise ConfigError(f"n_requests must be >= 1, got {n_requests}")
-    if burst_size < 1:
-        raise ConfigError(f"burst_size must be >= 1, got {burst_size}")
-    if not 0 < burst_gap_s < inf:
-        raise ConfigError(
-            f"burst_gap_s must be positive and finite, got {burst_gap_s}"
-        )
-    rng = random.Random(seed)
+    n_requests = check_count("n_requests", n_requests)
+    burst_size = check_count("burst_size", burst_size)
+    check_real("burst_gap_s", burst_gap_s, 0, inf, "()")
+    rng = random.Random(check_count("seed", seed, None))
     requests: List[Request] = []
     for i in range(n_requests):
         burst = i // burst_size
@@ -240,22 +237,18 @@ class ClosedLoopSource(RequestSource):
         output_dist: LengthDistribution,
         seed: int = 0,
     ) -> None:
-        if n_users < 1:
-            raise ConfigError(f"n_users must be >= 1, got {n_users}")
+        n_users = check_count("n_users", n_users)
+        total_requests = check_count("total_requests", total_requests)
         if total_requests < n_users:
             raise ConfigError(
                 f"total_requests ({total_requests}) below n_users ({n_users})"
             )
-        if not 0 <= think_time_s < inf:
-            raise ConfigError(
-                f"think_time_s must be non-negative and finite, got {think_time_s}"
-            )
         self.n_users = n_users
         self.total_requests = total_requests
-        self.think_time_s = think_time_s
+        self.think_time_s = check_real("think_time_s", think_time_s, 0, inf, "[)")
         self.prompt_dist = prompt_dist
         self.output_dist = output_dist
-        self._rng = random.Random(seed)
+        self._rng = random.Random(check_count("seed", seed, None))
         self._issued = 0
         self._started = False
 

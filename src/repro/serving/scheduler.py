@@ -100,6 +100,7 @@ from ..errors import (
     SchedulerClosedError,
     UnknownRequestError,
     check_count,
+    check_real,
 )
 from ..hardware.memory import kv_cache_budget_bytes
 from .request import Request, RequestSource
@@ -331,6 +332,12 @@ class ServingResult:
         return self.total_energy_uj / tokens if tokens else 0.0
 
 
+def check_kv_budget(name: str, value):
+    """``value`` if it is ``None`` (the engine's default KV budget) or
+    positive and finite, as :func:`~repro.errors.check_real` checks."""
+    return value if value is None else check_real(name, value, 0, math.inf, "()")
+
+
 def _kv_footprint(engine: MeadowEngine, tokens: int) -> int:
     """Worst-case KV bytes of ``tokens`` across all of the engine's layers."""
     model = engine.model
@@ -479,6 +486,7 @@ class ContinuousBatchingScheduler(_ShardLoad):
     ) -> None:
         max_batch = check_count("max_batch", max_batch)
         ctx_bucket = check_count("ctx_bucket", ctx_bucket)
+        kv_budget_bytes = check_kv_budget("kv_budget_bytes", kv_budget_bytes)
         self.engine = engine
         self.source = source
         if kv_budget_bytes is None:
@@ -491,10 +499,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
                 engine.config, engine.model, packed_weight_bits=packed_bits
             )
         self.kv_budget_bytes = kv_budget_bytes
-        if not 0 < kv_budget_bytes < math.inf:
-            raise ConfigError(
-                f"kv_budget_bytes must be positive and finite, got {kv_budget_bytes}"
-            )
         self.max_batch = max_batch
         self.ctx_bucket = ctx_bucket
         self.shard_id = shard_id

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..core.meadow import MeadowEngine
+from ..errors import check_count
 from .metrics import FleetMetrics
 from .request import RequestSource
-from .scheduler import ContinuousBatchingScheduler, ServingResult
+from .scheduler import ContinuousBatchingScheduler, ServingResult, check_kv_budget
 
 __all__ = ["ServingReport", "ServingSimulator"]
 
@@ -64,9 +65,9 @@ class ServingSimulator:
         ctx_bucket: int = 1,
     ) -> None:
         self.engine = engine
-        self.kv_budget_bytes = kv_budget_bytes
-        self.max_batch = max_batch
-        self.ctx_bucket = ctx_bucket
+        self.kv_budget_bytes = check_kv_budget("kv_budget_bytes", kv_budget_bytes)
+        self.max_batch = check_count("max_batch", max_batch)
+        self.ctx_bucket = check_count("ctx_bucket", ctx_bucket)
 
     def run(self, source: RequestSource) -> ServingReport:
         """Simulate one scenario to completion."""

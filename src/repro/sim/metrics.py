@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from ..core.plan import ExecutionPlan
-from ..errors import ConfigError
+from ..errors import ConfigError, check_count, check_real
 from ..hardware import HardwareConfig
 from ..models import TransformerConfig, decode_workload, prefill_workload
 from ..packing import PackingPlanner
@@ -63,8 +63,7 @@ def tbt(
 ) -> StageReport:
     """Time-between-tokens report for the ``token_index``-th generated
     token after a ``prefill_tokens`` prefill."""
-    if token_index < 1:
-        raise ConfigError(f"token_index must be >= 1, got {token_index}")
+    token_index = check_count("token_index", token_index)
     sim = WorkloadSimulator(model, config, plan, planner)
     return sim.simulate(decode_workload(model, prefill_tokens + token_index))
 
@@ -102,8 +101,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     Raises:
         ConfigError: ``values`` is empty or ``q`` is outside [0, 100].
     """
-    if not 0.0 <= q <= 100.0:
-        raise ConfigError(f"percentile q must be in [0, 100], got {q}")
+    check_real("percentile q", q, 0, 100)
     xs = sorted(values)
     if not xs:
         raise ConfigError("percentile of an empty sequence is undefined")
@@ -255,10 +253,8 @@ def tokens_per_second(n_tokens: int, duration_s: float) -> float:
     a non-empty stream of zero duration is degenerate and reports
     ``inf`` rather than raising.
     """
-    if n_tokens < 0:
-        raise ConfigError(f"n_tokens must be non-negative, got {n_tokens}")
-    if duration_s < 0:
-        raise ConfigError(f"duration_s must be non-negative, got {duration_s}")
+    n_tokens = check_count("n_tokens", n_tokens, 0)
+    check_real("duration_s", duration_s, 0, math.inf)
     if duration_s == 0:
         return 0.0 if n_tokens == 0 else float("inf")
     return n_tokens / duration_s
@@ -279,10 +275,8 @@ def end_to_end(
     per step), so the decode curve is sampled every ``sample_every``
     steps and integrated piecewise — exact for ``sample_every=1``.
     """
-    if generated_tokens < 1:
-        raise ConfigError(f"generated_tokens must be >= 1, got {generated_tokens}")
-    if sample_every < 1:
-        raise ConfigError(f"sample_every must be >= 1, got {sample_every}")
+    generated_tokens = check_count("generated_tokens", generated_tokens)
+    sample_every = check_count("sample_every", sample_every)
     sim = WorkloadSimulator(model, config, plan, planner)
     prefill_cycles, _energy_uj = sim.totals(prefill_workload(model, prompt_tokens))
     prefill_s = config.cycles_to_seconds(prefill_cycles)
