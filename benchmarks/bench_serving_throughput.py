@@ -34,6 +34,7 @@ import pytest
 from bench_meta import REPO_ROOT, stamp, write_bench_record
 
 sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles.source_loop import run_source  # noqa: E402
 from oracles.token_walk import walk_tokens  # noqa: E402
 
 from repro import ExecutionPlan, MeadowEngine, OPT_125M, zcu102_config
@@ -89,9 +90,9 @@ def decode_heavy_stream(quick: bool = False):
     )
 
 
-def _coalesce_scheduler(engine, stream):
+def _coalesce_scheduler(engine):
     return ContinuousBatchingScheduler(
-        engine, stream, max_batch=16, ctx_bucket=COALESCE_CTX_BUCKET
+        engine, max_batch=16, ctx_bucket=COALESCE_CTX_BUCKET
     )
 
 
@@ -105,7 +106,7 @@ def run_coalescing_bench(engine: MeadowEngine, quick: bool = False) -> Dict[str,
     """
     stream = decode_heavy_stream(quick)
     # Warm every (stage, ctx, batch) point both paths will touch.
-    _coalesce_scheduler(engine, stream).run()
+    run_source(_coalesce_scheduler(engine), stream)
 
     # Best-of-5 per path, the paths alternating: the runs are
     # deterministic, so the minimum is the least-noise estimate, and
@@ -114,10 +115,10 @@ def run_coalescing_bench(engine: MeadowEngine, quick: bool = False) -> Dict[str,
     ref_s = fast_s = math.inf
     for _ in range(5):
         t0 = time.perf_counter()
-        ref = walk_tokens(_coalesce_scheduler(engine, stream))
+        ref = walk_tokens(_coalesce_scheduler(engine), stream)
         ref_s = min(ref_s, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        fast = _coalesce_scheduler(engine, stream).run()
+        fast = run_source(_coalesce_scheduler(engine), stream)
         fast_s = min(fast_s, time.perf_counter() - t0)
 
     # Correctness gate: identical serving outcome, field for field.

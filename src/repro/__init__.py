@@ -41,7 +41,6 @@ from .errors import (
     PackingError,
     ReproError,
     ScheduleError,
-    SchedulerClosedError,
     SimulationError,
     UnknownRequestError,
 )
@@ -158,5 +157,4 @@ __all__ = [
     "ScheduleError",
     "SimulationError",
     "UnknownRequestError",
-    "SchedulerClosedError",
 ]

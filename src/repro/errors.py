@@ -57,15 +57,6 @@ class UnknownRequestError(ConfigError):
     """
 
 
-class SchedulerClosedError(ConfigError):
-    """A consumed scheduler was asked to run another scenario.
-
-    Scheduler state (clock, event log, RNG-free queues) is consumed by
-    one scenario; re-running would silently continue a stale timeline.
-    Subclasses :class:`ConfigError` for backward compatibility.
-    """
-
-
 def check_count(name: str, value, lo: int | None = 1) -> int:
     """``value`` as an ``int``, if it is an integral number ``>= lo``.
 

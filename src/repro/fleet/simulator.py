@@ -14,11 +14,9 @@ never see the future), and the policy reads those shards' live state
 directly — no copy per arrival — to pick among the ones that could
 ever hold the request. Shard level is the unmodified continuous-batching
 scheduler, driven through its incremental
-``submit``/``advance_until`` API — so per-shard semantics are exactly
-those of single-engine serving, and a one-shard fleet reproduces `repro
-serve` exactly: identical request records and merged metrics, field for
-field (only ARRIVAL observations interleave at finer granularity, since
-the fleet hands requests over at routing instants).
+``submit``/``advance_until`` API. ``repro serve``'s
+:class:`~repro.serving.ServingSimulator` is a one-shard fleet, so its
+events, steps, records and metrics are a one-shard ``repro fleet``'s.
 
 **Drain is driven by a global next-event calendar.** Between arrivals
 each drain step reads every shard's
@@ -38,10 +36,10 @@ Open-loop sources never inject follow-ups, so there each shard runs dry
 at once.
 
 Closed-loop sources compose: a completion anywhere in the fleet hands
-its follow-up back to the *global* router (completion hooks are
-intercepted per shard), so think-time users are not pinned to the shard
-that served their previous turn. Follow-ups that no shard could ever
-admit are rejected and counted, mirroring single-engine behaviour.
+its follow-up back to the *global* router (each shard's completion
+hook), so think-time users are not pinned to the shard that served
+their previous turn. Follow-ups that no shard could ever admit are
+rejected and counted.
 
 Flag-gated layers ride on the loop. **Work stealing** (``steal=True``):
 a shard going idle pulls the oldest still-waiting request it can hold
@@ -558,9 +556,9 @@ class FleetSimulator:
         def make_harvest(shard_id: int):
             # Completion hook: record the disposition (exactly once, at
             # the only instant a request can complete), feed realized
-            # TTFT back to the policy, then pull any follow-up back to
-            # the global router instead of letting the shard keep it.
-            def harvest(request: Request, finish_s: float) -> Optional[Request]:
+            # TTFT back to the policy, then hand any follow-up to the
+            # global router.
+            def harvest(request: Request, finish_s: float) -> None:
                 nonlocal n_rejected
                 rid = request.request_id
                 if resilient:
@@ -574,7 +572,7 @@ class FleetSimulator:
                     policy.observe(shard_id, predicted, record.ttft_s)
                 follow_up = source.on_complete(request, finish_s)
                 if follow_up is None:
-                    return None
+                    return
                 if any(s.can_ever_admit(follow_up) for s in shards):
                     heapq.heappush(
                         arrivals,
@@ -583,14 +581,12 @@ class FleetSimulator:
                     submitted.append(follow_up)
                 else:
                     n_rejected += 1
-                return None
 
             return harvest
 
         shards.extend(
             ContinuousBatchingScheduler(
                 engine,
-                source=None,
                 kv_budget_bytes=self.kv_budget_bytes[i],
                 max_batch=self.max_batch[i],
                 ctx_bucket=self.ctx_bucket[i],
@@ -618,8 +614,8 @@ class FleetSimulator:
                 )
             seen_ids.add(req.request_id)
             if not any(s.can_ever_admit(req) for s in shards):
-                # Mirror the single-engine fail-fast: an initial request
-                # that can never run anywhere is a configuration error.
+                # Fail fast: an initial request that can never run
+                # anywhere is a configuration error.
                 shards[0]._check(req)  # raises with the precise reason
             heapq.heappush(arrivals, (req.arrival_s, req.request_id, req))
         del seen_ids  # only the start-up check reads it

@@ -55,6 +55,7 @@ from ..errors import ConfigError, check_count, check_real
 from ..models import Stage
 from ..serving.request import RequestSource
 from ..serving.scheduler import check_kv_budget
+from .faults import make_fault_schedule
 from .routing import POLICY_NAMES, make_policy
 from .simulator import FleetReport, FleetSimulator
 
@@ -438,7 +439,18 @@ class SweepDriver:
     ) -> List["_GridPoint"]:
         """The deterministic grid order shared by serial and parallel
         sweeps: engines, then policy, then max_batch, then ctx_bucket,
-        then steal, then faults."""
+        then steal, then faults. Every value is checked here, before
+        any point runs: counts by the count rule, policy and fault
+        scenario names by building what they name."""
+        n_engines_grid = [check_count("n_engines", n) for n in n_engines_grid]
+        max_batch_grid = [check_count("max_batch", b) for b in max_batch_grid]
+        ctx_bucket_grid = [check_count("ctx_bucket", c) for c in ctx_bucket_grid]
+        fault_seed = check_count("fault_seed", fault_seed, None)
+        for policy in policies:
+            make_policy(policy)
+        for faults in faults_grid:
+            if faults != "none":
+                make_fault_schedule(faults, 1, 1.0)
         return [
             _GridPoint(
                 n_engines, policy, max_batch, ctx_bucket, steal,

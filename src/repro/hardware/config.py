@@ -23,7 +23,7 @@ import dataclasses
 from dataclasses import dataclass
 from math import inf
 
-from ..errors import ConfigError, check_real
+from ..errors import ConfigError, check_count, check_real
 from ..utils import gbps_to_bits_per_cycle
 
 __all__ = ["HardwareConfig", "ZCU102", "zcu102_config", "scaled_pe_config"]
@@ -75,7 +75,7 @@ class HardwareConfig:
     double_buffered: bool = True
 
     def __post_init__(self) -> None:
-        finite_fields = (
+        counts = (
             "n_parallel_pe",
             "n_broadcast_pe",
             "mults_per_pe",
@@ -88,11 +88,11 @@ class HardwareConfig:
             "weight_rf_bytes",
             "input_rf_bytes",
             "output_rf_bytes",
-            "clock_hz",
             "dram_capacity_bytes",
         )
-        for name in finite_fields:
-            check_real(name, getattr(self, name), 0, inf, "()")
+        for name in counts:
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
+        check_real("clock_hz", self.clock_hz, 0, inf, "()")
         check_real("dram_bandwidth_gbps", self.dram_bandwidth_gbps, 0, inf, "(]")
         check_real("dram_burst_efficiency", self.dram_burst_efficiency, 0, 1, "(]")
         for name in ("act_bits", "weight_bits"):

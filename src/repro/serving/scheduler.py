@@ -50,15 +50,15 @@ seed yields exactly one timeline — submitting the same requests in any
 order produces the identical event log (property-tested in
 ``tests/serving/test_scheduler_properties.py``).
 
-The scheduler can run a whole scenario in one call (:meth:`run`) or be
-driven incrementally — :meth:`submit` individual requests, interleave
-:meth:`advance_until` with outside decisions, then :meth:`result` — the
-mode the fleet simulator (:mod:`repro.fleet`) uses to interleave N
-shards on one global clock. Both modes execute the identical iteration
-sequence for the same requests: ``advance_until`` defers its boundary
-work (arrival ingestion, admission) when the clock has reached the
-horizon, so pausing between iterations can never reorder the event log
-relative to a one-shot run.
+The scheduler holds no request source. The fleet simulator
+(:mod:`repro.fleet`) drives it — one shard for ``repro serve``'s
+:class:`~repro.serving.ServingSimulator`, N on one global clock for
+``repro fleet`` — through :meth:`submit`, :meth:`advance_until` and
+:meth:`result`, and hands each completion's closed-loop follow-up to
+its router. ``advance_until`` defers its boundary work (arrival
+ingestion, admission) when the clock has reached the horizon, so
+pausing between iterations can never reorder the event log relative to
+one uninterrupted advance.
 
 Every state change (ARRIVAL, ADMIT, PREFILL_START, COMPLETE, WITHDRAW)
 is appended to an event log, kept as columns (:class:`EventLog`);
@@ -97,13 +97,12 @@ from ..core.meadow import MeadowEngine
 from ..errors import (
     CapacityError,
     ConfigError,
-    SchedulerClosedError,
     UnknownRequestError,
     check_count,
     check_real,
 )
 from ..hardware.memory import kv_cache_budget_bytes
-from .request import Request, RequestSource
+from .request import Request
 
 __all__ = [
     "EventKind",
@@ -303,7 +302,7 @@ class ServingResult:
     max_queue_depth: int
     duration_s: float
     #: Closed-loop follow-ups whose drawn lengths could never fit the KV
-    #: budget or model context; rejected at submission, never simulated.
+    #: budget or model context; rejected by the driver, never simulated.
     n_rejected_followups: int = 0
     #: Modeled energy of every executed iteration (surface point energy,
     #: accumulated in iteration order so the coalesced and reference
@@ -439,15 +438,12 @@ class _Active:
 
 
 class ContinuousBatchingScheduler(_ShardLoad):
-    """Iteration-level scheduler over one engine and one request source.
+    """Iteration-level scheduler over one engine, fed through :meth:`submit`.
 
     Args:
         engine: the deployed model/hardware/plan to serve on. All
             concurrent requests share its packing planner and latency
             surface (:attr:`MeadowEngine.surface`).
-        source: scenario generator (open- or closed-loop). Optional —
-            an externally driven scheduler (a fleet shard) passes
-            ``None`` and feeds requests through :meth:`submit` instead.
         kv_budget_bytes: DRAM bytes available for KV caches; defaults to
             :func:`repro.hardware.kv_cache_budget_bytes` for the
             engine's hardware and model.
@@ -460,11 +456,10 @@ class ContinuousBatchingScheduler(_ShardLoad):
             streams cache-friendly (1 = exact). It sets how many
             consecutive decode iterations share one surface lookup, not
             how long a coalesced run is.
-        on_complete: override for the completion hook; defaults to
-            ``source.on_complete``. The fleet simulator injects its own
-            callback here so closed-loop follow-ups re-enter the global
-            router instead of being pinned to the shard that happened
-            to serve their predecessor.
+        on_complete: called as ``on_complete(request, finish_s)`` when
+            a request completes; its return value is ignored. The fleet
+            simulator records the disposition here and hands the
+            source's closed-loop follow-up to its global router.
         shard_id: the shard's index in a fleet (0 for a lone
             scheduler). A label policies report their choice by; it
             changes nothing the scheduler does.
@@ -477,18 +472,16 @@ class ContinuousBatchingScheduler(_ShardLoad):
     def __init__(
         self,
         engine: MeadowEngine,
-        source: Optional[RequestSource] = None,
         kv_budget_bytes: Optional[int] = None,
         max_batch: int = 16,
         ctx_bucket: int = 1,
-        on_complete: Optional[Callable[[Request, float], Optional[Request]]] = None,
+        on_complete: Optional[Callable[[Request, float], None]] = None,
         shard_id: int = 0,
     ) -> None:
         max_batch = check_count("max_batch", max_batch)
         ctx_bucket = check_count("ctx_bucket", ctx_bucket)
         kv_budget_bytes = check_kv_budget("kv_budget_bytes", kv_budget_bytes)
         self.engine = engine
-        self.source = source
         if kv_budget_bytes is None:
             # When the plan packs weights, the resident image shrinks and
             # the reclaimed DRAM becomes KV headroom.
@@ -522,12 +515,9 @@ class ContinuousBatchingScheduler(_ShardLoad):
         #: scaled: a brownout stretches time, not the modeled joules of
         #: the work performed.
         self.latency_scale = 1.0
-        if on_complete is None and source is not None:
-            on_complete = source.on_complete
         self._on_complete = on_complete
 
-        # ---- live simulation state (consumed by one scenario) ----
-        self._started = False
+        # ---- live simulation state ----
         self._clock = 0.0
         # (arrival_s, request_id, Request) heap: the deterministic FCFS
         # order — ids break arrival-time ties, so submission order is
@@ -552,7 +542,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
         self._kv_reserved = 0
         self._peak_kv = 0
         self._max_queue_depth = 0
-        self._n_rejected = 0  # infeasible closed-loop follow-ups
         self._energy_uj = 0.0
         self._events = EventLog()
         self._steps = StepLog()
@@ -662,8 +651,17 @@ class ContinuousBatchingScheduler(_ShardLoad):
         return request.total_tokens <= self.max_total_tokens
 
     # ------------------------------------------------------ incremental API
-    def _enqueue(self, request: Request, need: int) -> None:
-        """Push a validated request into the future heap (+ aggregates)."""
+    def submit(self, request: Request) -> None:
+        """Queue one request for its arrival time (validates feasibility).
+
+        Requests may be submitted before or during a simulation; a
+        request whose ``arrival_s`` is already in the shard's past is
+        observed at the next iteration boundary (exactly how the
+        event-log timestamps are defined). Submitting an id the shard
+        already holds (or has completed) raises
+        :class:`~repro.errors.UnknownRequestError`.
+        """
+        need = self._check(request)
         if request.request_id in self._known_ids:
             raise UnknownRequestError(
                 f"duplicate submission of request {request.request_id}: "
@@ -681,18 +679,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
             self._hist = hist[:i] + ((p, hist[i][1] + 1),) + hist[i + 1 :]
         else:
             self._hist = hist[:i] + ((p, 1),) + hist[i:]
-
-    def submit(self, request: Request) -> None:
-        """Queue one request for its arrival time (validates feasibility).
-
-        Requests may be submitted before or during a simulation; a
-        request whose ``arrival_s`` is already in the shard's past is
-        observed at the next iteration boundary (exactly how the
-        event-log timestamps are defined). Submitting an id the shard
-        already holds (or has completed) raises
-        :class:`~repro.errors.UnknownRequestError`.
-        """
-        self._enqueue(request, self._check(request))
 
     def snapshot(self) -> SchedulerSnapshot:
         """A frozen copy of the live routing state (the properties of
@@ -902,18 +888,8 @@ class ContinuousBatchingScheduler(_ShardLoad):
             finish_s=self._clock,
             tbt_s=tbt_s,
         )
-        if self._on_complete is None:
-            return
-        follow_up = self._on_complete(request, self._clock)
-        if follow_up is not None:
-            # Open-loop traces fail fast at start-up; a closed-loop
-            # follow-up drawn mid-run must not abort the simulation
-            # and discard completed work — an infeasible one is
-            # rejected (a real frontend would return an error).
-            if self.can_ever_admit(follow_up):
-                self._enqueue(follow_up, self.kv_bytes(follow_up.total_tokens))
-            else:
-                self._n_rejected += 1
+        if self._on_complete is not None:
+            self._on_complete(request, self._clock)
 
     def _log_step(self, t0_s: float, k: int, batch: int) -> None:
         """Append the step that ran from ``t0_s`` to the clock."""
@@ -1072,8 +1048,8 @@ class ContinuousBatchingScheduler(_ShardLoad):
     ) -> None:
         """Run scheduler iterations while the clock is before ``t_s``.
 
-        The scheduler's one step loop: :meth:`run`, :meth:`advance_one`
-        and every fleet advance go through it. Iterations are
+        The scheduler's one step loop: :meth:`advance_one` and every
+        fleet advance go through it. Iterations are
         non-preemptible: a step *started* before ``t_s`` runs to
         completion even if its modeled latency carries the clock past it
         (so after this returns the clock may exceed ``t_s`` — the shard
@@ -1096,7 +1072,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
         one-step-then-reroute behaviour at coalesced speed (coalesced
         decode runs already end at the first in-run completion).
         """
-        self._started = True
         while True:
             if self._clock >= t_s:
                 return
@@ -1152,7 +1127,7 @@ class ContinuousBatchingScheduler(_ShardLoad):
         return ServingResult(
             model_name=self.engine.model.name,
             plan_name=self.engine.plan.name,
-            source_name=self.source.name if self.source is not None else "external",
+            source_name="external",
             records=ordered,
             events=self._events,
             steps=self._steps,
@@ -1160,25 +1135,5 @@ class ContinuousBatchingScheduler(_ShardLoad):
             peak_kv_bytes=self._peak_kv,
             max_queue_depth=self._max_queue_depth,
             duration_s=duration,
-            n_rejected_followups=self._n_rejected,
             total_energy_uj=self._energy_uj,
         )
-
-    def run(self) -> ServingResult:
-        """Simulate the bound source's scenario to completion."""
-        if self.source is None:
-            raise ConfigError(
-                "scheduler has no request source: construct it with one or "
-                "drive it via submit()/advance_until()"
-            )
-        if self._started:
-            raise SchedulerClosedError(
-                "scheduler state is consumed by one scenario: construct a "
-                "fresh scheduler to re-run it"
-            )
-        for req in self.source.initial():
-            self.submit(req)
-        if not self._future:
-            raise ConfigError(f"source {self.source.name!r} produced no requests")
-        self.advance_until(math.inf)
-        return self.result()

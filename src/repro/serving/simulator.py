@@ -2,7 +2,10 @@
 
 :class:`ServingSimulator` is the serving analogue of
 :class:`~repro.core.MeadowEngine`: it binds a deployed engine to
-scheduler policy knobs and runs request scenarios against it.
+scheduler policy knobs and runs request scenarios against it. A run is
+a one-shard :class:`~repro.fleet.FleetSimulator`, the one driver that
+feeds a request source into schedulers, so ``repro serve`` and a
+one-shard ``repro fleet`` give the same events, steps and records.
 
 >>> from repro import MeadowEngine, OPT_125M, zcu102_config
 >>> from repro.serving import ServingSimulator, poisson_stream, LengthDistribution
@@ -20,14 +23,14 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..core.meadow import MeadowEngine
 from ..errors import check_count
 from .metrics import FleetMetrics
 from .request import RequestSource
-from .scheduler import ContinuousBatchingScheduler, ServingResult, check_kv_budget
+from .scheduler import ServingResult, check_kv_budget
 
 __all__ = ["ServingReport", "ServingSimulator"]
 
@@ -70,13 +73,18 @@ class ServingSimulator:
         self.ctx_bucket = check_count("ctx_bucket", ctx_bucket)
 
     def run(self, source: RequestSource) -> ServingReport:
-        """Simulate one scenario to completion."""
-        scheduler = ContinuousBatchingScheduler(
-            self.engine,
-            source,
+        """Simulate one scenario to completion on a one-shard fleet."""
+        from ..fleet.simulator import FleetSimulator
+
+        fleet = FleetSimulator(
+            [self.engine],
             kv_budget_bytes=self.kv_budget_bytes,
             max_batch=self.max_batch,
             ctx_bucket=self.ctx_bucket,
+        ).run(source)
+        result = replace(
+            fleet.result.shard_results[0],
+            source_name=fleet.result.source_name,
+            n_rejected_followups=fleet.result.n_rejected_followups,
         )
-        result = scheduler.run()
-        return ServingReport(result=result, metrics=FleetMetrics.from_result(result))
+        return ServingReport(result=result, metrics=fleet.shard_metrics[0])

@@ -11,10 +11,20 @@ from __future__ import annotations
 
 import pytest
 
+from oracles.source_loop import run_source
 from repro import ExecutionPlan, MeadowEngine, zcu102_config
+from repro.errors import ReproError
+from repro.fleet import FleetSimulator
 from repro.models import TransformerConfig
 from repro.packing import PackingPlanner
-from repro.serving import LengthDistribution, bursty_stream, poisson_stream
+from repro.serving import (
+    ContinuousBatchingScheduler,
+    FleetMetrics,
+    LengthDistribution,
+    ServingSimulator,
+    bursty_stream,
+    poisson_stream,
+)
 
 MB = 1024 * 1024
 
@@ -74,3 +84,54 @@ def make_stream(prompt_dist, output_dist):
         return bursty_stream(n, 8, 0.02, prompt_dist, output_dist, seed=seed)
 
     return _make
+
+
+def _outcome(run):
+    """``run()``'s value, or the type and text of the error it raised."""
+    try:
+        return run()
+    except ReproError as error:
+        return type(error), str(error)
+
+
+@pytest.fixture(scope="session")
+def assert_one_shard_is_source_loop():
+    """Check that a one-shard fleet and ``ServingSimulator`` serve a
+    source exactly as ``oracles.source_loop`` does on one scheduler:
+    the same events, steps, records, aggregates, rejections and
+    metrics, or the same error. Returns the loop's result (or error).
+
+    ``make_source`` builds a fresh source per call (closed-loop sources
+    are single-use); ``knobs`` go to every driver.
+    """
+
+    def _check(engine, make_source, **knobs):
+        loop = _outcome(lambda: run_source(
+            ContinuousBatchingScheduler(engine, **knobs), make_source()
+        ))
+        fleet = _outcome(lambda: FleetSimulator(
+            [engine], policy="round-robin", **knobs
+        ).run(make_source()))
+        serve = _outcome(
+            lambda: ServingSimulator(engine, **knobs).run(make_source())
+        )
+        if isinstance(loop, tuple):
+            assert fleet == serve == loop
+            return loop
+        shard = fleet.result.shard_results[0]
+        assert shard.records == loop.records
+        assert shard.events == loop.events
+        assert shard.steps == loop.steps
+        for name in (
+            "peak_kv_bytes", "max_queue_depth", "duration_s", "total_energy_uj",
+        ):
+            assert getattr(shard, name) == getattr(loop, name), name
+        assert fleet.result.n_rejected_followups == loop.n_rejected_followups
+        assert fleet.result.source_name == loop.source_name
+        assert fleet.metrics == FleetMetrics.from_result(loop)
+        # repro serve's report is that shard, labelled like the loop's.
+        assert serve.result == loop and serve.result.steps == loop.steps
+        assert serve.metrics == fleet.metrics
+        return loop
+
+    return _check

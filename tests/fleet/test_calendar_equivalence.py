@@ -7,8 +7,8 @@ picks the minimal shard and runs exactly one iteration at a time. These
 tests pin the claim: the two execute the *identical* fleet timeline —
 request records, event logs, routing decisions and merged metrics —
 across open-loop, closed-loop, heterogeneous, faulty and work-stealing
-runs, and a one-shard calendar fleet still reproduces single-engine
-serving field for field. Unit tests pin how the calendar's horizon
+runs, and a one-shard calendar fleet still reproduces the
+single-scheduler source loop field for field. Unit tests pin how the calendar's horizon
 folds in the walk's lowest-id-first tie-break.
 """
 
@@ -27,7 +27,6 @@ from repro.serving import (
     ClosedLoopSource,
     ContinuousBatchingScheduler,
     Request,
-    ServingSimulator,
 )
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -188,27 +187,22 @@ class TestClosedLoopEquivalence:
     @given(seeds)
     @settings(max_examples=4, deadline=None)
     def test_one_shard_calendar_reproduces_single_engine(
-        self, fast_engine, shard_budget, prompt_dist, output_dist, seed
+        self, fast_engine, shard_budget, prompt_dist, output_dist,
+        assert_one_shard_is_source_loop, seed,
     ):
         # The invariant the fleet subsystem was built on, now under the
-        # calendar drain: a lone closed-loop shard is indistinguishable
-        # from `repro serve` — identical records and metrics.
+        # calendar drain: a lone closed-loop shard, which is what
+        # `repro serve` runs, is the single-scheduler source loop —
+        # identical events, steps, records and metrics.
         def src():
             return ClosedLoopSource(
                 n_users=3, total_requests=10, think_time_s=0.0005,
                 prompt_dist=prompt_dist, output_dist=output_dist, seed=seed,
             )
 
-        single = ServingSimulator(
-            fast_engine, kv_budget_bytes=shard_budget, max_batch=8
-        ).run(src())
-        calendar = FleetSimulator(
-            [fast_engine],
-            kv_budget_bytes=shard_budget,
-            max_batch=8,
-        ).run(src())
-        assert calendar.metrics == single.metrics
-        assert calendar.result.shard_results[0].records == single.result.records
+        assert_one_shard_is_source_loop(
+            fast_engine, src, kv_budget_bytes=shard_budget, max_batch=8,
+        )
 
 
 class TestStealingEquivalence:

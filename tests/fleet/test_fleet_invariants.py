@@ -11,7 +11,7 @@ from __future__ import annotations
 import gc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import CapacityError, ConfigError
 from repro.fleet import (
@@ -29,7 +29,6 @@ from repro.serving import (
     LengthDistribution,
     Request,
     RequestStream,
-    ServingSimulator,
 )
 
 seeds = st.integers(0, 2**16)
@@ -85,56 +84,72 @@ class TestConservation:
 
 
 class TestSingleShardEquivalence:
+    """A one-shard fleet, and so ``repro serve``, serves a source as the
+    source loop (``tests/oracles/source_loop.py``) does on one scheduler:
+    the same events, steps, records, aggregates and metrics."""
+
     @given(seeds, st.sampled_from(["poisson", "bursty"]))
     @settings(max_examples=8, deadline=None)
     def test_merged_metrics_equal_single_engine_metrics(
-        self, fast_engine, shard_budget, make_stream, seed, kind
+        self, fast_engine, shard_budget, make_stream,
+        assert_one_shard_is_source_loop, seed, kind,
     ):
-        stream = make_stream(kind, n=14, seed=seed)
-        single = ServingSimulator(
-            fast_engine, kv_budget_bytes=shard_budget, max_batch=8
-        ).run(stream)
-        fleet = FleetSimulator(
-            [fast_engine],
-            policy="round-robin",
-            kv_budget_bytes=shard_budget,
-            max_batch=8,
-        ).run(stream)
-        # Field-for-field equality, not approximation: the fleet loop
-        # must not perturb a lone shard's timeline in any way. (Event
-        # logs may interleave ARRIVAL observations at finer granularity
-        # — the fleet submits at routing instants — but every request's
-        # admit/first-token/finish trajectory is identical.)
-        assert fleet.metrics == single.metrics
-        assert fleet.result.shard_results[0].records == single.result.records
+        assert_one_shard_is_source_loop(
+            fast_engine, lambda: make_stream(kind, n=14, seed=seed),
+            kv_budget_bytes=shard_budget, max_batch=8,
+        )
 
     @given(seeds)
     @settings(max_examples=6, deadline=None)
     def test_closed_loop_equivalence(
-        self, fast_engine, shard_budget, prompt_dist, output_dist, seed
+        self, fast_engine, shard_budget, prompt_dist, output_dist,
+        assert_one_shard_is_source_loop, seed,
     ):
         # Closed-loop is the hard case: follow-ups are *generated by*
-        # completions mid-drain, so the fleet must step shards one
-        # iteration at a time rather than running them dry — otherwise
-        # follow-ups cannot interleave with in-flight decodes the way
-        # they do inside a single scheduler.
+        # completions mid-drain, so the fleet must hand each one to its
+        # shard before the shard simulates past its arrival, as the
+        # loop's hook submits it straight back.
         def src():
             return ClosedLoopSource(
                 n_users=3, total_requests=12, think_time_s=0.001,
                 prompt_dist=prompt_dist, output_dist=output_dist, seed=seed,
             )
 
-        single = ServingSimulator(
-            fast_engine, kv_budget_bytes=shard_budget, max_batch=8
-        ).run(src())
-        fleet = FleetSimulator(
-            [fast_engine],
-            policy="round-robin",
-            kv_budget_bytes=shard_budget,
-            max_batch=8,
-        ).run(src())
-        assert fleet.metrics == single.metrics
-        assert fleet.result.shard_results[0].records == single.result.records
+        assert_one_shard_is_source_loop(
+            fast_engine, src, kv_budget_bytes=shard_budget, max_batch=8,
+        )
+
+    @given(
+        seeds, st.sampled_from([0.0, 0.0005, 0.002]),
+        st.sampled_from([64, 72, 80]), st.sampled_from([2, 8]),
+    )
+    @example(seed=2, think_time_s=0.0005, budget_tokens=72, max_batch=8)
+    @settings(max_examples=12, deadline=None)
+    def test_rejected_followups_equivalence(
+        self, fast_engine, fleet_model, assert_one_shard_is_source_loop,
+        seed, think_time_s, budget_tokens, max_batch,
+    ):
+        # 8-token prompts and outputs of up to 80 tokens under a KV
+        # budget of 64-80 tokens: some follow-ups can never be admitted
+        # and are rejected, and some initial requests do not fit (both
+        # drivers then raise the same error).
+        budget = fleet_model.n_layers * fleet_model.kv_cache_bytes_per_layer(
+            budget_tokens, fast_engine.config.act_bits
+        )
+
+        def src():
+            return ClosedLoopSource(
+                2, 12, think_time_s,
+                LengthDistribution("fixed", 8),
+                LengthDistribution("uniform", 1, 80),
+                seed=seed,
+            )
+
+        outcome = assert_one_shard_is_source_loop(
+            fast_engine, src, kv_budget_bytes=budget, max_batch=max_batch,
+        )
+        if (seed, think_time_s, budget_tokens, max_batch) == (2, 0.0005, 72, 8):
+            assert outcome.n_rejected_followups == 2
 
     def test_merge_rejects_empty_fleet(self):
         with pytest.raises(ConfigError):

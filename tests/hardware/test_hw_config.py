@@ -116,5 +116,7 @@ class TestValidation:
         ["clock_hz", "dram_capacity_bytes", "weight_bram_bytes", "n_parallel_pe"],
     )
     def test_rejects_nan(self, name):
-        with pytest.raises(ConfigError, match=f"{name} must be positive"):
+        # The clock is a real; sizes and PE counts follow the count rule.
+        rule = "positive" if name == "clock_hz" else ">= 1"
+        with pytest.raises(ConfigError, match=f"{name} must be {rule}"):
             zcu102_config().replace(**{name: float("nan")})

@@ -26,6 +26,7 @@ import signal
 
 import pytest
 
+from oracles.source_loop import run_source
 from repro import ExecutionPlan, MeadowEngine, zcu102_config
 from repro.errors import ConfigError, ReproError
 from repro.fleet import (
@@ -158,6 +159,30 @@ def _sweep(engine, **knobs):
     )
 
 
+def _sweep_grid(engine, **grid):
+    """A one-bandwidth sweep over ``grid``, which must raise or run
+    without its stream factory being called before the grid is checked."""
+    calls = []
+
+    def factory():
+        calls.append(None)
+        return _stream()
+
+    grid = {"n_engines_grid": (1,), "policies": ("round-robin",), **grid}
+    try:
+        return SweepDriver(engine, [1.0]).sweep(factory, **grid)
+    except ConfigError:
+        assert not calls, f"stream factory ran {len(calls)} times"
+        raise
+
+
+def _four_of(prompt_tokens, output_tokens):
+    """Four requests, each with these token counts."""
+    return RequestStream("four", tuple(
+        Request(i, 0.01 * i, prompt_tokens, output_tokens) for i in range(4)
+    ))
+
+
 #: (entry, argument, probe, valid): ``probe(engine, value)`` calls the
 #: entry with the argument set to ``value``; ``valid`` names the values
 #: (keys of :data:`VALUES`) its docstring accepts.
@@ -199,12 +224,12 @@ ARGS = [
         e, _closed_loop(think_time_s=v)), {"0", "0.5", "2.5"}),
     ("ClosedLoopSource", "seed", lambda e, v: _fleet(e, _closed_loop(seed=v)),
      {"0", "-1"}),
-    ("ContinuousBatchingScheduler", "kv_budget_bytes", lambda e, v:
-     ContinuousBatchingScheduler(e, _stream(), kv_budget_bytes=v).run(), {"None"}),
-    ("ContinuousBatchingScheduler", "max_batch", lambda e, v:
-     ContinuousBatchingScheduler(e, _stream(), max_batch=v).run(), set()),
-    ("ContinuousBatchingScheduler", "ctx_bucket", lambda e, v:
-     ContinuousBatchingScheduler(e, _stream(), ctx_bucket=v).run(), set()),
+    ("ContinuousBatchingScheduler", "kv_budget_bytes", lambda e, v: run_source(
+        ContinuousBatchingScheduler(e, kv_budget_bytes=v), _stream()), {"None"}),
+    ("ContinuousBatchingScheduler", "max_batch", lambda e, v: run_source(
+        ContinuousBatchingScheduler(e, max_batch=v), _stream()), set()),
+    ("ContinuousBatchingScheduler", "ctx_bucket", lambda e, v: run_source(
+        ContinuousBatchingScheduler(e, ctx_bucket=v), _stream()), set()),
     ("ServingSimulator", "kv_budget_bytes", lambda e, v: _serve(e, kv_budget_bytes=v),
      {"None"}),
     ("ServingSimulator", "max_batch", lambda e, v: _serve(e, max_batch=v), set()),
@@ -247,9 +272,9 @@ ARGS = [
     ("make_fault_schedule", "seed", lambda e, v: _fleet(
         e, faults=make_fault_schedule("chaos", 2, 1.0, v)), {"0", "-1"}),
     ("HardwareConfig", "n_parallel_pe", lambda e, v: _serve(
-        _hardware(n_parallel_pe=v)), {"2.5"}),
+        _hardware(n_parallel_pe=v)), set()),
     ("HardwareConfig", "weight_bram_bytes", lambda e, v: _serve(
-        _hardware(weight_bram_bytes=v)), {"0.5", "2.5"}),
+        _hardware(weight_bram_bytes=v)), set()),
     ("HardwareConfig", "clock_hz", lambda e, v: _serve(_hardware(clock_hz=v)),
      {"0.5", "2.5"}),
     ("HardwareConfig", "dram_bandwidth_gbps", lambda e, v: _serve(
@@ -356,7 +381,9 @@ def _assert_conserves(outcome) -> None:
     records = [rec for result in results for rec in result.records]
     assert sorted(rec.request.request_id for rec in records) == [0, 1, 2, 3]
     for rec in records:
-        assert rec.generated_tokens == rec.request.output_tokens
+        req = rec.request
+        assert type(req.prompt_tokens) is int and type(req.output_tokens) is int
+        assert rec.generated_tokens == req.output_tokens
 
 
 @pytest.mark.parametrize(
@@ -462,6 +489,73 @@ PROBES = [
      "max_energy_per_token_uj must be positive"),
     ("engines-for-max-engines-2.5", lambda e: _planner(e).engines_for(1.0, 1.0, 2.5),
      "max_engines must be >= 1"),
+    ("sweep-grid-n-engines-1.5", lambda e: _sweep_grid(e, n_engines_grid=(1, 1.5)),
+     "n_engines must be >= 1"),
+    ("sweep-grid-max-batch-2.5", lambda e: _sweep_grid(e, max_batch_grid=(16, 2.5)),
+     "max_batch must be >= 1"),
+    ("sweep-grid-ctx-bucket-0", lambda e: _sweep_grid(e, ctx_bucket_grid=(1, 0)),
+     "ctx_bucket must be >= 1"),
+    ("sweep-grid-policy-bogus", lambda e: _sweep_grid(
+        e, policies=("round-robin", "bogus")), "unknown routing policy 'bogus'"),
+    ("sweep-grid-faults-bogus", lambda e: _sweep_grid(
+        e, faults_grid=("none", "bogus")), "unknown fault scenario 'bogus'"),
+    ("sweep-grid-counts-2.0", lambda e: _sweep_grid(
+        e, n_engines_grid=(1.0,), max_batch_grid=(2.0,), ctx_bucket_grid=(16.0,)),
+     None),
+    # Scheduler knobs, request token counts and length-distribution
+    # bounds: each bad value raises where it is built, and the integral
+    # floats serve as ints.
+    ("kv-nan", lambda e: _serve(e, kv_budget_bytes=NAN),
+     "kv_budget_bytes must be positive"),
+    ("kv-inf", lambda e: _serve(e, kv_budget_bytes=INF),
+     "kv_budget_bytes must be positive"),
+    ("kv-zero", lambda e: _serve(e, kv_budget_bytes=0),
+     "kv_budget_bytes must be positive"),
+    ("max-batch-nan", lambda e: _serve(e, max_batch=NAN), "max_batch must be >= 1"),
+    ("max-batch-2.5", lambda e: _serve(e, max_batch=2.5), "max_batch must be >= 1"),
+    ("max-batch-true", lambda e: _serve(e, max_batch=True), "max_batch must be >= 1"),
+    ("max-batch-inf", lambda e: _serve(e, max_batch=INF), "max_batch must be >= 1"),
+    ("max-batch-zero", lambda e: _serve(e, max_batch=0), "max_batch must be >= 1"),
+    ("max-batch-2.0", lambda e: _serve(e, max_batch=2.0), None),
+    ("ctx-bucket-1.5", lambda e: _serve(e, ctx_bucket=1.5), "ctx_bucket must be >= 1"),
+    ("ctx-bucket-true", lambda e: _serve(e, ctx_bucket=True),
+     "ctx_bucket must be >= 1"),
+    ("ctx-bucket-nan", lambda e: _serve(e, ctx_bucket=NAN), "ctx_bucket must be >= 1"),
+    ("ctx-bucket-16.0", lambda e: _serve(e, ctx_bucket=16.0), None),
+    ("prompt-2.5", lambda e: _serve(e, _four_of(2.5, 4)),
+     "prompt_tokens must be >= 1"),
+    ("output-2.5", lambda e: _serve(e, _four_of(8, 2.5)),
+     "output_tokens must be >= 1"),
+    ("prompt-true", lambda e: _serve(e, _four_of(True, 4)),
+     "prompt_tokens must be >= 1"),
+    ("output-true", lambda e: _serve(e, _four_of(8, True)),
+     "output_tokens must be >= 1"),
+    ("output-nan", lambda e: _serve(e, _four_of(8, NAN)),
+     "output_tokens must be >= 1"),
+    ("output-inf", lambda e: _serve(e, _four_of(8, INF)),
+     "output_tokens must be >= 1"),
+    ("counts-8.0-4.0", lambda e: _serve(e, _four_of(8.0, 4.0)), None),
+    ("geometric-nan-lo", lambda e: LengthDistribution("geometric", NAN, 64),
+     "lo must be >= 1"),
+    ("geometric-inf-lo", lambda e: LengthDistribution("geometric", INF, 64),
+     "lo must be >= 1"),
+    ("geometric-inf-hi", lambda e: LengthDistribution("geometric", 4, INF),
+     "hi must be >= 1"),
+    ("uniform-nan-lo", lambda e: LengthDistribution("uniform", NAN, 64),
+     "lo must be >= 1"),
+    ("uniform-nan-hi", lambda e: LengthDistribution("uniform", 8, NAN),
+     "hi must be >= 1"),
+    ("uniform-2.5-lo", lambda e: LengthDistribution("uniform", 2.5, 64),
+     "lo must be >= 1"),
+    ("uniform-64.5-hi", lambda e: LengthDistribution("uniform", 8, 64.5),
+     "hi must be >= 1"),
+    ("fixed-2.5", lambda e: LengthDistribution("fixed", 2.5), "lo must be >= 1"),
+    ("fixed-true", lambda e: LengthDistribution("fixed", True), "lo must be >= 1"),
+    ("fixed-inf", lambda e: LengthDistribution("fixed", INF), "lo must be >= 1"),
+    ("geometric-mean-2.5", lambda e: _serve(
+        e, _stream(output_dist=LengthDistribution("geometric", 2.5, 16))), None),
+    ("uniform-8.0-16.0", lambda e: _serve(
+        e, _stream(prompt_dist=LengthDistribution("uniform", 8.0, 16.0))), None),
     ("chaos-nan-seeds-twice", _raises_twice, "seed must be an integer"),
     ("chaos-seed-minus-3-twice", lambda e: _twice(e, -3), None),
     ("chaos-seed-4.0-twice", lambda e: _twice(e, 4.0), None),

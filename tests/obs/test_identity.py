@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.source_loop import run_source
 from oracles.token_walk import walk_tokens
 from repro.obs import FleetObserver
 from repro.serving import ContinuousBatchingScheduler, ServingSimulator
@@ -102,10 +103,10 @@ class TestCoalescingInvisible:
         docs = []
         for walk in (False, True):
             scheduler = ContinuousBatchingScheduler(
-                fast_engine, make_stream(kind, 24, 3), max_batch=8,
-                ctx_bucket=ctx_bucket,
+                fast_engine, max_batch=8, ctx_bucket=ctx_bucket,
             )
-            result = walk_tokens(scheduler) if walk else scheduler.run()
+            serve = walk_tokens if walk else run_source
+            result = serve(scheduler, make_stream(kind, 24, 3))
             docs.append(FleetObserver().build(result).metrics.to_dict())
         coalesced, walked = docs
         assert coalesced["counters"] == walked["counters"]

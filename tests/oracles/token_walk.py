@@ -14,14 +14,14 @@ gaps, never from the slot columns the scheduler's decode run reduces.
 It extends the scheduler's token clock by one iteration per step (the
 scheduler's retirement slices each record's gaps from it), and asserts
 at every retirement that the record's ``tbt_s`` equals the gaps it
-built. :func:`walk_tokens` binds it, submits every request of the
-scheduler's source, steps
+built. :func:`walk_tokens` binds it, feeds the scheduler a source
+through ``oracles.source_loop.SourceLoop``, steps
 :meth:`~repro.serving.ContinuousBatchingScheduler.advance_one` until it
 reports nothing left to do, asserts that every record's ``tbt_s``
 equals the walk's gaps, and packages the result;
 ``oracles.fleet_walk.WalkingDrain`` binds it on every fleet shard.
 
-Tests and benchmarks assert that a scheduler's ``run()`` and this walk
+Tests and benchmarks assert that the coalesced scheduler and this walk
 agree field for field; nothing under ``src/`` imports it. Import it as
 ``from oracles.token_walk import walk_tokens`` with the ``tests``
 directory on ``sys.path`` (pytest puts it there through
@@ -33,7 +33,8 @@ from __future__ import annotations
 from array import array
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.serving import ContinuousBatchingScheduler, ServingResult
+from oracles.source_loop import SourceLoop
+from repro.serving import ContinuousBatchingScheduler, RequestSource, ServingResult
 from repro.utils import ceil_div
 
 __all__ = ["TokenWalk", "bind_decode_step", "walk_tokens"]
@@ -113,20 +114,20 @@ def bind_decode_step(scheduler: ContinuousBatchingScheduler) -> TokenWalk:
 
 def walk_tokens(
     scheduler: ContinuousBatchingScheduler,
+    source: RequestSource,
     on_step: Optional[Callable[[ContinuousBatchingScheduler], None]] = None,
 ) -> ServingResult:
-    """Run a fresh scheduler's source to completion, one step at a time.
+    """Serve ``source`` on a fresh scheduler, one step at a time.
 
     ``on_step`` is called after every iteration, so property tests can
     check invariants at each boundary.
     """
     walk = bind_decode_step(scheduler)
-    for request in scheduler.source.initial():
-        scheduler.submit(request)
+    loop = SourceLoop(scheduler, source)
     while scheduler.advance_one():
         if on_step is not None:
             on_step(scheduler)
-    result = scheduler.result()
+    result = loop.result()
     for record in result.records:
         rid = record.request.request_id
         assert record.tbt_s == walk.gaps.get(rid, array("d")), rid

@@ -9,6 +9,8 @@ control actually engages.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import pytest
 
 from repro import ExecutionPlan, MeadowEngine, zcu102_config
@@ -17,6 +19,7 @@ from repro.packing import PackingPlanner
 from repro.serving import (
     ContinuousBatchingScheduler,
     LengthDistribution,
+    RequestSource,
     poisson_stream,
 )
 
@@ -61,7 +64,8 @@ def output_dist() -> LengthDistribution:
 
 @pytest.fixture(scope="session")
 def make_scenario(serving_engine, serving_model, prompt_dist, output_dist):
-    """Factory: a ready-to-run scheduler over a seeded Poisson stream.
+    """Factory: a fresh ``(scheduler, source)`` pair, a seeded Poisson
+    stream unless ``source`` is given; ``run_source(*pair)`` serves it.
 
     ``budget_requests`` sizes the KV budget in units of worst-case
     requests, so tests can force admission-control pressure (e.g. 2
@@ -75,7 +79,7 @@ def make_scenario(serving_engine, serving_model, prompt_dist, output_dist):
         budget_requests: float = 4.0,
         max_batch: int = 8,
         source=None,
-    ) -> ContinuousBatchingScheduler:
+    ) -> Tuple[ContinuousBatchingScheduler, RequestSource]:
         if source is None:
             source = poisson_stream(
                 n_requests, rate_rps, prompt_dist, output_dist, seed=seed
@@ -83,11 +87,11 @@ def make_scenario(serving_engine, serving_model, prompt_dist, output_dist):
         worst_case = serving_model.n_layers * serving_model.kv_cache_bytes_per_layer(
             serving_model.max_seq_len, serving_engine.config.act_bits
         )
-        return ContinuousBatchingScheduler(
+        scheduler = ContinuousBatchingScheduler(
             serving_engine,
-            source,
             kv_budget_bytes=int(worst_case * budget_requests),
             max_batch=max_batch,
         )
+        return scheduler, source
 
     return _make

@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles.shard_state import queued_prefill_reference, recount_shard_state
+from oracles.source_loop import SourceLoop, run_source
 from oracles.token_walk import walk_tokens
 from repro import ExecutionPlan, MeadowEngine
 from repro.serving import (
@@ -93,15 +94,16 @@ def _fresh(engine, surface=None):
 
 def _run(engine, source, *, walk=False, ctx_bucket=1, max_batch=8,
          budget_requests=4.0):
-    """The scheduler's coalesced ``run()``, or the per-token walk."""
+    """``source`` served by the coalesced scheduler, or the per-token walk."""
     scheduler = ContinuousBatchingScheduler(
         engine,
-        source,
         kv_budget_bytes=_budget(engine, budget_requests),
         max_batch=max_batch,
         ctx_bucket=ctx_bucket,
     )
-    return walk_tokens(scheduler) if walk else scheduler.run()
+    if walk:
+        return walk_tokens(scheduler, source)
+    return run_source(scheduler, source)
 
 
 def _assert_identical(fast, ref):
@@ -202,9 +204,9 @@ class TestCoalescedEqualsReference:
         budget = _budget(serving_engine)
         ref_engine, chunked_engine = _fresh(serving_engine), _fresh(serving_engine)
         ref = walk_tokens(ContinuousBatchingScheduler(
-            ref_engine, stream, kv_budget_bytes=budget,
+            ref_engine, kv_budget_bytes=budget,
             max_batch=8, ctx_bucket=ctx_bucket,
-        ))
+        ), stream)
         chunked = ContinuousBatchingScheduler(
             chunked_engine, kv_budget_bytes=budget,
             max_batch=8, ctx_bucket=ctx_bucket,
@@ -249,14 +251,14 @@ class TestTokenClockUnderOverload:
         ref_engine, fast_engine = _fresh(serving_engine), _fresh(serving_engine)
         budget = _budget(serving_engine, 16.0)
         ref = walk_tokens(
-            ContinuousBatchingScheduler(
-                ref_engine, stream, kv_budget_bytes=budget, **knobs
-            ),
+            ContinuousBatchingScheduler(ref_engine, kv_budget_bytes=budget, **knobs),
+            stream,
             on_step=check,
         )
-        fast = ContinuousBatchingScheduler(
-            fast_engine, stream, kv_budget_bytes=budget, **knobs
-        ).run()
+        fast = run_source(
+            ContinuousBatchingScheduler(fast_engine, kv_budget_bytes=budget, **knobs),
+            stream,
+        )
         _assert_identical(fast, ref)
         _assert_same_lookups(fast_engine.surface, ref_engine.surface)
         assert ref.max_queue_depth > 16
@@ -284,10 +286,10 @@ class TestTokenClockUnderOverload:
             walk_offsets.append(s._tok_off)
 
         ref = walk_tokens(
-            ContinuousBatchingScheduler(serving_engine, stream, **knobs),
+            ContinuousBatchingScheduler(serving_engine, **knobs), stream,
             on_step=check,
         )
-        fast = ContinuousBatchingScheduler(serving_engine, stream, **knobs)
+        fast = ContinuousBatchingScheduler(serving_engine, **knobs)
         trim, fast_offsets = fast._trim_clock, []
 
         def recording_trim():
@@ -295,7 +297,7 @@ class TestTokenClockUnderOverload:
             fast_offsets.append(fast._tok_off)
 
         fast._trim_clock = recording_trim
-        _assert_identical(fast.run(), ref)
+        _assert_identical(run_source(fast, stream), ref)
         assert max(walk_offsets) > 0 and max(fast_offsets) > 0
 
 
@@ -314,14 +316,12 @@ class TestSnapshotAggregates:
     def test_incremental_equals_recomputed_at_every_boundary(
         self, serving_engine, make_source, seed, kind
     ):
-        source = make_source(kind, seed)
         scheduler = ContinuousBatchingScheduler(
-            serving_engine, source,
+            serving_engine,
             kv_budget_bytes=_budget(serving_engine, 3.0),
             max_batch=4, ctx_bucket=8,
         )
-        for req in source.initial():
-            scheduler.submit(req)
+        SourceLoop(scheduler, make_source(kind, seed))
         checked = 0
         while True:
             snap = scheduler.snapshot()

@@ -17,6 +17,7 @@ from array import array
 
 import pytest
 
+from oracles.source_loop import run_source
 from repro.serving import (
     ContinuousBatchingScheduler,
     EventKind,
@@ -48,26 +49,27 @@ def _record_logging(sched):
 
 @pytest.fixture
 def make_sched(serving_engine, serving_model, prompt_dist, output_dist):
-    """A backlogged scheduler: 40 req/s into four slots and a KV budget
-    of three worst-case requests."""
+    """A backlogged ``(scheduler, source)``: 40 req/s into four slots and
+    a KV budget of three worst-case requests."""
     worst = serving_model.n_layers * serving_model.kv_cache_bytes_per_layer(
         serving_model.max_seq_len, serving_engine.config.act_bits
     )
 
     def _make(n=24, seed=3):
         source = poisson_stream(n, 40.0, prompt_dist, output_dist, seed=seed)
-        return ContinuousBatchingScheduler(
-            serving_engine, source, kv_budget_bytes=3 * worst, max_batch=4,
+        sched = ContinuousBatchingScheduler(
+            serving_engine, kv_budget_bytes=3 * worst, max_batch=4,
         )
+        return sched, source
 
     return _make
 
 
 class TestEventLogReadsBack:
     def test_events_match_the_observer_side_recording(self, make_sched):
-        sched = make_sched()
+        sched, source = make_sched()
         recorded = _record_logging(sched)
-        events = sched.run().events
+        events = run_source(sched, source).events
         assert isinstance(events, EventLog)
         assert len(events) == len(recorded) > 0
         assert [
@@ -83,7 +85,7 @@ class TestEventLogReadsBack:
             events[len(events)]
 
     def test_every_kind_reads_back(self, make_sched):
-        sched = make_sched()
+        sched, _ = make_sched()
         for i in range(6):  # a burst: two of six wait for a slot
             sched.submit(Request(i, 0.0, 32, 8))
         sched.advance_one()
@@ -95,7 +97,7 @@ class TestEventLogReadsBack:
 class TestEventLogEquality:
     @pytest.mark.parametrize("column", COLUMNS)
     def test_logs_differing_in_one_column_are_unequal(self, make_sched, column):
-        log = make_sched().run().events
+        log = run_source(*make_sched()).events
         twin = log.copy()
         assert twin == log and twin is not log
         values = getattr(twin, column)
@@ -119,10 +121,10 @@ class TestEventLogEquality:
 
 class TestResultsAreSnapshots:
     def test_mid_run_result_unchanged_by_later_advance(self, make_sched):
-        sched = make_sched(n=16)
-        for req in sched.source.initial():
+        sched, source = make_sched(n=16)
+        for req in source.initial():
             sched.submit(req)
-        sched.advance_until(0.5 * sched.source.initial()[-1].arrival_s)
+        sched.advance_until(0.5 * source.initial()[-1].arrival_s)
         mid = sched.result()
         again = sched.result()  # a second hand-out of the same log
         assert mid.records and len(mid.events)
@@ -139,14 +141,14 @@ class TestResultsAreSnapshots:
 
 class TestGapArrays:
     def test_records_hold_gap_arrays(self, make_sched):
-        for rec in make_sched().run().records:
+        for rec in run_source(*make_sched()).records:
             assert isinstance(rec.tbt_s, array) and rec.tbt_s.typecode == "d"
             assert rec.generated_tokens == 1 + len(rec.tbt_s)
             assert rec.ttft_s + sum(rec.tbt_s) == pytest.approx(rec.e2e_s)
 
     def test_records_compare_equal_but_are_not_hashable(self, make_sched):
-        a = make_sched().run()
-        b = make_sched().run()
+        a = run_source(*make_sched())
+        b = run_source(*make_sched())
         assert a.records == b.records
         with pytest.raises(TypeError):
             hash(a.records[0])

@@ -17,6 +17,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.source_loop import run_source
 from oracles.token_walk import walk_tokens
 from repro.serving import (
     ClosedLoopSource,
@@ -40,9 +41,9 @@ def _budget(engine, requests: float = 4.0) -> int:
     return int(worst * requests)
 
 
-def _scheduler(engine, source, ctx_bucket):
+def _scheduler(engine, ctx_bucket):
     return ContinuousBatchingScheduler(
-        engine, source, kv_budget_bytes=_budget(engine),
+        engine, kv_budget_bytes=_budget(engine),
         max_batch=MAX_BATCH, ctx_bucket=ctx_bucket,
     )
 
@@ -78,7 +79,7 @@ def _walk_clocks(engine, source, ctx_bucket):
     """Every step's end clock in the per-token walk, in order."""
     clocks = []
     walk_tokens(
-        _scheduler(engine, source, ctx_bucket),
+        _scheduler(engine, ctx_bucket), source,
         on_step=lambda s: clocks.append(s.clock_s),
     )
     return clocks
@@ -120,12 +121,9 @@ class TestRunEnds:
             serving_engine, _source(kind, seed, prompt_dist, output_dist),
             ctx_bucket,
         )
-        scheduler = _scheduler(
-            serving_engine, _source(kind, seed, prompt_dist, output_dist),
-            ctx_bucket,
-        )
+        scheduler = _scheduler(serving_engine, ctx_bucket)
         runs = _record_runs(scheduler)
-        scheduler.run()
+        run_source(scheduler, _source(kind, seed, prompt_dist, output_dist))
         _assert_runs_end_at_events(runs, walk)
 
     @given(seeds, st.sampled_from(["poisson", "bursty"]), ctx_buckets,
@@ -140,7 +138,7 @@ class TestRunEnds:
         # fall inside runs.
         source = _source(kind, seed, prompt_dist, output_dist)
         walk = _walk_clocks(serving_engine, source, ctx_bucket)
-        scheduler = _scheduler(serving_engine, None, ctx_bucket)
+        scheduler = _scheduler(serving_engine, ctx_bucket)
         runs = _record_runs(scheduler)
         requests = list(source.initial())
         for req, nxt in zip(requests, requests[1:] + [None]):
@@ -159,8 +157,8 @@ class TestLoneRequest:
     def test_decodes_in_one_run(self, serving_engine, ctx_bucket):
         # 99 decode steps cross many buckets of every size here.
         source = RequestStream("lone", (Request(0, 0.0, 20, 100),))
-        scheduler = _scheduler(serving_engine, source, ctx_bucket)
+        scheduler = _scheduler(serving_engine, ctx_bucket)
         runs = _record_runs(scheduler)
-        result = scheduler.run()
+        result = run_source(scheduler, source)
         assert result.n_decode_iterations == 99
         assert [k for _, _, k, _, _ in runs] == [99]

@@ -11,6 +11,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+from oracles.source_loop import run_source
 from oracles.token_walk import walk_tokens
 from repro.errors import CapacityError, ConfigError
 from repro.serving import EventKind
@@ -33,14 +34,16 @@ class TestClockMonotonicity:
     @given(seeds, rates, budgets)
     @settings(max_examples=12, deadline=None)
     def test_event_times_never_go_backwards(self, make_scenario, seed, rate, budget):
-        result = make_scenario(seed=seed, rate_rps=rate, budget_requests=budget).run()
+        result = run_source(
+            *make_scenario(seed=seed, rate_rps=rate, budget_requests=budget)
+        )
         times = [ev.t_s for ev in result.events]
         assert all(b >= a for a, b in zip(times, times[1:]))
 
     @given(seeds)
     @settings(max_examples=8, deadline=None)
     def test_lifecycle_ordered_per_request(self, make_scenario, seed):
-        result = make_scenario(seed=seed).run()
+        result = run_source(*make_scenario(seed=seed))
         for rec in result.records:
             req = rec.request
             assert req.arrival_s <= rec.admit_s <= rec.first_token_s <= rec.finish_s
@@ -52,7 +55,7 @@ class TestPrefillBeforeDecode:
     def test_no_decode_before_first_token(self, make_scenario, seed, rate):
         # Gaps are measured from first_token_s on, so a decode step
         # before the first token would show as a non-positive gap.
-        result = make_scenario(seed=seed, rate_rps=rate).run()
+        result = run_source(*make_scenario(seed=seed, rate_rps=rate))
         for rec in result.records:
             assert rec.generated_tokens == rec.request.output_tokens
             assert all(gap > 0 for gap in rec.tbt_s)
@@ -73,9 +76,9 @@ class TestPrefillBeforeDecode:
                 n_users=3, total_requests=12, think_time_s=0.002,
                 prompt_dist=prompt_dist, output_dist=output_dist, seed=seed,
             )
-        result = make_scenario(
+        result = run_source(*make_scenario(
             seed=seed, budget_requests=budget, source=source
-        ).run()
+        ))
         for evs in _events_by_request(result.events).values():
             assert [e.kind for e in evs] == [
                 EventKind.ARRIVAL, EventKind.ADMIT,
@@ -88,8 +91,7 @@ class TestKvBudget:
     @given(seeds, budgets)
     @settings(max_examples=12, deadline=None)
     def test_reservation_never_exceeds_budget(self, make_scenario, seed, budget):
-        scheduler = make_scenario(seed=seed, budget_requests=budget)
-        result = scheduler.run()
+        result = run_source(*make_scenario(seed=seed, budget_requests=budget))
         assert all(
             ev.kv_reserved_bytes <= result.kv_budget_bytes for ev in result.events
         )
@@ -98,12 +100,12 @@ class TestKvBudget:
     @given(seeds)
     @settings(max_examples=8, deadline=None)
     def test_all_kv_released_at_drain(self, make_scenario, seed):
-        result = make_scenario(seed=seed).run()
+        result = run_source(*make_scenario(seed=seed))
         assert result.events[-1].kv_reserved_bytes == 0
 
     def test_oversized_request_rejected_up_front(self, make_scenario):
         with pytest.raises(CapacityError):
-            make_scenario(budget_requests=0.1).run()
+            run_source(*make_scenario(budget_requests=0.1))
 
     def test_infeasible_closed_loop_followup_rejected_not_fatal(
         self, serving_engine, serving_model
@@ -122,9 +124,10 @@ class TestKvBudget:
             LengthDistribution("uniform", 1, 80),
             seed=2,  # draws feasible initial requests, infeasible follow-ups
         )
-        result = ContinuousBatchingScheduler(
-            serving_engine, source, kv_budget_bytes=budget
-        ).run()
+        result = run_source(
+            ContinuousBatchingScheduler(serving_engine, kv_budget_bytes=budget),
+            source,
+        )
         assert result.n_rejected_followups > 0
         assert len(result.records) + result.n_rejected_followups <= 10
         for rec in result.records:  # served requests are complete
@@ -138,29 +141,23 @@ class TestKvBudget:
         burst = bursty_stream(8, 8, 1.0, prompt_dist, output_dist, seed=0)
         # Ample budget: the whole burst admits at its arrival instant, so
         # nobody is ever held back by KV and the queue metric stays zero.
-        ample = make_scenario(source=burst, budget_requests=16.0).run()
+        ample = run_source(*make_scenario(source=burst, budget_requests=16.0))
         assert ample.max_queue_depth == 0
         # Tight budget: admission control must actually queue the burst.
-        tight = make_scenario(source=burst, budget_requests=1.0).run()
+        tight = run_source(*make_scenario(source=burst, budget_requests=1.0))
         assert tight.max_queue_depth > 0
 
     def test_packing_reclaims_dram_for_kv(self, serving_engine, serving_model):
         # The default budget credits the packed weight image: a packing
         # engine must get at least the unpacked engine's KV headroom.
         from repro import ExecutionPlan, MeadowEngine
-        from repro.serving import ContinuousBatchingScheduler, LengthDistribution
-        from repro.serving import poisson_stream
+        from repro.serving import ContinuousBatchingScheduler
 
-        stream = poisson_stream(
-            2, 1.0,
-            LengthDistribution("fixed", 8),
-            LengthDistribution("fixed", 4),
-        )
         unpacked_engine = MeadowEngine(
             serving_model, serving_engine.config, ExecutionPlan.gemm_baseline()
         )
-        packed = ContinuousBatchingScheduler(serving_engine, stream)
-        unpacked = ContinuousBatchingScheduler(unpacked_engine, stream)
+        packed = ContinuousBatchingScheduler(serving_engine)
+        unpacked = ContinuousBatchingScheduler(unpacked_engine)
         assert packed.kv_budget_bytes >= unpacked.kv_budget_bytes
 
 
@@ -209,15 +206,15 @@ class TestSlotBoundUnderOverload:
             serving_model.max_seq_len, serving_engine.config.act_bits
         )
 
-        def scheduler():
-            return ContinuousBatchingScheduler(
+        def scenario():
+            scheduler = ContinuousBatchingScheduler(
                 serving_engine,
-                self._source(
-                    kind, seed, load, rate, max_batch, prompt_dist, output_dist
-                ),
                 kv_budget_bytes=int(worst * budget_requests),
                 max_batch=max_batch,
                 ctx_bucket=8,
+            )
+            return scheduler, self._source(
+                kind, seed, load, rate, max_batch, prompt_dist, output_dist
             )
 
         def check(walk):
@@ -227,9 +224,9 @@ class TestSlotBoundUnderOverload:
             snap = walk.snapshot()
             assert snap.n_decoding <= snap.max_batch
 
-        walk = scheduler()
-        walked = walk_tokens(walk, on_step=check)
-        offered = getattr(walk.source, "total_requests", 40)
+        walk, source = scenario()
+        walked = walk_tokens(walk, source, on_step=check)
+        offered = getattr(source, "total_requests", 40)
         assert len(walked.records) + walked.n_rejected_followups == offered
         for rec in walked.records:
             assert rec.generated_tokens == rec.request.output_tokens
@@ -237,7 +234,7 @@ class TestSlotBoundUnderOverload:
         # The coalesced path: requests holding a slot (admitted, not yet
         # completed) never exceed the bound at any logged instant, and
         # the timeline is the walk's, bit for bit.
-        ran = scheduler().run()
+        ran = run_source(*scenario())
         in_flight = 0
         for ev in ran.events:
             if ev.kind is EventKind.ADMIT:
@@ -277,7 +274,9 @@ class TestFcfsAdmission:
     def test_admission_preserves_arrival_order(
         self, make_scenario, seed, rate, budget
     ):
-        result = make_scenario(seed=seed, rate_rps=rate, budget_requests=budget).run()
+        result = run_source(
+            *make_scenario(seed=seed, rate_rps=rate, budget_requests=budget)
+        )
         admitted = [
             ev.request_id for ev in result.events if ev.kind is EventKind.ADMIT
         ]
@@ -292,9 +291,9 @@ class TestConservation:
     @given(seeds, rates)
     @settings(max_examples=10, deadline=None)
     def test_every_request_served_in_full(self, make_scenario, seed, rate):
-        scheduler = make_scenario(seed=seed, rate_rps=rate)
-        n = len(scheduler.source.initial())
-        result = scheduler.run()
+        scheduler, source = make_scenario(seed=seed, rate_rps=rate)
+        n = len(source.initial())
+        result = run_source(scheduler, source)
         assert len(result.records) == n
         for rec in result.records:
             assert rec.generated_tokens == rec.request.output_tokens
@@ -304,35 +303,29 @@ class TestConservation:
     def test_tbt_accounts_for_every_inter_token_gap(self, make_scenario, seed, rate):
         # TBT is the wall-clock gap between tokens (prefill stalls
         # included), so the latency identity must hold exactly.
-        result = make_scenario(seed=seed, rate_rps=rate).run()
+        result = run_source(*make_scenario(seed=seed, rate_rps=rate))
         for rec in result.records:
             assert rec.ttft_s + sum(rec.tbt_s) == pytest.approx(rec.e2e_s)
 
     @given(seeds)
     @settings(max_examples=6, deadline=None)
     def test_same_seed_reproduces_identical_timeline(self, make_scenario, seed):
-        a = make_scenario(seed=seed).run()
-        b = make_scenario(seed=seed).run()
+        a = run_source(*make_scenario(seed=seed))
+        b = run_source(*make_scenario(seed=seed))
         assert a.events == b.events
         assert a.records == b.records
 
 
 class TestSchedulerConfigValidation:
     def test_rejects_bad_knobs(self, serving_engine, make_scenario):
-        from repro.serving import ContinuousBatchingScheduler, poisson_stream
-        from repro.serving import LengthDistribution
+        from repro.serving import ContinuousBatchingScheduler
 
-        stream = poisson_stream(
-            2, 1.0,
-            LengthDistribution("fixed", 8),
-            LengthDistribution("fixed", 4),
-        )
         with pytest.raises(ConfigError):
-            ContinuousBatchingScheduler(serving_engine, stream, max_batch=0)
+            ContinuousBatchingScheduler(serving_engine, max_batch=0)
         with pytest.raises(ConfigError):
-            ContinuousBatchingScheduler(serving_engine, stream, ctx_bucket=0)
+            ContinuousBatchingScheduler(serving_engine, ctx_bucket=0)
         with pytest.raises(ConfigError):
-            ContinuousBatchingScheduler(serving_engine, stream, kv_budget_bytes=-1)
+            ContinuousBatchingScheduler(serving_engine, kv_budget_bytes=-1)
 
 
 class TestDeterministicOrdering:
@@ -377,7 +370,7 @@ class TestDeterministicOrdering:
 
 
 class TestIncrementalDriving:
-    """submit()/advance_until() chunks reproduce run() exactly."""
+    """submit()/advance_until() chunks reproduce one advance exactly."""
 
     @given(seeds, rates)
     @settings(max_examples=8, deadline=None)
@@ -387,10 +380,13 @@ class TestIncrementalDriving:
         from repro.serving import ContinuousBatchingScheduler, poisson_stream
 
         stream = poisson_stream(10, rate, prompt_dist, output_dist, seed=seed)
-        budget = make_scenario(seed=seed).kv_budget_bytes
-        one_shot = ContinuousBatchingScheduler(
-            serving_engine, stream, kv_budget_bytes=budget, max_batch=8
-        ).run()
+        budget = make_scenario(seed=seed)[0].kv_budget_bytes
+        one_shot = run_source(
+            ContinuousBatchingScheduler(
+                serving_engine, kv_budget_bytes=budget, max_batch=8
+            ),
+            stream,
+        )
 
         chunked = ContinuousBatchingScheduler(
             serving_engine, kv_budget_bytes=budget, max_batch=8
@@ -407,13 +403,15 @@ class TestIncrementalDriving:
         assert result.duration_s == one_shot.duration_s
 
     def test_run_requires_a_source(self, serving_engine):
-        from repro.serving import ContinuousBatchingScheduler
+        # The one driver refuses a scenario that brings no requests.
+        from repro.serving import RequestStream, ServingSimulator
 
-        with pytest.raises(ConfigError):
-            ContinuousBatchingScheduler(serving_engine).run()
+        with pytest.raises(ConfigError, match="produced no requests"):
+            ServingSimulator(serving_engine).run(RequestStream("empty", ()))
 
     def test_run_is_single_use(self, serving_engine, make_scenario):
-        scheduler = make_scenario(seed=7)
-        scheduler.run()
+        # A served scenario's ids stay known: replaying it is refused.
+        scheduler, source = make_scenario(seed=7)
+        run_source(scheduler, source)
         with pytest.raises(ConfigError):
-            scheduler.run()
+            run_source(scheduler, source)

@@ -3,11 +3,11 @@
 Work stealing only ever withdrew from busy donors; failover also
 withdraws the *sole* waiting request, withdraws around completions,
 and harvests whole shards. These are the regression tests for those
-edges, plus the typed-exception surface (`UnknownRequestError`,
-`SchedulerClosedError`) the fleet layer dispatches on.
+edges, plus the typed exception (`UnknownRequestError`) the fleet
+layer dispatches on.
 
-Incremental-API tests feed requests through ``submit()`` — the fleet
-path — since ``run()`` is the only consumer of a scheduler's source.
+The tests feed requests through ``submit()``, the only way into a
+scheduler, as the fleet does.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import math
 
 import pytest
 
-from repro.errors import SchedulerClosedError, UnknownRequestError
-from repro.serving import EventKind, Request, RequestStream
+from repro.errors import UnknownRequestError
+from repro.serving import EventKind, Request
 
 
 def _requests(n, arrival_s=0.0, prompt=32, output=8):
@@ -31,9 +31,7 @@ def _requests(n, arrival_s=0.0, prompt=32, output=8):
 
 
 def _sched(make_scenario, requests=(), **kw):
-    sched = make_scenario(
-        source=RequestStream(requests=tuple(_requests(1))), **kw
-    )
+    sched, _ = make_scenario(**kw)
     for req in requests:
         sched.submit(req)
     return sched
@@ -108,14 +106,6 @@ class TestTypedExceptions:
         sched = _sched(make_scenario, _requests(1))
         with pytest.raises(UnknownRequestError, match="already"):
             sched.submit(Request(0, 0.0, 16, 4))
-
-    def test_run_reuse_raises_scheduler_closed(self, make_scenario):
-        sched = make_scenario(
-            source=RequestStream(requests=tuple(_requests(2)))
-        )
-        sched.run()
-        with pytest.raises(SchedulerClosedError):
-            sched.run()
 
 
 class TestCrashHarvest:
