@@ -315,9 +315,9 @@ OVERLOAD_MAX_RATIO = 5.0
 #: Predicted-latency's 20k wall over round-robin's, median of the
 #: per-pair ratios, that CI fails above: routing on the model may cost
 #: at most 3x blind rotation. (Predicted-latency's own 20k/5k ratio is
-#: reported but not gated: its waiting-prompt histograms grow from ~130
-#: to ~170 distinct lengths between the two streams, so it is
-#: superlinear by design.)
+#: reported but not gated: each model evaluation after a change to a
+#: shard sums over every waiting prompt length, about 150 per sum at 5k
+#: and 180 at 20k, so the ratio stays above 4, at 4.4-4.7.)
 OVERLOAD_MAX_PL_OVER_RR = 3.0
 #: Heap bytes per request a finished 20k-request report may keep alive.
 #: Exact-size gap arrays sliced from each shard's token clock and

@@ -595,16 +595,16 @@ class FleetSimulator:
             )
             for i, engine in enumerate(self.engines)
         )
-        # Open-loop sources never inject follow-ups, so once the arrival
-        # and fault heaps drain the calendar runs each shard dry in one
-        # advance (steal checks still need every boundary). A source is
-        # open-loop only when on_complete is the base-class no-op and no
-        # instance-level hook shadows it.
-        open_loop = (
-            type(source).on_complete is RequestSource.on_complete
-            and "on_complete" not in getattr(source, "__dict__", {})
-            and not self.steal
+        # Open-loop sources never inject follow-ups: no advance needs an
+        # interrupt, and once the arrival and fault heaps drain the
+        # calendar runs each shard dry in one advance (steal checks still
+        # need every boundary). A source is open-loop only when
+        # on_complete is the base-class no-op, not shadowed per instance.
+        follows_up = (
+            type(source).on_complete is not RequestSource.on_complete
+            or "on_complete" in getattr(source, "__dict__", {})
         )
+        open_loop = not (follows_up or self.steal)
 
         seen_ids = set()
         for req in initial:
@@ -621,15 +621,21 @@ class FleetSimulator:
         del seen_ids  # only the start-up check reads it
 
         def sync(t: float) -> bool:
-            """Advance every live shard to ``t``; False when a completion
-            injected an earlier arrival, which must route first."""
-            preempted = lambda: bool(arrivals) and arrivals[0][0] < t
+            """Advance every live shard still before ``t`` to ``t``; False
+            when a completion injected an earlier arrival, which must
+            route first."""
+            preempted = (
+                (lambda: bool(arrivals) and arrivals[0][0] < t)
+                if follows_up else None
+            )
             for i, shard in enumerate(shards):
-                if up[i]:
+                if up[i] and shard.clock_s < t:
                     shard.advance_until(t, interrupt=preempted)
-            return not preempted()
+            return preempted is None or not preempted()
 
         decisions: List[RoutingDecision] = []
+        # Feasibility depends only on a request's total tokens.
+        feasible_by_tokens: Dict[int, List[int]] = {}
         calendar = _DrainCalendar(shards, open_loop)
         while True:
             if self.steal:
@@ -702,10 +708,12 @@ class FleetSimulator:
                     # arrival goes back and re-advances from here.
                     heapq.heappush(arrivals, (t, request_id, req))
                     continue
-                feasible_ids = [
-                    i for i, shard in enumerate(shards)
-                    if shard.can_ever_admit(req)
-                ]
+                feasible_ids = feasible_by_tokens.get(req.total_tokens)
+                if feasible_ids is None:
+                    feasible_ids = feasible_by_tokens[req.total_tokens] = [
+                        i for i, shard in enumerate(shards)
+                        if shard.can_ever_admit(req)
+                    ]
                 # Circuit breaker: down shards take no traffic. When
                 # *every* feasible shard is down, park the request until
                 # the first of them recovers (its arrival_s is kept, so

@@ -70,13 +70,14 @@ The property tests in ``tests/serving/`` assert the scheduler's
 invariants (clock monotonicity, budget respect, FCFS order) against
 the log and the records. Routing-facing state is served as read-only
 properties named like the :class:`SchedulerSnapshot` fields. The
-queue-side figures (the prompt histogram and its prefill sum, waiting
-and reserved KV) are aggregates kept at submit / admit / prefill /
-complete / withdraw time, O(1) in queue depth; the decode-side figures
-(tokens left to decode, deepest context) are a sum or max over the
-slots' fixed indices when read. The fleet's policies read a live
-shard directly, and :meth:`snapshot` is the frozen copy of the same
-properties.
+queue-side figures (waiting and reserved KV, and the waiting prompts
+as a count per length) are aggregates kept at submit / admit / prefill
+/ complete / withdraw time, O(1) in queue depth; the prompt histogram
+tuple is built when read, and its prefill sum is summed again only
+when read after a change. The decode-side figures (tokens left to
+decode, deepest context) are a sum or max over the slots' fixed
+indices when read. The fleet's policies read a live shard directly,
+and :meth:`snapshot` is the frozen copy of the same properties.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ import enum
 import heapq
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field, fields
 from functools import reduce
@@ -556,16 +557,14 @@ class ContinuousBatchingScheduler(_ShardLoad):
         # ---- incremental aggregates backing O(1) snapshots ----
         self._kv_bytes_cache: Dict[int, int] = {}  # token count -> KV bytes
         self._waiting_kv = 0  # worst-case KV over future + pending
-        # Sorted (prompt len, count) pairs over the waiting requests. Each
-        # submit / prefill / withdraw splices one pair (bisecting on
-        # ``(len,)``, which sorts before every ``(len, count)``), so the
-        # tuple is always ready to hand out and is never re-sorted.
-        self._hist: Tuple[Tuple[int, int], ...] = ()
-        # The queued-prefill sum and the histogram tuple it was taken
-        # over: every splice replaces the tuple, so while ``_hist`` is
-        # still that object the sum is still exact.
-        self._queued_hist = self._hist
-        self._queued_s = 0.0
+        # The waiting prompts as a count per prompt length, plus the
+        # lengths present in ascending order. Each submit / prefill /
+        # withdraw updates one count, and bisects only when a length
+        # appears or vanishes. The queued-prefill sum over them is
+        # summed when read after a change (None marks it stale).
+        self._prompt_counts: Dict[int, int] = {}
+        self._prompt_lens: List[int] = []
+        self._queued_s: Optional[float] = 0.0
 
     # ------------------------------------------------- live routing state
     # Read-only views named and meant like the SchedulerSnapshot
@@ -573,7 +572,6 @@ class ContinuousBatchingScheduler(_ShardLoad):
     # the decode-slot figures computed when read. Routing, shedding and
     # work stealing read a live shard through these.
     clock_s = _view("_clock", "The simulated clock (busy until this instant).")
-    waiting_prompt_hist = _view("_hist", "Sorted (prompt length, count) pairs.")
     kv_reserved_bytes = _view("_kv_reserved", "KV bytes admitted requests hold.")
     waiting_kv_bytes = _view("_waiting_kv", "Worst-case KV of unadmitted requests.")
 
@@ -600,17 +598,28 @@ class ContinuousBatchingScheduler(_ShardLoad):
             return 0
         return max(self._d_base) + self._tok_off + len(self._tok_s)
 
+    def _prompt_pairs(self) -> Iterator[Tuple[int, int]]:
+        """The waiting prompts' (length, count) pairs, ascending."""
+        lens = self._prompt_lens
+        return zip(lens, map(self._prompt_counts.__getitem__, lens))
+
+    @property
+    def waiting_prompt_hist(self) -> Tuple[Tuple[int, int], ...]:
+        """Sorted (prompt length, count) pairs."""
+        return tuple(self._prompt_pairs())
+
     @property
     def queued_prefill_s(self) -> float:
         """Batch-1 prefill seconds the waiting prompts owe.
 
-        :meth:`LatencySurface.queued_prefill_s` over the histogram,
-        summed again only after the histogram changed.
+        :meth:`LatencySurface.queued_prefill_s` over the histogram's
+        pairs, summed again only after the histogram changed. It builds
+        no tuple: predictive routers read it on every shard per arrival.
         """
-        hist = self._hist
-        if hist is not self._queued_hist:
-            self._queued_s = self.engine.surface.queued_prefill_s(hist)
-            self._queued_hist = hist
+        if self._queued_s is None:
+            self._queued_s = self.engine.surface.queued_prefill_s(
+                self._prompt_pairs()
+            )
         return self._queued_s
 
     def kv_bytes(self, tokens: int) -> int:
@@ -672,18 +681,20 @@ class ContinuousBatchingScheduler(_ShardLoad):
             self._future, (request.arrival_s, request.request_id, request)
         )
         self._waiting_kv += need
-        hist = self._hist
         p = request.prompt_tokens
-        i = bisect_left(hist, (p,))
-        if i < len(hist) and hist[i][0] == p:
-            self._hist = hist[:i] + ((p, hist[i][1] + 1),) + hist[i + 1 :]
+        counts = self._prompt_counts
+        count = counts.get(p)
+        if count is None:
+            counts[p] = 1
+            insort(self._prompt_lens, p)
         else:
-            self._hist = hist[:i] + ((p, 1),) + hist[i:]
+            counts[p] = count + 1
+        self._queued_s = None
 
     def snapshot(self) -> SchedulerSnapshot:
         """A frozen copy of the live routing state (the properties of
-        the same names). O(1) in queue depth: the prompt histogram is
-        an immutable tuple, so the copy shares it."""
+        the same names). O(1) in queue depth: the prompt histogram it
+        copies holds one pair per distinct waiting prompt length."""
         return SchedulerSnapshot(
             **{name: getattr(self, name) for name in _SNAPSHOT_FIELDS}
         )
@@ -730,14 +741,16 @@ class ContinuousBatchingScheduler(_ShardLoad):
 
     def _forget_waiting(self, request: Request) -> None:
         """Drop one waiting request from the prompt-histogram aggregate."""
-        hist = self._hist
         p = request.prompt_tokens
-        i = bisect_left(hist, (p,))
-        count = hist[i][1] - 1
+        counts = self._prompt_counts
+        count = counts[p] - 1
         if count:
-            self._hist = hist[:i] + ((p, count),) + hist[i + 1 :]
+            counts[p] = count
         else:
-            self._hist = hist[:i] + hist[i + 1 :]
+            del counts[p]
+            lens = self._prompt_lens
+            del lens[bisect_left(lens, p)]
+        self._queued_s = None
 
     def withdraw(self, request_id: int) -> Request:
         """Remove a not-yet-prefilled request (the work-stealing donor op).

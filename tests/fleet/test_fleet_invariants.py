@@ -538,5 +538,16 @@ class TestOverloadConservation:
         assert report.metrics.n_requests == len(served)
         for shard in report.result.shard_results:
             assert shard.peak_kv_bytes <= shard.kv_budget_bytes
+            # Both running counters recount from the logs: the queue
+            # depth a step ran under is its last event's, and the KV
+            # peak is the largest reservation any event saw.
+            events = shard.events
+            assert shard.max_queue_depth == max(
+                (events.queue_depth[e - 1] for e in shard.steps.events if e),
+                default=0,
+            )
+            assert shard.peak_kv_bytes == max(
+                events.kv_reserved_bytes, default=0
+            )
             for rec in shard.records:
                 assert rec.generated_tokens == rec.request.output_tokens

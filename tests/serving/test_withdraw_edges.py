@@ -13,6 +13,7 @@ scheduler, as the fleet does.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -132,6 +133,58 @@ class TestCrashHarvest:
         assert len(ids) == len(set(ids))
         # KV fully released: nothing reserved on the dead shard.
         assert sched.snapshot().kv_reserved_bytes == 0
+
+    @pytest.mark.parametrize("before, after", [(1, 1), (3, 2), (6, 6), (12, 3)])
+    def test_equals_withdraw_per_candidate(
+        self, make_scenario, before, after
+    ):
+        """The harvest writes the rows, leaves the aggregates and
+        returns the requests that withdrawing each steal candidate in
+        FCFS order would (the rows a faster harvest must keep), on an
+        overloaded shard holding requests not yet arrived, pending and
+        admitted (the (1, 1) draw holds all three), and a failover
+        resubmission that arrived in the shard's past."""
+
+        def overloaded():
+            sched = _sched(make_scenario, budget_requests=3.0, max_batch=4)
+            for i in range(24):
+                sched.submit(
+                    Request(
+                        i, 1e-4 * i if i < 20 else 1e3, 8 + (7 * i) % 50,
+                        4 + (3 * i) % 20,
+                    )
+                )
+            for _ in range(before):
+                sched.advance_one()
+            sched.submit(Request(99, 0.0, 16, 4))
+            for _ in range(after):
+                sched.advance_one()
+            return sched
+
+        harvested, twin = overloaded(), overloaded()
+        if (before, after) == (1, 1):
+            assert twin._future and twin._pending and twin._prefill_queue
+        withdrawn = [
+            twin.withdraw(req.request_id) for req in twin.steal_candidates()
+        ]
+        rest, twin_inflight = twin.crash_harvest()
+        assert rest == []
+        waiting, inflight = harvested.crash_harvest()
+        assert waiting == withdrawn
+        assert inflight == twin_inflight
+        assert harvested.result().events == twin.result().events
+        for name in (
+            "n_waiting", "n_decoding", "waiting_prompt_hist",
+            "kv_reserved_bytes", "waiting_kv_bytes", "queued_prefill_s",
+            "idle", "clock_s",
+        ):
+            assert getattr(harvested, name) == getattr(twin, name), name
+        # Every harvested id is forgotten: failover may resubmit it here.
+        for sched in (harvested, twin):
+            for req in waiting + [req for req, _ in inflight]:
+                sched.submit(replace(req, arrival_s=sched.clock_s))
+            sched.advance_until(math.inf)
+        assert harvested.result() == twin.result()
 
     def test_harvest_idle_shard_is_empty(self, make_scenario):
         sched = _sched(make_scenario, _requests(1))
